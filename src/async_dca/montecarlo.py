@@ -11,15 +11,11 @@ these are desk-scale stand-ins for asymptotic statements, chosen so each
 canned experiment finishes in seconds; replay reports carry a note saying
 which threshold they operationalise.
 
-Trials derive their random streams from ``(seed, trial_index)``, are merged
-in trial order, and may fan out over threads (``ASYNC_DCA_THREADS``)
-without changing any result bit.
+Trials derive their random streams from ``(seed, trial_index)``.
 """
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
@@ -117,14 +113,6 @@ class ExperimentResult:
         return out
 
 
-def _threads() -> int:
-    raw = os.environ.get("ASYNC_DCA_THREADS", "1").strip() or "1"
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValidationError(f"ASYNC_DCA_THREADS={raw!r} is not an integer") from exc
-
-
 def _draw_trial_inputs(cfg: ExperimentConfig):
     """Per-trial initial states and update masks, one substream per trial.
 
@@ -146,17 +134,7 @@ def _draw_trial_inputs(cfg: ExperimentConfig):
 
 def _run_batch(cfg: ExperimentConfig):
     x0, masks = _draw_trial_inputs(cfg)
-    A = cfg.matrix.entries
-    workers = min(_threads(), cfg.trials)
-    if workers == 1:
-        return _kernels.trajectory_batch(A, masks, x0, cfg.track_lambda)
-    bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
-    chunks = [(masks[a:b], x0[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda ch: _kernels.trajectory_batch(A, ch[0], ch[1], cfg.track_lambda), chunks
-        ))
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(6))
+    return _kernels.trajectory_batch(cfg.matrix.entries, masks, x0, cfg.track_lambda)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:

@@ -100,3 +100,48 @@ def bfs_roots(n, edges):
     """Roots by brute force: BFS from every node."""
     full = set(range(1, n + 1))
     return {r for r in full if bfs_reachable(n, edges, r) == full}
+
+
+# The numpy trajectory kernel as first written: trials on the leading axis,
+# every per-step reduction over a trailing axis of length n.  The library
+# kernel stores trials last and must reproduce these outputs bit for bit.
+
+def ergodic_batch_trials_first(P: np.ndarray) -> np.ndarray:
+    """Ergodic coefficient of each matrix in a (T, n, n) stack."""
+    n = P.shape[1]
+    if n == 1:
+        return np.zeros(P.shape[0])
+    shared = np.minimum(P[:, :, None, :], P[:, None, :, :]).sum(axis=3)
+    shared[:, np.eye(n, dtype=bool)] = np.inf
+    lam = 1.0 - shared.reshape(P.shape[0], -1).min(axis=1)
+    return np.clip(lam, 0.0, 1.0)
+
+
+def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
+    A = np.ascontiguousarray(A, dtype=np.float64)
+    masks = np.ascontiguousarray(masks, dtype=bool)
+    x0 = np.ascontiguousarray(x0, dtype=np.float64)
+    T, K, n = masks.shape
+    x = x0.copy()
+    deltas = np.empty((T, K + 1))
+    lams = np.ones((T, K + 1))
+    viol_contract = np.zeros(T)
+    viol_mono = np.zeros(T)
+    row_err = np.zeros(T)
+    deltas[:, 0] = x.max(axis=1) - x.min(axis=1)
+    d0 = deltas[:, 0]
+    if track_lambda:
+        P = np.broadcast_to(np.eye(n), (T, n, n)).copy()
+        lams[:, 0] = ergodic_batch_trials_first(P)
+    for k in range(K):
+        m = masks[:, k, :]
+        x = np.where(m, x @ A.T, x)
+        deltas[:, k + 1] = x.max(axis=1) - x.min(axis=1)
+        if track_lambda:
+            P = np.where(m[:, :, None], np.matmul(A, P), P)
+            lam_k = ergodic_batch_trials_first(P)
+            lams[:, k + 1] = lam_k
+            viol_contract = np.maximum(viol_contract, deltas[:, k + 1] - lam_k * d0)
+            viol_mono = np.maximum(viol_mono, lam_k - lams[:, k])
+            row_err = np.maximum(row_err, np.abs(P.sum(axis=2) - 1.0).max(axis=1))
+    return deltas, lams, x, viol_contract, viol_mono, row_err

@@ -1,19 +1,28 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from async_dca import _kernels
 from async_dca import (
+    ExperimentConfig,
     StochasticMatrix,
+    bundled_matrix,
+    bundled_scheduler,
     ergodic_coefficient,
     initial_state,
     max_discrepancy,
     step,
     stream,
 )
+from async_dca.montecarlo import _draw_trial_inputs
+from _oracles import trajectory_batch_trials_first
 from _samplers import random_stochastic
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
 
@@ -34,6 +43,44 @@ def test_backends_agree_on_trajectories():
     out_nb = _kernels.get_backend("numba")["trajectory_batch"](A, masks, x0, True)
     for a, b in zip(out_np, out_nb):
         assert np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+def _coupled_inputs(scheduler):
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler(scheduler),
+                           trials=12, horizon=300, seed=1729)
+    x0, masks = _draw_trial_inputs(cfg)
+    return cfg.matrix.entries, masks, x0
+
+
+def _random_inputs_with_extremes(n):
+    rng = np.random.default_rng(100 + n)
+    A = random_stochastic(rng, n)
+    masks = rng.random((9, 60, n)) < rng.uniform(0.1, 0.9)
+    masks[:, 10] = False  # no agent updates
+    masks[:, 20] = True   # every agent updates
+    x0 = rng.uniform(-1.0, 1.0, (9, n))
+    return A, masks, x0
+
+
+ORACLE_CASES = [
+    pytest.param(lambda: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
+    pytest.param(lambda: _coupled_inputs("half_clocks6"), id="half_clocks6"),
+] + [
+    pytest.param(lambda n=n: _random_inputs_with_extremes(n), id=f"random-n{n}")
+    for n in range(1, 8)
+]
+
+
+@pytest.mark.parametrize("track_lambda", [True, False])
+@pytest.mark.parametrize("make_inputs", ORACLE_CASES)
+def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
+    A, masks, x0 = make_inputs()
+    got = _kernels.get_backend("numpy")["trajectory_batch"](A, masks, x0, track_lambda)
+    want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 def test_backends_agree_on_walks():
@@ -101,13 +148,15 @@ def test_env_flag_selects_backend():
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True,
-            env={"ASYNC_DCA_KERNELS": choice, "PATH": "/usr/bin:/bin"},
+            env={"ASYNC_DCA_KERNELS": choice, "PATH": "/usr/bin:/bin",
+                 "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
         )
         assert out.stdout.strip() == choice, out.stderr
     bad = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True,
-        env={"ASYNC_DCA_KERNELS": "cuda", "PATH": "/usr/bin:/bin"},
+        env={"ASYNC_DCA_KERNELS": "cuda", "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
     )
     assert bad.returncode != 0
     assert "ASYNC_DCA_KERNELS" in bad.stderr
@@ -117,3 +166,14 @@ def test_default_backend_prefers_numba():
     if not _kernels.HAS_NUMBA:
         pytest.skip("numba unavailable")
     assert _kernels.backend_name() in ("numba", "numpy")
+
+
+def test_bench_kernels_script_runs():
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
+         "--trials", "4", "--steps", "50", "--walk-trials", "20", "--walk-steps", "10"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert out.returncode == 0, out.stderr

@@ -41,17 +41,6 @@ def test_seed_determinism():
     assert not np.array_equal(a.final_deltas, c.final_deltas)
 
 
-def test_thread_fanout_is_bit_identical(monkeypatch):
-    serial = run_experiment(small_cfg())
-    monkeypatch.setenv("ASYNC_DCA_THREADS", "3")
-    fanned = run_experiment(small_cfg())
-    assert np.array_equal(serial.final_deltas, fanned.final_deltas)
-    assert np.array_equal(serial.delta_tail, fanned.delta_tail)
-    monkeypatch.setenv("ASYNC_DCA_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        run_experiment(small_cfg())
-
-
 def test_result_statistics_are_probabilities():
     res = run_experiment(small_cfg())
     for series in (res.delta_tail, res.lambda_tail):
