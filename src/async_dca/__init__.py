@@ -43,7 +43,6 @@ from .matrices import (
     matrix_power,
     max_discrepancy,
     multiply,
-    projection_diagnostics,
     same_type,
 )
 from .montecarlo import (
@@ -140,7 +139,6 @@ __all__ = [
     "multiply",
     "normalize_update_set",
     "product_convergence_rate",
-    "projection_diagnostics",
     "replay",
     "roots",
     "run_experiment",

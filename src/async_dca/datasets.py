@@ -47,8 +47,3 @@ def bundled_scheduler(name: str):
         )
     payload = json.loads(_data_root().joinpath(f"{name}.json").read_text())
     return scheduler_from_json(payload)
-
-
-def bundled_matrix_description(name: str) -> str:
-    payload = json.loads(_data_root().joinpath(f"{name}.json").read_text())
-    return payload.get("description", "")

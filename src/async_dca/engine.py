@@ -45,12 +45,11 @@ def make_async_matrix(A: StochasticMatrix, sigma) -> StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryState:
-    """One point of an asynchronous run: tick count, state, product, history."""
+    """One point of an asynchronous run: tick count, state and running product."""
 
     k: int
     x: np.ndarray
     product: StochasticMatrix | None
-    schedule: tuple
 
     def __post_init__(self):
         arr = np.asarray(self.x, dtype=np.float64).copy()
@@ -58,7 +57,6 @@ class TrajectoryState:
             raise DimensionError(f"state vector must be 1-d nonempty, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
-        object.__setattr__(self, "schedule", tuple(self.schedule))
 
     @property
     def n(self) -> int:
@@ -72,7 +70,7 @@ def initial_state(x1, track_product: bool = True) -> TrajectoryState:
     """Trajectory at tick 1, before any update has been applied."""
     x = np.asarray(x1, dtype=np.float64)
     product = StochasticMatrix(np.eye(x.size)) if track_product else None
-    return TrajectoryState(k=1, x=x, product=product, schedule=())
+    return TrajectoryState(k=1, x=x, product=product)
 
 
 def step(state: TrajectoryState, A: StochasticMatrix, sigma) -> TrajectoryState:
@@ -88,12 +86,7 @@ def step(state: TrajectoryState, A: StochasticMatrix, sigma) -> TrajectoryState:
         entries = state.product.entries.copy()
         entries[rows] = A.entries[rows] @ state.product.entries
         product = StochasticMatrix(entries, tol=PRODUCT_ROW_SUM_TOL)
-    return TrajectoryState(
-        k=state.k + 1,
-        x=x,
-        product=product,
-        schedule=state.schedule + (members,),
-    )
+    return TrajectoryState(k=state.k + 1, x=x, product=product)
 
 
 def run_script(A: StochasticMatrix, schedule, x1, track_product: bool = True) -> TrajectoryState:

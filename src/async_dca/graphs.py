@@ -37,9 +37,6 @@ class DirectedGraph:
                 raise ValidationError(f"edge ({u}, {v}) out of range 1..{self.n}")
         object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
 
-    def successors(self, u: int) -> list:
-        return sorted(v for (a, v) in self.edges if a == u)
-
     def adjacency(self) -> list:
         """0-based adjacency lists, successors in ascending order."""
         adj = [[] for _ in range(self.n)]

@@ -68,9 +68,6 @@ class StochasticMatrix:
         pos = self.entries[self.entries > 0]
         return float(pos.min())
 
-    def row(self, i: int) -> np.ndarray:
-        return self.entries[i - 1]
-
     @classmethod
     def from_json(cls, obj: dict) -> "StochasticMatrix":
         try:
@@ -186,26 +183,3 @@ def matrix_power(A: StochasticMatrix, k: int) -> StochasticMatrix:
     if k < 0:
         raise ValidationError("negative matrix power")
     return StochasticMatrix(np.linalg.matrix_power(_entries(A), k), tol=PRODUCT_ROW_SUM_TOL)
-
-
-def projection_diagnostics(x) -> dict:
-    """Norms of the two disagreement projections found in the literature.
-
-    ``mean_centered_norm`` is ``||x - mean(x) * 1||_2`` (the projection
-    ``I - (1/N) 1 1^T``); ``scaled_norm`` uses ``I - (1/N^2) 1 1^T``, a
-    variant that is not idempotent and is reported here only for comparison.
-    The package's convergence criteria are defined through max_discrepancy,
-    which is norm-equivalent to the mean-centered form:
-    ``Delta(x)/sqrt(2) <= ||P x|| <= sqrt(N) * Delta(x)``.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionError(f"expected a nonempty 1-d state vector, got shape {arr.shape}")
-    n = arr.size
-    ones = np.ones(n)
-    mean_centered = arr - arr.mean()
-    scaled = arr - (ones @ arr) / (n * n) * ones
-    return {
-        "mean_centered_norm": float(np.linalg.norm(mean_centered)),
-        "scaled_norm": float(np.linalg.norm(scaled)),
-    }

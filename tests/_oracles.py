@@ -4,9 +4,13 @@ Everything here is written as plain loops or brute-force enumeration, on
 purpose: these are the reference answers, kept free of the library's own
 shortcuts.
 """
+import csv
+import io
 from itertools import product
 
 import numpy as np
+
+from async_dca import ergodic_coefficient, initial_state, step, stream
 
 
 def half_l1_coefficient(A):
@@ -145,3 +149,30 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
             viol_mono = np.maximum(viol_mono, lam_k - lams[:, k])
             row_err = np.maximum(row_err, np.abs(P.sum(axis=2) - 1.0).max(axis=1))
     return deltas, lams, x, viol_contract, viol_mono, row_err
+
+
+# ``async-dca simulate`` as first written: one scheduler draw, one
+# ``engine.step`` and one ``ergodic_coefficient`` per tick, rows written as
+# they are produced.  The CLI now runs the trajectory kernel once and must
+# write the same bytes.
+
+def simulate_rows_engine(A, scheduler, steps, seed, x0=None, track=True):
+    """CSV text of ``simulate`` for ``x0`` (None draws it from the stream)."""
+    rng = stream(seed, 0)
+    if x0 is None:
+        x0 = rng.uniform(-1.0, 1.0, A.n)
+    state = initial_state(x0, track_product=track)
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    header = ["k", "delta"] + (["lambda_product"] if track else [])
+    writer.writerow(header)
+    history: list = []
+    for _ in range(steps):
+        sigma = scheduler.draw(history, rng)
+        history.append(sigma)
+        state = step(state, A, sigma)
+        row = [state.k - 1, state.delta()]
+        if track:
+            row.append(ergodic_coefficient(state.product))
+        writer.writerow(row)
+    return fh.getvalue()

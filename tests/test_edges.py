@@ -19,7 +19,7 @@ from async_dca import (
     stream,
 )
 from async_dca.cli import dispatch
-from async_dca.datasets import BUNDLED_MATRICES, BUNDLED_SCHEDULERS, bundled_matrix_description
+from async_dca.datasets import BUNDLED_MATRICES, BUNDLED_SCHEDULERS
 
 
 def test_single_agent_experiment():
@@ -46,9 +46,9 @@ def test_column_stochastic_validation():
 
 def test_trajectory_state_rejects_bad_vectors():
     with pytest.raises(Exception):
-        TrajectoryState(k=1, x=np.zeros((2, 2)), product=None, schedule=())
+        TrajectoryState(k=1, x=np.zeros((2, 2)), product=None)
     with pytest.raises(Exception):
-        TrajectoryState(k=1, x=np.array([]), product=None, schedule=())
+        TrajectoryState(k=1, x=np.array([]), product=None)
 
 
 def test_scheduler_probability_validation():
@@ -74,7 +74,6 @@ def test_all_bundled_data_loads():
     for name in BUNDLED_MATRICES:
         A = bundled_matrix(name)
         assert A.n >= 1
-        assert bundled_matrix_description(name)
     for name in BUNDLED_SCHEDULERS:
         scheduler = bundled_scheduler(name)
         assert scheduler.n == 6

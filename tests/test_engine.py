@@ -47,7 +47,7 @@ def test_step_empty_set_is_identity():
     after = step(state, A, frozenset())
     assert np.array_equal(after.x, state.x)
     assert np.array_equal(after.product.entries, np.eye(3))
-    assert after.k == 2 and after.schedule == (frozenset(),)
+    assert after.k == 2
 
 
 def test_step_dimension_mismatch():
@@ -95,7 +95,6 @@ def test_empty_schedule():
     state = run_script(A, [], [0.0, 1.0, 2.0])
     assert state.k == 1
     assert np.array_equal(state.product.entries, np.eye(3))
-    assert state.schedule == ()
 
 
 def test_repeated_single_agent_update_closed_form():

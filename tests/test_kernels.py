@@ -177,3 +177,18 @@ def test_bench_kernels_script_runs():
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_cli_module_runs_simulate():
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    data = ROOT / "src" / "async_dca" / "data"
+    out = subprocess.run(
+        [sys.executable, "-m", "async_dca.cli", "simulate",
+         "--matrix", str(data / "six_node_coupled.json"),
+         "--scheduler", str(data / "uniform_clock6.json"), "--steps", "20", "--seed", "3"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "k,delta,lambda_product"
+    assert len(out.stdout.splitlines()) == 21

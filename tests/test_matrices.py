@@ -13,7 +13,6 @@ from async_dca import (
     matrix_power,
     max_discrepancy,
     multiply,
-    projection_diagnostics,
     same_type,
 )
 from _oracles import (
@@ -172,20 +171,3 @@ def test_variational_identity_on_binary_vectors():
         assert ergodic_coefficient(A) == pytest.approx(
             zero_one_discrepancy_sup(A), abs=1e-10
         )
-
-
-def test_projection_diagnostics_norm_equivalence():
-    rng = np.random.default_rng(2024_05)
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
-        x = rng.uniform(-3.0, 3.0, n)
-        d = projection_diagnostics(x)
-        delta = max_discrepancy(x)
-        assert delta / np.sqrt(2.0) <= d["mean_centered_norm"] + 1e-12
-        assert d["mean_centered_norm"] <= np.sqrt(n) * delta + 1e-12
-
-
-def test_projection_diagnostics_variants_differ():
-    x = np.array([1.0, 2.0, 6.0])
-    d = projection_diagnostics(x)
-    assert d["mean_centered_norm"] != d["scaled_norm"]
