@@ -75,13 +75,11 @@ from .walk import (
     DistanceChain,
     MatchCurve,
     RateCertificate,
-    WalkTrajectory,
     cycle_distance,
     default_move_probabilities,
     lower_bound_matrix,
     match_probability_curve,
     product_convergence_rate,
-    simulate_backward_walk,
     uniform_completion,
 )
 
@@ -116,7 +114,6 @@ __all__ = [
     "SupportSequenceScheduler",
     "TrajectoryState",
     "ValidationError",
-    "WalkTrajectory",
     "analysis_report",
     "backend_name",
     "build_graph",
@@ -147,7 +144,6 @@ __all__ = [
     "scc_decomposition",
     "scheduler_from_json",
     "scrambling_hit_rate",
-    "simulate_backward_walk",
     "step",
     "stream",
     "uniform_completion",

@@ -324,11 +324,12 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     """First label-match times for a batch of backward cycle walks.
 
     ``labels`` maps 0-based cycle positions to labels; ``starts`` is (T, 2)
-    0-based initial positions; ``uniforms`` is (T, k_max - 1) pre-drawn
-    uniforms, one per transition.  Thresholds partition [0, 1) into the four
-    moves: j steps back, i steps back, both stay, both step back.  Returns
-    (T,) first times (1-based) at which the two labels coincide, -1 if never
-    within the horizon.
+    0-based positions at the start of the block; ``uniforms`` is a (T, S)
+    block of pre-drawn uniforms, one per transition (S may be 0).
+    Thresholds partition [0, 1) into the four moves: j steps back, i steps
+    back, both stay, both step back.  Returns (T,) first times at which the
+    two labels coincide, counted from 1 at ``starts``, so a match after the
+    s-th transition of the block reads s + 1; -1 if none within the block.
     """
     return _BACKENDS[_BACKEND]["walk_match_batch"](
         labels, starts, uniforms, t_move_j, t_move_i, t_stay

@@ -20,7 +20,7 @@ from .errors import ValidationError
 from .graphs import LabelledCycle, analysis_report, build_graph, build_labelled_cycle, roots
 from .matrices import PRODUCT_ROW_SUM_TOL, StochasticMatrix
 from .montecarlo import REPLAY_CASES, ExperimentConfig, replay, run_experiment
-from .rng import DEFAULT_SEED, stream
+from .rng import DEFAULT_SEED, SEED_CONTRACT, stream
 from .schedulers import ScriptScheduler, check_conditions, scheduler_from_json
 from .walk import match_probability_curve
 
@@ -176,6 +176,7 @@ def _cmd_walk(args) -> int:
         "c0": curve.c0,
         "beta": curve.beta,
         "match_prob_at_kmax": float(curve.empirical[-1]),
+        "seed_contract": SEED_CONTRACT,
     }
     _emit_json(summary, args.summary)
     return 0

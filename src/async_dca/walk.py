@@ -26,6 +26,10 @@ from .matrices import ColumnStochasticMatrix
 from .rng import stream
 
 GAMMA_MAX = 1.0 / 3.0
+# Transition uniforms are drawn in blocks of this many columns, for the
+# unmatched trials only.  Part of the seed contract: changing it changes
+# every walk output for a given seed.
+WALK_BLOCK = 16
 
 
 def cycle_distance(cycle: LabelledCycle, i: int, j: int) -> int:
@@ -224,63 +228,6 @@ class DistanceChain:
 
 
 @dataclass(frozen=True, eq=False)
-class WalkTrajectory:
-    """Recorded (i_k, j_k) positions, 1-based, and the first label-match time."""
-
-    positions: np.ndarray
-    hit_time: int | None
-
-    def __post_init__(self):
-        arr = np.asarray(self.positions, dtype=np.int64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "positions", arr)
-
-    @property
-    def matched(self) -> bool:
-        return self.hit_time is not None
-
-
-def simulate_backward_walk(cycle: LabelledCycle, gamma: float, k_max: int, rng,
-                           i1: int | None = None, j1: int | None = None,
-                           move_probs=None) -> WalkTrajectory:
-    """Run one walk until the labels match or ``k_max`` steps have passed.
-
-    Starting positions default to uniform draws.  The trajectory records the
-    positions up to and including the match (the pair is frozen afterwards).
-    """
-    p = _check_move_probabilities(gamma, move_probs)
-    l = cycle.length
-    if i1 is None or j1 is None:
-        start = rng.integers(0, l, size=2)
-        i = int(start[0]) + 1 if i1 is None else int(i1)
-        j = int(start[1]) + 1 if j1 is None else int(j1)
-    else:
-        i, j = int(i1), int(j1)
-    cycle._check_position(i)
-    cycle._check_position(j)
-    t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
-    positions = [(i, j)]
-    hit = 1 if cycle.label(i) == cycle.label(j) else None
-    k = 1
-    while hit is None and k < k_max:
-        u = rng.random()
-        if u < t1:
-            j = cycle.predecessor(j)
-        elif u < t2:
-            i = cycle.predecessor(i)
-        elif u < t3:
-            pass
-        else:
-            i = cycle.predecessor(i)
-            j = cycle.predecessor(j)
-        k += 1
-        positions.append((i, j))
-        if cycle.label(i) == cycle.label(j):
-            hit = k
-    return WalkTrajectory(positions=np.array(positions, dtype=np.int64), hit_time=hit)
-
-
-@dataclass(frozen=True, eq=False)
 class MatchCurve:
     """Empirical match probabilities against the certified lower bound.
 
@@ -305,24 +252,40 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
                             trials: int, seed: int, move_probs=None) -> MatchCurve:
     """Monte Carlo match-by-k curve with its distance-chain lower bound.
 
-    Each trial runs on its own substream of ``seed``; starting positions are
-    uniform and independent.  The empirical curve is cumulative, hence
-    non-decreasing, and dominates the bound whenever the walk's moves meet
-    the ``gamma`` floors.
+    All trials share the one stream ``stream(seed)`` (seed contract 2): it
+    first yields every trial's two uniform starting positions as a
+    ``(trials, 2)`` array, then blocks of ``WALK_BLOCK`` transition uniforms
+    (fewer for the last block of the horizon), one row per still-unmatched
+    trial in increasing trial order, until every trial has matched or
+    ``k_max - 1`` transitions have been drawn.  The empirical curve is
+    cumulative, hence non-decreasing, and dominates the bound whenever the
+    walk's moves meet the ``gamma`` floors.
     """
     if trials < 1 or k_max < 1:
         raise ValidationError("need trials >= 1 and k_max >= 1")
     p = _check_move_probabilities(gamma, move_probs)
     l = cycle.length
     labels = np.array(cycle.labels, dtype=np.int64)
-    starts = np.empty((trials, 2), dtype=np.int64)
-    uniforms = np.empty((trials, max(k_max - 1, 0)))
-    for t in range(trials):
-        rng = stream(seed, t)
-        starts[t] = rng.integers(0, l, size=2)
-        uniforms[t] = rng.random(max(k_max - 1, 0))
     t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
-    hits = _kernels.walk_match_batch(labels, starts, uniforms, t1, t2, t3)
+    rng = stream(seed)
+    pos = rng.integers(0, l, size=(trials, 2))
+    hits = _kernels.walk_match_batch(labels, pos, np.empty((trials, 0)), t1, t2, t3)
+    unmatched = np.flatnonzero(hits < 0)
+    done = 0
+    while unmatched.size and done < k_max - 1:
+        width = min(WALK_BLOCK, k_max - 1 - done)
+        u = rng.random((unmatched.size, width))
+        block_hits = _kernels.walk_match_batch(labels, pos[unmatched], u, t1, t2, t3)
+        matched = block_hits > 0
+        hits[unmatched[matched]] = block_hits[matched] + done
+        done += width
+        unmatched, u = unmatched[~matched], u[~matched]
+        # trials still unmatched made every move of their block; moves
+        # commute, so the end positions depend only on the move counts
+        both = (u >= t3).sum(axis=1)
+        pos[unmatched, 0] -= ((u >= t1) & (u < t2)).sum(axis=1) + both
+        pos[unmatched, 1] -= (u < t1).sum(axis=1) + both
+        pos[unmatched] %= l
 
     counts = np.bincount(hits[hits > 0], minlength=k_max + 1)
     empirical = np.cumsum(counts)[1:] / trials

@@ -6,11 +6,13 @@ shortcuts.
 """
 import csv
 import io
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from async_dca import ergodic_coefficient, initial_state, step, stream
+from async_dca import LabelledCycle, ergodic_coefficient, initial_state, step, stream
+from async_dca.walk import WALK_BLOCK, _check_move_probabilities
 
 
 def half_l1_coefficient(A):
@@ -176,3 +178,137 @@ def simulate_rows_engine(A, scheduler, steps, seed, x0=None, track=True):
             row.append(ergodic_coefficient(state.product))
         writer.writerow(row)
     return fh.getvalue()
+
+
+@dataclass(frozen=True, eq=False)
+class WalkTrajectory:
+    """Recorded (i_k, j_k) positions, 1-based, and the first label-match time."""
+
+    positions: np.ndarray
+    hit_time: int | None
+
+    def __post_init__(self):
+        arr = np.asarray(self.positions, dtype=np.int64).copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "positions", arr)
+
+    @property
+    def matched(self) -> bool:
+        return self.hit_time is not None
+
+
+def simulate_backward_walk(cycle: LabelledCycle, gamma: float, k_max: int, rng,
+                           i1: int | None = None, j1: int | None = None,
+                           move_probs=None) -> WalkTrajectory:
+    """Run one walk until the labels match or ``k_max`` steps have passed.
+
+    Starting positions default to uniform draws.  The trajectory records the
+    positions up to and including the match (the pair is frozen afterwards).
+    """
+    p = _check_move_probabilities(gamma, move_probs)
+    l = cycle.length
+    if i1 is None or j1 is None:
+        start = rng.integers(0, l, size=2)
+        i = int(start[0]) + 1 if i1 is None else int(i1)
+        j = int(start[1]) + 1 if j1 is None else int(j1)
+    else:
+        i, j = int(i1), int(j1)
+    cycle._check_position(i)
+    cycle._check_position(j)
+    t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
+    positions = [(i, j)]
+    hit = 1 if cycle.label(i) == cycle.label(j) else None
+    k = 1
+    while hit is None and k < k_max:
+        u = rng.random()
+        if u < t1:
+            j = cycle.predecessor(j)
+        elif u < t2:
+            i = cycle.predecessor(i)
+        elif u < t3:
+            pass
+        else:
+            i = cycle.predecessor(i)
+            j = cycle.predecessor(j)
+        k += 1
+        positions.append((i, j))
+        if cycle.label(i) == cycle.label(j):
+            hit = k
+    return WalkTrajectory(positions=np.array(positions, dtype=np.int64), hit_time=hit)
+
+
+class _WalkReplay:
+    """Hands one trial its own start and transition uniforms in turn."""
+
+    def __init__(self, start, uniforms):
+        self._start = start
+        self._uniforms = iter(uniforms)
+
+    def integers(self, low, high, size=None):
+        return self._start
+
+    def random(self):
+        return next(self._uniforms)
+
+
+def walk_hits_v2(cycle, gamma, k_max, trials, seed, move_probs=None):
+    """First match times under seed contract 2, one plain walk per trial.
+
+    Re-creates the draws of ``match_probability_curve`` on ``stream(seed)``:
+    a (trials, 2) array of starts, then blocks of ``WALK_BLOCK`` uniforms
+    with one row per trial that is still unmatched.  Which trials are
+    unmatched is decided by replaying ``simulate_backward_walk`` on each
+    trial's draws so far.
+    """
+    rng = stream(seed)
+    starts = rng.integers(0, cycle.length, size=(trials, 2))
+    drawn = [[] for _ in range(trials)]
+
+    def hit_time(t, horizon):
+        replay = _WalkReplay(starts[t], drawn[t])
+        return simulate_backward_walk(cycle, gamma, horizon, replay,
+                                      move_probs=move_probs).hit_time
+
+    hits = [hit_time(t, 1) for t in range(trials)]
+    done = 0
+    while done < k_max - 1:
+        unmatched = [t for t in range(trials) if hits[t] is None]
+        if not unmatched:
+            break
+        width = min(WALK_BLOCK, k_max - 1 - done)
+        block = rng.random((len(unmatched), width))
+        done += width
+        for t, row in zip(unmatched, block):
+            drawn[t].extend(row.tolist())
+            hits[t] = hit_time(t, done + 1)
+    return np.array([-1 if h is None else h for h in hits], dtype=np.int64)
+
+
+def walk_match_exact(cycle, gamma, k_max, move_probs=None):
+    """Exact P(match by k), k = 1..k_max, from uniform independent starts.
+
+    Evolves the distribution of the position pair (i, j) over the l^2 pairs;
+    pairs with equal labels absorb.  No sampling is involved.
+    """
+    p_j, p_i, p_stay, p_both = _check_move_probabilities(gamma, move_probs)
+    l = cycle.length
+    labels = cycle.labels
+    P = np.zeros((l * l, l * l))
+    for i in range(l):
+        for j in range(l):
+            src = i * l + j
+            if labels[i] == labels[j]:
+                P[src, src] = 1.0
+                continue
+            back_i, back_j = (i - 1) % l, (j - 1) % l
+            P[src, i * l + back_j] += p_j
+            P[src, back_i * l + j] += p_i
+            P[src, src] += p_stay
+            P[src, back_i * l + back_j] += p_both
+    absorbing = np.array([labels[i] == labels[j] for i in range(l) for j in range(l)])
+    dist = np.full(l * l, 1.0 / (l * l))
+    out = np.empty(k_max)
+    for k in range(k_max):
+        out[k] = dist[absorbing].sum()
+        dist = dist @ P
+    return out

@@ -14,12 +14,12 @@ from async_dca import (
     bundled_matrix,
     bundled_scheduler,
     run_experiment,
-    simulate_backward_walk,
     match_probability_curve,
     stream,
 )
 from async_dca.cli import dispatch
 from async_dca.datasets import BUNDLED_MATRICES, BUNDLED_SCHEDULERS
+from _oracles import simulate_backward_walk
 
 
 def test_single_agent_experiment():

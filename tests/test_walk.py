@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,13 @@ from async_dca import (
     match_probability_curve,
     product_convergence_rate,
     roots,
-    simulate_backward_walk,
     stream,
     uniform_completion,
+    wilson_interval,
 )
+from async_dca import _kernels
+from async_dca.walk import WALK_BLOCK
+from _oracles import simulate_backward_walk, walk_hits_v2, walk_match_exact
 
 SIX_CYCLE = LabelledCycle(6, (1, 2, 4, 3, 2, 4))
 
@@ -195,12 +200,85 @@ def test_simulate_walk_deterministic():
     assert np.array_equal(a.positions, b.positions)
 
 
-def test_single_trials_agree_with_batch_curve():
-    curve = match_probability_curve(SIX_CYCLE, 0.2, 150, 20, seed=31)
-    for t in range(20):
-        traj = simulate_backward_walk(SIX_CYCLE, 0.2, 150, stream(31, t))
-        expected = traj.hit_time if traj.hit_time is not None else -1
-        assert curve.hits[t] == expected
+FIVE_CYCLE = LabelledCycle(5, (1, 2, 3, 2, 4))
+
+
+@pytest.mark.parametrize("move_probs", [None, (0.2, 0.2, 0.0, 0.6), (0.25, 0.35, 0.3, 0.1)])
+@pytest.mark.parametrize("trials", [1, 20, 500])
+@pytest.mark.parametrize("k_max", [1, 2, WALK_BLOCK, WALK_BLOCK + 1, 150])
+def test_batch_curve_matches_per_trial_oracle(k_max, trials, move_probs):
+    # the six-cycle's certificate cannot be fitted at k_max = 2, the
+    # five-cycle's can; hits do not depend on the certificate
+    curve = match_probability_curve(FIVE_CYCLE, 0.2, k_max, trials, seed=31,
+                                    move_probs=move_probs)
+    oracle = walk_hits_v2(FIVE_CYCLE, 0.2, k_max, trials, seed=31, move_probs=move_probs)
+    assert np.array_equal(curve.hits, oracle)
+
+
+def test_six_cycle_curve_matches_per_trial_oracle():
+    curve = match_probability_curve(SIX_CYCLE, 0.2, 150, 500, seed=31)
+    assert np.array_equal(curve.hits, walk_hits_v2(SIX_CYCLE, 0.2, 150, 500, seed=31))
+
+
+def test_seed_contract_2_golden_hits():
+    # pins the draw layout itself, WALK_BLOCK included: two trials match in
+    # the second block
+    curve = match_probability_curve(SIX_CYCLE, 0.2, 60, 24, seed=31)
+    assert curve.hits.tolist() == [3, 6, 1, 5, 11, 5, 1, 9, 1, 1, 1, 1,
+                                   2, 8, 7, 22, 3, 4, 3, 3, 3, 6, 3, 25]
+
+
+def test_all_matching_cycle_draws_no_uniforms(monkeypatch):
+    drawn = []
+    kernel = _kernels.walk_match_batch
+
+    def counting(labels, starts, uniforms, *thresholds):
+        drawn.append(uniforms.size)
+        return kernel(labels, starts, uniforms, *thresholds)
+
+    monkeypatch.setattr(_kernels, "walk_match_batch", counting)
+    cycle = LabelledCycle(3, (2, 2, 2))
+    curve = match_probability_curve(cycle, 0.2, 50, 20, seed=3)
+    assert (curve.hits == 1).all()
+    assert sum(drawn) == 0
+    assert np.array_equal(curve.hits, walk_hits_v2(cycle, 0.2, 50, 20, seed=3))
+
+
+def test_exact_oracle_small_cases():
+    # one transition on a 2-cycle with distinct labels: a single move of
+    # either token matches, staying or moving both does not
+    two = LabelledCycle(2, (1, 2))
+    exact = walk_match_exact(two, 0.2, 3, move_probs=(0.2, 0.3, 0.1, 0.4))
+    assert np.allclose(exact, [0.5, 0.5 + 0.5 * 0.5, 1.0 - 0.5 * 0.5 ** 2], rtol=0, atol=1e-15)
+    assert np.array_equal(walk_match_exact(LabelledCycle(3, (2, 2, 2)), 0.2, 4), np.ones(4))
+    # with distinct labels a match is distance 0, so the distance chain from
+    # a uniform start distance gives the same curve
+    distinct = LabelledCycle(6, (1, 2, 3, 4, 5, 6))
+    chain = DistanceChain.for_walk(6, 0.2)
+    by_distance = chain.evolve(np.full(6, 1 / 6), 59)[:, 0]
+    assert np.allclose(walk_match_exact(distinct, 0.2, 60), by_distance, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, trials", [(701, 10_000), (77, 2000)])
+def test_match_curve_inside_wilson_bands_of_exact_curve(seed, trials):
+    # two-sided: z = 4 keeps the 200-point family-wise error near 1e-2
+    curve = match_probability_curve(SIX_CYCLE, 0.2, 200, trials, seed=seed)
+    exact = walk_match_exact(SIX_CYCLE, 0.2, 200)
+    for k, p in enumerate(exact, start=1):
+        successes = int(((curve.hits > 0) & (curve.hits <= k)).sum())
+        lo, hi = wilson_interval(successes, trials, z=4.0)
+        assert lo <= p <= hi, f"k={k}: exact {p} outside [{lo}, {hi}]"
+
+
+def test_match_curve_memory_is_bounded_by_block():
+    # drawing all k_max - 1 uniforms up front would take 50k x 199 x 8 B = 80 MB
+    tracemalloc.start()
+    try:
+        match_probability_curve(SIX_CYCLE, 0.2, 200, 50_000, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_match_curve_dominates_bound():
