@@ -137,7 +137,12 @@ def product_convergence_rate(p_seq, W) -> RateCertificate:
         )
     l = Warr.shape[0]
     mats = []
+    prev = None
     for idx, P in enumerate(p_seq):
+        if P is prev:  # one object repeated, as in rate_certificate: checked once
+            mats.append(mats[-1])
+            continue
+        prev = P
         arr = P.entries if isinstance(P, ColumnStochasticMatrix) else np.asarray(P, np.float64)
         ColumnStochasticMatrix(arr, tol=1e-9)
         if arr.shape != Warr.shape:

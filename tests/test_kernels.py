@@ -45,9 +45,9 @@ def test_backends_agree_on_trajectories():
         assert np.allclose(a, b, atol=1e-12, rtol=0)
 
 
-def _coupled_inputs(scheduler):
+def _coupled_inputs(scheduler, trials=12, horizon=300):
     cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler(scheduler),
-                           trials=12, horizon=300, seed=1729)
+                           trials=trials, horizon=horizon, seed=1729)
     x0, masks = _draw_trial_inputs(cfg)
     return cfg.matrix.entries, masks, x0
 
@@ -62,13 +62,79 @@ def _random_inputs_with_extremes(n):
     return A, masks, x0
 
 
+def _chunk_inputs(T, K, n=6):
+    """Random dense inputs whose horizon K sits at a chunk boundary case."""
+    rng = np.random.default_rng(1000 + 7 * T + K)
+    A = random_stochastic(rng, n, density=1.0)
+    masks = rng.random((T, K, n)) < 0.4
+    x0 = rng.uniform(-1.0, 1.0, (T, n))
+    return A, masks, x0
+
+
+def _slow_inputs(T=7, K=590, n=6):
+    # non-dyadic and mixing slowly: no state is a fixed point within K steps
+    rng = np.random.default_rng(47)
+    A = 0.99 * np.eye(n) + 0.01 * random_stochastic(rng, n, density=1.0)
+    masks = rng.random((T, K, n)) < 0.4
+    return A, masks, rng.uniform(-1.0, 1.0, (T, n))
+
+
+def _consensus_start_inputs():
+    # x0 = 0 is fixed from the start, but the product keeps moving: only
+    # the product's own fixed-point test may stop a run that tracks lambda
+    A, masks, x0 = _slow_inputs()
+    return A, masks, np.zeros_like(x0)
+
+
+def _chunk(T, n=6):
+    return _kernels.CHUNK_BYTES // (8 * n * T)
+
+
+def _averaging_inputs(T=50, K=300, n=4):
+    # A = 1 1^T / n is dyadic and idempotent: once every agent has updated,
+    # x and the product are fixed points bit for bit, so the kernel exits
+    rng = np.random.default_rng(31)
+    masks = rng.random((T, K, n)) < 0.3
+    return np.full((n, n), 1.0 / n), masks, rng.uniform(-1.0, 1.0, (T, n))
+
+
+def _signed_zero_inputs(T=3, n=4):
+    # agent 1 holds -0.0 and first updates after the first chunk; A @ x reads
+    # +0.0 there, so an exit test that took -0.0 == 0.0 would stop too early
+    # and leave the sign of the final state wrong
+    C = _chunk(T, n)
+    K = 2 * C + 3
+    masks = np.zeros((T, K, n), dtype=bool)
+    masks[:, :, 1:] = True
+    masks[:, C + 2, 0] = True
+    x0 = np.tile([-0.0, 0.0, -0.0, 0.0], (T, 1))
+    return np.full((n, n), 1.0 / n), masks, x0
+
+
 ORACLE_CASES = [
     pytest.param(lambda: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
     pytest.param(lambda: _coupled_inputs("half_clocks6"), id="half_clocks6"),
+    pytest.param(lambda: _coupled_inputs("half_clocks6", trials=1000, horizon=600),
+                 id="mc-clocks-exits"),
+    pytest.param(_averaging_inputs, id="averaging-exits"),
+    pytest.param(_signed_zero_inputs, id="signed-zeros"),
+    pytest.param(_slow_inputs, id="slow-never-exits"),
+    pytest.param(_consensus_start_inputs, id="consensus-start"),
+    pytest.param(lambda: _chunk_inputs(200, 3 * _chunk(200, 1) + 5, n=1), id="n1-multichunk"),
 ] + [
     pytest.param(lambda n=n: _random_inputs_with_extremes(n), id=f"random-n{n}")
     for n in range(1, 8)
+] + [
+    pytest.param(lambda T=T, dk=dk, mul=mul: _chunk_inputs(T, max(0, mul * _chunk(T) + dk)),
+                 id=f"chunk-T{T}-K{label}")
+    for T in (1, 7, 200)
+    for label, mul, dk in (("0", 0, 0), ("1", 0, 1), ("C-1", 1, -1), ("C", 1, 0),
+                           ("C+1", 1, 1), ("3C+5", 3, 5))
 ]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
 @pytest.mark.parametrize("track_lambda", [True, False])
@@ -80,7 +146,46 @@ def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
     assert len(got) == len(want) == 6
     for g, w in zip(got, want):
         assert g.shape == w.shape
-        assert np.array_equal(g, w)
+        assert np.array_equal(_bits(g), _bits(w))  # -0.0 and 0.0 differ
+
+
+class _CountingNumpy:
+    """Stands in for numpy inside ``_kernels``, counting ``matmul`` calls."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("make_inputs, track_lambda, exits", [
+    pytest.param(lambda: _coupled_inputs("half_clocks6", trials=1000, horizon=600),
+                 False, True, id="mc-clocks"),
+    pytest.param(_averaging_inputs, True, True, id="averaging-lambda"),
+    pytest.param(_averaging_inputs, False, True, id="averaging"),
+    pytest.param(_slow_inputs, True, False, id="slow-lambda"),
+    pytest.param(_slow_inputs, False, False, id="slow"),
+    pytest.param(_consensus_start_inputs, True, False, id="consensus-start-lambda"),
+    pytest.param(_consensus_start_inputs, False, True, id="consensus-start"),
+])
+def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
+                                                    track_lambda, exits):
+    A, masks, x0 = make_inputs()
+    want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(_kernels, "np", counting)
+    got = _kernels.trajectory_batch_numpy(A, masks, x0, track_lambda)
+    K = masks.shape[1]
+    per_step = 2 if track_lambda else 1
+    # stepping to the horizon makes per_step matmuls a step, plus the checks
+    assert (counting.matmuls < per_step * K) == exits
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 def test_backends_agree_on_walks():
@@ -172,7 +277,8 @@ def test_bench_kernels_script_runs():
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
-         "--trials", "4", "--steps", "50", "--walk-trials", "20", "--walk-steps", "10"],
+         "--trials", "4", "--steps", "50", "--walk-trials", "20", "--walk-steps", "10",
+         "--simulate-steps", "30", "--clocks-trials", "5"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )

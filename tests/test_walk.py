@@ -140,6 +140,48 @@ def test_rate_certificate_validation():
         product_convergence_rate([P], unrooted)
 
 
+def test_rate_certificate_checks_each_distinct_matrix_once(monkeypatch):
+    from async_dca import walk
+
+    W = lower_bound_matrix(6, 0.15)
+    P = uniform_completion(W)
+    # a repeated object is validated once; distinct copies, each validated,
+    # are the reference, and the certificate must not change by a bit
+    fast = product_convergence_rate([P] * 200, W)
+    slow = product_convergence_rate([P.entries.copy() for _ in range(200)], W)
+    assert fast.errors.tobytes() == slow.errors.tobytes()
+    assert np.float64(fast.c0).tobytes() == np.float64(slow.c0).tobytes()
+    assert np.float64(fast.beta).tobytes() == np.float64(slow.beta).tobytes()
+
+    checked = []
+
+    class Counting(walk.ColumnStochasticMatrix):
+        def __post_init__(self):
+            checked.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(walk, "ColumnStochasticMatrix", Counting)
+    arr = P.entries.copy()
+    product_convergence_rate([arr] * 50, W)
+    assert len(checked) == 1
+    product_convergence_rate([arr] * 3 + [arr.copy()] + [arr] * 2, W)
+    assert len(checked) == 1 + 3
+
+    # a bad matrix after a run of repeats is still rejected, on every check
+    not_stochastic = arr * 1.5
+    bad_type = arr.copy()
+    bad_type[0, 1] = 0.0
+    bad_type[2, 1] = arr[0, 1] + arr[2, 1]
+    droopy = arr.copy()
+    droopy[:, 1] = 0.0
+    droopy[0, 1], droopy[1, 1] = 0.9, 0.1
+    for bad in (not_stochastic, bad_type, droopy, np.eye(5)):
+        with pytest.raises((ValidationError, walk.DimensionError)):
+            product_convergence_rate([arr] * 4 + [bad] + [arr] * 2, W)
+        with pytest.raises((ValidationError, walk.DimensionError)):
+            product_convergence_rate([arr] * 4 + [bad] * 3, W)
+
+
 def test_distance_chain_is_admissible_and_absorbing():
     for l in range(3, 9):
         chain = DistanceChain.for_walk(l, 0.2)
