@@ -1,13 +1,10 @@
 """Hot inner loops: trajectory evolution and cycle-walk simulation.
 
-Two interchangeable backends:
+Both kernels are pure numpy, vectorised across trials, which they store on
+the last, contiguous axis, so each per-step reduction over the n agents is
+n-1 element-wise operations on length-T vectors.
 
-* ``numba`` -- ``@njit``-compiled per-trial loops (default when numba imports)
-* ``numpy`` -- pure-numpy fallback vectorised across trials, which it
-  stores on the last, contiguous axis, so each per-step reduction over the
-  n agents is n-1 element-wise operations on length-T vectors
-
-The numpy trajectory kernel walks the horizon in chunks of
+The trajectory kernel walks the horizon in chunks of
 ``C = max(1, min(K, CHUNK_BYTES // (8 n T)))`` steps.  Each step does only
 the state and product updates and the raw reductions (the states, the
 pairs' shared mass and the product's row sums, stored per step); each chunk
@@ -22,39 +19,12 @@ tracked.  Those products have the shapes of the per-step ones, so they are
 the bits a further step would compute: no mask can change the state again,
 and the rest of each series repeats its last value.  No trial is dropped
 on its own, since a narrower ``matmul`` may round differently.
-
-Selection is made once at import from the ``ASYNC_DCA_KERNELS`` environment
-variable (``auto`` | ``numba`` | ``numpy``).  Both backends consume the same
-pre-drawn randomness, so results agree to floating-point noise; see
-``benchmarks/bench_kernels.py`` for a side-by-side comparison.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-CHUNK_BYTES = 64 * 1024  # per-chunk series buffer of the numpy trajectory kernel
+CHUNK_BYTES = 64 * 1024  # per-chunk series buffer of the trajectory kernel
 
 
 def _shared_mass(P, pairs, work, out):
@@ -80,15 +50,41 @@ def _fixed(A, Z, AZ):
     return np.array_equal(AZ.view(np.uint64), Z.view(np.uint64))
 
 
-def trajectory_batch_numpy(A, masks, x0, track_lambda=True):
-    """``trajectory_batch`` with trials on the last axis: the state is
-    (n, T), the product (n, n, T) and the series (K+1, T).  Sums over
-    columns run in sequential order, as in the numba kernel.
+def trajectory_batch(A, masks, x0, track_lambda=True):
+    """Evolve a batch of asynchronous-update trajectories.
 
-    The horizon is walked in chunks and stops at an exact fixed point (see
-    the module docstring).  Every buffer is allocated once: fresh per-step
+    Trials sit on the last axis: the state is (n, T), the product
+    (n, n, T) and the series (K+1, T).  Sums over columns run in sequential
+    order, as in ``tests/_oracles.py::trajectory_batch_trials_first``.  The
+    horizon is walked in chunks and stops at an exact fixed point (see the
+    module docstring).  Every buffer is allocated once: fresh per-step
     temporaries make the allocator return and refault their pages every
     step, which costs more than the arithmetic.
+
+    Parameters
+    ----------
+    A : (n, n) row-stochastic coupling matrix.
+    masks : (T, K, n) bool; ``masks[t, k, i]`` is True when agent ``i+1``
+        updates at step ``k+1`` of trial ``t``.
+    x0 : (T, n) initial states.
+    track_lambda : also accumulate the left product and its ergodic
+        coefficient.  200 trials x 5000 steps of ``six_node_coupled`` under
+        ``uniform_clock6`` take about 0.38 s with it and 0.012 s without
+        (best of 5 on a 2-vCPU x86 virtual machine, whose speed drifts by
+        up to 1.6x between runs): without it the state is an exact fixed
+        point within about 900 steps and the kernel stops there, while the
+        product only becomes one after its vanishing entries underflow,
+        past 13000 steps.
+
+    Returns
+    -------
+    deltas : (T, K+1) max-minus-min discrepancy after each step.
+    lams : (T, K+1) ergodic coefficient of the accumulated product
+        (all ones when ``track_lambda`` is off; read-only).
+    x_final : (T, n) final states.
+    viol_contract : (T,) max over k of ``delta_k - lam_k * delta_0``.
+    viol_mono : (T,) max over k of ``lam_k - lam_{k-1}``.
+    row_err : (T,) max row-sum error of the accumulated product.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     masks = np.ascontiguousarray(masks, dtype=bool)
@@ -151,7 +147,17 @@ def trajectory_batch_numpy(A, masks, x0, track_lambda=True):
     return deltas.T, lams.T, x.T, viol_contract, viol_mono, row_err
 
 
-def walk_match_batch_numpy(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
+def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
+    """First label-match times for a batch of backward cycle walks.
+
+    ``labels`` maps 0-based cycle positions to labels; ``starts`` is (T, 2)
+    0-based positions at the start of the block; ``uniforms`` is a (T, S)
+    block of pre-drawn uniforms, one per transition (S may be 0).
+    Thresholds partition [0, 1) into the four moves: j steps back, i steps
+    back, both stay, both step back.  Returns (T,) first times at which the
+    two labels coincide, counted from 1 at ``starts``, so a match after the
+    s-th transition of the block reads s + 1; -1 if none within the block.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -175,222 +181,6 @@ def walk_match_batch_numpy(labels, starts, uniforms, t_move_j, t_move_i, t_stay)
     return hits
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _ergodic_scalar(P):
-    n = P.shape[0]
-    if n == 1:
-        return 0.0
-    shared_min = 1.0e308
-    for a in range(n):
-        for b in range(a + 1, n):
-            s = 0.0
-            for c in range(n):
-                pa = P[a, c]
-                pb = P[b, c]
-                s += pa if pa < pb else pb
-            if s < shared_min:
-                shared_min = s
-    lam = 1.0 - shared_min
-    if lam < 0.0:
-        lam = 0.0
-    elif lam > 1.0:
-        lam = 1.0
-    return lam
-
-
-@njit(cache=True)
-def _trajectory_batch_numba(A, masks, x0, track_lambda):
-    T, K, n = masks.shape
-    deltas = np.empty((T, K + 1))
-    lams = np.ones((T, K + 1))
-    xf = np.empty((T, n))
-    viol_contract = np.zeros(T)
-    viol_mono = np.zeros(T)
-    row_err = np.zeros(T)
-    for t in range(T):
-        x = x0[t].copy()
-        xn = np.empty(n)
-        P = np.eye(n)
-        Pn = np.empty((n, n))
-        d0 = x.max() - x.min()
-        deltas[t, 0] = d0
-        if track_lambda:
-            lams[t, 0] = _ergodic_scalar(P)
-        for k in range(K):
-            for r in range(n):
-                if masks[t, k, r]:
-                    s = 0.0
-                    for c in range(n):
-                        s += A[r, c] * x[c]
-                    xn[r] = s
-                    if track_lambda:
-                        for c in range(n):
-                            s2 = 0.0
-                            for m in range(n):
-                                s2 += A[r, m] * P[m, c]
-                            Pn[r, c] = s2
-                else:
-                    xn[r] = x[r]
-                    if track_lambda:
-                        for c in range(n):
-                            Pn[r, c] = P[r, c]
-            for r in range(n):
-                x[r] = xn[r]
-                if track_lambda:
-                    for c in range(n):
-                        P[r, c] = Pn[r, c]
-            dk = x.max() - x.min()
-            deltas[t, k + 1] = dk
-            if track_lambda:
-                lk = _ergodic_scalar(P)
-                lams[t, k + 1] = lk
-                v = dk - lk * d0
-                if v > viol_contract[t]:
-                    viol_contract[t] = v
-                inc = lk - lams[t, k]
-                if inc > viol_mono[t]:
-                    viol_mono[t] = inc
-                for r in range(n):
-                    rs = 0.0
-                    for c in range(n):
-                        rs += P[r, c]
-                    e = abs(rs - 1.0)
-                    if e > row_err[t]:
-                        row_err[t] = e
-        for r in range(n):
-            xf[t, r] = x[r]
-    return deltas, lams, xf, viol_contract, viol_mono, row_err
-
-
-def trajectory_batch_numba(A, masks, x0, track_lambda=True):
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    masks = np.ascontiguousarray(masks, dtype=bool)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    return _trajectory_batch_numba(A, masks, x0, track_lambda)
-
-
-@njit(cache=True)
-def _walk_match_numba(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
-    l = labels.shape[0]
-    T, steps = uniforms.shape
-    hits = np.full(T, -1, dtype=np.int64)
-    for t in range(T):
-        i = starts[t, 0]
-        j = starts[t, 1]
-        if labels[i] == labels[j]:
-            hits[t] = 1
-            continue
-        for k in range(steps):
-            u = uniforms[t, k]
-            if u < t_move_j:
-                j = j - 1 if j > 0 else l - 1
-            elif u < t_move_i:
-                i = i - 1 if i > 0 else l - 1
-            elif u < t_stay:
-                pass
-            else:
-                i = i - 1 if i > 0 else l - 1
-                j = j - 1 if j > 0 else l - 1
-            if labels[i] == labels[j]:
-                hits[t] = k + 2
-                break
-    return hits
-
-
-def walk_match_batch_numba(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    return _walk_match_numba(labels, starts, uniforms, t_move_j, t_move_i, t_stay)
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_BACKENDS = {
-    "numpy": {
-        "trajectory_batch": trajectory_batch_numpy,
-        "walk_match_batch": walk_match_batch_numpy,
-    },
-    "numba": {
-        "trajectory_batch": trajectory_batch_numba,
-        "walk_match_batch": walk_match_batch_numba,
-    },
-}
-
-
-def _select_backend() -> str:
-    choice = os.environ.get("ASYNC_DCA_KERNELS", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in _BACKENDS:
-        raise RuntimeError(
-            f"ASYNC_DCA_KERNELS={choice!r}: expected 'auto', 'numba' or 'numpy'"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("ASYNC_DCA_KERNELS=numba but numba is not importable")
-    return choice
-
-
-_BACKEND = _select_backend()
-
-
 def backend_name() -> str:
-    return _BACKEND
-
-
-def get_backend(name: str | None = None) -> dict:
-    """Kernel table for an explicit backend (used by tests and benchmarks)."""
-    return _BACKENDS[name or _BACKEND]
-
-
-def trajectory_batch(A, masks, x0, track_lambda=True):
-    """Evolve a batch of asynchronous-update trajectories.
-
-    Parameters
-    ----------
-    A : (n, n) row-stochastic coupling matrix.
-    masks : (T, K, n) bool; ``masks[t, k, i]`` is True when agent ``i+1``
-        updates at step ``k+1`` of trial ``t``.
-    x0 : (T, n) initial states.
-    track_lambda : also accumulate the left product and its ergodic
-        coefficient.  With the numpy backend, 200 trials x 5000 steps of
-        ``six_node_coupled`` under ``uniform_clock6`` take about 0.38 s with
-        it and 0.012 s without (best of 5 on a 2-vCPU x86 virtual machine,
-        whose speed drifts by up to 1.6x between runs): without it
-        the state is an exact fixed point within about 900 steps and the
-        kernel stops there, while the product only becomes one after its
-        vanishing entries underflow, past 13000 steps.
-
-    Returns
-    -------
-    deltas : (T, K+1) max-minus-min discrepancy after each step.
-    lams : (T, K+1) ergodic coefficient of the accumulated product
-        (all ones when ``track_lambda`` is off; read-only with numpy).
-    x_final : (T, n) final states.
-    viol_contract : (T,) max over k of ``delta_k - lam_k * delta_0``.
-    viol_mono : (T,) max over k of ``lam_k - lam_{k-1}``.
-    row_err : (T,) max row-sum error of the accumulated product.
-    """
-    return _BACKENDS[_BACKEND]["trajectory_batch"](A, masks, x0, track_lambda)
-
-
-def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
-    """First label-match times for a batch of backward cycle walks.
-
-    ``labels`` maps 0-based cycle positions to labels; ``starts`` is (T, 2)
-    0-based positions at the start of the block; ``uniforms`` is a (T, S)
-    block of pre-drawn uniforms, one per transition (S may be 0).
-    Thresholds partition [0, 1) into the four moves: j steps back, i steps
-    back, both stay, both step back.  Returns (T,) first times at which the
-    two labels coincide, counted from 1 at ``starts``, so a match after the
-    s-th transition of the block reads s + 1; -1 if none within the block.
-    """
-    return _BACKENDS[_BACKEND]["walk_match_batch"](
-        labels, starts, uniforms, t_move_j, t_move_i, t_stay
-    )
+    """Kernel implementation recorded in result summaries."""
+    return "numpy"

@@ -110,6 +110,7 @@ def test_mc_outputs_csv_and_summary(six_node, uniform_clock, tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["trials"] == 10
+    assert summary["backend"] == "numpy"
     assert 0.0 <= summary["consensus_fraction"] <= 1.0
     rows = list(csv.DictReader(csv_path.open()))
     assert len(rows) == 201
