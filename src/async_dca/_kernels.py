@@ -4,27 +4,44 @@ Both kernels are pure numpy, vectorised across trials, which they store on
 the last, contiguous axis, so each per-step reduction over the n agents is
 n-1 element-wise operations on length-T vectors.
 
-The trajectory kernel walks the horizon in chunks of
-``C = max(1, min(K, CHUNK_BYTES // (8 n T)))`` steps.  Each step does only
+The trajectory kernel is resumable.  The caller draws the horizon in blocks
+of steps and passes each block together with the ``Carry`` the previous
+block left: the states, the accumulated products, the last coefficients,
+the initial discrepancies, the maxima of the three checks and the exit-test
+schedule.  Each call returns that block's discrepancies and coefficients,
+steps first, and the carry.  Only the carry lives from block to block, so a
+batch needs O(T n^2) memory plus what the caller keeps of the blocks.
+
+Inside a block the kernel walks chunks of
+``C = max(1, min(B, CHUNK_BYTES // (8 n T)))`` steps.  Each step does only
 the state and product updates and the raw reductions (the states, the
 pairs' shared mass and the product's row sums, stored per step); each chunk
 then derives the discrepancies, the coefficients and the maxima of the
 three checks in place.  These are the element-wise operations of a per-step
 loop and a maximum does not depend on order, so the outputs are bitwise
-those of stepping one step at a time, and every check still covers every
-trial and every step.  After each chunk the kernel stops early when
-``A @ x`` equals ``x`` bit for bit for every trial (compared as ``uint64``
-so that 0.0 and -0.0 differ), and ``A @ P`` equals ``P`` when lambda is
-tracked.  Those products have the shapes of the per-step ones, so they are
-the bits a further step would compute: no mask can change the state again,
-and the rest of each series repeats its last value.  No trial is dropped
-on its own, since a narrower ``matmul`` may round differently.
+those of stepping one step at a time, whatever the block and chunk sizes,
+and every check still covers every trial and every step.
+
+After a chunk the kernel may test for an exact fixed point: ``A @ x``
+equals ``x`` bit for bit for every trial (compared as ``uint64`` so that
+0.0 and -0.0 differ), and ``A @ P`` equals ``P`` when lambda is tracked.
+Those products have the shapes of the per-step ones, so they are the bits a
+further step would compute: no mask can change the state again, the rest
+of each series repeats its last value, and the caller need draw no further
+masks.  No trial is dropped on its own, since a narrower ``matmul`` may
+round differently.  The test runs after the last chunk of every block, so
+no block is drawn past a fixed point that the previous one reached, and
+within a block after chunk c once ``max(1, c // 16)`` chunks have passed
+since the last failed test, which bounds the delay of an exit to about
+1/16 of the steps run.  A fixed state stays fixed, so the state is tested
+only until it passes.
 """
 from __future__ import annotations
 
 import numpy as np
 
 CHUNK_BYTES = 64 * 1024  # per-chunk series buffer of the trajectory kernel
+TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
 
 
 def _shared_mass(P, pairs, work, out):
@@ -50,70 +67,108 @@ def _fixed(A, Z, AZ):
     return np.array_equal(AZ.view(np.uint64), Z.view(np.uint64))
 
 
-def trajectory_batch(A, masks, x0, track_lambda=True):
-    """Evolve a batch of asynchronous-update trajectories.
+class Carry:
+    """What a batch of T trajectories carries from one block to the next.
 
-    Trials sit on the last axis: the state is (n, T), the product
-    (n, n, T) and the series (K+1, T).  Sums over columns run in sequential
-    order, as in ``tests/_oracles.py::trajectory_batch_trials_first``.  The
-    horizon is walked in chunks and stops at an exact fixed point (see the
-    module docstring).  Every buffer is allocated once: fresh per-step
-    temporaries make the allocator return and refault their pages every
-    step, which costs more than the arithmetic.
+    ``x`` (n, T) states; ``P`` (n, n, T) accumulated products, or None
+    without lambda; ``lam`` (T,) coefficients after the last step run;
+    ``d0`` (T,) initial discrepancies; ``viol_contract``, ``viol_mono`` and
+    ``row_err`` (T,) maxima of the checks so far (see ``trajectory_batch``);
+    ``fixed`` is True once the batch is an exact fixed point.  ``chunks``
+    and ``next_test`` schedule the exit test and ``x_fixed`` records that
+    the state passed it.
+    """
+
+    def __init__(self, x0, track_lambda):
+        self.x = np.asarray(x0, dtype=np.float64).T.copy()
+        n, T = self.x.shape
+        self.d0 = self.x.max(axis=0) - self.x.min(axis=0)
+        self.P = np.repeat(np.eye(n)[:, :, None], T, axis=2) if track_lambda else None
+        self.lam = None
+        self.viol_contract = np.zeros(T)
+        self.viol_mono = np.zeros(T)
+        self.row_err = np.zeros(T)
+        self.chunks = 0
+        self.next_test = 1
+        self.x_fixed = False
+        self.fixed = False
+
+
+def trajectory_batch(A, masks, carry, track_lambda=True):
+    """Evolve a batch of asynchronous-update trajectories by one block of steps.
+
+    Trials sit on the last axis inside the kernel: the state is (n, T) and
+    the product (n, n, T).  Sums over columns run in sequential order, as
+    in ``tests/_oracles.py::trajectory_batch_trials_first``.  The block is
+    walked in chunks and stops early at an exact fixed point (see the
+    module docstring).  Every buffer is allocated once per block: fresh
+    per-step temporaries make the allocator return and refault their pages
+    every step, which costs more than the arithmetic.
 
     Parameters
     ----------
     A : (n, n) row-stochastic coupling matrix.
-    masks : (T, K, n) bool; ``masks[t, k, i]`` is True when agent ``i+1``
-        updates at step ``k+1`` of trial ``t``.
-    x0 : (T, n) initial states.
-    track_lambda : also accumulate the left product and its ergodic
-        coefficient.  200 trials x 5000 steps of ``six_node_coupled`` under
-        ``uniform_clock6`` take about 0.38 s with it and 0.012 s without
-        (best of 5 on a 2-vCPU x86 virtual machine, whose speed drifts by
-        up to 1.6x between runs): without it the state is an exact fixed
-        point within about 900 steps and the kernel stops there, while the
-        product only becomes one after its vanishing entries underflow,
-        past 13000 steps.
+    masks : (T, B, n) bool; ``masks[t, k, i]`` is True when agent ``i+1``
+        updates at the block's step ``k+1`` of trial ``t``.
+    carry : (T, n) initial states for the first block, or the ``Carry``
+        returned with the previous block, which is updated in place.
+    track_lambda : also accumulate the left product, its ergodic
+        coefficient and the three checks.  Without it a batch stops as soon
+        as every state is a fixed point; with it the product must be one
+        too, which for ``six_node_coupled`` happens only after its vanishing
+        entries underflow, past 13000 steps.  Use the same value for every
+        block of a batch.
 
     Returns
     -------
-    deltas : (T, K+1) max-minus-min discrepancy after each step.
-    lams : (T, K+1) ergodic coefficient of the accumulated product
-        (all ones when ``track_lambda`` is off; read-only).
-    x_final : (T, n) final states.
-    viol_contract : (T,) max over k of ``delta_k - lam_k * delta_0``.
-    viol_mono : (T,) max over k of ``lam_k - lam_{k-1}``.
-    row_err : (T,) max row-sum error of the accumulated product.
+    deltas : (R, T) max-minus-min discrepancy after each step run.
+    lams : (R, T) ergodic coefficient of the accumulated product after each
+        step run (all ones when ``track_lambda`` is off; read-only).
+    carry : the ``Carry``.  ``carry.fixed`` tells that the block stopped at
+        a fixed point, after which every later row repeats the last one.
+        Its ``viol_contract`` holds the max over k of
+        ``delta_k - lam_k * delta_0``, ``viol_mono`` that of
+        ``lam_k - lam_{k-1}``, and ``row_err`` the max row-sum error of the
+        accumulated product (all zeros without lambda).
+
+    R is the number of steps run, B unless the block stopped early, plus
+    one for the first block, whose row 0 holds the initial values.  The
+    rows of consecutive blocks, concatenated and padded by the last row up
+    to the horizon, are the whole-horizon series.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
-    masks = np.ascontiguousarray(masks, dtype=bool)
+    masks = np.asarray(masks, dtype=bool)
     T, K, n = masks.shape
+    first = not isinstance(carry, Carry)
+    if first:
+        carry = Carry(carry, track_lambda)
     C = max(1, min(K, CHUNK_BYTES // max(1, 8 * n * T)))
-    x = np.asarray(x0, dtype=np.float64).T.copy()
+    x, d0 = carry.x, carry.d0
     Ax = np.empty_like(x)
     xs = np.empty((C, n, T))
     w = np.empty((C, T))
     wT = np.empty(T)
+    # row 0 holds the values before the block's first step
     deltas = np.empty((K + 1, T))
-    viol_contract = np.zeros(T)
-    viol_mono = np.zeros(T)
-    row_err = np.zeros(T)
-    deltas[0] = x.max(axis=0) - x.min(axis=0)
-    d0 = deltas[0]
+    deltas[0] = d0
+    viol_contract, viol_mono, row_err = carry.viol_contract, carry.viol_mono, carry.row_err
     if track_lambda:
         lams = np.empty((K + 1, T))
         pairs = np.triu_indices(n, 1)
         work = (np.empty((2, len(pairs[0]), n, T)), np.empty((len(pairs[0]), T)))
-        P = np.repeat(np.eye(n)[:, :, None], T, axis=2)
+        P = carry.P
         AP = np.empty_like(P)
         P2, AP2 = P.reshape(n, n * T), AP.reshape(n, n * T)
         rs = np.empty((C, n, T))
         shared = np.empty((C, T))
-        _shared_mass(P, pairs, work, shared[0])
-        np.clip(1.0 - shared[0], 0.0, 1.0, out=lams[0])
+        if first:
+            _shared_mass(P, pairs, work, shared[0])
+            np.clip(1.0 - shared[0], 0.0, 1.0, out=lams[0])
+        else:
+            lams[0] = carry.lam
     else:
         lams = np.broadcast_to(1.0, (K + 1, T))
+    k1 = 0
     for k0 in range(0, K, C):
         c = min(C, K - k0)
         for i in range(c):
@@ -139,12 +194,17 @@ def trajectory_batch(A, masks, x0, track_lambda=True):
             np.maximum(viol_mono, W.max(axis=0, out=wT), out=viol_mono)
             np.abs(np.subtract(R, 1.0, out=R), out=R)
             np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
-        if k1 < K and _fixed(A, x, Ax) and (not track_lambda or _fixed(A, P2, AP2)):
-            deltas[k1 + 1:] = deltas[k1]
-            if track_lambda:
-                lams[k1 + 1:] = lams[k1]
-            break
-    return deltas.T, lams.T, x.T, viol_contract, viol_mono, row_err
+        carry.chunks += 1
+        if k1 == K or carry.chunks >= carry.next_test:
+            carry.x_fixed = carry.x_fixed or _fixed(A, x, Ax)
+            if carry.x_fixed and (not track_lambda or _fixed(A, P2, AP2)):
+                carry.fixed = True
+                break
+            carry.next_test = carry.chunks + max(1, carry.chunks // TEST_BACKOFF)
+    if track_lambda:
+        carry.lam = lams[k1].copy()
+    rows = slice(0 if first else 1, k1 + 1)
+    return deltas[rows], lams[rows], carry
 
 
 def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):

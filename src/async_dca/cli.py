@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: analyze, simulate, mc, verify-conditions, walk, repro.
-Exit codes: 0 success, 1 failed replay assertion, 2 input error.
+Exit codes: 0 success, 1 failed replay assertion, 2 input error or a request
+too large for memory.
 Every subcommand is deterministic given --seed (default 1729).
 """
 from __future__ import annotations
@@ -13,14 +14,15 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from .datasets import BUNDLED_MATRICES
 from .engine import normalize_update_set
 from .errors import ValidationError
 from .graphs import LabelledCycle, analysis_report, build_graph, build_labelled_cycle, roots
 from .matrices import PRODUCT_ROW_SUM_TOL, StochasticMatrix
-from .montecarlo import REPLAY_CASES, ExperimentConfig, replay, run_experiment
-from .rng import DEFAULT_SEED, SEED_CONTRACT, stream
+from .montecarlo import (
+    REPLAY_CASES, ExperimentConfig, replay, run_experiment, trajectory_blocks,
+)
+from .rng import DEFAULT_SEED, SEED_CONTRACT
 from .schedulers import ScriptScheduler, check_conditions, scheduler_from_json
 from .walk import match_probability_curve
 
@@ -80,9 +82,8 @@ def _cmd_simulate(args) -> int:
     if steps < 0:
         raise ValidationError("--steps must be >= 0")
 
-    rng = stream(args.seed, 0)
     if args.x0 == "random":
-        x0 = rng.uniform(-1.0, 1.0, A.n)
+        x0 = "uniform"
     else:
         try:
             x0 = np.asarray(_load_json(args.x0), dtype=np.float64)
@@ -92,17 +93,24 @@ def _cmd_simulate(args) -> int:
             raise ValidationError(f"--x0 must hold {A.n} numbers")
 
     track = not args.no_product
-    masks = scheduler.sample_masks(steps, rng)
-    deltas, lams, _, _, _, row_err = _kernels.trajectory_batch(
-        A.entries, masks[None], x0[None], track)
-    if row_err[0] > PRODUCT_ROW_SUM_TOL:
-        raise ValidationError(
-            f"accumulated product has a row sum off by {float(row_err[0])!r}, "
-            f"more than {PRODUCT_ROW_SUM_TOL}"
-        )
-    columns = [range(1, steps + 1), deltas[0, 1:].tolist()]
+    # trial 0 of mc: the same stream, blocks and kernel at T = 1
+    deltas = np.empty(steps + 1)
+    lams = np.empty(steps + 1)
+    if steps:
+        cfg = ExperimentConfig(A, scheduler, trials=1, horizon=steps, seed=args.seed,
+                               init=x0, track_lambda=track)
+        for k, d, lam, carry in trajectory_blocks(cfg):
+            k1 = k + len(d)
+            deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
+        deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
+        if carry.row_err[0] > PRODUCT_ROW_SUM_TOL:
+            raise ValidationError(
+                f"accumulated product has a row sum off by {float(carry.row_err[0])!r}, "
+                f"more than {PRODUCT_ROW_SUM_TOL}"
+            )
+    columns = [range(1, steps + 1), deltas[1:].tolist()]
     if track:
-        columns.append(lams[0, 1:].tolist())
+        columns.append(lams[1:].tolist())
     fh, close = _open_out(args.out)
     try:
         writer = csv.writer(fh)
@@ -131,8 +139,8 @@ def _cmd_mc(args) -> int:
     try:
         writer = csv.writer(fh)
         writer.writerow(["k", "p_delta_tail", "p_lambda_tail"])
-        for k in range(result.horizon + 1):
-            writer.writerow([k, result.delta_tail[k], result.lambda_tail[k]])
+        writer.writerows(zip(range(result.horizon + 1), result.delta_tail.tolist(),
+                             result.lambda_tail.tolist()))
     finally:
         if close:
             fh.close()
@@ -280,6 +288,9 @@ def dispatch(argv) -> int:
         return 2
     except OSError as exc:
         print(f"async-dca: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"async-dca: request too large: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,17 @@ these are desk-scale stand-ins for asymptotic statements, chosen so each
 canned experiment finishes in seconds; replay reports carry a note saying
 which threshold they operationalise.
 
-Trials derive their random streams from ``(seed, trial_index)``.
+Trials derive their random streams from ``(seed, trial_index)``: each
+draws its initial state (when random), then its schedule, in that order.
+``trajectory_blocks`` runs the trials as one streamed pipeline.  It holds
+the T generators, draws the schedule in blocks of B steps, B set by
+``MASK_BLOCK_BYTES``, advances the resumable kernel by one block and hands
+the block to the caller to reduce before drawing the next.  Splitting a
+stream's draws into blocks keeps every draw, so no output depends on B.
+Once the kernel stops at an exact fixed point nothing more is drawn, and
+hooks such as ``matrix_fn`` and ``weight_fn`` are not called for the later
+ticks.  Memory is O(T (n^2 + B n) + K), plus the per-trial histories of
+schedulers drawn through ``Scheduler.draw``.
 """
 from __future__ import annotations
 
@@ -40,6 +50,7 @@ from .schedulers import (
 CONSENSUS_EPSILON = 1e-6
 NONCONVERGENCE_EPSILON = 1e-3
 NONCONSENSUS_DELTA = 0.05
+MASK_BLOCK_BYTES = 1 << 20  # update masks drawn per block of the pipeline
 
 _THRESHOLD_NOTE = (
     "desk-scale operationalisation: the asymptotic claim is replaced by "
@@ -74,6 +85,8 @@ class ExperimentConfig:
             object.__setattr__(self, "init", arr)
         elif self.init != "uniform":
             raise ValidationError(f"init must be 'uniform' or a vector, got {self.init!r}")
+        # checked against the whole horizon, before any block is drawn
+        self.scheduler.check_horizon(self.horizon)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,34 +126,53 @@ class ExperimentResult:
         return out
 
 
-def _draw_trial_inputs(cfg: ExperimentConfig):
-    """Per-trial initial states and update masks, one substream per trial.
+def trajectory_blocks(cfg: ExperimentConfig):
+    """Run the trials of ``cfg`` as a streamed pipeline, one block at a time.
 
-    Draw order inside a trial's stream is fixed: the initial state first
-    (when random), then the schedule.
+    Yields ``(k, deltas, lams, carry)`` per block, where ``deltas`` and
+    ``lams`` are the kernel's (R, T) rows for steps ``k .. k + R - 1`` (the
+    first block starts with step 0, the initial values) and ``carry`` is
+    its ``_kernels.Carry``.  When the last block ends before the horizon,
+    ``carry.fixed`` is True and every later row repeats its last one.
     """
-    n = cfg.matrix.n
-    x0 = np.empty((cfg.trials, n))
-    masks = np.empty((cfg.trials, cfg.horizon, n), dtype=bool)
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, t)
-        if isinstance(cfg.init, str):
-            x0[t] = rng.uniform(-1.0, 1.0, n)
-        else:
-            x0[t] = cfg.init
-        masks[t] = cfg.scheduler.sample_masks(cfg.horizon, rng)
-    return x0, masks
-
-
-def _run_batch(cfg: ExperimentConfig):
-    x0, masks = _draw_trial_inputs(cfg)
-    return _kernels.trajectory_batch(cfg.matrix.entries, masks, x0, cfg.track_lambda)
+    n, T, K = cfg.matrix.n, cfg.trials, cfg.horizon
+    B = max(1, min(K, MASK_BLOCK_BYTES // (T * n)))
+    rngs = [stream(cfg.seed, t) for t in range(T)]
+    if isinstance(cfg.init, str):
+        carry = np.array([rng.uniform(-1.0, 1.0, n) for rng in rngs])
+    else:
+        carry = np.tile(cfg.init, (T, 1))
+    histories = [[] for _ in range(T)]
+    masks = np.empty((T, B, n), dtype=bool)
+    k = 0
+    for k0 in range(0, K, B):
+        b = min(B, K - k0)
+        for t, rng in enumerate(rngs):
+            masks[t, :b] = cfg.scheduler.sample_masks(b, rng, k0, histories[t])
+        deltas, lams, carry = _kernels.trajectory_batch(
+            cfg.matrix.entries, masks[:, :b], carry, cfg.track_lambda)
+        yield k, deltas, lams, carry
+        k += len(deltas)
+        if carry.fixed:
+            return
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """T seeded trials of K updates; all statistics deterministic in the seed."""
-    deltas, lams, _, viol_c, viol_m, row_err = _run_batch(cfg)
-    final = deltas[:, -1]
+    """T seeded trials of K updates; all statistics deterministic in the seed.
+
+    Each block is reduced to per-step counts of trials at or above
+    epsilon; ``count / T`` equals the mean of the 0/1 indicators bit for
+    bit, since a float sum of 0/1 values is exact.
+    """
+    delta_count = np.zeros(cfg.horizon + 1, dtype=np.int64)
+    lambda_count = np.zeros(cfg.horizon + 1, dtype=np.int64)
+    for k, deltas, lams, carry in trajectory_blocks(cfg):
+        k1 = k + len(deltas)
+        (deltas >= cfg.epsilon).sum(axis=1, out=delta_count[k:k1])
+        (lams >= cfg.epsilon).sum(axis=1, out=lambda_count[k:k1])
+    delta_count[k1:] = delta_count[k1 - 1]
+    lambda_count[k1:] = lambda_count[k1 - 1]
+    final = deltas[-1].copy()
     qs = np.quantile(final, [0.0, 0.25, 0.5, 0.75, 1.0])
     return ExperimentResult(
         trials=cfg.trials,
@@ -148,17 +180,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         epsilon=cfg.epsilon,
         seed=cfg.seed,
         backend=_kernels.backend_name(),
-        delta_tail=(deltas >= cfg.epsilon).mean(axis=0),
-        lambda_tail=(lams >= cfg.epsilon).mean(axis=0),
+        delta_tail=delta_count / cfg.trials,
+        lambda_tail=lambda_count / cfg.trials,
         consensus_fraction=float((final < cfg.epsilon).mean()),
         final_deltas=final,
         delta_quantiles={
             "min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
             "q75": float(qs[3]), "max": float(qs[4]),
         },
-        max_contraction_violation=float(viol_c.max()),
-        max_lambda_increase=float(viol_m.max()),
-        max_product_row_error=float(row_err.max()),
+        max_contraction_violation=float(carry.viol_contract.max()),
+        max_lambda_increase=float(carry.viol_mono.max()),
+        max_product_row_error=float(carry.row_err.max()),
     )
 
 
@@ -195,9 +227,11 @@ def scrambling_hit_rate(cfg: ExperimentConfig, m: int) -> ScramblingHitRate:
     """Fraction of trials whose accumulated product is scrambling at step m."""
     if not 1 <= m <= cfg.horizon:
         raise ValidationError(f"need 1 <= m <= horizon, got m={m}")
-    cfg = dataclasses.replace(cfg, track_lambda=True)
-    _, lams, _, _, _, _ = _run_batch(cfg)
-    hits = int((lams[:, m] < 1.0 - 1e-12).sum())
+    # rows up to m do not depend on later steps, so the run stops at m
+    cfg = dataclasses.replace(cfg, track_lambda=True, horizon=m)
+    for _, _, lams, _ in trajectory_blocks(cfg):
+        pass
+    hits = int((lams[-1] < 1.0 - 1e-12).sum())
     return ScramblingHitRate(
         m=m, trials=cfg.trials, rate=hits / cfg.trials,
         interval=wilson_interval(hits, cfg.trials),

@@ -16,6 +16,9 @@ Draw contract: a scheduler consumes a fixed number of uniforms per tick
 (global/support/markov: one; independent_clocks: n; script: none), and
 ``sample_masks`` consumes the stream identically to repeated ``draw`` calls,
 so vectorised sampling and tick-by-tick sampling produce the same schedule.
+``sample_masks(steps, rng, start, history)`` draws the ticks after the
+first ``start``, so a horizon drawn in blocks, with the tick offset and the
+history carried from block to block, is the horizon drawn at once.
 
 ``check_conditions`` evaluates the almost-sure-consensus conditions for a
 scheduler/matrix pair: rootedness, a positive lower bound on nonzero
@@ -69,14 +72,25 @@ class Scheduler:
     def draw(self, history, rng) -> frozenset:
         raise NotImplementedError
 
-    def sample_sets(self, steps: int, rng) -> list:
-        history: list = []
+    def sample_sets(self, steps: int, rng, history=None) -> list:
+        """The next ``steps`` update sets after ``history``, the sets drawn
+        so far (extended in place)."""
+        history = [] if history is None else history
+        start = len(history)
         for _ in range(steps):
             history.append(self.draw(history, rng))
-        return history
+        return history[start:]
 
-    def sample_masks(self, steps: int, rng) -> np.ndarray:
-        return sets_to_mask(self.sample_sets(steps, rng), self.n)
+    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
+        """(steps, n) update masks of ticks ``start + 1 .. start + steps``.
+
+        ``history`` holds the sets of the first ``start`` ticks for kinds
+        drawn through ``draw``, which extend it; the others ignore it.
+        """
+        return sets_to_mask(self.sample_sets(steps, rng, history), self.n)
+
+    def check_horizon(self, steps: int) -> None:
+        """Raise ValidationError when the scheduler cannot draw ``steps`` ticks."""
 
     def alpha(self) -> float | None:
         """Smallest declared nonzero transition probability, if known."""
@@ -119,7 +133,7 @@ class GlobalClockScheduler(Scheduler):
         idx = int(_inverse_cdf(self._cum, rng.random()))
         return frozenset({int(self._active[idx]) + 1})
 
-    def sample_masks(self, steps: int, rng) -> np.ndarray:
+    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         idx = _inverse_cdf(self._cum, rng.random(steps))
         nodes = self._active[idx]
         mask = np.zeros((steps, self.n), dtype=bool)
@@ -161,7 +175,7 @@ class IndependentClocksScheduler(Scheduler):
         u = rng.random(self.n)
         return frozenset(int(j) + 1 for j in np.nonzero(u < self.p)[0])
 
-    def sample_masks(self, steps: int, rng) -> np.ndarray:
+    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         return rng.random((steps, self.n)) < self.p
 
     def alpha(self) -> float:
@@ -271,14 +285,15 @@ class SupportSequenceScheduler(Scheduler):
         idx = int(_inverse_cdf(cum, rng.random()))
         return options[idx][0]
 
-    def sample_masks(self, steps: int, rng) -> np.ndarray:
+    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         if self.weight_fn is not None:
-            return super().sample_masks(steps, rng)
+            return super().sample_masks(steps, rng, start, history)
         us = rng.random(steps)
         mask = np.zeros((steps, self.n), dtype=bool)
         for k in range(steps):
-            options = self.ticks[k % self.period]
-            idx = int(_inverse_cdf(self._cums[k % self.period], us[k]))
+            tick = (start + k) % self.period
+            options = self.ticks[tick]
+            idx = int(_inverse_cdf(self._cums[tick], us[k]))
             for j in options[idx][0]:
                 mask[k, j - 1] = True
         return mask
@@ -438,11 +453,14 @@ class ScriptScheduler(Scheduler):
             k %= len(self.sets)
         return self.sets[k]
 
-    def sample_masks(self, steps: int, rng) -> np.ndarray:
+    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
+        self.check_horizon(start + steps)
+        chosen = [self.sets[k % len(self.sets)] for k in range(start, start + steps)]
+        return sets_to_mask(chosen, self.n)
+
+    def check_horizon(self, steps: int) -> None:
         if steps > len(self.sets) and not self.repeat:
             raise ValidationError(f"script of length {len(self.sets)} exhausted")
-        chosen = [self.sets[k % len(self.sets)] for k in range(steps)]
-        return sets_to_mask(chosen, self.n)
 
     def alpha(self) -> float:
         return 1.0

@@ -153,6 +153,29 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
     return deltas, lams, x, viol_contract, viol_mono, row_err
 
 
+# The whole-horizon draw that ``mc`` made before it streamed its inputs in
+# blocks: every mask of every trial is drawn before the kernel runs.  The
+# streamed pipeline must draw the same bits.
+
+def draw_trial_inputs_full(cfg):
+    """Per-trial initial states and update masks, one substream per trial.
+
+    Draw order inside a trial's stream is fixed: the initial state first
+    (when random), then the schedule.
+    """
+    n = cfg.matrix.n
+    x0 = np.empty((cfg.trials, n))
+    masks = np.empty((cfg.trials, cfg.horizon, n), dtype=bool)
+    for t in range(cfg.trials):
+        rng = stream(cfg.seed, t)
+        if isinstance(cfg.init, str):
+            x0[t] = rng.uniform(-1.0, 1.0, n)
+        else:
+            x0[t] = cfg.init
+        masks[t] = cfg.scheduler.sample_masks(cfg.horizon, rng)
+    return x0, masks
+
+
 # ``async-dca simulate`` as first written: one scheduler draw, one
 # ``engine.step`` and one ``ergodic_coefficient`` per tick, rows written as
 # they are produced.  The CLI now runs the trajectory kernel once and must

@@ -1,0 +1,106 @@
+"""Byte-for-byte golden outputs of the canonical CLI runs.
+
+Each case is one canonical ``async-dca`` invocation (the workloads of
+``perfbench/workloads.py``, plus ``simulate --no-product`` and ``repro
+all``), run in process at seeds 1729 and 5.  The SHA-256 of each output is
+compared with a digest recorded before the streamed ``mc`` pipeline, so
+every refactor since keeps every output byte.  A change that alters an
+output must update its digest here and name the change in CHANGES.md.
+
+The digests hold for the numpy version recorded below: a different numpy
+may format floats or order reductions differently, so the comparison is
+skipped there.  Print the current digests with
+``PYTHONPATH=src python tests/test_golden_outputs.py``.
+"""
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import async_dca
+from async_dca.cli import dispatch
+
+NUMPY_VERSION = "2.4.6"
+SEEDS = (1729, 5)
+DATA = Path(async_dca.__file__).resolve().parent / "data"
+
+_SIX = ("--matrix", "{data}/six_node_coupled.json")
+_MC_OUT = ("--out", "{out}/tails.csv", "--summary", "{out}/summary.json")
+_SIMULATE = ("simulate", *_SIX, "--scheduler", "{data}/uniform_clock6.json",
+             "--steps", "16000", "--out", "{out}/trajectory.csv")
+
+# case -> (argv, outputs); "stdout" names what the run prints
+CASES = {
+    "mc-lambda": (("mc", *_SIX, "--scheduler", "{data}/uniform_clock6.json",
+                   "--trials", "200", "--steps", "5000") + _MC_OUT,
+                  ("tails.csv", "summary.json")),
+    "mc-clocks": (("mc", *_SIX, "--scheduler", "{data}/half_clocks6.json",
+                   "--trials", "1000", "--steps", "5000", "--no-lambda") + _MC_OUT,
+                  ("tails.csv", "summary.json")),
+    "simulate": (_SIMULATE, ("trajectory.csv",)),
+    "simulate-no-product": (_SIMULATE + ("--no-product",), ("trajectory.csv",)),
+    "walk": (("walk", "--auto-from-matrix", "{data}/six_node_coupled.json",
+              "--gamma", "0.2", "--kmax", "200", "--trials", "50000",
+              "--out", "{out}/curve.csv", "--summary", "{out}/summary.json"),
+             ("curve.csv", "summary.json")),
+    "repro-all": (("repro", "all"), ("stdout",)),
+}
+
+DIGESTS = {
+    ("mc-lambda", 1729): {"tails.csv": "51175e2227e1a089779267e4f16e8ca627a083d80c041a29ea3d3a6ed2576078",
+                          "summary.json": "d732576d1263841c75be9ceb556fa3eacf89f3e786cea90fe70a67926c051f53"},
+    ("mc-lambda", 5): {"tails.csv": "9edf784e83abd0657dd5cf96868f55f015fa0f8d1e150c1d4b2e588cd2657ea9",
+                       "summary.json": "b0ed12c58247bfe2a2cb793da2c869c0a2ec31456c8f4d59ca077f8e146946a8"},
+    ("mc-clocks", 1729): {"tails.csv": "291eb9b58e6158f6367a31e8826d7bf5251e4bd41dad08df5128fdab10c2b0ab",
+                          "summary.json": "35098a02eff294ed907fe4758418fe5b3a524b0560efbc0b0f327643f4222d60"},
+    ("mc-clocks", 5): {"tails.csv": "4b7da2ba087032f4e6bfc98ececb1873e1faa12a2b14cec09debb76456ded24c",
+                       "summary.json": "1909660959d59e727d14718990c0a38237d6ac656818761314360efa196dd2f1"},
+    ("simulate", 1729): {"trajectory.csv": "186fdc9423e3d0cdaf213f975f1a33f5c675b70eb44a12a19d870af5ce78e484"},
+    ("simulate", 5): {"trajectory.csv": "c6c28dd521e453b55732e88b330d82cf84e2e4d6c0a938c153ba82045e876444"},
+    ("simulate-no-product", 1729): {
+        "trajectory.csv": "ed437619a92d784a7314fb0bd52e89db24587c837a3f65a75b437195e357ecb0"},
+    ("simulate-no-product", 5): {
+        "trajectory.csv": "ca66ba9f6b1d31ab261f76c4a96f87a5f5dd02bdb5a7ced96fe524741b2c2aae"},
+    ("walk", 1729): {"curve.csv": "0fa98c87fd09751dfc4ce26b7c1a52f42d69265908aa5d6cd9931a44e49d5b64",
+                     "summary.json": "586e9cf2efe36176d643b7b7540cd8328b7c01e30d2b17f8c766ee585262ffa2"},
+    ("walk", 5): {"curve.csv": "6f0dcb7cb15978ee6e6bf7280f706316a79ba532f9c489202c51f8308fc609af",
+                  "summary.json": "586e9cf2efe36176d643b7b7540cd8328b7c01e30d2b17f8c766ee585262ffa2"},
+    ("repro-all", 1729): {"stdout": "a9a6a4f2468275a2a7bd175c056b5ebe8a2a3d0e4afb8031a5e2b4418f127aeb"},
+    ("repro-all", 5): {"stdout": "447b8ccb0254ae73b4ee0db5f1ff2180210a7980540d598ddbfd2c6445d48466"},
+}
+
+
+def run_case(case: str, seed: int) -> tuple:
+    """Exit code and ``{output: sha256 hex}`` of one case at one seed."""
+    argv, outputs = CASES[case]
+    with tempfile.TemporaryDirectory() as out:
+        argv = [a.format(data=DATA, out=out) for a in argv] + ["--seed", str(seed)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = dispatch(argv)
+        blobs = {name: stdout.getvalue().encode() if name == "stdout"
+                 else (Path(out) / name).read_bytes() for name in outputs}
+    return code, {name: hashlib.sha256(b).hexdigest() for name, b in blobs.items()}
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_canonical_outputs_are_byte_identical(case, seed):
+    code, digests = run_case(case, seed)
+    assert code == 0
+    assert digests == DIGESTS[case, seed]
+
+
+if __name__ == "__main__":
+    print(f"numpy {np.__version__}", file=sys.stderr)
+    for case in CASES:
+        for seed in SEEDS:
+            code, digests = run_case(case, seed)
+            print(f"    ({case!r}, {seed}): {digests!r},  # exit {code}")

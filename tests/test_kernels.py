@@ -18,8 +18,7 @@ from async_dca import (
     step,
     stream,
 )
-from async_dca.montecarlo import _draw_trial_inputs
-from _oracles import trajectory_batch_trials_first
+from _oracles import draw_trial_inputs_full, trajectory_batch_trials_first
 from _samplers import random_stochastic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,7 +35,7 @@ def _random_inputs(seed, trials=6, steps=40, n=5):
 def _coupled_inputs(scheduler, trials=12, horizon=300):
     cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler(scheduler),
                            trials=trials, horizon=horizon, seed=1729)
-    x0, masks = _draw_trial_inputs(cfg)
+    x0, masks = draw_trial_inputs_full(cfg)
     return cfg.matrix.entries, masks, x0
 
 
@@ -125,11 +124,37 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _run_blocks(A, masks, x0, track_lambda, B=None):
+    """The kernel run over blocks of B steps (default: the whole horizon as
+    one block), in the trials-first oracle's layout: the block rows
+    concatenated and padded by the last row up to the horizon, the final
+    states and the three check maxima.  Also returns the kernel calls made.
+    """
+    T, K, _ = masks.shape
+    B = B or max(K, 1)
+    carry, rows, k0, calls = x0, [], 0, 0
+    while True:
+        b = min(B, K - k0)
+        deltas, lams, carry = _kernels.trajectory_batch(A, masks[:, k0:k0 + b], carry,
+                                                        track_lambda)
+        rows.append((deltas, lams))
+        calls += 1
+        k0 += b
+        if carry.fixed or k0 >= K:
+            break
+    series = []
+    for s in map(np.concatenate, zip(*rows)):
+        assert len(s) == K + 1 or carry.fixed
+        series.append(np.concatenate([s, np.repeat(s[-1:], K + 1 - len(s), axis=0)]).T)
+    out = (*series, carry.x.T, carry.viol_contract, carry.viol_mono, carry.row_err)
+    return out, calls
+
+
 @pytest.mark.parametrize("track_lambda", [True, False])
 @pytest.mark.parametrize("make_inputs", ORACLE_CASES)
 def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
     A, masks, x0 = make_inputs()
-    got = _kernels.trajectory_batch(A, masks, x0, track_lambda)
+    got, _ = _run_blocks(A, masks, x0, track_lambda)
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
     assert len(got) == len(want) == 6
     for g, w in zip(got, want):
@@ -167,7 +192,7 @@ def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
     counting = _CountingNumpy()
     monkeypatch.setattr(_kernels, "np", counting)
-    got = _kernels.trajectory_batch(A, masks, x0, track_lambda)
+    got, _ = _run_blocks(A, masks, x0, track_lambda)
     K = masks.shape[1]
     per_step = 2 if track_lambda else 1
     # stepping to the horizon makes per_step matmuls a step, plus the checks
@@ -180,9 +205,7 @@ def test_trajectory_kernel_matches_engine():
     # the per-step engine is an independent implementation of the same
     # dynamics; the kernel must reproduce its deltas and coefficients
     A_arr, masks, x0 = _random_inputs(3, trials=4, steps=25, n=4)
-    deltas, lams, x_final, viol_c, viol_m, row_err = _kernels.trajectory_batch(
-        A_arr, masks, x0, True
-    )
+    (deltas, lams, x_final, viol_c, viol_m, row_err), _ = _run_blocks(A_arr, masks, x0, True)
     A = StochasticMatrix(A_arr)
     for t in range(masks.shape[0]):
         state = initial_state(x0[t])
@@ -202,10 +225,86 @@ def test_trajectory_kernel_matches_engine():
 
 def test_trajectory_kernel_lambda_off():
     A, masks, x0 = _random_inputs(4)
-    full = _kernels.trajectory_batch(A, masks, x0, True)
-    lean = _kernels.trajectory_batch(A, masks, x0, False)
+    full, _ = _run_blocks(A, masks, x0, True)
+    lean, _ = _run_blocks(A, masks, x0, False)
     assert np.array_equal(full[0], lean[0])  # same deltas
     assert (lean[1] == 1.0).all()
+    assert not lean[3].any() and not lean[4].any() and not lean[5].any()
+
+
+BLOCK_CASES = [
+    pytest.param(lambda: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
+    pytest.param(_averaging_inputs, id="averaging-exits"),
+    pytest.param(_signed_zero_inputs, id="signed-zeros"),
+    pytest.param(_slow_inputs, id="slow-never-exits"),
+    pytest.param(_consensus_start_inputs, id="consensus-start"),
+    pytest.param(lambda: _random_inputs_with_extremes(1), id="random-n1"),
+    # rounding lets lambda rise by an ulp here, so viol_mono must see the
+    # coefficient carried across each block boundary
+    pytest.param(lambda: _random_inputs_with_extremes(5), id="random-n5"),
+]
+
+
+def _block_size(label, K, C):
+    return {"1": 1, "7": 7, "C-1": C - 1, "C": C, "C+1": C + 1,
+            "K-1": K - 1, "K": K, "K+1": K + 1}[label]
+
+
+@pytest.mark.parametrize("block", ["1", "7", "C-1", "C", "C+1", "K-1", "K", "K+1"])
+@pytest.mark.parametrize("track_lambda", [True, False])
+@pytest.mark.parametrize("make_inputs", BLOCK_CASES)
+def test_blocked_kernel_matches_trials_first_oracle(make_inputs, track_lambda, block):
+    # the horizon K is one step short of, equal to and one step past a
+    # block (B = K+1, K, K-1), and blocks cut across the kernel's chunks
+    A, masks, x0 = make_inputs()
+    T, K, n = masks.shape
+    B = _block_size(block, K, _chunk(T, n))
+    got, calls = _run_blocks(A, masks, x0, track_lambda, B)
+    want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(_bits(g), _bits(w))
+    assert calls <= -(-K // B)
+
+
+def test_exit_inside_the_first_block_draws_no_second_block():
+    # 1000 x 600 of half_clocks6 (chunks of one step) is a fixed point from
+    # step 285.  The backed-off test fails after step 276 and is next due
+    # after step 293, past a first block of 290 steps: the test at the end
+    # of the block finds the fixed point, so no second block is run
+    A, masks, x0 = _coupled_inputs("half_clocks6", trials=1000, horizon=600)
+    got, calls = _run_blocks(A, masks, x0, False, B=290)
+    want = trajectory_batch_trials_first(A, masks, x0, False)
+    assert calls == 1
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+def test_exit_test_backs_off_on_the_mc_lambda_shape(monkeypatch):
+    # mc-lambda (200 x 5000 of uniform_clock6 with lambda): the states are
+    # fixed from about step 810, the products never within the horizon.
+    # Testing after every one of the 834 chunks made 1531 _fixed calls;
+    # the backed-off schedule makes fewer than 100 and changes no bit.
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
+                           bundled_scheduler("uniform_clock6"),
+                           trials=200, horizon=5000, seed=1729)
+    x0, masks = draw_trial_inputs_full(cfg)
+    A = cfg.matrix.entries
+    real, calls = _kernels._fixed, []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_fixed", counted)
+    backed_off, _ = _run_blocks(A, masks, x0, True, B=873)
+    assert len(calls) < 100
+    monkeypatch.setattr(_kernels, "TEST_BACKOFF", 10 ** 9)  # test after every chunk
+    calls.clear()
+    every_chunk, _ = _run_blocks(A, masks, x0, True, B=873)
+    assert len(calls) > 800
+    for g, w in zip(backed_off, every_chunk):
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 def test_walk_kernel_respects_initial_matches():

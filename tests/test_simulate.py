@@ -1,4 +1,4 @@
-"""``async-dca simulate`` runs the trajectory kernel once on trial 0's stream.
+"""``async-dca simulate`` runs the streamed ``mc`` pipeline on trial 0's stream.
 
 Golden checks: its CSV must match the per-tick engine loop it replaced
 (``_oracles.simulate_rows_engine``) byte for byte on dyadic matrices, and
@@ -25,8 +25,7 @@ from async_dca import (
 )
 from async_dca import _kernels
 from async_dca.cli import dispatch
-from async_dca.montecarlo import _run_batch
-from _oracles import simulate_rows_engine
+from _oracles import draw_trial_inputs_full, simulate_rows_engine, trajectory_batch_trials_first
 from _samplers import random_stochastic
 
 DATA = Path(async_dca.__file__).resolve().parent / "data"
@@ -93,7 +92,8 @@ def test_simulate_equals_mc_trial_zero(tmp_path, sched):
     cfg = ExperimentConfig(matrix=bundled_matrix("six_node_coupled"),
                            scheduler=bundled_scheduler(sched),
                            trials=3, horizon=steps, seed=seed)
-    deltas, lams, _, _, _, _ = _run_batch(cfg)
+    x0, masks = draw_trial_inputs_full(cfg)
+    deltas, lams, _, _, _, _ = trajectory_batch_trials_first(cfg.matrix.entries, masks, x0)
     assert np.array_equal(cols[:, 0], np.arange(1, steps + 1))
     assert np.array_equal(cols[:, 1], deltas[0, 1:])
     assert np.array_equal(cols[:, 2], lams[0, 1:])
@@ -126,8 +126,9 @@ def test_simulate_product_row_error_exits_2(tmp_path, capsys, monkeypatch):
     real = _kernels.trajectory_batch
 
     def drifting(*args):
-        out = real(*args)
-        return out[:5] + (np.full_like(out[5], 1e-9),)
+        deltas, lams, carry = real(*args)
+        carry.row_err[:] = 1e-9
+        return deltas, lams, carry
 
     monkeypatch.setattr(_kernels, "trajectory_batch", drifting)
     code, out = _simulate(tmp_path, "--matrix", SIX,

@@ -1,0 +1,211 @@
+"""The streamed ``mc`` pipeline: blocks of draws, one resumable kernel.
+
+Its outputs may not depend on the block size B, must equal the
+whole-horizon draw and the trials-first kernel oracle bit for bit, and
+nothing may be drawn past the block in which every trial reached an exact
+fixed point.
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import async_dca
+from async_dca import (
+    ExperimentConfig,
+    IndependentClocksScheduler,
+    MarkovScheduler,
+    ScriptScheduler,
+    SupportSequenceScheduler,
+    bundled_matrix,
+    bundled_scheduler,
+    montecarlo,
+    run_experiment,
+)
+from async_dca.cli import dispatch
+from _oracles import draw_trial_inputs_full, trajectory_batch_trials_first
+
+DATA = Path(async_dca.__file__).resolve().parent / "data"
+SIX = str(DATA / "six_node_coupled.json")
+
+
+def _period3():
+    return SupportSequenceScheduler(6, [
+        [({1, 2, 3}, 0.5), ({4, 5, 6}, 0.5)],
+        [({1, 4}, 0.25), ({2, 5}, 0.25), ({3, 6}, 0.5)],
+        [({1, 2, 3, 4, 5, 6}, 1.0)],
+    ])
+
+
+def _weighted():
+    # the weight hook reads the previous tick, so it needs the carried history
+    def weights(k, history):
+        return [0.75, 0.25] if history and 1 in history[-1] else [0.25, 0.75]
+
+    return SupportSequenceScheduler(6, [[({1, 2, 3}, 0.5), ({4, 5, 6}, 0.5)]],
+                                    weight_fn=weights)
+
+
+def _markov():
+    return MarkovScheduler(
+        6, states=[{1, 2}, {3, 4}, {5, 6}], initial={3, 4},
+        matrix=[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+    )
+
+
+SCHEDULERS = {
+    "uniform_clock6": lambda: bundled_scheduler("uniform_clock6"),
+    "half_clocks6": lambda: bundled_scheduler("half_clocks6"),
+    "support-period3": _period3,
+    "support-weight_fn": _weighted,
+    "script-repeat": lambda: ScriptScheduler(6, [[1, 3], [2, 4, 6], [5]], repeat=True),
+    "markov": _markov,
+}
+
+
+def _cfg(name, trials=20, horizon=120, **kw):
+    return ExperimentConfig(bundled_matrix("six_node_coupled"), SCHEDULERS[name](),
+                            trials=trials, horizon=horizon, seed=31, **kw)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _with_block(monkeypatch, cfg, B):
+    """Make the pipeline draw blocks of B steps for ``cfg``."""
+    if B is not None:
+        monkeypatch.setattr(montecarlo, "MASK_BLOCK_BYTES", B * cfg.trials * cfg.matrix.n)
+
+
+def _reference(cfg):
+    """The statistics of ``run_experiment`` from the whole-horizon draw and
+    the trials-first kernel oracle, aggregated as means of indicators."""
+    x0, masks = draw_trial_inputs_full(cfg)
+    deltas, lams, _, viol_c, viol_m, row_err = trajectory_batch_trials_first(
+        cfg.matrix.entries, masks, x0, cfg.track_lambda)
+    return {
+        "delta_tail": (deltas >= cfg.epsilon).mean(axis=0),
+        "lambda_tail": (lams >= cfg.epsilon).mean(axis=0),
+        "final_deltas": deltas[:, -1],
+        "quantiles": np.quantile(deltas[:, -1], [0.0, 0.25, 0.5, 0.75, 1.0]),
+        "maxima": [viol_c.max(), viol_m.max(), row_err.max()],
+    }
+
+
+def _stats(result):
+    q = result.delta_quantiles
+    return {
+        "delta_tail": result.delta_tail,
+        "lambda_tail": result.lambda_tail,
+        "final_deltas": result.final_deltas,
+        "quantiles": [q["min"], q["q25"], q["median"], q["q75"], q["max"]],
+        "maxima": [result.max_contraction_violation, result.max_lambda_increase,
+                   result.max_product_row_error],
+    }
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, None], ids=["B1", "B2", "B7", "default"])
+@pytest.mark.parametrize("track_lambda", [True, False])
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_outputs_do_not_depend_on_the_block_size(monkeypatch, name, track_lambda, B):
+    cfg = _cfg(name, track_lambda=track_lambda)
+    want = _reference(cfg)
+    _with_block(monkeypatch, cfg, B)
+    got = _stats(run_experiment(cfg))
+    for key in want:
+        assert np.array_equal(_bits(got[key]), _bits(want[key])), key
+
+
+def test_scrambling_rate_does_not_depend_on_the_block_size(monkeypatch):
+    cfg = _cfg("uniform_clock6", horizon=90)
+    want = montecarlo.scrambling_hit_rate(cfg, 60)
+    _with_block(monkeypatch, cfg, 7)
+    assert montecarlo.scrambling_hit_rate(cfg, 60) == want
+
+
+def test_blocked_draws_equal_the_whole_horizon_draw():
+    # the tick offset and the history carry across blocks of 7 draws
+    for name, make in SCHEDULERS.items():
+        scheduler, whole = make(), make().sample_masks(100, async_dca.stream(3, 1))
+        rng, history = async_dca.stream(3, 1), []
+        blocks = [scheduler.sample_masks(min(7, 100 - k), rng, k, history)
+                  for k in range(0, 100, 7)]
+        assert np.array_equal(np.concatenate(blocks), whole), name
+
+
+def test_mc_clocks_draws_stop_with_the_block_of_the_fixed_point(monkeypatch):
+    # mc-clocks (1000 x 5000 of half_clocks6, seed 1729): every state is a
+    # fixed point from step 285 on, so the pipeline draws the blocks up to
+    # the one holding step 285 and no further
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
+                           bundled_scheduler("half_clocks6"),
+                           trials=1000, horizon=5000, seed=1729, track_lambda=False)
+    A = cfg.matrix.entries
+    for steps, fixed in ((284, False), (285, True)):
+        x0, masks = draw_trial_inputs_full(ExperimentConfig(
+            cfg.matrix, cfg.scheduler, trials=1000, horizon=steps, seed=1729))
+        x = trajectory_batch_trials_first(A, masks, x0, False)[2]
+        assert np.array_equal(_bits(x @ A.T), _bits(x)) == fixed
+    drawn = []
+    real = IndependentClocksScheduler.sample_masks
+
+    def counted(self, steps, *args):
+        drawn.append(steps)
+        return real(self, steps, *args)
+
+    monkeypatch.setattr(IndependentClocksScheduler, "sample_masks", counted)
+    result = run_experiment(cfg)
+    B = montecarlo.MASK_BLOCK_BYTES // (1000 * 6)
+    assert sum(drawn) == 1000 * B * -(-285 // B)
+    assert result.consensus_fraction == 1.0
+
+
+def _script(tmp_path, sets, repeat=False):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"kind": "script",
+                                "params": {"n": 4, "sets": sets, "repeat": repeat}}))
+    return str(path)
+
+
+def test_short_script_exits_2_before_any_output(tmp_path, monkeypatch, capsys):
+    # with A = 1 1^T / 4 one synchronous step is an exact fixed point, so
+    # blocks of one step would stop drawing long before the script runs
+    # out; the script is checked against the whole horizon all the same
+    averaging = tmp_path / "avg.json"
+    averaging.write_text(json.dumps({"n": 4, "rows": [[0.25] * 4] * 4}))
+    script = _script(tmp_path, [[1, 2, 3, 4]] * 3)
+    monkeypatch.setattr(montecarlo, "MASK_BLOCK_BYTES", 1)
+    out = tmp_path / "tails.csv"
+    code = dispatch(["mc", "--matrix", str(averaging), "--scheduler", script,
+                     "--trials", "3", "--steps", "10", "--out", str(out),
+                     "--summary", str(tmp_path / "summary.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and "exhausted" in captured.err
+    assert not out.exists() and not (tmp_path / "summary.json").exists()
+    code = dispatch(["simulate", "--matrix", str(averaging), "--scheduler", script,
+                     "--steps", "10", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and "exhausted" in captured.err
+    assert not out.exists()
+    code = dispatch(["mc", "--matrix", str(averaging), "--scheduler", script,
+                     "--trials", "3", "--steps", "3", "--out", str(out),
+                     "--summary", str(tmp_path / "summary.json")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--scheduler", str(DATA / "uniform_clock6.json"), "--trials", "1"],
+    ["simulate", "--scheduler", str(DATA / "uniform_clock6.json")],
+], ids=["mc", "simulate"])
+def test_oversized_request_exits_2_without_a_traceback(tmp_path, capsys, argv):
+    # 10**15 steps of per-step counts need 8 PB, beyond any address space,
+    # so the allocation fails before any draw whatever the overcommit policy
+    out = tmp_path / "out.csv"
+    code = dispatch([*argv, "--matrix", SIX, "--steps", str(10 ** 15), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("async-dca: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
