@@ -20,8 +20,8 @@ the block to the caller to reduce before drawing the next.  Splitting a
 stream's draws into blocks keeps every draw, so no output depends on B.
 Once the kernel stops at an exact fixed point nothing more is drawn, and
 hooks such as ``matrix_fn`` and ``weight_fn`` are not called for the later
-ticks.  Memory is O(T (n^2 + B n) + K), plus the per-trial histories of
-schedulers drawn through ``Scheduler.draw``.
+ticks.  Memory is O(T (n^2 + B n) + K), plus the sets a ``weight_fn`` hook
+reads.
 """
 from __future__ import annotations
 

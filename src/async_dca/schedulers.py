@@ -12,13 +12,18 @@ Five scheduler kinds cover the regimes studied here:
   driven by column-stochastic transition matrices (possibly time varying);
 * ``script`` -- a fixed list of update sets, replayed verbatim.
 
-Draw contract: a scheduler consumes a fixed number of uniforms per tick
-(global/support/markov: one; independent_clocks: n; script: none), and
-``sample_masks`` consumes the stream identically to repeated ``draw`` calls,
-so vectorised sampling and tick-by-tick sampling produce the same schedule.
-``sample_masks(steps, rng, start, history)`` draws the ticks after the
-first ``start``, so a horizon drawn in blocks, with the tick offset and the
-history carried from block to block, is the horizon drawn at once.
+Draw contract: ``sample_masks(steps, rng, start, history)`` is the only way
+a scheduler draws.  It returns the (steps, n) update masks of ticks
+``start + 1 .. start + steps`` and takes a fixed number of uniforms per tick
+(global/support/markov: one, except that the first markov tick is
+``initial`` and takes none; independent_clocks: n; script: none) in one
+``rng.random`` block.  One call for m doubles gives the same doubles as m
+scalar calls, so a horizon drawn in blocks, with the tick offset ``start``
+and the carry ``history`` passed from block to block, is the horizon drawn
+at once and equals the tick-by-tick reference draws in ``tests/_oracles.py``.
+``history`` ends with the last set drawn: a Markov chain keeps only that set
+and a ``weight_fn`` hook, which reads them, every set; the other kinds
+ignore it.
 
 ``check_conditions`` evaluates the almost-sure-consensus conditions for a
 scheduler/matrix pair: rootedness, a positive lower bound on nonzero
@@ -30,6 +35,7 @@ the root component exactly in {j}).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -55,39 +61,30 @@ def _inverse_cdf(cumulative: np.ndarray, u) -> np.ndarray | int:
     return np.minimum(idx, len(cumulative) - 1)
 
 
-def sets_to_mask(sets, n: int) -> np.ndarray:
-    mask = np.zeros((len(sets), n), dtype=bool)
-    for k, members in enumerate(sets):
-        for j in members:
-            mask[k, j - 1] = True
-    return mask
+def _pick(cumulative: list, u: float) -> int:
+    """``_inverse_cdf`` of one uniform, on a list of floats: the per-tick
+    loops call it, and there a bisect costs a fraction of a numpy call."""
+    return min(bisect_right(cumulative, u), len(cumulative) - 1)
+
+
+def _mask_table(sets, n: int) -> np.ndarray:
+    """(len(sets), n) update masks, one row per set."""
+    return np.array([[j + 1 in s for j in range(n)] for s in sets], dtype=bool).reshape(-1, n)
 
 
 class Scheduler:
-    """Shared interface; subclasses set ``kind`` and implement ``draw``."""
+    """Shared interface; subclasses set ``kind`` and implement ``sample_masks``."""
 
     kind = "abstract"
     n: int
 
-    def draw(self, history, rng) -> frozenset:
-        raise NotImplementedError
-
-    def sample_sets(self, steps: int, rng, history=None) -> list:
-        """The next ``steps`` update sets after ``history``, the sets drawn
-        so far (extended in place)."""
-        history = [] if history is None else history
-        start = len(history)
-        for _ in range(steps):
-            history.append(self.draw(history, rng))
-        return history[start:]
-
     def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         """(steps, n) update masks of ticks ``start + 1 .. start + steps``.
 
-        ``history`` holds the sets of the first ``start`` ticks for kinds
-        drawn through ``draw``, which extend it; the others ignore it.
+        ``history`` is the carry of the kinds that read past ticks: it ends
+        with the set of tick ``start`` and is updated in place.
         """
-        return sets_to_mask(self.sample_sets(steps, rng, history), self.n)
+        raise NotImplementedError
 
     def check_horizon(self, steps: int) -> None:
         """Raise ValidationError when the scheduler cannot draw ``steps`` ticks."""
@@ -129,10 +126,6 @@ class GlobalClockScheduler(Scheduler):
         self._active = np.nonzero(p > 0)[0]
         self._cum = np.cumsum(p[self._active])
 
-    def draw(self, history, rng) -> frozenset:
-        idx = int(_inverse_cdf(self._cum, rng.random()))
-        return frozenset({int(self._active[idx]) + 1})
-
     def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         idx = _inverse_cdf(self._cum, rng.random(steps))
         nodes = self._active[idx]
@@ -170,10 +163,6 @@ class IndependentClocksScheduler(Scheduler):
             raise ValidationError("activation probabilities must lie in [0, 1]")
         self.n = p.size
         self.p = p
-
-    def draw(self, history, rng) -> frozenset:
-        u = rng.random(self.n)
-        return frozenset(int(j) + 1 for j in np.nonzero(u < self.p)[0])
 
     def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         return rng.random((steps, self.n)) < self.p
@@ -226,9 +215,9 @@ class SupportSequenceScheduler(Scheduler):
     ``[(update_set, probability), ...]``.  All listed probabilities must be
     strictly positive, so the declared supports are exactly the possible
     draws.  An optional ``weight_fn(k, history) -> weights`` reweights the
-    tick's candidates based on history; it must keep every candidate's
-    probability positive, which preserves history independence of the
-    support sets themselves.
+    tick's candidates based on history, the sets of the ticks before k; it
+    must keep every candidate's probability positive, which preserves
+    history independence of the support sets themselves.
     """
 
     kind = "support_sequence"
@@ -260,7 +249,8 @@ class SupportSequenceScheduler(Scheduler):
             norm_ticks.append(list(zip(sets, probs)))
         self.ticks = norm_ticks
         self.weight_fn = weight_fn
-        self._cums = [np.cumsum([p for _, p in options]) for options in norm_ticks]
+        self._cums = [np.cumsum([p for _, p in options]).tolist() for options in norm_ticks]
+        self._masks = [_mask_table([s for s, _ in options], self.n) for options in norm_ticks]
 
     @property
     def period(self) -> int:
@@ -269,33 +259,28 @@ class SupportSequenceScheduler(Scheduler):
     def _options(self, k: int):
         return self.ticks[(k - 1) % self.period]
 
-    def draw(self, history, rng) -> frozenset:
-        k = len(history) + 1
-        options = self._options(k)
-        if self.weight_fn is None:
-            cum = self._cums[(k - 1) % self.period]
-        else:
-            w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
-            if w.shape != (len(options),) or (w <= 0).any() or abs(w.sum() - 1.0) > 1e-9:
-                raise ValidationError(
-                    "weight_fn must return positive weights over the tick's "
-                    "declared supports, summing to 1"
-                )
-            cum = np.cumsum(w)
-        idx = int(_inverse_cdf(cum, rng.random()))
-        return options[idx][0]
-
     def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
-        if self.weight_fn is not None:
-            return super().sample_masks(steps, rng, start, history)
-        us = rng.random(steps)
-        mask = np.zeros((steps, self.n), dtype=bool)
-        for k in range(steps):
-            tick = (start + k) % self.period
-            options = self.ticks[tick]
-            idx = int(_inverse_cdf(self._cums[tick], us[k]))
-            for j in options[idx][0]:
-                mask[k, j - 1] = True
+        """Masks of ticks ``start + 1 ..``; a ``weight_fn`` hook reads
+        ``history``, the sets of the ticks before, which grows in place."""
+        history = [] if history is None else history
+        mask = np.empty((steps, self.n), dtype=bool)
+        for i, u in enumerate(rng.random(steps).tolist()):
+            tick = (start + i) % self.period
+            if self.weight_fn is None:
+                cum = self._cums[tick]
+            else:
+                w = np.asarray(self.weight_fn(start + i + 1, history), dtype=np.float64)
+                if (w.shape != (len(self.ticks[tick]),) or (w <= 0).any()
+                        or abs(w.sum() - 1.0) > 1e-9):
+                    raise ValidationError(
+                        "weight_fn must return positive weights over the tick's "
+                        "declared supports, summing to 1"
+                    )
+                cum = np.cumsum(w).tolist()
+            idx = _pick(cum, u)
+            mask[i] = self._masks[tick][idx]
+            if self.weight_fn is not None:
+                history.append(self.ticks[tick][idx][0])
         return mask
 
     def alpha(self) -> float:
@@ -336,7 +321,9 @@ class MarkovScheduler(Scheduler):
     ``matrix`` (constant), ``matrices`` (cycled periodically) or
     ``matrix_fn(k)`` give the column-stochastic law of the move from tick k
     to tick k+1: entry (i, j) is the probability of state i following state
-    j.  The first draw returns ``initial`` deterministically.
+    j.  ``matrix_fn`` must be a pure function of k: the laws of a block of
+    ticks are computed once and shared by every trial that draws the block.
+    The first draw returns ``initial`` deterministically.
     """
 
     kind = "markov"
@@ -364,6 +351,8 @@ class MarkovScheduler(Scheduler):
             self.matrices = tuple(self._check_matrix(M, m) for M in matrices)
             if not self.matrices:
                 raise ValidationError("matrices list is empty")
+        self._masks = _mask_table(self.states, self.n)
+        self._block = (None, [])
 
     @staticmethod
     def _check_matrix(M, m: int) -> ColumnStochasticMatrix:
@@ -378,17 +367,31 @@ class MarkovScheduler(Scheduler):
             return self.matrices[(k - 1) % len(self.matrices)]
         return self._check_matrix(self.matrix_fn(k), len(self.states))
 
-    def draw(self, history, rng) -> frozenset:
-        if not history:
-            return self.initial
-        prev = history[-1]
-        prev = prev if isinstance(prev, frozenset) else normalize_update_set(prev, self.n)
-        if prev not in self._index:
-            raise ValidationError(f"history value {sorted(prev)} is not a markov state")
-        k = len(history)
-        col = self.transition_matrix(k).entries[:, self._index[prev]]
-        idx = int(_inverse_cdf(np.cumsum(col), rng.random()))
-        return self.states[idx]
+    def _laws(self, k0: int, k1: int) -> list:
+        """Column cumulative sums, as lists per source state, of the laws of
+        the moves from ticks ``k0 .. k1 - 1``, kept for the next trial that
+        draws the same block."""
+        if self._block[0] != (k0, k1):
+            cums = [np.cumsum(self.transition_matrix(k).entries, axis=0) for k in range(k0, k1)]
+            self._block = ((k0, k1), [c.T.tolist() for c in cums])
+        return self._block[1]
+
+    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
+        """Masks of ticks ``start + 1 ..``; for ``start > 0``, ``history``
+        must end with the set of tick ``start``.  It is cut to the last set
+        drawn, all the chain needs."""
+        if steps == 0:
+            return np.zeros((0, self.n), dtype=bool)
+        first = int(start == 0)
+        us = rng.random(steps - first).tolist()
+        state = self._index[self.initial if first else history[-1]]
+        path = [state] if first else []
+        for cums, u in zip(self._laws(start + first, start + steps), us):
+            state = _pick(cums[state], u)
+            path.append(state)
+        if history is not None:
+            history[:] = [self.states[state]]
+        return self._masks[path]
 
     def alpha(self) -> float | None:
         if self.matrices is None:
@@ -442,24 +445,14 @@ class ScriptScheduler(Scheduler):
         self.n = int(n)
         self.sets = tuple(normalize_update_set(s, self.n) for s in sets)
         self.repeat = bool(repeat)
-
-    def draw(self, history, rng) -> frozenset:
-        k = len(history)
-        if k >= len(self.sets):
-            if not self.repeat:
-                raise ValidationError(
-                    f"script of length {len(self.sets)} exhausted at tick {k + 1}"
-                )
-            k %= len(self.sets)
-        return self.sets[k]
+        self._masks = _mask_table(self.sets, self.n)
 
     def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
         self.check_horizon(start + steps)
-        chosen = [self.sets[k % len(self.sets)] for k in range(start, start + steps)]
-        return sets_to_mask(chosen, self.n)
+        return self._masks[np.arange(start, start + steps) % len(self.sets)]
 
     def check_horizon(self, steps: int) -> None:
-        if steps > len(self.sets) and not self.repeat:
+        if steps > len(self.sets) and not (self.repeat and self.sets):
             raise ValidationError(f"script of length {len(self.sets)} exhausted")
 
     def alpha(self) -> float:

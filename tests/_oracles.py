@@ -11,7 +11,16 @@ from itertools import product
 
 import numpy as np
 
-from async_dca import LabelledCycle, ergodic_coefficient, initial_state, step, stream
+from async_dca import (
+    LabelledCycle,
+    ValidationError,
+    ergodic_coefficient,
+    initial_state,
+    step,
+    stream,
+)
+from async_dca.engine import normalize_update_set
+from async_dca.schedulers import _inverse_cdf
 from async_dca.walk import WALK_BLOCK, _check_move_probabilities
 
 
@@ -153,6 +162,81 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
     return deltas, lams, x, viol_contract, viol_mono, row_err
 
 
+# The schedulers' per-tick ``draw(history, rng)`` methods from before every
+# kind drew in blocks through ``sample_masks``: one draw per tick, given the
+# sets drawn so far.  Each ``sample_masks`` must take the same uniforms from
+# the stream and give the same sets.
+
+def _draw_global_clock(self, history, rng) -> frozenset:
+    idx = int(_inverse_cdf(self._cum, rng.random()))
+    return frozenset({int(self._active[idx]) + 1})
+
+
+def _draw_independent_clocks(self, history, rng) -> frozenset:
+    u = rng.random(self.n)
+    return frozenset(int(j) + 1 for j in np.nonzero(u < self.p)[0])
+
+
+def _draw_support_sequence(self, history, rng) -> frozenset:
+    k = len(history) + 1
+    options = self._options(k)
+    if self.weight_fn is None:
+        cum = self._cums[(k - 1) % self.period]
+    else:
+        w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
+        if w.shape != (len(options),) or (w <= 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise ValidationError(
+                "weight_fn must return positive weights over the tick's "
+                "declared supports, summing to 1"
+            )
+        cum = np.cumsum(w)
+    idx = int(_inverse_cdf(cum, rng.random()))
+    return options[idx][0]
+
+
+def _draw_markov(self, history, rng) -> frozenset:
+    if not history:
+        return self.initial
+    prev = history[-1]
+    prev = prev if isinstance(prev, frozenset) else normalize_update_set(prev, self.n)
+    if prev not in self._index:
+        raise ValidationError(f"history value {sorted(prev)} is not a markov state")
+    k = len(history)
+    col = self.transition_matrix(k).entries[:, self._index[prev]]
+    idx = int(_inverse_cdf(np.cumsum(col), rng.random()))
+    return self.states[idx]
+
+
+def _draw_script(self, history, rng) -> frozenset:
+    k = len(history)
+    if k >= len(self.sets):
+        if not self.repeat:
+            raise ValidationError(
+                f"script of length {len(self.sets)} exhausted at tick {k + 1}"
+            )
+        k %= len(self.sets)
+    return self.sets[k]
+
+
+_DRAWS = {
+    "global_clock": _draw_global_clock,
+    "independent_clocks": _draw_independent_clocks,
+    "support_sequence": _draw_support_sequence,
+    "markov": _draw_markov,
+    "script": _draw_script,
+}
+
+
+def draw_sets_per_tick(scheduler, steps, rng, history=None):
+    """The next ``steps`` update sets after ``history``, the sets drawn so
+    far (extended in place), drawn one tick at a time."""
+    history = [] if history is None else history
+    start = len(history)
+    for _ in range(steps):
+        history.append(_DRAWS[scheduler.kind](scheduler, history, rng))
+    return history[start:]
+
+
 # The whole-horizon draw that ``mc`` made before it streamed its inputs in
 # blocks: every mask of every trial is drawn before the kernel runs.  The
 # streamed pipeline must draw the same bits.
@@ -193,8 +277,7 @@ def simulate_rows_engine(A, scheduler, steps, seed, x0=None, track=True):
     writer.writerow(header)
     history: list = []
     for _ in range(steps):
-        sigma = scheduler.draw(history, rng)
-        history.append(sigma)
+        [sigma] = draw_sets_per_tick(scheduler, 1, rng, history)
         state = step(state, A, sigma)
         row = [state.k - 1, state.delta()]
         if track:

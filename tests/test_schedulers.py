@@ -3,6 +3,7 @@ import pytest
 
 from async_dca import (
     DimensionError,
+    ExperimentConfig,
     GlobalClockScheduler,
     IndependentClocksScheduler,
     MarkovScheduler,
@@ -13,9 +14,11 @@ from async_dca import (
     bundled_matrix,
     check_conditions,
     check_strongly_aperiodic,
+    run_experiment,
     scheduler_from_json,
     stream,
 )
+from _oracles import draw_sets_per_tick
 from _samplers import random_rooted_stochastic
 
 
@@ -36,6 +39,18 @@ def coverage_violation_scheduler():
     ])
 
 
+def vanishing_law(k):
+    return np.array([[1.0 - 1.0 / k, 0.0, 1.0],
+                     [1.0 / k, 0.0, 0.0],
+                     [0.0, 1.0, 0.0]])
+
+
+def parity_weights(k, history):
+    # reads every set drawn so far: the parity of the count of {1}
+    ones = sum(1 for s in history if s == frozenset({1}))
+    return [0.7, 0.3] if ones % 2 == 0 else [0.2, 0.8]
+
+
 ALL_SCHEDULERS = {
     "global_clock": lambda: GlobalClockScheduler([0.25, 0.25, 0.25, 0.25]),
     "independent_clocks": lambda: IndependentClocksScheduler([0.3, 0.5, 0.7, 0.2]),
@@ -47,42 +62,126 @@ ALL_SCHEDULERS = {
     "script": lambda: ScriptScheduler(3, [[1, 2], [3], [2]], repeat=True),
 }
 
+# the laws that read past ticks or vary with k, besides the five kinds
+HISTORY_SCHEDULERS = {
+    "support_weight_fn": lambda: SupportSequenceScheduler(
+        3, [[({1}, 0.5), ({2, 3}, 0.5)], [({1}, 0.25), ({3}, 0.75)]],
+        weight_fn=parity_weights,
+    ),
+    "markov_matrix_fn": lambda: MarkovScheduler(
+        3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=vanishing_law,
+    ),
+    "markov_periodic": lambda: MarkovScheduler(
+        3, states=[{1}, {2, 3}, {3}], initial={2, 3},
+        matrices=[[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+                  [[0.25, 0.0, 1.0], [0.75, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+    ),
+}
+DRAWN = {**ALL_SCHEDULERS, **HISTORY_SCHEDULERS}
+
+
+def _sets(scheduler, steps, rng):
+    """The update sets, 1-based, of ``scheduler.sample_masks(steps, rng)``."""
+    return [frozenset(int(j) + 1 for j in np.flatnonzero(row))
+            for row in scheduler.sample_masks(steps, rng)]
+
 
 @pytest.mark.parametrize("kind", sorted(ALL_SCHEDULERS))
 def test_draw_is_deterministic_given_seed(kind):
     make = ALL_SCHEDULERS[kind]
-    a = make().sample_sets(200, stream(42, 0))
-    b = make().sample_sets(200, stream(42, 0))
+    a = _sets(make(), 200, stream(42, 0))
+    b = _sets(make(), 200, stream(42, 0))
     assert a == b
-    c = make().sample_sets(200, stream(43, 0))
+    c = _sets(make(), 200, stream(43, 0))
     if kind != "script":
         assert a != c
 
 
-@pytest.mark.parametrize("kind", sorted(ALL_SCHEDULERS))
+@pytest.mark.parametrize("kind", sorted(DRAWN))
 def test_sample_masks_matches_sequential_draws(kind):
-    make = ALL_SCHEDULERS[kind]
-    scheduler = make()
-    masks = scheduler.sample_masks(150, stream(7, 3))
-    sets = make().sample_sets(150, stream(7, 3))
-    expected = np.zeros_like(masks)
+    # whole and in blocks of 1, 2 and 7 ticks, with the tick offset and the
+    # history carried, the masks are the per-tick oracle's sets and the
+    # stream is left where the oracle leaves it
+    make = DRAWN[kind]
+    steps = 150
+    want_rng = stream(7, 3)
+    sets = draw_sets_per_tick(make(), steps, want_rng)
+    expected = np.zeros((steps, make().n), dtype=bool)
     for k, members in enumerate(sets):
         for j in members:
             expected[k, j - 1] = True
-    assert np.array_equal(masks, expected)
+    after = want_rng.random()
+    for block in (steps, 1, 2, 7):
+        scheduler, rng, history = make(), stream(7, 3), []
+        masks = np.concatenate([
+            scheduler.sample_masks(min(block, steps - k), rng, k, history)
+            for k in range(0, steps, block)
+        ])
+        assert np.array_equal(masks, expected), block
+        assert rng.random() == after, block
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWN))
+def test_zero_steps_draw_nothing(kind):
+    make = DRAWN[kind]
+    for start in (0, 4):
+        scheduler, rng, history = make(), stream(8, 0), []
+        if start:
+            scheduler.sample_masks(start, rng, 0, history)
+        after = stream(8, 0)
+        draw_sets_per_tick(make(), start, after)
+        masks = scheduler.sample_masks(0, rng, start, history)
+        assert masks.shape == (0, scheduler.n) and masks.dtype == bool
+        assert rng.random() == after.random()
+
+
+def test_markov_carries_only_its_last_set():
+    make = ALL_SCHEDULERS["markov"]
+    sets = draw_sets_per_tick(make(), 200, stream(4, 0))
+    scheduler, rng, history, k = make(), stream(4, 0), [], 0
+    for block in (1, 5, 0, 20, 1, 173):
+        scheduler.sample_masks(block, rng, k, history)
+        k += block
+        assert history == [sets[k - 1]]
+
+
+def test_matrix_fn_is_called_once_per_tick_of_a_block():
+    # the T trials of one block share its laws: K - 1 calls, not T (K - 1)
+    calls = []
+
+    def law(k):
+        calls.append(k)
+        return vanishing_law(k)
+
+    scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=law)
+    run_experiment(ExperimentConfig(bundled_matrix("three_node_lazy_cycle"), scheduler,
+                                    trials=50, horizon=40, track_lambda=False))
+    assert calls == list(range(1, 40))
+
+
+def test_matrix_fn_late_non_stochastic_law_is_rejected():
+    def law(k):
+        M = vanishing_law(k)
+        M[0, 0] += 0.5 if k == 30 else 0.0
+        return M
+
+    scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=law)
+    scheduler.sample_masks(30, stream(1, 0))
+    with pytest.raises(ValidationError):
+        scheduler.sample_masks(31, stream(1, 0))
 
 
 @pytest.mark.parametrize("kind", sorted(set(ALL_SCHEDULERS) - {"markov"}))
 def test_json_round_trip(kind):
     scheduler = ALL_SCHEDULERS[kind]()
     again = scheduler_from_json(scheduler.to_json())
-    assert again.sample_sets(40, stream(1, 0)) == scheduler.sample_sets(40, stream(1, 0))
+    assert _sets(again, 40, stream(1, 0)) == _sets(scheduler, 40, stream(1, 0))
 
 
 def test_markov_json_round_trip():
     scheduler = ALL_SCHEDULERS["markov"]()
     again = scheduler_from_json(scheduler.to_json())
-    assert again.sample_sets(40, stream(1, 0)) == scheduler.sample_sets(40, stream(1, 0))
+    assert _sets(again, 40, stream(1, 0)) == _sets(scheduler, 40, stream(1, 0))
 
 
 def test_scheduler_from_json_rejects_unknown_kind():
@@ -105,12 +204,17 @@ def test_independent_clocks_mean_set_size():
 
 def test_script_replays_verbatim_and_exhausts():
     scheduler = ScriptScheduler(4, [[1, 3], [2, 4]])
-    assert scheduler.sample_sets(2, stream(0, 0)) == [frozenset({1, 3}), frozenset({2, 4})]
+    assert _sets(scheduler, 2, stream(0, 0)) == [frozenset({1, 3}), frozenset({2, 4})]
     with pytest.raises(ValidationError):
-        scheduler.sample_sets(3, stream(0, 0))
+        scheduler.sample_masks(3, stream(0, 0))
     repeating = ScriptScheduler(4, [[1, 3], [2, 4]], repeat=True)
-    sets = repeating.sample_sets(5, stream(0, 0))
+    sets = _sets(repeating, 5, stream(0, 0))
     assert sets[4] == frozenset({1, 3})
+    # an empty script has nothing to repeat
+    empty = ScriptScheduler(4, [], repeat=True)
+    assert empty.sample_masks(0, stream(0, 0)).shape == (0, 4)
+    with pytest.raises(ValidationError):
+        empty.sample_masks(1, stream(0, 0))
 
 
 def test_support_sequence_draws_stay_in_declared_supports():
@@ -121,7 +225,7 @@ def test_support_sequence_draws_stay_in_declared_supports():
         {frozenset({2, 4})},
         {frozenset({2}), frozenset({4})},
     ]
-    sets = scheduler.sample_sets(10_000, stream(13, 0))
+    sets = _sets(scheduler, 10_000, stream(13, 0))
     for k, members in enumerate(sets):
         assert members in declared[k % 4]
 
@@ -148,7 +252,7 @@ def test_support_sequence_history_hook():
     scheduler = SupportSequenceScheduler(
         2, [[({1}, 0.5), ({2}, 0.5)]], weight_fn=weights
     )
-    sets = scheduler.sample_sets(2000, stream(5, 0))
+    sets = _sets(scheduler, 2000, stream(5, 0))
     assert set(sets) == {frozenset({1}), frozenset({2})}
     after_one = [b for a, b in zip(sets, sets[1:]) if a == frozenset({1})]
     frac2 = sum(1 for s in after_one if s == frozenset({2})) / len(after_one)
@@ -159,12 +263,12 @@ def test_support_sequence_history_hook():
 
     bad = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]], weight_fn=bad_weights)
     with pytest.raises(ValidationError):
-        bad.sample_sets(1, stream(5, 0))
+        bad.sample_masks(1, stream(5, 0))
 
 
 def test_markov_trajectory_structure_and_errors():
     scheduler = ALL_SCHEDULERS["markov"]()
-    sets = scheduler.sample_sets(500, stream(21, 0))
+    sets = _sets(scheduler, 500, stream(21, 0))
     assert sets[0] == frozenset({3})
     allowed = {
         frozenset({1}): {frozenset({1}), frozenset({3})},
@@ -173,18 +277,11 @@ def test_markov_trajectory_structure_and_errors():
     }
     for prev, nxt in zip(sets, sets[1:]):
         assert nxt in allowed[prev]
-    with pytest.raises(ValidationError):
-        scheduler.draw([frozenset({1, 2})], stream(21, 0))
 
 
 def test_markov_time_varying_law():
-    def law(k):
-        return np.array([[1.0 - 1.0 / k, 0.0, 1.0],
-                         [1.0 / k, 0.0, 0.0],
-                         [0.0, 1.0, 0.0]])
-
-    scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=law)
-    sets = scheduler.sample_sets(200, stream(22, 0))
+    scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=vanishing_law)
+    sets = _sets(scheduler, 200, stream(22, 0))
     # at k=1 the law forces 1 -> 2 -> 3 -> 1
     assert sets[:4] == [frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1})]
     assert scheduler.alpha() is None
@@ -262,12 +359,7 @@ def test_conditions_markov_reports_history_dependence():
 
 
 def test_conditions_markov_matrix_fn_unknown_alpha():
-    def law(k):
-        return np.array([[1.0 - 1.0 / k, 0.0, 1.0],
-                         [1.0 / k, 0.0, 0.0],
-                         [0.0, 1.0, 0.0]])
-
-    scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=law)
+    scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=vanishing_law)
     report = check_conditions(scheduler, bundled_matrix("three_node_lazy_cycle"))
     assert not report["positive_probability"].passed
     assert not report["joint_coverage"].passed

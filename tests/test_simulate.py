@@ -158,16 +158,15 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 def test_simulate_runs_one_kernel_call(tmp_path, monkeypatch):
-    calls = {"trajectory_batch": 0, "sample_masks": 0, "draw": 0, "step": 0}
+    calls = {"trajectory_batch": 0, "sample_masks": 0, "step": 0}
     _count_calls(monkeypatch, _kernels, "trajectory_batch", calls)
     _count_calls(monkeypatch, engine, "step", calls)
     _count_calls(monkeypatch, GlobalClockScheduler, "sample_masks", calls)
-    _count_calls(monkeypatch, GlobalClockScheduler, "draw", calls)
     code, out = _simulate(tmp_path, "--matrix", SIX,
                           "--scheduler", str(DATA / "uniform_clock6.json"), "--steps", "500")
     assert code == 0
     assert len(out.read_text().splitlines()) == 501
-    assert calls == {"trajectory_batch": 1, "sample_masks": 1, "draw": 0, "step": 0}
+    assert calls == {"trajectory_batch": 1, "sample_masks": 1, "step": 0}
 
 
 def test_simulate_short_script_exits_before_writing(tmp_path, capsys):
