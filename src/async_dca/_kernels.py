@@ -12,53 +12,66 @@ schedule.  Each call returns that block's discrepancies and coefficients,
 steps first, and the carry.  Only the carry lives from block to block, so a
 batch needs O(T n^2) memory plus what the caller keeps of the blocks.
 
-Inside a block the kernel walks chunks of
-``C = max(1, min(B, CHUNK_BYTES // (8 n T)))`` steps.  Each step does only
-the state and product updates and the raw reductions (the states, the
-pairs' shared mass and the product's row sums, stored per step); each chunk
-then derives the discrepancies, the coefficients and the maxima of the
-three checks in place.  These are the element-wise operations of a per-step
-loop and a maximum does not depend on order, so the outputs are bitwise
-those of stepping one step at a time, whatever the block and chunk sizes,
-and every check still covers every trial and every step.
+Inside a block the state and the accumulated product step together as
+one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``), so each step
+is exactly two numpy calls: ``A @ Q`` into the next entry of a series and a
+``putmask`` that restores the rows of the agents that did not update.
+The kernel walks chunks of ``C = max(1, min(B, CHUNK_BYTES // (8 n T)))``
+steps, keeps the chunk's series of ``Q`` and the not-updating mask
+materialised at the series' shape, and then reduces the series once per
+chunk: the discrepancies from the state column, the pairs' shared mass in
+groups of ``G = max(1, CHUNK_BYTES // (8 pairs n T))`` steps (one step at
+a time at T = 200, which keeps each group in cache), the product's row
+sums, the coefficients and the maxima of the three checks.  These are the
+element-wise operations of a per-step loop and a maximum does not depend
+on order, so the outputs are bitwise those of stepping one step at a time,
+whatever the block and chunk sizes, and every check still covers every
+trial and every step.  Each step's product is a matrix-matrix product even
+for one trial, so a trial's bits do not depend on the batch it runs in.
 
-After a chunk the kernel may test for an exact fixed point: ``A @ x``
-equals ``x`` bit for bit for every trial (compared as ``uint64`` so that
-0.0 and -0.0 differ), and ``A @ P`` equals ``P`` when lambda is tracked.
-Those products have the shapes of the per-step ones, so they are the bits a
-further step would compute: no mask can change the state again, the rest
-of each series repeats its last value, and the caller need draw no further
-masks.  No trial is dropped on its own, since a narrower ``matmul`` may
-round differently.  The test runs after the last chunk of every block, so
+After a chunk the kernel may test for an exact fixed point: ``A @ Q``
+equals ``Q`` bit for bit for every trial (compared as ``uint64`` so that
+0.0 and -0.0 differ), which covers the state and, when lambda is tracked,
+the product.  That product has the shape of the per-step one, so it holds
+the bits a further step would compute: no mask can change ``Q`` again, the
+rest of each series repeats its last value, and the caller need draw no
+further masks.  No trial is dropped on its own, since a narrower ``matmul``
+may round differently.  The test runs after the last chunk of every block, so
 no block is drawn past a fixed point that the previous one reached, and
 within a block after chunk c once ``max(1, c // 16)`` chunks have passed
 since the last failed test, which bounds the delay of an exit to about
-1/16 of the steps run.  A fixed state stays fixed, so the state is tested
-only until it passes.
+1/16 of the steps run.
 """
 from __future__ import annotations
 
 import numpy as np
 
-CHUNK_BYTES = 64 * 1024  # per-chunk series buffer of the trajectory kernel
+CHUNK_BYTES = 64 * 1024  # sizes the kernel's chunks (of states) and pair-min groups
 TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
 
 
-def _shared_mass(P, pairs, work, out):
-    """``min over a < b of sum_c min(P[a, c], P[b, c])`` for each matrix of
-    an (n, n, T) stack, into ``out`` (T,); 1 when n = 1, so lambda is 0.
+def _shared_mass(Q2, pairs, work, out):
+    """``min over a < b of sum_c min(P[a, c], P[b, c])`` for the products
+    ``P = Q[:, 1:]`` of a (G, n, (n + 1) T) stack of ``Q`` (see ``Carry``),
+    into ``out`` (G, T); 1 when n = 1, so lambda is 0.
 
     ``pairs`` holds the row indices ``(a, b)`` of every pair with ``a < b``;
-    ``work`` is ``((2, pairs, n, T), (pairs, T))`` buffers.
+    ``work`` is ``((2, G', pairs, (n + 1) T), (G', pairs, T))`` buffers,
+    G' >= G.  The rows are taken whole, state column included, since
+    ``take`` copies a strided input first.
     """
-    if P.shape[0] == 1:
+    G, n, _ = Q2.shape
+    if n == 1:
         out[...] = 1.0
         return
-    (a, b), ((Pa, Pb), S) = pairs, work
+    (a, b), ((Qa, Qb), S) = pairs, work
+    Qa, Qb, S = Qa[:G], Qb[:G], S[:G]
     # mode="clip" lets take write straight into out (the indices are valid)
-    np.take(P, a, axis=0, out=Pa, mode="clip")
-    np.take(P, b, axis=0, out=Pb, mode="clip")
-    np.minimum(Pa, Pb, out=Pa).sum(axis=1, out=S).min(axis=0, out=out)
+    np.take(Q2, a, axis=1, out=Qa, mode="clip")
+    np.take(Q2, b, axis=1, out=Qb, mode="clip")
+    np.minimum(Qa, Qb, out=Qa)
+    Pmin = Qa.reshape(G, len(a), n + 1, -1)[:, :, 1:]
+    Pmin.sum(axis=2, out=S).min(axis=1, out=out)
 
 
 def _fixed(A, Z, AZ):
@@ -70,27 +83,33 @@ def _fixed(A, Z, AZ):
 class Carry:
     """What a batch of T trajectories carries from one block to the next.
 
-    ``x`` (n, T) states; ``P`` (n, n, T) accumulated products, or None
-    without lambda; ``lam`` (T,) coefficients after the last step run;
-    ``d0`` (T,) initial discrepancies; ``viol_contract``, ``viol_mono`` and
-    ``row_err`` (T,) maxima of the checks so far (see ``trajectory_batch``);
-    ``fixed`` is True once the batch is an exact fixed point.  ``chunks``
-    and ``next_test`` schedule the exit test and ``x_fixed`` records that
-    the state passed it.
+    ``Q`` (n, m, T) holds the states as column 0 and, with lambda, the
+    accumulated products as columns 1..n (m = n + 1); without lambda m is
+    1, or 2 for a lone trial, whose second column stays zero.  ``x`` (n, T)
+    is the view of the states; ``lam`` (T,) coefficients after the last
+    step run; ``d0`` (T,) initial discrepancies; ``viol_contract``,
+    ``viol_mono`` and ``row_err`` (T,) maxima of the checks so far (see
+    ``trajectory_batch``); ``fixed`` is True once the batch is an exact
+    fixed point.  ``chunks`` and ``next_test`` schedule the exit test.
     """
 
     def __init__(self, x0, track_lambda):
-        self.x = np.asarray(x0, dtype=np.float64).T.copy()
-        n, T = self.x.shape
+        x0 = np.asarray(x0, dtype=np.float64)
+        T, n = x0.shape
+        # a single column would make every step's matmul a gemv, which
+        # rounds differently from the gemm of a wider batch
+        self.Q = np.zeros((n, n + 1 if track_lambda else 1 + (T == 1), T))
+        self.x = self.Q[:, 0]
+        self.x[...] = x0.T
         self.d0 = self.x.max(axis=0) - self.x.min(axis=0)
-        self.P = np.repeat(np.eye(n)[:, :, None], T, axis=2) if track_lambda else None
+        if track_lambda:
+            self.Q[:, 1:] = np.eye(n)[:, :, None]
         self.lam = None
         self.viol_contract = np.zeros(T)
         self.viol_mono = np.zeros(T)
         self.row_err = np.zeros(T)
         self.chunks = 0
         self.next_test = 1
-        self.x_fixed = False
         self.fixed = False
 
 
@@ -98,8 +117,9 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     """Evolve a batch of asynchronous-update trajectories by one block of steps.
 
     Trials sit on the last axis inside the kernel: the state is (n, T) and
-    the product (n, n, T).  Sums over columns run in sequential order, as
-    in ``tests/_oracles.py::trajectory_batch_trials_first``.  The block is
+    the product (n, n, T), stepped together as ``Q = [x | P]``.  Sums over
+    columns run in sequential order, as in
+    ``tests/_oracles.py::trajectory_batch_trials_first``.  The block is
     walked in chunks and stops early at an exact fixed point (see the
     module docstring).  Every buffer is allocated once per block: fresh
     per-step temporaries make the allocator return and refault their pages
@@ -143,9 +163,16 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     if first:
         carry = Carry(carry, track_lambda)
     C = max(1, min(K, CHUNK_BYTES // max(1, 8 * n * T)))
-    x, d0 = carry.x, carry.d0
-    Ax = np.empty_like(x)
-    xs = np.empty((C, n, T))
+    Q, d0 = carry.Q, carry.d0
+    m = Q.shape[1]
+    # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
+    Qs = np.empty((C + 1, n, m, T))
+    Qs[0] = Q
+    Qs2 = Qs.reshape(C + 1, n, m * T)
+    kt = np.empty((C, n, T), dtype=bool)
+    keep = np.empty((C, n, m, T), dtype=bool)
+    keep2 = keep.reshape(C, n, m * T)
+    X = Qs[:, :, 0]
     w = np.empty((C, T))
     wT = np.empty(T)
     # row 0 holds the values before the block's first step
@@ -155,52 +182,54 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     if track_lambda:
         lams = np.empty((K + 1, T))
         pairs = np.triu_indices(n, 1)
-        work = (np.empty((2, len(pairs[0]), n, T)), np.empty((len(pairs[0]), T)))
-        P = carry.P
-        AP = np.empty_like(P)
-        P2, AP2 = P.reshape(n, n * T), AP.reshape(n, n * T)
+        npairs = len(pairs[0])
+        # the pair minima of G steps at a time stay within CHUNK_BYTES
+        G = max(1, min(C, CHUNK_BYTES // max(1, 8 * npairs * n * T)))
+        work = (np.empty((2, G, npairs, m * T)), np.empty((G, npairs, T)))
         rs = np.empty((C, n, T))
         shared = np.empty((C, T))
         if first:
-            _shared_mass(P, pairs, work, shared[0])
+            _shared_mass(Qs2[:1], pairs, work, shared[:1])
             np.clip(1.0 - shared[0], 0.0, 1.0, out=lams[0])
         else:
             lams[0] = carry.lam
     else:
         lams = np.broadcast_to(1.0, (K + 1, T))
+    matmul, putmask = np.matmul, np.putmask
     k1 = 0
     for k0 in range(0, K, C):
         c = min(C, K - k0)
-        for i in range(c):
-            m = masks[:, k0 + i].T
-            np.matmul(A, x, out=Ax)
-            np.copyto(x, Ax, where=m)
-            xs[i] = x
-            if track_lambda:
-                np.matmul(A, P2, out=AP2)
-                np.copyto(P, AP, where=m[:, None, :])
-                _shared_mass(P, pairs, work, shared[i])
-                P.sum(axis=1, out=rs[i])
+        # agent i keeps row i of x and of P where it does not update
+        np.logical_not(masks[:, k0:k0 + c].transpose(1, 2, 0), out=kt[:c])
+        keep[:c] = kt[:c, :, None]
+        for Z, AZ, kp in zip(Qs2[:c], Qs2[1:c + 1], keep2):
+            matmul(A, Z, out=AZ)
+            putmask(AZ, kp, Z)
         k1 = k0 + c
         D, W = deltas[k0 + 1:k1 + 1], w[:c]
-        np.max(xs[:c], axis=1, out=D)
-        np.subtract(D, np.min(xs[:c], axis=1, out=W), out=D)
+        np.max(X[1:c + 1], axis=1, out=D)
+        np.subtract(D, np.min(X[1:c + 1], axis=1, out=W), out=D)
         if track_lambda:
             L, R = lams[k0 + 1:k1 + 1], rs[:c]
+            for g in range(0, c, G):
+                e = min(c, g + G)
+                _shared_mass(Qs2[1 + g:1 + e], pairs, work, shared[g:e])
             np.clip(np.subtract(1.0, shared[:c], out=L), 0.0, 1.0, out=L)
             np.subtract(D, np.multiply(L, d0, out=W), out=W)
             np.maximum(viol_contract, W.max(axis=0, out=wT), out=viol_contract)
             np.subtract(L, lams[k0:k1], out=W)
             np.maximum(viol_mono, W.max(axis=0, out=wT), out=viol_mono)
+            Qs[1:c + 1, :, 1:].sum(axis=2, out=R)
             np.abs(np.subtract(R, 1.0, out=R), out=R)
             np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
+        Qs[0] = Qs[c]
         carry.chunks += 1
         if k1 == K or carry.chunks >= carry.next_test:
-            carry.x_fixed = carry.x_fixed or _fixed(A, x, Ax)
-            if carry.x_fixed and (not track_lambda or _fixed(A, P2, AP2)):
+            if _fixed(A, Qs2[0], Qs2[1]):
                 carry.fixed = True
                 break
             carry.next_test = carry.chunks + max(1, carry.chunks // TEST_BACKOFF)
+    Q[...] = Qs[0]
     if track_lambda:
         carry.lam = lams[k1].copy()
     rows = slice(0 if first else 1, k1 + 1)

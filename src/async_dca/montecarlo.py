@@ -155,6 +155,8 @@ def trajectory_blocks(cfg: ExperimentConfig):
         k += len(deltas)
         if carry.fixed:
             return
+        # the caller has reduced this block: free its rows before the next
+        del deltas, lams
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -170,9 +172,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         k1 = k + len(deltas)
         (deltas >= cfg.epsilon).sum(axis=1, out=delta_count[k:k1])
         (lams >= cfg.epsilon).sum(axis=1, out=lambda_count[k:k1])
+        final = deltas[-1].copy()
+        del deltas, lams  # before the next block's rows are allocated
     delta_count[k1:] = delta_count[k1 - 1]
     lambda_count[k1:] = lambda_count[k1 - 1]
-    final = deltas[-1].copy()
     qs = np.quantile(final, [0.0, 0.25, 0.5, 0.75, 1.0])
     return ExperimentResult(
         trials=cfg.trials,

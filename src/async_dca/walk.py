@@ -120,10 +120,20 @@ def _fit_envelope(errors: np.ndarray) -> tuple:
 def product_convergence_rate(p_seq, W) -> RateCertificate:
     """Fit and verify a geometric envelope for left products of chains.
 
+    The returned pair satisfies ``errors[k-1] <= c0 * beta**k`` for every
+    prefix length k supplied (see ``_product_errors`` for the checks).
+    """
+    errors = _product_errors(p_seq, W)
+    c0, beta = _fit_envelope(errors)
+    return RateCertificate(c0=c0, beta=beta, errors=errors)
+
+
+def _product_errors(p_seq, W) -> np.ndarray:
+    """``max |P_k ... P_1 - e1 1^T|`` for each prefix length k of ``p_seq``.
+
     Every matrix must dominate ``W`` entrywise, carry the same sign pattern,
     and be column stochastic; ``W`` transposed must be rooted with node 1
-    as its unique, self-looped root.  The returned pair satisfies
-    ``errors[k-1] <= c0 * beta**k`` for every prefix length k supplied.
+    as its unique, self-looped root.
     """
     Warr = np.asarray(W, dtype=np.float64)
     if Warr.ndim != 2 or Warr.shape[0] != Warr.shape[1]:
@@ -161,8 +171,7 @@ def product_convergence_rate(p_seq, W) -> RateCertificate:
     for k, arr in enumerate(mats):
         prod = arr @ prod
         errors[k] = np.abs(prod - target).max()
-    c0, beta = _fit_envelope(errors)
-    return RateCertificate(c0=c0, beta=beta, errors=errors)
+    return errors
 
 
 def default_move_probabilities(gamma: float) -> tuple:
@@ -228,8 +237,21 @@ class DistanceChain:
         return out
 
     def rate_certificate(self, k_max: int) -> RateCertificate:
+        """Envelope of the chain's first ``k_max`` powers at its exact rate.
+
+        ``beta`` is the spectral radius of the transient block (distances
+        1..l-1), the rate at which unabsorbed mass decays, so no decay need
+        show within ``k_max`` steps; ``c0 = max_k errors[k-1] / beta^k``
+        over k <= ``k_max`` makes the envelope hold at every k supplied.
+        """
         W = lower_bound_matrix(self.l, self.gamma)
-        return product_convergence_rate([self.matrix] * k_max, W)
+        errors = _product_errors([self.matrix] * k_max, W)
+        beta = float(np.abs(np.linalg.eigvals(self.matrix.entries[1:, 1:])).max())
+        ks = np.arange(1, k_max + 1)
+        positive = errors > 0
+        # in logs: beta^k may underflow before the errors do
+        c0 = float(np.exp((np.log(errors[positive]) - ks[positive] * np.log(beta)).max()))
+        return RateCertificate(c0=c0, beta=beta, errors=errors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -137,6 +137,13 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
     masks = np.ascontiguousarray(masks, dtype=bool)
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
     T, K, n = masks.shape
+    if T == 1:
+        # a lone trial's ``x @ A.T`` is a vector-matrix product, which numpy
+        # hands to gemv; it rounds differently from the gemm of a wider
+        # batch, so step the trial twice and keep the first copy
+        out = trajectory_batch_trials_first(A, np.repeat(masks, 2, axis=0),
+                                            np.repeat(x0, 2, axis=0), track_lambda)
+        return tuple(o[:1] for o in out)
     x = x0.copy()
     deltas = np.empty((T, K + 1))
     lams = np.ones((T, K + 1))

@@ -6,8 +6,10 @@ and ``mc`` under a Markov and a period-3 support-sequence scheduler), run
 in process at seeds 1729 and 5.  The SHA-256 of each output is
 compared with a digest recorded before the streamed ``mc`` pipeline (the
 Markov and support-sequence cases: before those schedulers drew in
-blocks), so every refactor since keeps every output byte.  A change that alters an
-output must update its digest here and name the change in CHANGES.md.
+blocks; the walk case: after its certificate took the exact rate of the
+distance chain), so every refactor since keeps every output byte.  A change
+that alters an output must update its digest here and name the change in
+CHANGES.md.
 
 The digests hold for the numpy version recorded below: a different numpy
 may format floats or order reductions differently, so the comparison is
@@ -95,10 +97,10 @@ DIGESTS = {
         "trajectory.csv": "ed437619a92d784a7314fb0bd52e89db24587c837a3f65a75b437195e357ecb0"},
     ("simulate-no-product", 5): {
         "trajectory.csv": "ca66ba9f6b1d31ab261f76c4a96f87a5f5dd02bdb5a7ced96fe524741b2c2aae"},
-    ("walk", 1729): {"curve.csv": "0fa98c87fd09751dfc4ce26b7c1a52f42d69265908aa5d6cd9931a44e49d5b64",
-                     "summary.json": "586e9cf2efe36176d643b7b7540cd8328b7c01e30d2b17f8c766ee585262ffa2"},
-    ("walk", 5): {"curve.csv": "6f0dcb7cb15978ee6e6bf7280f706316a79ba532f9c489202c51f8308fc609af",
-                  "summary.json": "586e9cf2efe36176d643b7b7540cd8328b7c01e30d2b17f8c766ee585262ffa2"},
+    ("walk", 1729): {"curve.csv": "a0b069ac1fe7d220b6bf35c5610b74f7ad07bb08903160b96faddf1ab96b8aeb",
+                     "summary.json": "3e404dab1722aa84ded2007145ffcff12375d292119bee3eb11e3da08e11f3de"},
+    ("walk", 5): {"curve.csv": "5517025249cfeec230745fc5c38d1cb0aa7b342d73fb78525b03153c2c99db26",
+                  "summary.json": "3e404dab1722aa84ded2007145ffcff12375d292119bee3eb11e3da08e11f3de"},
     ("repro-all", 1729): {"stdout": "a9a6a4f2468275a2a7bd175c056b5ebe8a2a3d0e4afb8031a5e2b4418f127aeb"},
     ("repro-all", 5): {"stdout": "447b8ccb0254ae73b4ee0db5f1ff2180210a7980540d598ddbfd2c6445d48466"},
 }

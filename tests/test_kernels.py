@@ -162,6 +162,22 @@ def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
         assert np.array_equal(_bits(g), _bits(w))  # -0.0 and 0.0 differ
 
 
+@pytest.mark.parametrize("track_lambda", [True, False])
+def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda):
+    # simulate is a T = 1 batch and must equal trial 0 of mc on every
+    # matrix; a one-column state product would go through gemv, which
+    # rounds differently from the gemm of a wider batch on non-dyadic A
+    rng = np.random.default_rng(2027)
+    for _ in range(20):
+        A = random_stochastic(rng, 6, density=1.0)
+        masks = rng.random((3, 120, 6)) < 0.4
+        x0 = rng.uniform(-1.0, 1.0, (3, 6))
+        lone, _ = _run_blocks(A, masks[:1], x0[:1], track_lambda)
+        wide, _ = _run_blocks(A, masks, x0, track_lambda)
+        for g, w in zip(lone, wide):
+            assert np.array_equal(_bits(g), _bits(w[:1]))
+
+
 class _CountingNumpy:
     """Stands in for numpy inside ``_kernels``, counting ``matmul`` calls."""
 
@@ -192,11 +208,20 @@ def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
     counting = _CountingNumpy()
     monkeypatch.setattr(_kernels, "np", counting)
+    real, tests = _kernels._fixed, []
+
+    def counted(*args):
+        tests.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_fixed", counted)
     got, _ = _run_blocks(A, masks, x0, track_lambda)
     K = masks.shape[1]
-    per_step = 2 if track_lambda else 1
-    # stepping to the horizon makes per_step matmuls a step, plus the checks
-    assert (counting.matmuls < per_step * K) == exits
+    # x and the product step as one array: one matmul a step, with or
+    # without lambda, and one for each exit test
+    assert (counting.matmuls < K) == exits
+    if not exits:
+        assert counting.matmuls == K + len(tests)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w))
 

@@ -22,6 +22,7 @@ from async_dca import (
     bundled_matrix,
     bundled_scheduler,
     engine,
+    montecarlo,
 )
 from async_dca import _kernels
 from async_dca.cli import dispatch
@@ -97,6 +98,28 @@ def test_simulate_equals_mc_trial_zero(tmp_path, sched):
     assert np.array_equal(cols[:, 0], np.arange(1, steps + 1))
     assert np.array_equal(cols[:, 1], deltas[0, 1:])
     assert np.array_equal(cols[:, 2], lams[0, 1:])
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_simulate_equals_mc_trial_zero_on_a_non_dyadic_matrix(tmp_path, track):
+    steps, seed = 300, 11
+    A = StochasticMatrix(random_stochastic(np.random.default_rng(99), 6, density=1.0))
+    matrix = tmp_path / "m.json"
+    A.save(matrix)
+    code, out = _simulate(tmp_path, "--matrix", str(matrix),
+                          "--scheduler", str(DATA / "half_clocks6.json"),
+                          "--steps", str(steps), "--seed", str(seed),
+                          *([] if track else ["--no-product"]))
+    assert code == 0
+    cols = _columns(out.read_text())
+    cfg = ExperimentConfig(matrix=A, scheduler=bundled_scheduler("half_clocks6"),
+                           trials=3, horizon=steps, seed=seed, track_lambda=track)
+    rows = [(d[:, 0], lam[:, 0]) for _, d, lam, _ in montecarlo.trajectory_blocks(cfg)]
+    deltas, lams = (np.concatenate(s)[1:] for s in zip(*rows))
+    assert len(deltas) == steps  # no fixed point: nothing to pad
+    assert np.array_equal(cols[:, 1].view(np.uint64), deltas.view(np.uint64))
+    if track:
+        assert np.array_equal(cols[:, 2].view(np.uint64), lams.view(np.uint64))
 
 
 def test_simulate_random_matrices_match_engine_oracle(tmp_path):

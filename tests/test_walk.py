@@ -249,8 +249,7 @@ FIVE_CYCLE = LabelledCycle(5, (1, 2, 3, 2, 4))
 @pytest.mark.parametrize("trials", [1, 20, 500])
 @pytest.mark.parametrize("k_max", [1, 2, WALK_BLOCK, WALK_BLOCK + 1, 150])
 def test_batch_curve_matches_per_trial_oracle(k_max, trials, move_probs):
-    # the six-cycle's certificate cannot be fitted at k_max = 2, the
-    # five-cycle's can; hits do not depend on the certificate
+    # hits do not depend on the certificate
     curve = match_probability_curve(FIVE_CYCLE, 0.2, k_max, trials, seed=31,
                                     move_probs=move_probs)
     oracle = walk_hits_v2(FIVE_CYCLE, 0.2, k_max, trials, seed=31, move_probs=move_probs)
@@ -321,6 +320,24 @@ def test_match_curve_memory_is_bounded_by_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("move_probs", [None, (0.2, 0.3, 0.1, 0.4)])
+@pytest.mark.parametrize("l", range(2, 9))
+def test_certificate_holds_at_every_short_horizon(l, move_probs):
+    # beta is the exact rate of the transient block, so a horizon too short
+    # to show decay still yields a certificate: a rate fitted to the errors
+    # found none at (l, k_max) = (6, 2), (7, 2), (8, 2) and (8, 3).  With
+    # distinct labels a match is an absorbed distance, the tightest case.
+    cycle = LabelledCycle(l, tuple(range(1, l + 1)))
+    chain = DistanceChain.for_walk(l, 0.2, move_probs)
+    for k_max in range(1, 12):
+        curve = match_probability_curve(cycle, 0.2, k_max, 50, seed=3, move_probs=move_probs)
+        assert 0 < curve.beta < 1
+        assert (curve.bound <= walk_match_exact(cycle, 0.2, k_max, move_probs)).all()
+        cert = chain.rate_certificate(k_max)
+        ks = np.arange(1, k_max + 1)
+        assert (cert.errors <= cert.c0 * cert.beta ** ks * (1 + 1e-12)).all()
 
 
 def test_match_curve_dominates_bound():
