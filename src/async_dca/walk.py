@@ -246,7 +246,10 @@ class DistanceChain:
         """
         W = lower_bound_matrix(self.l, self.gamma)
         errors = _product_errors([self.matrix] * k_max, W)
-        beta = float(np.abs(np.linalg.eigvals(self.matrix.entries[1:, 1:])).max())
+        p_j, p_i, p_stay, p_both = self.move_probs
+        # the transient block is tridiagonal Toeplitz, so its eigenvalues
+        # are p_stay + p_both + 2 sqrt(p_i p_j) cos(m pi / l), m = 1..l-1
+        beta = p_stay + p_both + 2.0 * float(np.sqrt(p_i * p_j) * np.cos(np.pi / self.l))
         ks = np.arange(1, k_max + 1)
         positive = errors > 0
         # in logs: beta^k may underflow before the errors do

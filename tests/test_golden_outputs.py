@@ -97,10 +97,10 @@ DIGESTS = {
         "trajectory.csv": "ed437619a92d784a7314fb0bd52e89db24587c837a3f65a75b437195e357ecb0"},
     ("simulate-no-product", 5): {
         "trajectory.csv": "ca66ba9f6b1d31ab261f76c4a96f87a5f5dd02bdb5a7ced96fe524741b2c2aae"},
-    ("walk", 1729): {"curve.csv": "a0b069ac1fe7d220b6bf35c5610b74f7ad07bb08903160b96faddf1ab96b8aeb",
-                     "summary.json": "3e404dab1722aa84ded2007145ffcff12375d292119bee3eb11e3da08e11f3de"},
-    ("walk", 5): {"curve.csv": "5517025249cfeec230745fc5c38d1cb0aa7b342d73fb78525b03153c2c99db26",
-                  "summary.json": "3e404dab1722aa84ded2007145ffcff12375d292119bee3eb11e3da08e11f3de"},
+    ("walk", 1729): {"curve.csv": "bf5c209d6d340342c2729297368782cee06ca471b88ca38e565049e388f9b21c",
+                     "summary.json": "186454748d86e150cdc8e2b0d5af39a5acaa895d39eeaf21f480eb08c7f940cf"},
+    ("walk", 5): {"curve.csv": "422c720dab1ebcfdbd7935a4573c602cea1260b6096450d9697e79a0f1533c91",
+                  "summary.json": "186454748d86e150cdc8e2b0d5af39a5acaa895d39eeaf21f480eb08c7f940cf"},
     ("repro-all", 1729): {"stdout": "a9a6a4f2468275a2a7bd175c056b5ebe8a2a3d0e4afb8031a5e2b4418f127aeb"},
     ("repro-all", 5): {"stdout": "447b8ccb0254ae73b4ee0db5f1ff2180210a7980540d598ddbfd2c6445d48466"},
 }

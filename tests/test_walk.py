@@ -338,6 +338,8 @@ def test_certificate_holds_at_every_short_horizon(l, move_probs):
         cert = chain.rate_certificate(k_max)
         ks = np.arange(1, k_max + 1)
         assert (cert.errors <= cert.c0 * cert.beta ** ks * (1 + 1e-12)).all()
+    radius = np.abs(np.linalg.eigvals(chain.matrix.entries[1:, 1:])).max()
+    assert cert.beta == pytest.approx(radius, rel=1e-12)
 
 
 def test_match_curve_dominates_bound():
