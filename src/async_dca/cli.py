@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
             raise ValidationError(f"--x0 must hold {A.n} numbers")
 
     track = not args.no_product
-    # trial 0 of mc: the same stream, blocks and kernel at T = 1
+    # mc --trials 1: the same stream, blocks and kernel
     deltas = np.empty(steps + 1)
     lams = np.empty(steps + 1)
     if steps:

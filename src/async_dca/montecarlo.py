@@ -11,17 +11,21 @@ these are desk-scale stand-ins for asymptotic statements, chosen so each
 canned experiment finishes in seconds; replay reports carry a note saying
 which threshold they operationalise.
 
-Trials derive their random streams from ``(seed, trial_index)``: each
-draws its initial state (when random), then its schedule, in that order.
-``trajectory_blocks`` runs the trials as one streamed pipeline.  It holds
-the T generators, draws the schedule in blocks of B steps, B set by
-``MASK_BLOCK_BYTES``, advances the resumable kernel by one block and hands
-the block to the caller to reduce before drawing the next.  Splitting a
-stream's draws into blocks keeps every draw, so no output depends on B.
-Once the kernel stops at an exact fixed point nothing more is drawn, and
-hooks such as ``matrix_fn`` and ``weight_fn`` are not called for the later
-ticks.  Memory is O(T (n^2 + B n) + K), plus the sets a ``weight_fn`` hook
-reads.
+All trials draw from the one stream ``stream(seed, 0)`` (seed contract 3,
+see ``rng``): first the initial states of every trial (when random), then
+the schedule, tick by tick and, within a tick, trial by trial.
+``trajectory_blocks`` runs the trials as one streamed pipeline.  It draws
+the schedule of every trial in blocks of B ticks, B set by
+``MASK_BLOCK_BYTES``, with one ``sample_masks`` call per block, advances
+the resumable kernel by one block and hands the block to the caller to
+reduce before drawing the next.  The stream is consumed tick by tick, so
+splitting it into blocks of ticks keeps every draw and no output depends
+on B; and a run of one trial draws what trial 0 drew under seed contract
+1, so ``simulate`` equals ``mc --trials 1`` and both equal their contract-1
+outputs.  Once the kernel stops at an exact fixed point nothing more is
+drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not called
+for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the sets a
+``weight_fn`` hook reads.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from .engine import run_script
 from .errors import DimensionError, ValidationError
 from .graphs import is_sia
 from .matrices import StochasticMatrix, max_discrepancy
-from .rng import DEFAULT_SEED, stream
+from .rng import DEFAULT_SEED, SEED_CONTRACT, stream
 from .schedulers import (
     GlobalClockScheduler,
     MarkovScheduler,
@@ -114,6 +118,7 @@ class ExperimentResult:
             "epsilon": self.epsilon,
             "seed": self.seed,
             "backend": self.backend,
+            "seed_contract": SEED_CONTRACT,
             "consensus_fraction": self.consensus_fraction,
             "delta_quantiles": self.delta_quantiles,
             "max_contraction_violation": self.max_contraction_violation,
@@ -137,20 +142,19 @@ def trajectory_blocks(cfg: ExperimentConfig):
     """
     n, T, K = cfg.matrix.n, cfg.trials, cfg.horizon
     B = max(1, min(K, MASK_BLOCK_BYTES // (T * n)))
-    rngs = [stream(cfg.seed, t) for t in range(T)]
+    rng = stream(cfg.seed, 0)
     if isinstance(cfg.init, str):
-        carry = np.array([rng.uniform(-1.0, 1.0, n) for rng in rngs])
+        carry = rng.uniform(-1.0, 1.0, (T, n))
     else:
         carry = np.tile(cfg.init, (T, 1))
-    histories = [[] for _ in range(T)]
-    masks = np.empty((T, B, n), dtype=bool)
+    draws = {}  # what the scheduler carries from block to block
     k = 0
     for k0 in range(0, K, B):
-        b = min(B, K - k0)
-        for t, rng in enumerate(rngs):
-            masks[t, :b] = cfg.scheduler.sample_masks(b, rng, k0, histories[t])
+        masks = cfg.scheduler.sample_masks(min(B, K - k0), rng, T, k0, draws)
+        # the kernel reads the tick-major block as a (T, b, n) view
         deltas, lams, carry = _kernels.trajectory_batch(
-            cfg.matrix.entries, masks[:, :b], carry, cfg.track_lambda)
+            cfg.matrix.entries, masks.transpose(1, 0, 2), carry, cfg.track_lambda)
+        del masks
         yield k, deltas, lams, carry
         k += len(deltas)
         if carry.fixed:

@@ -12,18 +12,19 @@ Five scheduler kinds cover the regimes studied here:
   driven by column-stochastic transition matrices (possibly time varying);
 * ``script`` -- a fixed list of update sets, replayed verbatim.
 
-Draw contract: ``sample_masks(steps, rng, start, history)`` is the only way
-a scheduler draws.  It returns the (steps, n) update masks of ticks
-``start + 1 .. start + steps`` and takes a fixed number of uniforms per tick
-(global/support/markov: one, except that the first markov tick is
-``initial`` and takes none; independent_clocks: n; script: none) in one
-``rng.random`` block.  One call for m doubles gives the same doubles as m
-scalar calls, so a horizon drawn in blocks, with the tick offset ``start``
-and the carry ``history`` passed from block to block, is the horizon drawn
-at once and equals the tick-by-tick reference draws in ``tests/_oracles.py``.
-``history`` ends with the last set drawn: a Markov chain keeps only that set
-and a ``weight_fn`` hook, which reads them, every set; the other kinds
-ignore it.
+Draw contract (seed contract 3): ``sample_masks(steps, rng, trials, start,
+carry)`` is the only way a scheduler draws.  It returns the tick-major
+(steps, trials, n) masks of ticks ``start + 1 .. start + steps``, drawn from
+the one stream ``rng``: at each tick every trial in trial order takes a
+fixed number of uniforms (global/support/markov: one, except that the
+first markov tick is ``initial`` and takes none; independent_clocks: n;
+script: none), in groups of ticks drawn into one reused buffer.  One call
+for m doubles gives the same doubles as m scalar calls, so a horizon drawn
+in blocks, with ``start`` and ``carry`` passed on, is the horizon drawn at
+once and equals the scalar reference draws in ``tests/_oracles.py``; one
+trial draws what seed contract 1 drew.  ``carry`` is a dict, empty at tick
+0: a Markov chain keeps its (trials,) last states there, a ``weight_fn``
+hook every set of every trial.
 
 ``check_conditions`` evaluates the almost-sure-consensus conditions for a
 scheduler/matrix pair: rootedness, a positive lower bound on nonzero
@@ -35,7 +36,6 @@ the root component exactly in {j}).
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -50,26 +50,36 @@ PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
 MAX_ENUM_NODES = 16
 DEFAULT_Q_MAX = 16
+UNIFORM_BUFFER_BYTES = 1 << 17  # the buffer a block's uniforms are drawn into
 
 
 class NotEnumerableError(ValidationError):
     """The scheduler's one-step support distribution cannot be enumerated."""
 
 
-def _inverse_cdf(cumulative: np.ndarray, u) -> np.ndarray | int:
+def _inverse_cdf(cumulative: np.ndarray, u) -> np.ndarray:
     idx = np.searchsorted(cumulative, u, side="right")
     return np.minimum(idx, len(cumulative) - 1)
-
-
-def _pick(cumulative: list, u: float) -> int:
-    """``_inverse_cdf`` of one uniform, on a list of floats: the per-tick
-    loops call it, and there a bisect costs a fraction of a numpy call."""
-    return min(bisect_right(cumulative, u), len(cumulative) - 1)
 
 
 def _mask_table(sets, n: int) -> np.ndarray:
     """(len(sets), n) update masks, one row per set."""
     return np.array([[j + 1 in s for j in range(n)] for s in sets], dtype=bool).reshape(-1, n)
+
+
+def _uniform_groups(rng, steps: int, shape: tuple):
+    """Draw the uniforms of ``steps`` ticks, ``shape`` of them per tick,
+    tick-major, in groups of ticks: yields ``(i, u)`` with ``u`` the
+    (g, *shape) uniforms of ticks i .. i + g - 1.  Every group is drawn
+    into one buffer of about ``UNIFORM_BUFFER_BYTES`` (one tick when a tick
+    needs more), so ``u`` holds only until the next group is drawn."""
+    tick_bytes = 8 * int(np.prod(shape))
+    g = max(1, min(steps, UNIFORM_BUFFER_BYTES // max(1, tick_bytes)))
+    buf = np.empty((g, *shape))
+    for i in range(0, steps, g):
+        u = buf[:min(g, steps - i)]
+        rng.random(out=u)
+        yield i, u
 
 
 class Scheduler:
@@ -78,11 +88,14 @@ class Scheduler:
     kind = "abstract"
     n: int
 
-    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
-        """(steps, n) update masks of ticks ``start + 1 .. start + steps``.
+    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
+                     carry=None) -> np.ndarray:
+        """(steps, trials, n) update masks of ticks ``start + 1 .. start + steps``.
 
-        ``history`` is the carry of the kinds that read past ticks: it ends
-        with the set of tick ``start`` and is updated in place.
+        ``masks[k, t, i]`` is True when agent ``i + 1`` updates at tick
+        ``start + k + 1`` of trial ``t``.  ``carry`` is the dict of the kinds
+        that read past ticks: empty with ``start = 0``, then the one the
+        previous block updated in place (see the module docstring).
         """
         raise NotImplementedError
 
@@ -125,13 +138,15 @@ class GlobalClockScheduler(Scheduler):
         self.p = p
         self._active = np.nonzero(p > 0)[0]
         self._cum = np.cumsum(p[self._active])
+        self._masks = np.eye(self.n, dtype=bool)[self._active]
 
-    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
-        idx = _inverse_cdf(self._cum, rng.random(steps))
-        nodes = self._active[idx]
-        mask = np.zeros((steps, self.n), dtype=bool)
-        mask[np.arange(steps), nodes] = True
-        return mask
+    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
+                     carry=None) -> np.ndarray:
+        masks = np.empty((steps, trials, self.n), dtype=bool)
+        for i, u in _uniform_groups(rng, steps, (trials,)):
+            np.take(self._masks, _inverse_cdf(self._cum, u), axis=0,
+                    out=masks[i:i + len(u)], mode="clip")
+        return masks
 
     def alpha(self) -> float:
         return float(self.p[self._active].min())
@@ -164,8 +179,12 @@ class IndependentClocksScheduler(Scheduler):
         self.n = p.size
         self.p = p
 
-    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
-        return rng.random((steps, self.n)) < self.p
+    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
+                     carry=None) -> np.ndarray:
+        masks = np.empty((steps, trials, self.n), dtype=bool)
+        for i, u in _uniform_groups(rng, steps, (trials, self.n)):
+            np.less(u, self.p, out=masks[i:i + len(u)])
+        return masks
 
     def alpha(self) -> float:
         factors = []
@@ -249,7 +268,7 @@ class SupportSequenceScheduler(Scheduler):
             norm_ticks.append(list(zip(sets, probs)))
         self.ticks = norm_ticks
         self.weight_fn = weight_fn
-        self._cums = [np.cumsum([p for _, p in options]).tolist() for options in norm_ticks]
+        self._cums = [np.cumsum([p for _, p in options]) for options in norm_ticks]
         self._masks = [_mask_table([s for s, _ in options], self.n) for options in norm_ticks]
 
     @property
@@ -259,29 +278,45 @@ class SupportSequenceScheduler(Scheduler):
     def _options(self, k: int):
         return self.ticks[(k - 1) % self.period]
 
-    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
-        """Masks of ticks ``start + 1 ..``; a ``weight_fn`` hook reads
-        ``history``, the sets of the ticks before, which grows in place."""
-        history = [] if history is None else history
-        mask = np.empty((steps, self.n), dtype=bool)
-        for i, u in enumerate(rng.random(steps).tolist()):
-            tick = (start + i) % self.period
+    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
+                     carry=None) -> np.ndarray:
+        """Masks of ticks ``start + 1 ..``; a ``weight_fn`` hook is called per
+        trial and per tick with that trial's history, the sets of its ticks
+        before, which ``carry["history"]`` holds for every trial."""
+        masks = np.empty((steps, trials, self.n), dtype=bool)
+        if self.weight_fn is not None:
+            carry = {} if carry is None else carry
+            histories = carry.setdefault("history", [[] for _ in range(trials)])
+        P = self.period
+        for i, u in _uniform_groups(rng, steps, (trials,)):
             if self.weight_fn is None:
-                cum = self._cums[tick]
+                # the ticks of one phase of the period share their law
+                for r in range(min(P, len(u))):
+                    tick = (start + i + r) % P
+                    idx = _inverse_cdf(self._cums[tick], u[r::P])
+                    masks[i + r:i + len(u):P] = self._masks[tick][idx]
             else:
-                w = np.asarray(self.weight_fn(start + i + 1, history), dtype=np.float64)
-                if (w.shape != (len(self.ticks[tick]),) or (w <= 0).any()
-                        or abs(w.sum() - 1.0) > 1e-9):
-                    raise ValidationError(
-                        "weight_fn must return positive weights over the tick's "
-                        "declared supports, summing to 1"
-                    )
-                cum = np.cumsum(w).tolist()
-            idx = _pick(cum, u)
-            mask[i] = self._masks[tick][idx]
-            if self.weight_fn is not None:
-                history.append(self.ticks[tick][idx][0])
-        return mask
+                for r, row in enumerate(u):
+                    k = start + i + r + 1
+                    idx = [self._weighted_pick(k, h, v)
+                           for h, v in zip(histories, row.tolist())]
+                    np.take(self._masks[(k - 1) % P], idx, axis=0, out=masks[i + r],
+                            mode="clip")
+        return masks
+
+    def _weighted_pick(self, k: int, history: list, u: float) -> int:
+        """Index of the tick-k set that ``u`` picks under the hook's weights
+        given one trial's ``history``, which the set then extends."""
+        options = self._options(k)
+        w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
+        if w.shape != (len(options),) or (w <= 0).any() or abs(w.sum() - 1.0) > 1e-9:
+            raise ValidationError(
+                "weight_fn must return positive weights over the tick's "
+                "declared supports, summing to 1"
+            )
+        idx = int(_inverse_cdf(np.cumsum(w), u))
+        history.append(options[idx][0])
+        return idx
 
     def alpha(self) -> float:
         return float(min(p for options in self.ticks for _, p in options))
@@ -321,9 +356,9 @@ class MarkovScheduler(Scheduler):
     ``matrix`` (constant), ``matrices`` (cycled periodically) or
     ``matrix_fn(k)`` give the column-stochastic law of the move from tick k
     to tick k+1: entry (i, j) is the probability of state i following state
-    j.  ``matrix_fn`` must be a pure function of k: the laws of a block of
-    ticks are computed once and shared by every trial that draws the block.
-    The first draw returns ``initial`` deterministically.
+    j.  ``matrix_fn`` is called once per tick, and the law it returns is
+    shared by every trial.  The first draw returns ``initial``
+    deterministically.
     """
 
     kind = "markov"
@@ -352,7 +387,8 @@ class MarkovScheduler(Scheduler):
             if not self.matrices:
                 raise ValidationError("matrices list is empty")
         self._masks = _mask_table(self.states, self.n)
-        self._block = (None, [])
+        self._cums = (None if self.matrices is None
+                      else [self._cumulative(M) for M in self.matrices])
 
     @staticmethod
     def _check_matrix(M, m: int) -> ColumnStochasticMatrix:
@@ -367,31 +403,45 @@ class MarkovScheduler(Scheduler):
             return self.matrices[(k - 1) % len(self.matrices)]
         return self._check_matrix(self.matrix_fn(k), len(self.states))
 
-    def _laws(self, k0: int, k1: int) -> list:
-        """Column cumulative sums, as lists per source state, of the laws of
-        the moves from ticks ``k0 .. k1 - 1``, kept for the next trial that
-        draws the same block."""
-        if self._block[0] != (k0, k1):
-            cums = [np.cumsum(self.transition_matrix(k).entries, axis=0) for k in range(k0, k1)]
-            self._block = ((k0, k1), [c.T.tolist() for c in cums])
-        return self._block[1]
+    @staticmethod
+    def _cumulative(M: ColumnStochasticMatrix) -> np.ndarray:
+        """Row s: the cumulative law of the state that follows state s, with
+        the last entry inf, so that counting the entries <= u is
+        ``_inverse_cdf`` (whose clip sends every u past the sum there)."""
+        cum = np.cumsum(M.entries, axis=0).T.copy()
+        cum[:, -1] = np.inf
+        return cum
 
-    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
-        """Masks of ticks ``start + 1 ..``; for ``start > 0``, ``history``
-        must end with the set of tick ``start``.  It is cut to the last set
-        drawn, all the chain needs."""
+    def _law(self, k: int) -> np.ndarray:
+        """``_cumulative`` of the law of the move from tick k to tick k+1."""
+        if self._cums is not None:
+            return self._cums[(k - 1) % len(self._cums)]
+        return self._cumulative(self.transition_matrix(k))
+
+    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
+                     carry=None) -> np.ndarray:
+        """Masks of ticks ``start + 1 ..``; for ``start > 0``,
+        ``carry["state"]`` must hold the (trials,) state indices of tick
+        ``start``, as the previous block left them."""
+        masks = np.empty((steps, trials, self.n), dtype=bool)
         if steps == 0:
-            return np.zeros((0, self.n), dtype=bool)
+            return masks
+        carry = {} if carry is None else carry
         first = int(start == 0)
-        us = rng.random(steps - first).tolist()
-        state = self._index[self.initial if first else history[-1]]
-        path = [state] if first else []
-        for cums, u in zip(self._laws(start + first, start + steps), us):
-            state = _pick(cums[state], u)
-            path.append(state)
-        if history is not None:
-            history[:] = [self.states[state]]
-        return self._masks[path]
+        if first:
+            state = np.full(trials, self._index[self.initial])
+            masks[0] = self._masks[state]
+        else:
+            state = carry["state"]
+        for i, u in _uniform_groups(rng, steps - first, (trials,)):
+            path = np.empty(u.shape, dtype=np.intp)
+            for r, row in enumerate(u):
+                law = self._law(start + first + i + r)
+                state = path[r] = (law[state] <= row[:, None]).sum(axis=1)
+            np.take(self._masks, path, axis=0, out=masks[first + i:first + i + len(u)],
+                    mode="clip")
+        carry["state"] = state
+        return masks
 
     def alpha(self) -> float | None:
         if self.matrices is None:
@@ -447,9 +497,11 @@ class ScriptScheduler(Scheduler):
         self.repeat = bool(repeat)
         self._masks = _mask_table(self.sets, self.n)
 
-    def sample_masks(self, steps: int, rng, start: int = 0, history=None) -> np.ndarray:
+    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
+                     carry=None) -> np.ndarray:
         self.check_horizon(start + steps)
-        return self._masks[np.arange(start, start + steps) % len(self.sets)]
+        rows = self._masks[np.arange(start, start + steps) % len(self.sets)]
+        return np.repeat(rows[:, None], trials, axis=1)
 
     def check_horizon(self, steps: int) -> None:
         if steps > len(self.sets) and not (self.repeat and self.sets):

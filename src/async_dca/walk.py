@@ -104,7 +104,10 @@ def _fit_envelope(errors: np.ndarray) -> tuple:
     if not positive.any():
         return 0.0, 0.5
     tail = positive & (ks >= max(2, len(errors) // 2))
-    if tail.sum() >= 2:
+    if positive.sum() < 3:
+        # too short a prefix to fit a decay: the envelope takes its c0
+        beta = 0.5
+    elif tail.sum() >= 2:
         slope = np.polyfit(ks[tail], np.log(errors[tail]), 1)[0]
         beta = float(np.exp(slope))
     else:
@@ -114,6 +117,9 @@ def _fit_envelope(errors: np.ndarray) -> tuple:
         raise ValidationError(f"no geometric decay detected (fitted rate {beta})")
     beta = min(max(beta, 1e-12), 1.0 - 1e-12)
     c0 = float((errors[positive] / beta ** ks[positive]).max())
+    # a quotient may round down: raise c0 by ulps until the envelope holds
+    while (errors > c0 * beta ** ks).any():
+        c0 = float(np.nextafter(c0, np.inf))
     return c0, beta
 
 
@@ -282,7 +288,7 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
                             trials: int, seed: int, move_probs=None) -> MatchCurve:
     """Monte Carlo match-by-k curve with its distance-chain lower bound.
 
-    All trials share the one stream ``stream(seed)`` (seed contract 2): it
+    All trials share the one stream ``stream(seed)`` (seed contracts 2 and 3): it
     first yields every trial's two uniform starting positions as a
     ``(trials, 2)`` array, then blocks of ``WALK_BLOCK`` transition uniforms
     (fewer for the last block of the horizon), one row per still-unmatched

@@ -169,26 +169,25 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
     return deltas, lams, x, viol_contract, viol_mono, row_err
 
 
-# The schedulers' per-tick ``draw(history, rng)`` methods from before every
-# kind drew in blocks through ``sample_masks``: one draw per tick, given the
-# sets drawn so far.  Each ``sample_masks`` must take the same uniforms from
-# the stream and give the same sets.
+# The schedulers' per-tick ``draw`` methods from before every kind drew in
+# blocks through ``sample_masks``: one trial's set of tick k, given the sets
+# it drew at the ticks before (only the weight hook reads more than the
+# last), from scalar ``rng.random()`` draws.
 
-def _draw_global_clock(self, history, rng) -> frozenset:
+def _draw_global_clock(self, k, history, rng) -> frozenset:
     idx = int(_inverse_cdf(self._cum, rng.random()))
     return frozenset({int(self._active[idx]) + 1})
 
 
-def _draw_independent_clocks(self, history, rng) -> frozenset:
-    u = rng.random(self.n)
-    return frozenset(int(j) + 1 for j in np.nonzero(u < self.p)[0])
+def _draw_independent_clocks(self, k, history, rng) -> frozenset:
+    u = [rng.random() for _ in range(self.n)]
+    return frozenset(j + 1 for j in range(self.n) if u[j] < self.p[j])
 
 
-def _draw_support_sequence(self, history, rng) -> frozenset:
-    k = len(history) + 1
+def _draw_support_sequence(self, k, history, rng) -> frozenset:
     options = self._options(k)
     if self.weight_fn is None:
-        cum = self._cums[(k - 1) % self.period]
+        cum = np.cumsum([p for _, p in options])
     else:
         w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
         if w.shape != (len(options),) or (w <= 0).any() or abs(w.sum() - 1.0) > 1e-9:
@@ -201,28 +200,24 @@ def _draw_support_sequence(self, history, rng) -> frozenset:
     return options[idx][0]
 
 
-def _draw_markov(self, history, rng) -> frozenset:
-    if not history:
+def _draw_markov(self, k, history, rng) -> frozenset:
+    if k == 1:
         return self.initial
     prev = history[-1]
     prev = prev if isinstance(prev, frozenset) else normalize_update_set(prev, self.n)
     if prev not in self._index:
         raise ValidationError(f"history value {sorted(prev)} is not a markov state")
-    k = len(history)
-    col = self.transition_matrix(k).entries[:, self._index[prev]]
+    col = self.transition_matrix(k - 1).entries[:, self._index[prev]]
     idx = int(_inverse_cdf(np.cumsum(col), rng.random()))
     return self.states[idx]
 
 
-def _draw_script(self, history, rng) -> frozenset:
-    k = len(history)
-    if k >= len(self.sets):
+def _draw_script(self, k, history, rng) -> frozenset:
+    if k > len(self.sets):
         if not self.repeat:
-            raise ValidationError(
-                f"script of length {len(self.sets)} exhausted at tick {k + 1}"
-            )
-        k %= len(self.sets)
-    return self.sets[k]
+            raise ValidationError(f"script of length {len(self.sets)} exhausted at tick {k}")
+        k = (k - 1) % len(self.sets) + 1
+    return self.sets[k - 1]
 
 
 _DRAWS = {
@@ -234,36 +229,54 @@ _DRAWS = {
 }
 
 
-def draw_sets_per_tick(scheduler, steps, rng, history=None):
-    """The next ``steps`` update sets after ``history``, the sets drawn so
-    far (extended in place), drawn one tick at a time."""
-    history = [] if history is None else history
-    start = len(history)
-    for _ in range(steps):
-        history.append(_DRAWS[scheduler.kind](scheduler, history, rng))
-    return history[start:]
+def draw_sets_per_tick(scheduler, steps, rng, trials=1, start=0, histories=None):
+    """Ticks ``start + 1 .. start + steps`` of ``trials`` trials under seed
+    contract 3: tick by tick and, within a tick, trial by trial, each trial
+    drawing one tick from ``rng`` given its own history.
+
+    ``histories`` holds each trial's sets so far and is extended in place;
+    it is cut to the last set unless a weight hook reads it.  Returns one
+    list of ``trials`` sets per tick.
+    """
+    histories = [[] for _ in range(trials)] if histories is None else histories
+    draw = _DRAWS[scheduler.kind]
+    keep_all = getattr(scheduler, "weight_fn", None) is not None
+    ticks = []
+    for k in range(start + 1, start + steps + 1):
+        sets = []
+        for history in histories:
+            history.append(draw(scheduler, k, history, rng))
+            sets.append(history[-1])
+            if not keep_all:
+                del history[:-1]
+        ticks.append(sets)
+    return ticks
 
 
-# The whole-horizon draw that ``mc`` made before it streamed its inputs in
-# blocks: every mask of every trial is drawn before the kernel runs.  The
-# streamed pipeline must draw the same bits.
+# The whole-horizon draw of ``mc``: every mask of every trial is drawn
+# before the kernel runs, by scalar draws in the order of seed contract 3.
+# The streamed pipeline must draw the same bits.
 
 def draw_trial_inputs_full(cfg):
-    """Per-trial initial states and update masks, one substream per trial.
+    """Initial states and (trials, horizon, n) update masks of ``cfg``.
 
-    Draw order inside a trial's stream is fixed: the initial state first
-    (when random), then the schedule.
+    Everything comes from the one stream ``stream(seed, 0)``: the initial
+    states first (when random), trial by trial, then the schedule, tick by
+    tick and trial by trial.
     """
-    n = cfg.matrix.n
-    x0 = np.empty((cfg.trials, n))
-    masks = np.empty((cfg.trials, cfg.horizon, n), dtype=bool)
-    for t in range(cfg.trials):
-        rng = stream(cfg.seed, t)
-        if isinstance(cfg.init, str):
-            x0[t] = rng.uniform(-1.0, 1.0, n)
-        else:
-            x0[t] = cfg.init
-        masks[t] = cfg.scheduler.sample_masks(cfg.horizon, rng)
+    n, T = cfg.matrix.n, cfg.trials
+    rng = stream(cfg.seed, 0)
+    if isinstance(cfg.init, str):
+        x0 = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(T)])
+    else:
+        x0 = np.tile(cfg.init, (T, 1))
+    masks = np.zeros((T, cfg.horizon, n), dtype=bool)
+    histories = [[] for _ in range(T)]
+    for k in range(cfg.horizon):
+        [sets] = draw_sets_per_tick(cfg.scheduler, 1, rng, T, k, histories)
+        for t, members in enumerate(sets):
+            for j in members:
+                masks[t, k, j - 1] = True
     return x0, masks
 
 
@@ -283,8 +296,8 @@ def simulate_rows_engine(A, scheduler, steps, seed, x0=None, track=True):
     header = ["k", "delta"] + (["lambda_product"] if track else [])
     writer.writerow(header)
     history: list = []
-    for _ in range(steps):
-        [sigma] = draw_sets_per_tick(scheduler, 1, rng, history)
+    for k in range(steps):
+        [[sigma]] = draw_sets_per_tick(scheduler, 1, rng, 1, k, [history])
         state = step(state, A, sigma)
         row = [state.k - 1, state.delta()]
         if track:

@@ -1,5 +1,7 @@
-"""Seeded random generators for matrices and digraphs used across tests."""
+"""Seeded random generators for matrices, digraphs and mc inputs used across tests."""
 import numpy as np
+
+from async_dca import stream
 
 
 def random_stochastic(rng, n, density=0.6, min_weight=0.05):
@@ -77,3 +79,17 @@ def random_rooted_stochastic(rng, n):
         w = rng.uniform(0.05, 1.0, cols.size)
         A[i, cols] = w / w.sum()
     return A
+
+
+def mc_inputs(cfg):
+    """The initial states and (trials, horizon, n) update masks that ``mc``
+    draws for ``cfg``, by the library's own sampler.
+
+    ``_oracles.draw_trial_inputs_full`` is the scalar reference these equal
+    (``test_schedulers.py`` and ``test_streaming.py`` check it on every kind); it is
+    too slow for the 1000-trial runs.
+    """
+    rng = stream(cfg.seed, 0)
+    x0 = rng.uniform(-1.0, 1.0, (cfg.trials, cfg.matrix.n))
+    masks = cfg.scheduler.sample_masks(cfg.horizon, rng, cfg.trials)
+    return x0, masks.transpose(1, 0, 2)

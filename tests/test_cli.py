@@ -7,6 +7,7 @@ import pytest
 
 from async_dca import bundled_matrix
 from async_dca.cli import dispatch
+from async_dca.rng import SEED_CONTRACT
 
 
 @pytest.fixture
@@ -111,6 +112,7 @@ def test_mc_outputs_csv_and_summary(six_node, uniform_clock, tmp_path, capsys):
     summary = json.loads(out)
     assert summary["trials"] == 10
     assert summary["backend"] == "numpy"
+    assert summary["seed_contract"] == SEED_CONTRACT == 3
     assert 0.0 <= summary["consensus_fraction"] <= 1.0
     rows = list(csv.DictReader(csv_path.open()))
     assert len(rows) == 201
@@ -151,6 +153,7 @@ def test_walk_cli_with_cycle_file(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["cycle_length"] == 6
     assert 0 < summary["beta"] < 1
+    assert summary["seed_contract"] == SEED_CONTRACT
     rows = list(csv.DictReader(csv_path.open()))
     assert len(rows) == 60
     emp = [float(r["empirical_match_prob"]) for r in rows]

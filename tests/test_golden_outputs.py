@@ -4,12 +4,13 @@ Each case is one canonical ``async-dca`` invocation (the workloads of
 ``perfbench/workloads.py``, plus ``simulate --no-product``, ``repro all``
 and ``mc`` under a Markov and a period-3 support-sequence scheduler), run
 in process at seeds 1729 and 5.  The SHA-256 of each output is
-compared with a digest recorded before the streamed ``mc`` pipeline (the
-Markov and support-sequence cases: before those schedulers drew in
-blocks; the walk case: after its certificate took the exact rate of the
-distance chain), so every refactor since keeps every output byte.  A change
-that alters an output must update its digest here and name the change in
-CHANGES.md.
+compared with a recorded digest, so every refactor keeps every output
+byte.  The ``simulate`` digests were recorded before the streamed ``mc``
+pipeline, the walk ``curve.csv`` after its certificate took the exact rate
+of the distance chain, and the ``mc``, ``repro`` and walk ``summary.json``
+digests with seed contract 3, one stream for all trials of a run (the
+walk summary records the contract's number).  A change that alters an
+output must update its digest here and name the change in CHANGES.md.
 
 The digests hold for the numpy version recorded below: a different numpy
 may format floats or order reductions differently, so the comparison is
@@ -75,22 +76,22 @@ CASES = {
 }
 
 DIGESTS = {
-    ("mc-lambda", 1729): {"tails.csv": "51175e2227e1a089779267e4f16e8ca627a083d80c041a29ea3d3a6ed2576078",
-                          "summary.json": "d732576d1263841c75be9ceb556fa3eacf89f3e786cea90fe70a67926c051f53"},
-    ("mc-lambda", 5): {"tails.csv": "9edf784e83abd0657dd5cf96868f55f015fa0f8d1e150c1d4b2e588cd2657ea9",
-                       "summary.json": "b0ed12c58247bfe2a2cb793da2c869c0a2ec31456c8f4d59ca077f8e146946a8"},
-    ("mc-clocks", 1729): {"tails.csv": "291eb9b58e6158f6367a31e8826d7bf5251e4bd41dad08df5128fdab10c2b0ab",
-                          "summary.json": "35098a02eff294ed907fe4758418fe5b3a524b0560efbc0b0f327643f4222d60"},
-    ("mc-clocks", 5): {"tails.csv": "4b7da2ba087032f4e6bfc98ececb1873e1faa12a2b14cec09debb76456ded24c",
-                       "summary.json": "1909660959d59e727d14718990c0a38237d6ac656818761314360efa196dd2f1"},
-    ("mc-markov", 1729): {"tails.csv": "0f078d5fd8dfd648a2d0a3dfd440e30ff023d4cb291c132d93b2620b5d789bdd",
-                          "summary.json": "9ea32daed6b0bcb65f8b76d099d05a0dcd236a321659097cfc03942888e5247e"},
-    ("mc-markov", 5): {"tails.csv": "7addc66367a0633c7814ecfa64acd9e3eceace28d08ffe6e7abdcaef85a20755",
-                       "summary.json": "c6dd7f27fbf84238d02470c6ceaef31cec622fcafb022974296037929cb0365c"},
-    ("mc-period3", 1729): {"tails.csv": "b4634ad9de84595a35fbbc5474929d546b8e831b92407e477511c8b2540fc0b4",
-                           "summary.json": "173e0e8054052f2d5177d32da070184f3e77511cfe65eaa4e20b3af3440d189e"},
-    ("mc-period3", 5): {"tails.csv": "08f37dbc3f82a76f7b2768c8f42e7152c04bfd24d7583fc74435c0e0628e3bef",
-                        "summary.json": "96feccc416ad427239f787bca5ffb051a2f14dfe9c5eec708a1716b989922ba0"},
+    ("mc-lambda", 1729): {"tails.csv": "4d38af20cb18bae4963bfb0e67b38be06ee8a18dd430fcb6df2402adb7cfa6e8",
+                          "summary.json": "55d7ea7c0be07b46ec748ae4e8415c5bdf7c97da349522928da9cd15bb122681"},
+    ("mc-lambda", 5): {"tails.csv": "055f96363a9dbdcb79a054342b9313272e6538f31ba217ec256160c7bdbb4a94",
+                       "summary.json": "eac50e43783978a1a1156a02b2120edb86bc4037aa423c811c21b133b13e34cd"},
+    ("mc-clocks", 1729): {"tails.csv": "ef08e5765f631a22016491daec540d9b751a97ebdd50a2aa1ebbf80e8717e0ee",
+                          "summary.json": "ae00f2908debf6028a373ffe691927f3faa0eed1ba4bcfd62a840e0a4cbac637"},
+    ("mc-clocks", 5): {"tails.csv": "1abc3cf680eef94729a7b96f62b5e3aa98561e9e0ece41a6dfc769955779aea1",
+                       "summary.json": "cf82546e409c7ca240b0ec413db169ce8425adf5d184bf2547bff96e299e6342"},
+    ("mc-markov", 1729): {"tails.csv": "96cdcceb600231d4a91ab4b6d3f6c25eb516a3b61fece78949319f14ff7093b3",
+                          "summary.json": "23c332c627798dfdff5ca49e008560b34f84af342fa50baaf1e299b71729e37c"},
+    ("mc-markov", 5): {"tails.csv": "9c20969f1d84c3bfa30924b23148e270652963949ccff057d092e6e5d203d7f8",
+                       "summary.json": "8ba27c8b9a2e938a29f1e870089a543658d46601bde199649125bd5bbb1db260"},
+    ("mc-period3", 1729): {"tails.csv": "35a49c4b1d20ef2a1cb1159181e94551cfcb6487a28962f073b24d5cf26e28ac",
+                           "summary.json": "c51f64f37000c1ac7292fb717f7cf3450e11d7f6983a8d2c16eafb4929d18f62"},
+    ("mc-period3", 5): {"tails.csv": "539c01cc58b99062566a37840cedfb21b5a2b6e76d50cf009e8a62ca0a22b46f",
+                        "summary.json": "7365578e95b955db194780fab9534a8cc13ab4d7b6337d6c8dcc426d4f2a3e70"},
     ("simulate", 1729): {"trajectory.csv": "186fdc9423e3d0cdaf213f975f1a33f5c675b70eb44a12a19d870af5ce78e484"},
     ("simulate", 5): {"trajectory.csv": "c6c28dd521e453b55732e88b330d82cf84e2e4d6c0a938c153ba82045e876444"},
     ("simulate-no-product", 1729): {
@@ -98,11 +99,11 @@ DIGESTS = {
     ("simulate-no-product", 5): {
         "trajectory.csv": "ca66ba9f6b1d31ab261f76c4a96f87a5f5dd02bdb5a7ced96fe524741b2c2aae"},
     ("walk", 1729): {"curve.csv": "bf5c209d6d340342c2729297368782cee06ca471b88ca38e565049e388f9b21c",
-                     "summary.json": "186454748d86e150cdc8e2b0d5af39a5acaa895d39eeaf21f480eb08c7f940cf"},
+                     "summary.json": "72b73534792f665a57b51f283e84a1ca311d586d402e12a030a5a33ddfa7a340"},
     ("walk", 5): {"curve.csv": "422c720dab1ebcfdbd7935a4573c602cea1260b6096450d9697e79a0f1533c91",
-                  "summary.json": "186454748d86e150cdc8e2b0d5af39a5acaa895d39eeaf21f480eb08c7f940cf"},
-    ("repro-all", 1729): {"stdout": "a9a6a4f2468275a2a7bd175c056b5ebe8a2a3d0e4afb8031a5e2b4418f127aeb"},
-    ("repro-all", 5): {"stdout": "447b8ccb0254ae73b4ee0db5f1ff2180210a7980540d598ddbfd2c6445d48466"},
+                  "summary.json": "72b73534792f665a57b51f283e84a1ca311d586d402e12a030a5a33ddfa7a340"},
+    ("repro-all", 1729): {"stdout": "c65207a971f722faa03a588af51fa96b0fe26a73eca69f000a04991627513b16"},
+    ("repro-all", 5): {"stdout": "03ae82bc4792b2cee9a2d3764b559907420b57cfa93559d2ae0230425823953d"},
 }
 
 

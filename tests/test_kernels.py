@@ -18,8 +18,8 @@ from async_dca import (
     step,
     stream,
 )
-from _oracles import draw_trial_inputs_full, trajectory_batch_trials_first
-from _samplers import random_stochastic
+from _oracles import trajectory_batch_trials_first
+from _samplers import mc_inputs, random_stochastic
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,7 +35,7 @@ def _random_inputs(seed, trials=6, steps=40, n=5):
 def _coupled_inputs(scheduler, trials=12, horizon=300):
     cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler(scheduler),
                            trials=trials, horizon=horizon, seed=1729)
-    x0, masks = draw_trial_inputs_full(cfg)
+    x0, masks = mc_inputs(cfg)
     return cfg.matrix.entries, masks, x0
 
 
@@ -164,7 +164,7 @@ def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
 
 @pytest.mark.parametrize("track_lambda", [True, False])
 def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda):
-    # simulate is a T = 1 batch and must equal trial 0 of mc on every
+    # a trial's bits may not depend on the batch it runs in, on every
     # matrix; a one-column state product would go through gemv, which
     # rounds differently from the gemm of a wider batch on non-dyadic A
     rng = np.random.default_rng(2027)
@@ -294,7 +294,7 @@ def test_blocked_kernel_matches_trials_first_oracle(make_inputs, track_lambda, b
 
 def test_exit_inside_the_first_block_draws_no_second_block():
     # 1000 x 600 of half_clocks6 (chunks of one step) is a fixed point from
-    # step 285.  The backed-off test fails after step 276 and is next due
+    # step 290.  The backed-off test fails after step 276 and is next due
     # after step 293, past a first block of 290 steps: the test at the end
     # of the block finds the fixed point, so no second block is run
     A, masks, x0 = _coupled_inputs("half_clocks6", trials=1000, horizon=600)
@@ -307,13 +307,13 @@ def test_exit_inside_the_first_block_draws_no_second_block():
 
 def test_exit_test_backs_off_on_the_mc_lambda_shape(monkeypatch):
     # mc-lambda (200 x 5000 of uniform_clock6 with lambda): the states are
-    # fixed from about step 810, the products never within the horizon.
-    # Testing after every one of the 834 chunks made 1531 _fixed calls;
-    # the backed-off schedule makes fewer than 100 and changes no bit.
+    # fixed from about step 840, the products never within the horizon.
+    # Testing after every one of the 834 chunks makes more than 800 _fixed
+    # calls; the backed-off schedule makes fewer than 100 and changes no bit.
     cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
                            bundled_scheduler("uniform_clock6"),
                            trials=200, horizon=5000, seed=1729)
-    x0, masks = draw_trial_inputs_full(cfg)
+    x0, masks = mc_inputs(cfg)
     A = cfg.matrix.entries
     real, calls = _kernels._fixed, []
 

@@ -16,6 +16,7 @@ from async_dca import (
     check_strongly_aperiodic,
     run_experiment,
     scheduler_from_json,
+    schedulers,
     stream,
 )
 from _oracles import draw_sets_per_tick
@@ -81,9 +82,19 @@ DRAWN = {**ALL_SCHEDULERS, **HISTORY_SCHEDULERS}
 
 
 def _sets(scheduler, steps, rng):
-    """The update sets, 1-based, of ``scheduler.sample_masks(steps, rng)``."""
+    """The update sets, 1-based, of one trial's ``scheduler.sample_masks(steps, rng)``."""
     return [frozenset(int(j) + 1 for j in np.flatnonzero(row))
-            for row in scheduler.sample_masks(steps, rng)]
+            for row in scheduler.sample_masks(steps, rng)[:, 0]]
+
+
+def _tick_major(ticks, n):
+    """(steps, trials, n) masks of the per-tick lists of sets of
+    ``draw_sets_per_tick``."""
+    masks = np.zeros((len(ticks), len(ticks[0]) if ticks else 0, n), dtype=bool)
+    for k, sets in enumerate(ticks):
+        for t, members in enumerate(sets):
+            masks[k, t, [j - 1 for j in members]] = True
+    return masks
 
 
 @pytest.mark.parametrize("kind", sorted(ALL_SCHEDULERS))
@@ -99,54 +110,74 @@ def test_draw_is_deterministic_given_seed(kind):
 
 @pytest.mark.parametrize("kind", sorted(DRAWN))
 def test_sample_masks_matches_sequential_draws(kind):
-    # whole and in blocks of 1, 2 and 7 ticks, with the tick offset and the
-    # history carried, the masks are the per-tick oracle's sets and the
-    # stream is left where the oracle leaves it
+    # for 1, 3 and 17 trials, whole and in blocks of 1, 2 and 7 ticks with
+    # the tick offset and the carry passed on, the masks are the scalar
+    # reference's sets, drawn tick by tick and trial by trial, and the
+    # stream is left where the reference leaves it
     make = DRAWN[kind]
     steps = 150
-    want_rng = stream(7, 3)
-    sets = draw_sets_per_tick(make(), steps, want_rng)
-    expected = np.zeros((steps, make().n), dtype=bool)
-    for k, members in enumerate(sets):
-        for j in members:
-            expected[k, j - 1] = True
-    after = want_rng.random()
-    for block in (steps, 1, 2, 7):
-        scheduler, rng, history = make(), stream(7, 3), []
-        masks = np.concatenate([
-            scheduler.sample_masks(min(block, steps - k), rng, k, history)
-            for k in range(0, steps, block)
-        ])
-        assert np.array_equal(masks, expected), block
-        assert rng.random() == after, block
+    for trials in (1, 3, 17):
+        want_rng = stream(7, 3)
+        ticks = draw_sets_per_tick(make(), steps, want_rng, trials)
+        expected = _tick_major(ticks, make().n)
+        after = want_rng.random()
+        for block in (steps, 1, 2, 7):
+            scheduler, rng, carry = make(), stream(7, 3), {}
+            masks = np.concatenate([
+                scheduler.sample_masks(min(block, steps - k), rng, trials, k, carry)
+                for k in range(0, steps, block)
+            ])
+            assert masks.shape == (steps, trials, scheduler.n) and masks.dtype == bool
+            assert np.array_equal(masks, expected), (trials, block)
+            assert rng.random() == after, (trials, block)
+
+
+def test_uniforms_are_drawn_in_groups_of_ticks(monkeypatch):
+    # a buffer of two ticks of 17 x 4 uniforms: 75 groups, the same masks
+    make = ALL_SCHEDULERS["independent_clocks"]
+    whole = make().sample_masks(150, stream(7, 3), 17)
+    monkeypatch.setattr(schedulers, "UNIFORM_BUFFER_BYTES", 2 * 17 * 4 * 8)
+    calls = []
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, *args, **kwargs):
+            calls.append(kwargs["out"].shape)
+            return self.rng.random(*args, **kwargs)
+
+    assert np.array_equal(make().sample_masks(150, Counting(stream(7, 3)), 17), whole)
+    assert calls == [(2, 17, 4)] * 75
 
 
 @pytest.mark.parametrize("kind", sorted(DRAWN))
 def test_zero_steps_draw_nothing(kind):
     make = DRAWN[kind]
     for start in (0, 4):
-        scheduler, rng, history = make(), stream(8, 0), []
+        scheduler, rng, carry = make(), stream(8, 0), {}
         if start:
-            scheduler.sample_masks(start, rng, 0, history)
+            scheduler.sample_masks(start, rng, 3, 0, carry)
         after = stream(8, 0)
-        draw_sets_per_tick(make(), start, after)
-        masks = scheduler.sample_masks(0, rng, start, history)
-        assert masks.shape == (0, scheduler.n) and masks.dtype == bool
+        draw_sets_per_tick(make(), start, after, 3)
+        masks = scheduler.sample_masks(0, rng, 3, start, carry)
+        assert masks.shape == (0, 3, scheduler.n) and masks.dtype == bool
         assert rng.random() == after.random()
 
 
 def test_markov_carries_only_its_last_set():
     make = ALL_SCHEDULERS["markov"]
-    sets = draw_sets_per_tick(make(), 200, stream(4, 0))
-    scheduler, rng, history, k = make(), stream(4, 0), [], 0
+    ticks = draw_sets_per_tick(make(), 200, stream(4, 0), 5)
+    scheduler, rng, carry, k = make(), stream(4, 0), {}, 0
     for block in (1, 5, 0, 20, 1, 173):
-        scheduler.sample_masks(block, rng, k, history)
+        scheduler.sample_masks(block, rng, 5, k, carry)
         k += block
-        assert history == [sets[k - 1]]
+        assert list(carry) == ["state"]
+        assert [scheduler.states[i] for i in carry["state"]] == ticks[k - 1]
 
 
 def test_matrix_fn_is_called_once_per_tick_of_a_block():
-    # the T trials of one block share its laws: K - 1 calls, not T (K - 1)
+    # the T trials share each tick's law: K - 1 calls, not T (K - 1)
     calls = []
 
     def law(k):
@@ -198,7 +229,7 @@ def test_global_clock_uniform_frequencies():
 
 def test_independent_clocks_mean_set_size():
     scheduler = IndependentClocksScheduler([0.5] * 6)
-    masks = scheduler.sample_masks(100_000, stream(12, 0))
+    masks = scheduler.sample_masks(100_000, stream(12, 0))[:, 0]
     assert masks.sum(axis=1).mean() == pytest.approx(3.0, abs=0.05)
 
 
@@ -212,7 +243,7 @@ def test_script_replays_verbatim_and_exhausts():
     assert sets[4] == frozenset({1, 3})
     # an empty script has nothing to repeat
     empty = ScriptScheduler(4, [], repeat=True)
-    assert empty.sample_masks(0, stream(0, 0)).shape == (0, 4)
+    assert empty.sample_masks(0, stream(0, 0)).shape == (0, 1, 4)
     with pytest.raises(ValidationError):
         empty.sample_masks(1, stream(0, 0))
 

@@ -1,8 +1,8 @@
-"""``async-dca simulate`` runs the streamed ``mc`` pipeline on trial 0's stream.
+"""``async-dca simulate`` runs the streamed ``mc`` pipeline with one trial.
 
 Golden checks: its CSV must match the per-tick engine loop it replaced
 (``_oracles.simulate_rows_engine``) byte for byte on dyadic matrices, and
-its columns must equal trial 0 of ``mc`` for the same seed.
+its columns must equal ``mc --trials 1`` for the same seed.
 """
 import csv
 import io
@@ -83,7 +83,9 @@ def test_simulate_schedule_and_x0_files_match_engine_oracle(tmp_path):
 
 
 @pytest.mark.parametrize("sched", ["uniform_clock6", "half_clocks6"])
-def test_simulate_equals_mc_trial_zero(tmp_path, sched):
+def test_simulate_equals_mc_with_one_trial(tmp_path, sched):
+    # the series of mc --trials 1 from the scalar reference draws and the
+    # trials-first kernel oracle
     steps, seed = 400, 7
     code, out = _simulate(tmp_path, "--matrix", SIX,
                           "--scheduler", str(DATA / f"{sched}.json"),
@@ -92,7 +94,7 @@ def test_simulate_equals_mc_trial_zero(tmp_path, sched):
     cols = _columns(out.read_text())
     cfg = ExperimentConfig(matrix=bundled_matrix("six_node_coupled"),
                            scheduler=bundled_scheduler(sched),
-                           trials=3, horizon=steps, seed=seed)
+                           trials=1, horizon=steps, seed=seed)
     x0, masks = draw_trial_inputs_full(cfg)
     deltas, lams, _, _, _, _ = trajectory_batch_trials_first(cfg.matrix.entries, masks, x0)
     assert np.array_equal(cols[:, 0], np.arange(1, steps + 1))
@@ -101,7 +103,7 @@ def test_simulate_equals_mc_trial_zero(tmp_path, sched):
 
 
 @pytest.mark.parametrize("track", [True, False])
-def test_simulate_equals_mc_trial_zero_on_a_non_dyadic_matrix(tmp_path, track):
+def test_simulate_equals_mc_with_one_trial_on_a_non_dyadic_matrix(tmp_path, track):
     steps, seed = 300, 11
     A = StochasticMatrix(random_stochastic(np.random.default_rng(99), 6, density=1.0))
     matrix = tmp_path / "m.json"
@@ -113,13 +115,15 @@ def test_simulate_equals_mc_trial_zero_on_a_non_dyadic_matrix(tmp_path, track):
     assert code == 0
     cols = _columns(out.read_text())
     cfg = ExperimentConfig(matrix=A, scheduler=bundled_scheduler("half_clocks6"),
-                           trials=3, horizon=steps, seed=seed, track_lambda=track)
-    rows = [(d[:, 0], lam[:, 0]) for _, d, lam, _ in montecarlo.trajectory_blocks(cfg)]
-    deltas, lams = (np.concatenate(s)[1:] for s in zip(*rows))
-    assert len(deltas) == steps  # no fixed point: nothing to pad
-    assert np.array_equal(cols[:, 1].view(np.uint64), deltas.view(np.uint64))
+                           trials=1, horizon=steps, seed=seed, track_lambda=track)
+    x0, masks = draw_trial_inputs_full(cfg)
+    deltas, lams, _, _, _, _ = trajectory_batch_trials_first(A.entries, masks, x0, track)
+    assert np.array_equal(cols[:, 1].view(np.uint64), deltas[0, 1:].view(np.uint64))
     if track:
-        assert np.array_equal(cols[:, 2].view(np.uint64), lams.view(np.uint64))
+        assert np.array_equal(cols[:, 2].view(np.uint64), lams[0, 1:].view(np.uint64))
+    # mc --trials 1 ends where simulate ends
+    result = montecarlo.run_experiment(cfg)
+    assert np.array_equal(result.final_deltas.view(np.uint64), cols[-1:, 1].view(np.uint64))
 
 
 def test_simulate_random_matrices_match_engine_oracle(tmp_path):

@@ -6,6 +6,7 @@ nothing may be drawn past the block in which every trial reached an exact
 fixed point.
 """
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from async_dca import (
 )
 from async_dca.cli import dispatch
 from _oracles import draw_trial_inputs_full, trajectory_batch_trials_first
+from _samplers import mc_inputs
 
 DATA = Path(async_dca.__file__).resolve().parent / "data"
 SIX = str(DATA / "six_node_coupled.json")
@@ -126,40 +128,78 @@ def test_scrambling_rate_does_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_blocked_draws_equal_the_whole_horizon_draw():
-    # the tick offset and the history carry across blocks of 7 draws
+    # the tick offset and the carry pass across blocks of 7 ticks
     for name, make in SCHEDULERS.items():
-        scheduler, whole = make(), make().sample_masks(100, async_dca.stream(3, 1))
-        rng, history = async_dca.stream(3, 1), []
-        blocks = [scheduler.sample_masks(min(7, 100 - k), rng, k, history)
+        whole = make().sample_masks(100, async_dca.stream(3, 1), 5)
+        scheduler, rng, carry = make(), async_dca.stream(3, 1), {}
+        blocks = [scheduler.sample_masks(min(7, 100 - k), rng, 5, k, carry)
                   for k in range(0, 100, 7)]
         assert np.array_equal(np.concatenate(blocks), whole), name
 
 
 def test_mc_clocks_draws_stop_with_the_block_of_the_fixed_point(monkeypatch):
     # mc-clocks (1000 x 5000 of half_clocks6, seed 1729): every state is a
-    # fixed point from step 285 on, so the pipeline draws the blocks up to
-    # the one holding step 285 and no further
+    # fixed point from step 290 on, so the pipeline draws the blocks up to
+    # the one holding step 290 and no further, one call for all trials each
     cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
                            bundled_scheduler("half_clocks6"),
                            trials=1000, horizon=5000, seed=1729, track_lambda=False)
     A = cfg.matrix.entries
-    for steps, fixed in ((284, False), (285, True)):
-        x0, masks = draw_trial_inputs_full(ExperimentConfig(
-            cfg.matrix, cfg.scheduler, trials=1000, horizon=steps, seed=1729))
-        x = trajectory_batch_trials_first(A, masks, x0, False)[2]
+    x0, masks = mc_inputs(ExperimentConfig(cfg.matrix, cfg.scheduler, trials=1000,
+                                           horizon=290, seed=1729))
+    for steps, fixed in ((289, False), (290, True)):
+        x = trajectory_batch_trials_first(A, masks[:, :steps], x0, False)[2]
         assert np.array_equal(_bits(x @ A.T), _bits(x)) == fixed
     drawn = []
     real = IndependentClocksScheduler.sample_masks
 
-    def counted(self, steps, *args):
-        drawn.append(steps)
-        return real(self, steps, *args)
+    def counted(self, steps, rng, trials, *args):
+        drawn.append((steps, trials))
+        return real(self, steps, rng, trials, *args)
 
     monkeypatch.setattr(IndependentClocksScheduler, "sample_masks", counted)
     result = run_experiment(cfg)
     B = montecarlo.MASK_BLOCK_BYTES // (1000 * 6)
-    assert sum(drawn) == 1000 * B * -(-285 // B)
+    assert drawn == [(B, 1000)] * -(-290 // B)
     assert result.consensus_fraction == 1.0
+
+
+@pytest.mark.parametrize("B", [None, 7])
+def test_one_stream_serves_every_trial(monkeypatch, B):
+    # seed contract 3: one generator per run and one draw call per block
+    cfg = _cfg("half_clocks6", trials=50, horizon=40)
+    _with_block(monkeypatch, cfg, B)
+    calls = {"stream": 0, "sample_masks": 0}
+    real_stream, real_sample = montecarlo.stream, IndependentClocksScheduler.sample_masks
+
+    def stream(*args):
+        calls["stream"] += 1
+        return real_stream(*args)
+
+    def sample(*args, **kwargs):
+        calls["sample_masks"] += 1
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "stream", stream)
+    monkeypatch.setattr(IndependentClocksScheduler, "sample_masks", sample)
+    run_experiment(cfg)
+    assert calls == {"stream": 1, "sample_masks": 1 if B is None else -(-40 // 7)}
+
+
+def test_mc_clocks_memory_stays_bounded():
+    # mc-clocks without lambda, measured by tracemalloc: the tick-major
+    # draw never holds more than a block of masks, one buffer of uniforms
+    # and the kernel's carry and chunk buffers
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
+                           bundled_scheduler("half_clocks6"),
+                           trials=1000, horizon=5000, seed=1729, track_lambda=False)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _script(tmp_path, sets, repeat=False):

@@ -101,6 +101,18 @@ def test_rate_certificate_uniform_completion_l6():
     assert (errors <= cert.c0 * cert.beta ** ks + 1e-12).all()
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_rate_certificate_holds_on_short_prefixes(k):
+    # a two-matrix prefix has errors [1, 1], too few to fit a decay; like
+    # the one-matrix prefix it takes beta = 1/2, and every envelope holds
+    # without a tolerance
+    W = lower_bound_matrix(6, 0.2)
+    cert = product_convergence_rate([uniform_completion(W)] * k, W)
+    assert 0.0 < cert.beta < 1.0
+    for j in range(1, k + 1):
+        assert cert.errors[j - 1] <= cert.c0 * cert.beta ** j
+
+
 def test_rate_certificate_l2_matches_scalar_recursion():
     gamma = 0.3
     W = lower_bound_matrix(2, gamma)
