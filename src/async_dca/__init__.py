@@ -15,14 +15,7 @@ from .datasets import (
     bundled_matrix,
     bundled_scheduler,
 )
-from .engine import (
-    TrajectoryState,
-    initial_state,
-    make_async_matrix,
-    normalize_update_set,
-    run_script,
-    step,
-)
+from .engine import TrajectoryState, initial_state, step
 from .errors import DimensionError, ValidationError
 from .graphs import (
     DirectedGraph,
@@ -40,10 +33,7 @@ from .matrices import (
     StochasticMatrix,
     ergodic_coefficient,
     is_scrambling,
-    matrix_power,
     max_discrepancy,
-    multiply,
-    same_type,
 )
 from .montecarlo import (
     ExperimentConfig,
@@ -69,6 +59,7 @@ from .schedulers import (
     SupportSequenceScheduler,
     check_conditions,
     check_strongly_aperiodic,
+    normalize_update_set,
     scheduler_from_json,
 )
 from .walk import (
@@ -129,18 +120,13 @@ __all__ = [
     "is_scrambling",
     "is_sia",
     "lower_bound_matrix",
-    "make_async_matrix",
     "match_probability_curve",
-    "matrix_power",
     "max_discrepancy",
-    "multiply",
     "normalize_update_set",
     "product_convergence_rate",
     "replay",
     "roots",
     "run_experiment",
-    "run_script",
-    "same_type",
     "scc_decomposition",
     "scheduler_from_json",
     "scrambling_hit_rate",

@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from .datasets import BUNDLED_MATRICES
-from .engine import normalize_update_set
 from .errors import ValidationError
 from .graphs import LabelledCycle, analysis_report, build_graph, build_labelled_cycle, roots
-from .matrices import PRODUCT_ROW_SUM_TOL, StochasticMatrix
+from .matrices import StochasticMatrix
 from .montecarlo import (
-    REPLAY_CASES, ExperimentConfig, replay, run_experiment, trajectory_blocks,
+    REPLAY_CASES, ExperimentConfig, check_product_rows, replay, run_experiment,
+    trajectory_blocks,
 )
 from .rng import DEFAULT_SEED, SEED_CONTRACT
 from .schedulers import ScriptScheduler, check_conditions, scheduler_from_json
@@ -62,9 +62,8 @@ def _cmd_simulate(args) -> int:
     if args.schedule is not None and args.scheduler is not None:
         raise ValidationError("give at most one of --schedule and --scheduler")
     if args.schedule is not None:
-        sets = [normalize_update_set(s, A.n) for s in _load_json(args.schedule)]
-        scheduler = ScriptScheduler(A.n, sets)
-        steps = len(sets) if args.steps is None else args.steps
+        scheduler = ScriptScheduler(A.n, _load_json(args.schedule))
+        steps = len(scheduler.sets) if args.steps is None else args.steps
     elif args.scheduler is not None:
         scheduler = _load_scheduler(args.scheduler)
         if scheduler.n != A.n:
@@ -103,11 +102,7 @@ def _cmd_simulate(args) -> int:
             k1 = k + len(d)
             deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
         deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
-        if carry.row_err[0] > PRODUCT_ROW_SUM_TOL:
-            raise ValidationError(
-                f"accumulated product has a row sum off by {float(carry.row_err[0])!r}, "
-                f"more than {PRODUCT_ROW_SUM_TOL}"
-            )
+        check_product_rows(carry)
     columns = [range(1, steps + 1), deltas[1:].tolist()]
     if track:
         columns.append(lams[1:].tolist())

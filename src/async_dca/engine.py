@@ -1,10 +1,16 @@
-"""Asynchronous iteration of a coupling matrix.
+"""Per-step reference for the asynchronous iteration.
 
 At every tick a subset sigma of agents replaces its state with the matrix
 average while everyone else holds still; this is equivalent to applying the
 iteration matrix ``A_sigma`` whose non-updating rows are elementary.  The
-engine keeps the running left product ``A_{sigma_k} ... A_{sigma_1}``, so
-``x(k+1) = product . x(1)`` at every step.
+reference keeps the running left product ``A_{sigma_k} ... A_{sigma_1}``,
+so ``x(k+1) = product . x(1)`` at every step.
+
+The library runs every trajectory on ``_kernels.trajectory_batch``; nothing
+in it steps one tick at a time.  ``step`` is kept as the plain, independent
+implementation the kernel is tested against, and it stays in the package
+because the span tracer of ``perfbench/tracer.py`` resolves ``engine.step``
+among its ``TARGETS``.
 
 States are immutable values; ``step`` returns a new state, so trajectories
 can be shared or branched freely.
@@ -15,32 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError
 from .matrices import PRODUCT_ROW_SUM_TOL, StochasticMatrix, max_discrepancy
-
-
-def normalize_update_set(sigma, n: int) -> frozenset:
-    """Coerce an agent index or an iterable of indices to a frozenset.
-
-    A bare integer j and the one-element set {j} are the same update set.
-    """
-    if isinstance(sigma, (int, np.integer)):
-        members = frozenset({int(sigma)})
-    else:
-        members = frozenset(int(j) for j in sigma)
-    for j in members:
-        if not 1 <= j <= n:
-            raise ValidationError(f"update-set member {j} out of range 1..{n}")
-    return members
-
-
-def make_async_matrix(A: StochasticMatrix, sigma) -> StochasticMatrix:
-    """Row j of A where j updates, the elementary row e_j elsewhere."""
-    members = normalize_update_set(sigma, A.n)
-    out = np.eye(A.n)
-    for j in members:
-        out[j - 1, :] = A.entries[j - 1, :]
-    return StochasticMatrix(out)
+from .schedulers import normalize_update_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,11 +70,3 @@ def step(state: TrajectoryState, A: StochasticMatrix, sigma) -> TrajectoryState:
         entries[rows] = A.entries[rows] @ state.product.entries
         product = StochasticMatrix(entries, tol=PRODUCT_ROW_SUM_TOL)
     return TrajectoryState(k=state.k + 1, x=x, product=product)
-
-
-def run_script(A: StochasticMatrix, schedule, x1, track_product: bool = True) -> TrajectoryState:
-    """Fold ``step`` over a fixed list of update sets."""
-    state = initial_state(x1, track_product=track_product)
-    for sigma in schedule:
-        state = step(state, A, sigma)
-    return state

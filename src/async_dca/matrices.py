@@ -34,6 +34,9 @@ def _as_square_array(entries) -> np.ndarray:
     arr = np.array(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionError(f"expected a nonempty square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ValidationError(f"non-finite entry at row {i + 1}, column {j + 1}")
     return arr
 
 
@@ -161,25 +164,3 @@ def ergodic_coefficient(A) -> float:
 def is_scrambling(A) -> bool:
     """True when every pair of rows shares a positively weighted column."""
     return ergodic_coefficient(A) < 1.0 - SCRAMBLING_TOL
-
-
-def same_type(A, B) -> bool:
-    """True when the two matrices have identical zero/positive patterns."""
-    a, b = _entries(A), _entries(B)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return bool(((a > 0) == (b > 0)).all())
-
-
-def multiply(A: StochasticMatrix, B: StochasticMatrix) -> StochasticMatrix:
-    """Matrix product A @ B; later update steps multiply on the left."""
-    a, b = _entries(A), _entries(B)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return StochasticMatrix(a @ b, tol=PRODUCT_ROW_SUM_TOL)
-
-
-def matrix_power(A: StochasticMatrix, k: int) -> StochasticMatrix:
-    if k < 0:
-        raise ValidationError("negative matrix power")
-    return StochasticMatrix(np.linalg.matrix_power(_entries(A), k), tol=PRODUCT_ROW_SUM_TOL)

@@ -37,15 +37,15 @@ import numpy as np
 
 from . import _kernels
 from .datasets import bundled_matrix
-from .engine import run_script
 from .errors import DimensionError, ValidationError
 from .graphs import is_sia
-from .matrices import StochasticMatrix, max_discrepancy
+from .matrices import PRODUCT_ROW_SUM_TOL, StochasticMatrix, max_discrepancy
 from .rng import DEFAULT_SEED, SEED_CONTRACT, stream
 from .schedulers import (
     GlobalClockScheduler,
     MarkovScheduler,
     Scheduler,
+    ScriptScheduler,
     SupportSequenceScheduler,
     check_conditions,
     check_strongly_aperiodic,
@@ -76,8 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1 or self.horizon < 1:
             raise ValidationError("need trials >= 1 and horizon >= 1")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.scheduler.n != self.matrix.n:
             raise DimensionError(
                 f"scheduler has n={self.scheduler.n} but matrix is {self.matrix.n}x{self.matrix.n}"
@@ -86,6 +86,8 @@ class ExperimentConfig:
             arr = np.asarray(self.init, dtype=np.float64)
             if arr.shape != (self.matrix.n,):
                 raise DimensionError(f"fixed init must have length {self.matrix.n}")
+            if not np.isfinite(arr).all():
+                raise ValidationError("fixed init has a non-finite entry")
             object.__setattr__(self, "init", arr)
         elif self.init != "uniform":
             raise ValidationError(f"init must be 'uniform' or a vector, got {self.init!r}")
@@ -161,6 +163,15 @@ def trajectory_blocks(cfg: ExperimentConfig):
             return
         # the caller has reduced this block: free its rows before the next
         del deltas, lams
+
+
+def check_product_rows(carry) -> None:
+    """Raise ValidationError when a trial's accumulated product has drifted
+    from row-stochastic by more than ``PRODUCT_ROW_SUM_TOL``."""
+    err = float(carry.row_err.max())
+    if err > PRODUCT_ROW_SUM_TOL:
+        raise ValidationError(f"accumulated product has a row sum off by {err!r}, "
+                              f"more than {PRODUCT_ROW_SUM_TOL}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -261,6 +272,11 @@ class ReplayReport:
                 "failures": list(self.failures), "details": self.details}
 
 
+def _given(value, default):
+    """A replay's trials or horizon; only None takes the default, so 0 is rejected."""
+    return default if value is None else value
+
+
 class _Checks:
     def __init__(self):
         self.failures = []
@@ -270,11 +286,25 @@ class _Checks:
             self.failures.append(name)
 
 
+def _run_script(A: StochasticMatrix, sets, x1):
+    """Final state and accumulated product of one run over the update sets
+    ``sets``, as a one-trial kernel call with the product tracked.
+
+    A script draws no uniforms, so no stream is made.  The row sums of
+    every step's product are checked, as ``engine.step`` checks them.
+    """
+    masks = ScriptScheduler(A.n, sets).sample_masks(len(sets), None)
+    x0 = np.asarray(x1, dtype=np.float64)[None]
+    _, _, carry = _kernels.trajectory_batch(A.entries, masks.transpose(1, 0, 2), x0, True)
+    check_product_rows(carry)
+    return carry.x[:, 0].copy(), StochasticMatrix(carry.Q[:, 1:, 0], tol=PRODUCT_ROW_SUM_TOL)
+
+
 def _replay_example2(trials, horizon, seed):
     A = bundled_matrix("five_node_shift")
     checks = _Checks()
     checks.expect("base matrix is SIA", is_sia(A))
-    state = run_script(A, [5, 4, 1, 2, 3], np.arange(5, dtype=float))
+    _, product = _run_script(A, [5, 4, 1, 2, 3], np.arange(5, dtype=float))
     expected = np.array([
         [0, 0, 0, 1, 0],
         [0, 0, 0, 1, 0],
@@ -283,9 +313,9 @@ def _replay_example2(trials, horizon, seed):
         [0, 0, 0, 1, 0],
     ], dtype=float)
     checks.expect("five-factor product matches the expected matrix",
-                  np.array_equal(state.product.entries, expected))
-    checks.expect("five-factor product is not SIA", not is_sia(state.product))
-    details = {"product": state.product.entries.tolist()}
+                  np.array_equal(product.entries, expected))
+    checks.expect("five-factor product is not SIA", not is_sia(product))
+    details = {"product": product.entries.tolist()}
     return checks, details
 
 
@@ -293,12 +323,12 @@ def _replay_example3(trials, horizon, seed):
     A = bundled_matrix("two_node_swap")
     checks = _Checks()
     checks.expect("base matrix is not SIA", not is_sia(A))
-    state = run_script(A, [2, 1], np.array([0.25, -0.75]))
+    x, product = _run_script(A, [2, 1], np.array([0.25, -0.75]))
     checks.expect("two-step product is the rank-one copier",
-                  np.array_equal(state.product.entries, np.array([[1.0, 0.0], [1.0, 0.0]])))
-    checks.expect("two-step product is SIA", is_sia(state.product))
-    checks.expect("consensus after two steps", max_discrepancy(state.x) == 0.0)
-    details = {"product": state.product.entries.tolist(), "delta": max_discrepancy(state.x)}
+                  np.array_equal(product.entries, np.array([[1.0, 0.0], [1.0, 0.0]])))
+    checks.expect("two-step product is SIA", is_sia(product))
+    checks.expect("consensus after two steps", max_discrepancy(x) == 0.0)
+    details = {"product": product.entries.tolist(), "delta": max_discrepancy(x)}
     return checks, details
 
 
@@ -318,7 +348,7 @@ def _replay_markov_vanishing_alpha(trials, horizon, seed):
     report = check_conditions(scheduler, A)
     checks.expect("no positive probability floor exists",
                   not report["positive_probability"].passed)
-    cfg = ExperimentConfig(A, scheduler, trials=trials or 200, horizon=horizon or 300,
+    cfg = ExperimentConfig(A, scheduler, trials=_given(trials, 200), horizon=_given(horizon, 300),
                            seed=seed, track_lambda=False)
     result = run_experiment(cfg)
     median = result.delta_quantiles["median"]
@@ -341,7 +371,7 @@ def _coverage_violation_scheduler() -> SupportSequenceScheduler:
 def _replay_coverage_violation(trials, horizon, seed):
     A = bundled_matrix("four_node_ring")
     checks = _Checks()
-    state = run_script(A, [{1, 3}, {2, 4}], np.arange(4, dtype=float))
+    _, product = _run_script(A, [{1, 3}, {2, 4}], np.arange(4, dtype=float))
     expected = np.array([
         [0, 0, 0, 1],
         [0, 0, 0, 1],
@@ -349,8 +379,8 @@ def _replay_coverage_violation(trials, horizon, seed):
         [0, 1, 0, 0],
     ], dtype=float)
     checks.expect("pair product matches the expected matrix",
-                  np.array_equal(state.product.entries, expected))
-    checks.expect("pair product is not SIA", not is_sia(state.product))
+                  np.array_equal(product.entries, expected))
+    checks.expect("pair product is not SIA", not is_sia(product))
     scheduler = _coverage_violation_scheduler()
     report = check_conditions(scheduler, A)
     for name in ("rooted", "positive_probability", "history_independent", "joint_coverage"):
@@ -360,14 +390,14 @@ def _replay_coverage_violation(trials, horizon, seed):
     violations = qs.witness.get("violations", [])
     checks.expect("first witness intersection is {1, 3}",
                   bool(violations) and violations[0].get("intersection") == [1, 3])
-    cfg = ExperimentConfig(A, scheduler, trials=trials or 50, horizon=horizon or 201,
+    cfg = ExperimentConfig(A, scheduler, trials=_given(trials, 50), horizon=_given(horizon, 201),
                            seed=seed, track_lambda=False)
     result = run_experiment(cfg)
     median = result.delta_quantiles["median"]
     checks.expect(f"median final discrepancy stays above {NONCONSENSUS_DELTA}",
                   median > NONCONSENSUS_DELTA)
     details = {
-        "product": state.product.entries.tolist(),
+        "product": product.entries.tolist(),
         "median_final_delta": median,
         "conditions": report.to_json(),
         "threshold_note": _THRESHOLD_NOTE,
@@ -378,11 +408,11 @@ def _replay_coverage_violation(trials, horizon, seed):
 def _replay_period3_markov(trials, horizon, seed):
     A = bundled_matrix("three_node_cycle")
     checks = _Checks()
-    state = run_script(A, [3, 2, 1], np.arange(3, dtype=float))
+    _, product = _run_script(A, [3, 2, 1], np.arange(3, dtype=float))
     expected = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     checks.expect("period product matches the expected matrix",
-                  np.array_equal(state.product.entries, expected))
-    checks.expect("period product is not SIA", not is_sia(state.product))
+                  np.array_equal(product.entries, expected))
+    checks.expect("period product is not SIA", not is_sia(product))
     scheduler = MarkovScheduler(
         3, states=[{1}, {2}, {3}], initial={3},
         matrix=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
@@ -390,14 +420,14 @@ def _replay_period3_markov(trials, horizon, seed):
     report = check_conditions(scheduler, A)
     checks.expect("history independence fails for the markov law",
                   not report["history_independent"].passed)
-    cfg = ExperimentConfig(A, scheduler, trials=trials or 50, horizon=horizon or 300,
+    cfg = ExperimentConfig(A, scheduler, trials=_given(trials, 50), horizon=_given(horizon, 300),
                            seed=seed, track_lambda=False)
     result = run_experiment(cfg)
     median = result.delta_quantiles["median"]
     checks.expect(f"median final discrepancy stays above {NONCONSENSUS_DELTA}",
                   median > NONCONSENSUS_DELTA)
     details = {
-        "period_product": state.product.entries.tolist(),
+        "period_product": product.entries.tolist(),
         "median_final_delta": median,
         "conditions": report.to_json(),
         "threshold_note": _THRESHOLD_NOTE,

@@ -44,7 +44,6 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 from .graphs import build_graph, roots
 from .matrices import ColumnStochasticMatrix, StochasticMatrix
-from .engine import normalize_update_set
 
 PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
@@ -55,6 +54,21 @@ UNIFORM_BUFFER_BYTES = 1 << 17  # the buffer a block's uniforms are drawn into
 
 class NotEnumerableError(ValidationError):
     """The scheduler's one-step support distribution cannot be enumerated."""
+
+
+def normalize_update_set(sigma, n: int) -> frozenset:
+    """Coerce an agent index or an iterable of indices to a frozenset.
+
+    A bare integer j and the one-element set {j} are the same update set.
+    """
+    if isinstance(sigma, (int, np.integer)):
+        members = frozenset({int(sigma)})
+    else:
+        members = frozenset(int(j) for j in sigma)
+    for j in members:
+        if not 1 <= j <= n:
+            raise ValidationError(f"update-set member {j} out of range 1..{n}")
+    return members
 
 
 def _inverse_cdf(cumulative: np.ndarray, u) -> np.ndarray:
@@ -132,7 +146,7 @@ class GlobalClockScheduler(Scheduler):
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValidationError("global_clock needs a 1-d probability vector")
-        if (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
+        if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
             raise ValidationError("global_clock probabilities must be >= 0 and sum to 1")
         self.n = p.size
         self.p = p
@@ -174,7 +188,7 @@ class IndependentClocksScheduler(Scheduler):
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValidationError("independent_clocks needs a 1-d probability vector")
-        if (p < 0).any() or (p > 1).any():
+        if not ((p >= 0) & (p <= 1)).all():
             raise ValidationError("activation probabilities must lie in [0, 1]")
         self.n = p.size
         self.p = p
@@ -257,8 +271,8 @@ class SupportSequenceScheduler(Scheduler):
                 raise ValidationError(f"tick {t + 1} lists no update sets")
             sets = [normalize_update_set(s, self.n) for s, _ in options]
             probs = np.array([float(p) for _, p in options])
-            if (probs <= 0).any():
-                raise ValidationError(f"tick {t + 1} has a non-positive probability")
+            if not (np.isfinite(probs) & (probs > 0)).all():
+                raise ValidationError(f"tick {t + 1} has a non-positive or non-finite probability")
             if abs(probs.sum() - 1.0) > PROB_TOL:
                 raise ValidationError(
                     f"tick {t + 1} probabilities sum to {float(probs.sum())!r}"
@@ -309,7 +323,7 @@ class SupportSequenceScheduler(Scheduler):
         given one trial's ``history``, which the set then extends."""
         options = self._options(k)
         w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
-        if w.shape != (len(options),) or (w <= 0).any() or abs(w.sum() - 1.0) > 1e-9:
+        if w.shape != (len(options),) or not (w > 0).all() or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValidationError(
                 "weight_fn must return positive weights over the tick's "
                 "declared supports, summing to 1"

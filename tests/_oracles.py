@@ -13,13 +13,14 @@ import numpy as np
 
 from async_dca import (
     LabelledCycle,
+    StochasticMatrix,
     ValidationError,
     ergodic_coefficient,
     initial_state,
+    normalize_update_set,
     step,
     stream,
 )
-from async_dca.engine import normalize_update_set
 from async_dca.schedulers import _inverse_cdf
 from async_dca.walk import WALK_BLOCK, _check_move_probabilities
 
@@ -115,6 +116,28 @@ def bfs_roots(n, edges):
     """Roots by brute force: BFS from every node."""
     full = set(range(1, n + 1))
     return {r for r in full if bfs_reachable(n, edges, r) == full}
+
+
+# The asynchronous iteration one tick at a time: the matrix ``A_sigma`` of
+# an update set, and ``engine.step`` folded over a fixed script.  The
+# library runs scripts on the kernel and must reach the same state and
+# product.
+
+def make_async_matrix(A, sigma):
+    """Row j of A where j updates, the elementary row e_j elsewhere."""
+    members = normalize_update_set(sigma, A.n)
+    out = np.eye(A.n)
+    for j in members:
+        out[j - 1, :] = A.entries[j - 1, :]
+    return StochasticMatrix(out)
+
+
+def run_script_steps(A, sets, x1, track_product=True):
+    """The ``TrajectoryState`` after ``engine.step`` for each set in turn."""
+    state = initial_state(x1, track_product=track_product)
+    for sigma in sets:
+        state = step(state, A, sigma)
+    return state
 
 
 # The numpy trajectory kernel as first written: trials on the leading axis,

@@ -211,6 +211,31 @@ def test_error_exit_codes(six_node, tmp_path, capsys):
     assert code == 2 and "invalid input" in err
 
 
+def test_non_finite_inputs_exit_2(six_node, uniform_clock, tmp_path, capsys):
+    nan_matrix = tmp_path / "nan.json"
+    nan_matrix.write_text(json.dumps({"n": 2, "rows": [[float("nan"), 1.0], [0.5, 0.5]]}))
+    code, out, err = run_cli(capsys, "analyze", "--matrix", str(nan_matrix))
+    assert code == 2 and "non-finite" in err and out == ""
+
+    nan_clock = tmp_path / "nan_clock.json"
+    nan_clock.write_text(json.dumps({"kind": "global_clock",
+                                     "params": {"p": [float("nan"), 1.0]}}))
+    bundled_matrix("two_node_swap").save(tmp_path / "swap.json")
+    code, out, err = run_cli(capsys, "mc", "--matrix", str(tmp_path / "swap.json"),
+                             "--scheduler", str(nan_clock), "--trials", "2", "--steps", "5")
+    assert code == 2 and "invalid input" in err and out == ""
+
+    code, out, err = run_cli(capsys, "mc", "--matrix", six_node, "--scheduler", uniform_clock,
+                             "--trials", "2", "--steps", "5", "--epsilon", "nan")
+    assert code == 2 and "epsilon" in err and out == ""
+
+
+def test_repro_zero_trials_or_steps_exit_2(capsys):
+    for flag in ("--trials", "--steps"):
+        code, out, err = run_cli(capsys, "repro", "period3_markov", flag, "0")
+        assert code == 2 and "trials >= 1" in err and out == ""
+
+
 def test_dimension_mismatch_is_input_error(six_node, tmp_path, capsys):
     clock4 = tmp_path / "clock4.json"
     clock4.write_text(json.dumps({"kind": "global_clock", "params": {"p": [0.25] * 4}}))

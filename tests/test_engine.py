@@ -1,20 +1,46 @@
+"""The per-step reference ``engine.step`` and the kernel's script runs.
+
+The replays run a fixed script as one kernel call
+(``montecarlo._run_script``); ``_oracles.run_script_steps`` folds
+``engine.step`` over the same script, and the two must reach the same
+state and product.
+"""
 import numpy as np
 import pytest
 
 from async_dca import (
+    BUNDLED_MATRICES,
     DimensionError,
     StochasticMatrix,
     ValidationError,
     bundled_matrix,
     ergodic_coefficient,
     initial_state,
-    make_async_matrix,
     max_discrepancy,
     normalize_update_set,
-    run_script,
     step,
 )
+from async_dca import _kernels
+from async_dca.montecarlo import _run_script
+from _oracles import make_async_matrix, run_script_steps
 from _samplers import random_stochastic
+
+# the scripts of the example2, example3, coverage_violation and
+# period3_markov replays, with their initial states
+REPLAY_SCRIPTS = [
+    ("five_node_shift", [5, 4, 1, 2, 3], np.arange(5, dtype=float)),
+    ("two_node_swap", [2, 1], np.array([0.25, -0.75])),
+    ("four_node_ring", [{1, 3}, {2, 4}], np.arange(4, dtype=float)),
+    ("three_node_cycle", [3, 2, 1], np.arange(3, dtype=float)),
+]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _dyadic(A):
+    return bool((np.mod(A.entries * 2.0 ** 10, 1.0) == 0.0).all())
 
 
 def test_normalize_update_set():
@@ -56,18 +82,73 @@ def test_step_dimension_mismatch():
         step(initial_state([1.0, 2.0]), A, 1)
 
 
+@pytest.mark.parametrize("name, sets, x1", REPLAY_SCRIPTS, ids=[s[0] for s in REPLAY_SCRIPTS])
+def test_run_script_matches_step_reference_on_replay_scripts(name, sets, x1):
+    A = bundled_matrix(name)
+    x, product = _run_script(A, sets, x1)
+    ref = run_script_steps(A, sets, x1)
+    assert np.array_equal(_bits(x), _bits(ref.x))
+    assert np.array_equal(_bits(product.entries), _bits(ref.product.entries))
+
+
+@pytest.mark.parametrize("name", BUNDLED_MATRICES)
+def test_run_script_matches_step_reference_on_bundled(name):
+    # Products match bit for bit on every matrix.  The reference updates the
+    # state with a matrix-vector product of the updating rows, the kernel as
+    # one column of a matrix-matrix product, so with the non-dyadic weights
+    # of three_node_chain the states may differ in the last bit.
+    A = bundled_matrix(name)
+    rng = np.random.default_rng(2026_11)
+    for _ in range(40):
+        sets = [frozenset(int(j) + 1 for j in np.nonzero(rng.random(A.n) < 0.5)[0])
+                for _ in range(int(rng.integers(0, 60)))]
+        x1 = rng.uniform(-1.0, 1.0, A.n)
+        x, product = _run_script(A, sets, x1)
+        ref = run_script_steps(A, sets, x1)
+        assert np.array_equal(_bits(product.entries), _bits(ref.product.entries))
+        if _dyadic(A):
+            assert np.array_equal(_bits(x), _bits(ref.x))
+        else:
+            assert np.abs(x - ref.x).max() <= 1e-15
+
+
+def test_script_product_is_left_product_of_async_factors():
+    # the later factor stands on the left
+    A = bundled_matrix("three_node_chain")
+    _, product = _run_script(A, [{1}, {2, 3}], np.zeros(3))
+    expected = make_async_matrix(A, {2, 3}).entries @ make_async_matrix(A, {1}).entries
+    assert np.allclose(product.entries, expected, rtol=0.0, atol=1e-15)
+    swap = bundled_matrix("two_node_swap")
+    _, product = _run_script(swap, [2, 1], np.zeros(2))
+    assert np.array_equal(product.entries,
+                          make_async_matrix(swap, 1).entries @ make_async_matrix(swap, 2).entries)
+
+
+def test_run_script_rejects_product_row_error(monkeypatch):
+    real = _kernels.trajectory_batch
+
+    def drifting(*args):
+        deltas, lams, carry = real(*args)
+        carry.row_err[:] = 1e-9
+        return deltas, lams, carry
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", drifting)
+    with pytest.raises(ValidationError, match="row sum"):
+        _run_script(bundled_matrix("two_node_swap"), [2, 1], np.zeros(2))
+
+
 def test_swap_script_reaches_consensus():
     swap = bundled_matrix("two_node_swap")
     x1 = np.array([0.3, -0.9])
-    state = run_script(swap, [2, 1], x1)
-    assert np.array_equal(state.product.entries, np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert np.array_equal(state.x, np.array([x1[0], x1[0]]))
-    assert max_discrepancy(state.x) == 0.0
+    x, product = _run_script(swap, [2, 1], x1)
+    assert np.array_equal(product.entries, np.array([[1.0, 0.0], [1.0, 0.0]]))
+    assert np.array_equal(x, np.array([x1[0], x1[0]]))
+    assert max_discrepancy(x) == 0.0
 
 
 def test_five_node_script_product():
     five = bundled_matrix("five_node_shift")
-    state = run_script(five, [5, 4, 1, 2, 3], np.arange(5, dtype=float))
+    _, product = _run_script(five, [5, 4, 1, 2, 3], np.arange(5, dtype=float))
     expected = np.array([
         [0, 0, 0, 1, 0],
         [0, 0, 0, 1, 0],
@@ -75,24 +156,27 @@ def test_five_node_script_product():
         [0, 0, 1, 0, 0],
         [0, 0, 0, 1, 0],
     ], dtype=float)
-    assert np.array_equal(state.product.entries, expected)
+    assert np.array_equal(product.entries, expected)
 
 
 def test_pair_script_product_on_ring():
     ring = bundled_matrix("four_node_ring")
-    state = run_script(ring, [{1, 3}, {2, 4}], np.arange(4, dtype=float))
+    _, product = _run_script(ring, [{1, 3}, {2, 4}], np.arange(4, dtype=float))
     expected = np.array([
         [0, 0, 0, 1],
         [0, 0, 0, 1],
         [0, 1, 0, 0],
         [0, 1, 0, 0],
     ], dtype=float)
-    assert np.array_equal(state.product.entries, expected)
+    assert np.array_equal(product.entries, expected)
 
 
 def test_empty_schedule():
     A = bundled_matrix("three_node_chain")
-    state = run_script(A, [], [0.0, 1.0, 2.0])
+    x, product = _run_script(A, [], [0.0, 1.0, 2.0])
+    assert np.array_equal(x, [0.0, 1.0, 2.0])
+    assert np.array_equal(product.entries, np.eye(3))
+    state = run_script_steps(A, [], [0.0, 1.0, 2.0])
     assert state.k == 1
     assert np.array_equal(state.product.entries, np.eye(3))
 
@@ -103,18 +187,20 @@ def test_repeated_single_agent_update_closed_form():
     # exact in binary floating point
     A = bundled_matrix("three_node_lazy_cycle")
     for k in (1, 2, 5, 12, 20):
-        state = run_script(A, [{1}] * k, np.zeros(3))
         expected = np.array([
             [0.5 ** k, 1.0 - 0.5 ** k, 0.0],
             [0.0, 1.0, 0.0],
             [0.0, 0.0, 1.0],
         ])
-        assert np.array_equal(state.product.entries, expected)
+        _, product = _run_script(A, [{1}] * k, np.zeros(3))
+        assert np.array_equal(product.entries, expected)
+        assert np.array_equal(run_script_steps(A, [{1}] * k, np.zeros(3)).product.entries,
+                              expected)
 
 
 def test_track_product_off():
     A = bundled_matrix("three_node_chain")
-    state = run_script(A, [1, 2, 3], [0.5, 1.5, -2.0], track_product=False)
+    state = run_script_steps(A, [1, 2, 3], [0.5, 1.5, -2.0], track_product=False)
     assert state.product is None
     assert state.k == 4
 

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from async_dca import (
+    ColumnStochasticMatrix,
     StochasticMatrix,
     ValidationError,
     DimensionError,
     bundled_matrix,
     ergodic_coefficient,
     is_scrambling,
-    matrix_power,
     max_discrepancy,
-    multiply,
-    same_type,
 )
 from _oracles import (
     half_l1_coefficient,
@@ -70,44 +68,24 @@ def test_is_scrambling():
     assert rows_share_support(six.entries) is False
 
 
-def test_same_type():
-    A = np.array([[0.2, 0.8], [1.0, 0.0]])
-    B = np.array([[0.9, 0.1], [1.0, 0.0]])
-    assert same_type(A, A)
-    assert same_type(A, B)
-    assert not same_type(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(DimensionError):
-        same_type(np.eye(2), np.eye(3))
-
-
-def test_multiply_identity_and_order():
-    A = bundled_matrix("three_node_chain")
-    eye = StochasticMatrix(np.eye(3))
-    assert np.array_equal(multiply(A, eye).entries, A.entries)
-    with pytest.raises(DimensionError):
-        multiply(A, StochasticMatrix(np.eye(2)))
-
-
-def test_multiply_partial_update_factors():
-    # the later factor stands on the left
-    left = StochasticMatrix(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    right = StochasticMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert np.array_equal(multiply(left, right).entries,
-                          np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
-def test_matrix_power():
-    swap = bundled_matrix("two_node_swap")
-    assert np.array_equal(matrix_power(swap, 2).entries, np.eye(2))
-    with pytest.raises(ValidationError):
-        matrix_power(swap, -1)
-
-
 def test_validation_reports_offending_row():
     with pytest.raises(ValidationError, match="row 2"):
         StochasticMatrix(np.array([[1.0, 0.0], [0.6, 0.6]]))
     with pytest.raises(ValidationError, match="row 1"):
         StochasticMatrix(np.array([[-0.5, 1.5], [0.5, 0.5]]))
+
+
+def test_stochastic_matrix_rejects_non_finite_entries():
+    # NaN fails every comparison, so no sign or row-sum test catches it
+    with pytest.raises(ValidationError, match="row 1, column 1"):
+        StochasticMatrix(np.array([[np.nan, 1.0], [0.5, 0.5]]))
+    with pytest.raises(ValidationError, match="row 2, column 2"):
+        StochasticMatrix.from_json({"n": 2, "rows": [[0.0, 1.0], [1.0, float("nan")]]})
+
+
+def test_column_stochastic_matrix_rejects_non_finite_entries():
+    with pytest.raises(ValidationError, match="non-finite"):
+        ColumnStochasticMatrix(np.array([[np.nan, 0.5], [1.0, 0.5]]))
 
 
 def test_entries_are_read_only():

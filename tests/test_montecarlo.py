@@ -88,6 +88,17 @@ def test_config_validation():
         )
 
 
+def test_config_rejects_non_finite_epsilon():
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="epsilon"):
+            small_cfg(epsilon=eps)
+
+
+def test_config_rejects_non_finite_init():
+    with pytest.raises(ValidationError, match="non-finite"):
+        small_cfg(init=[0.0, np.nan, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and hi < 0.05

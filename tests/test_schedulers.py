@@ -272,6 +272,33 @@ def test_support_sequence_validation():
         SupportSequenceScheduler(3, [[({1}, 1.0)]] * 65)
 
 
+# NaN fails every comparison, so no sign or sum test of a probability
+# vector catches it
+
+def test_global_clock_rejects_nan():
+    with pytest.raises(ValidationError):
+        GlobalClockScheduler([np.nan, 1.0])
+    with pytest.raises(ValidationError):
+        scheduler_from_json({"kind": "global_clock", "params": {"p": [float("nan"), 1.0]}})
+
+
+def test_independent_clocks_rejects_nan():
+    with pytest.raises(ValidationError):
+        IndependentClocksScheduler([0.5, np.nan])
+
+
+def test_support_sequence_rejects_nan():
+    with pytest.raises(ValidationError):
+        SupportSequenceScheduler(2, [[({1}, np.nan), ({2}, 1.0)]])
+
+
+def test_weight_hook_rejects_nan_weights():
+    scheduler = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]],
+                                         weight_fn=lambda k, history: [np.nan, 1.0])
+    with pytest.raises(ValidationError):
+        scheduler.sample_masks(1, stream(5, 0))
+
+
 def test_support_sequence_history_hook():
     # history-dependent weights over fixed supports: after drawing {1} the
     # next tick prefers {2}, but both stay possible

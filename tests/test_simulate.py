@@ -2,7 +2,8 @@
 
 Golden checks: its CSV must match the per-tick engine loop it replaced
 (``_oracles.simulate_rows_engine``) byte for byte on dyadic matrices, and
-its columns must equal ``mc --trials 1`` for the same seed.
+its columns must equal ``mc --trials 1`` for the same seed.  Neither
+``simulate`` nor ``repro`` calls the per-step ``engine.step``.
 """
 import csv
 import io
@@ -194,6 +195,17 @@ def test_simulate_runs_one_kernel_call(tmp_path, monkeypatch):
     assert code == 0
     assert len(out.read_text().splitlines()) == 501
     assert calls == {"trajectory_batch": 1, "sample_masks": 1, "step": 0}
+
+
+def test_repro_all_makes_no_engine_step_calls(tmp_path, monkeypatch):
+    calls = {"trajectory_batch": 0, "step": 0}
+    _count_calls(monkeypatch, _kernels, "trajectory_batch", calls)
+    _count_calls(monkeypatch, engine, "step", calls)
+    code = dispatch(["repro", "all", "--out", str(tmp_path / "repro.json")])
+    assert code == 0
+    # four script replays and three Monte Carlo replays, one kernel call each
+    # (every Monte Carlo horizon fits in one block)
+    assert calls == {"trajectory_batch": 7, "step": 0}
 
 
 def test_simulate_short_script_exits_before_writing(tmp_path, capsys):
