@@ -66,12 +66,9 @@ from .walk import (
     DistanceChain,
     MatchCurve,
     RateCertificate,
-    cycle_distance,
     default_move_probabilities,
     lower_bound_matrix,
     match_probability_curve,
-    product_convergence_rate,
-    uniform_completion,
 )
 
 __version__ = "0.1.0"
@@ -113,7 +110,6 @@ __all__ = [
     "bundled_scheduler",
     "check_conditions",
     "check_strongly_aperiodic",
-    "cycle_distance",
     "default_move_probabilities",
     "ergodic_coefficient",
     "initial_state",
@@ -123,7 +119,6 @@ __all__ = [
     "match_probability_curve",
     "max_discrepancy",
     "normalize_update_set",
-    "product_convergence_rate",
     "replay",
     "roots",
     "run_experiment",
@@ -132,6 +127,5 @@ __all__ = [
     "scrambling_hit_rate",
     "step",
     "stream",
-    "uniform_completion",
     "wilson_interval",
 ]

@@ -239,16 +239,17 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
 def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     """First label-match times for a batch of backward cycle walks.
 
-    ``labels`` maps 0-based cycle positions to labels; ``starts`` is (T, 2)
-    0-based positions at the start of the block; ``uniforms`` is a (T, S)
-    block of pre-drawn uniforms, one per transition (S may be 0).
-    Thresholds partition [0, 1) into the four moves: j steps back, i steps
-    back, both stay, both step back.  Returns (T,) first times at which the
-    two labels coincide, counted from 1 at ``starts``, so a match after the
-    s-th transition of the block reads s + 1; -1 if none within the block.
+    ``labels`` maps 0-based cycle positions to labels; ``starts`` is a (T, 2)
+    int64 array of 0-based positions at the start of the block, which the
+    call advances in place to the positions at its end (a matched walk stops
+    where it matched); ``uniforms`` is a (T, S) block of pre-drawn uniforms,
+    one per transition (S may be 0).  Thresholds partition [0, 1) into the
+    four moves: j steps back, i steps back, both stay, both step back.
+    Returns (T,) first times at which the two labels coincide, counted from
+    1 at ``starts``, so a match after the s-th transition of the block reads
+    s + 1; -1 if none within the block.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
     uniforms = np.asarray(uniforms, dtype=np.float64)
     l = labels.shape[0]
     T, steps = uniforms.shape
@@ -267,6 +268,8 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
         i = np.where(move_i | move_b, (i - 1) % l, i)
         matched = alive & (labels[i] == labels[j])
         hits[matched] = k + 2
+    starts[:, 0] = i
+    starts[:, 1] = j
     return hits
 
 

@@ -2,9 +2,9 @@
 
 The graph of a row-stochastic matrix ``A`` has an edge ``j -> i`` exactly
 when ``a_ij > 0``: information flows from the agent being listened to, to
-the agent doing the averaging.  Note this is the transpose of the support
-digraph of the Markov chain with transition matrix ``A``; routines that
-need the chain direction (``is_sia``) build it themselves.
+the agent doing the averaging.  This is the support digraph of the Markov
+chain with transition matrix ``A`` reversed, so the chain's closed classes
+are the graph's source components (``is_sia`` reads them from ``roots``).
 
 A node is a root when every other node is reachable from it.  The set of
 roots of a rooted graph is always a single strongly connected component
@@ -225,47 +225,17 @@ def _component_period(members: list, adj: list) -> int:
 def is_sia(A) -> bool:
     """Stochastic-indecomposable-aperiodic test via the chain structure.
 
-    The Markov chain with row-transition matrix ``A`` (support edge
-    ``i -> j`` iff ``a_ij > 0``) has its powers converge to a rank-one
-    matrix exactly when there is a single closed communicating class and
-    that class is aperiodic.
+    The powers of ``A`` converge to a rank-one matrix exactly when the
+    Markov chain with row-transition matrix ``A`` has a single closed
+    communicating class and that class is aperiodic.  The chain's support
+    edges (``i -> j`` iff ``a_ij > 0``) are the influence graph's edges
+    reversed, so its closed classes are the graph's source components: a
+    single one means the graph is rooted, with ``chi`` that class.
+    Reversing the edges keeps a component's period.
     """
-    arr = _entries(A)
-    n = arr.shape[0]
-    adj = [list(np.nonzero(arr[i] > 0)[0]) for i in range(n)]
-    comps = _scc_indices(adj)
-    comp_of = {}
-    for idx, members in enumerate(comps):
-        for v in members:
-            comp_of[v] = idx
-    closed = []
-    for idx, members in enumerate(comps):
-        if all(comp_of[v] == idx for u in members for v in adj[u]):
-            closed.append(members)
-    if len(closed) != 1:
-        return False
-    return _component_period(closed[0], adj) == 1
-
-
-def _strongly_connected_in_induced(members: list, adj: list) -> bool:
-    inside = set(members)
-
-    def covers(start, edges):
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in edges[u]:
-                if v in inside and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(inside)
-
-    radj = [[] for _ in range(len(adj))]
-    for u in range(len(adj)):
-        for v in adj[u]:
-            radj[v].append(u)
-    return covers(members[0], adj) and covers(members[0], radj)
+    G = build_graph(_entries(A))
+    rep = roots(G)
+    return rep.rooted and _component_period(sorted(v - 1 for v in rep.chi), G.adjacency()) == 1
 
 
 def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
@@ -281,28 +251,28 @@ def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
         raise ValidationError("component is empty")
     if any(not 1 <= v <= G.n for v in members):
         raise ValidationError(f"component {members} out of range 1..{G.n}")
-    adj = G.adjacency()
-    members0 = [v - 1 for v in members]
-    if not _strongly_connected_in_induced(members0, adj):
+    # the induced subgraph, its nodes renumbered 0..m-1 in ascending order
+    full = G.adjacency()
+    index = {v - 1: k for k, v in enumerate(members)}
+    adj = [[index[v] for v in full[u - 1] if v in index] for u in members]
+    if len(_scc_indices(adj)) != 1:
         raise ValidationError(f"component {members} is not strongly connected")
-    if len(members0) == 1:
-        v = members0[0]
-        if v not in adj[v]:
+    if len(members) == 1:
+        if not adj[0]:
             raise ValidationError(
                 f"singleton component {members} has no self-loop, so no cycle exists"
             )
-        return LabelledCycle(1, (v + 1,))
-
-    inside = set(members0)
+        return LabelledCycle(1, tuple(members))
 
     def shortest_path(src, dst):
+        # the component is strongly connected, so the search reaches dst
         parent = {src: None}
         queue = [src]
         while queue:
             nxt = []
             for u in queue:
                 for v in adj[u]:  # ascending order fixes tie-breaking
-                    if v in inside and v not in parent:
+                    if v not in parent:
                         parent[v] = u
                         if v == dst:
                             path = [v]
@@ -311,13 +281,12 @@ def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
                             return path[::-1]
                         nxt.append(v)
             queue = nxt
-        raise ValidationError(f"no path from {src + 1} to {dst + 1} inside component")
 
+    m = len(members)
     labels = []
-    legs = list(zip(members0, members0[1:] + members0[:1]))
-    for src, dst in legs:
-        labels.extend(shortest_path(src, dst)[:-1])
-    return LabelledCycle(len(labels), tuple(v + 1 for v in labels))
+    for src in range(m):
+        labels.extend(shortest_path(src, (src + 1) % m)[:-1])
+    return LabelledCycle(len(labels), tuple(members[k] for k in labels))
 
 
 def analysis_report(A: StochasticMatrix) -> dict:

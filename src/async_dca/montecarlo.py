@@ -273,7 +273,7 @@ class ReplayReport:
 
 
 def _given(value, default):
-    """A replay's trials or horizon; only None takes the default, so 0 is rejected."""
+    """A replay's trials or horizon; only None takes the default."""
     return default if value is None else value
 
 
@@ -467,12 +467,15 @@ def replay(case_id: str, trials: int | None = None, horizon: int | None = None,
 
     Exact matrix identities are asserted bitwise; statistical conclusions
     use the documented desk-scale thresholds and the given seed.  Trial
-    counts and horizons can be overridden.
+    counts and horizons can be overridden by values >= 1, which every case
+    checks, also the ones that run no Monte Carlo and ignore them.
     """
     if case_id not in _CASES:
         raise ValidationError(
             f"unknown replay case {case_id!r}; available: {', '.join(REPLAY_CASES)}"
         )
+    if any(v is not None and v < 1 for v in (trials, horizon)):
+        raise ValidationError("need trials >= 1 and horizon >= 1")
     checks, details = _CASES[case_id](trials, horizon, seed)
     return ReplayReport(
         case=case_id,

@@ -332,7 +332,11 @@ class SupportSequenceScheduler(Scheduler):
         history.append(options[idx][0])
         return idx
 
-    def alpha(self) -> float:
+    def alpha(self) -> float | None:
+        """The smallest declared probability; None under a ``weight_fn``
+        hook, whose weights the draws follow and no declared floor bounds."""
+        if self.weight_fn is not None:
+            return None
         return float(min(p for options in self.ticks for _, p in options))
 
     @property
@@ -654,6 +658,8 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix,
     quasi-singleton checks run on the union of supports over source states
     and are flagged as approximate in the notes.
     """
+    if q_max < 1:
+        raise ValidationError(f"q_max must be >= 1, got {q_max}")
     if scheduler.n != A.n:
         raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
     n = A.n

@@ -8,9 +8,9 @@ combined.  Once the labels coincide the pair freezes.
 
 The distance between the tokens then performs a birth/death chain on
 ``{0, .., l-1}`` with an absorbing 0.  Its transition matrix dominates a
-fixed band matrix ``W`` entrywise, and any column-stochastic sequence that
-dominates ``W`` (with the same sign pattern) converges geometrically to
-the absorbing state, which yields the certified lower bound
+fixed band matrix ``W`` entrywise, with the same sign pattern, so the chain
+is absorbed geometrically.  Its exact rate, the spectral radius of the
+transient block, gives the certified lower bound
 ``P(match by k) >= 1 - c0 * beta^k`` used throughout.
 """
 from __future__ import annotations
@@ -30,17 +30,6 @@ GAMMA_MAX = 1.0 / 3.0
 # unmatched trials only.  Part of the seed contract: changing it changes
 # every walk output for a given seed.
 WALK_BLOCK = 16
-
-
-def cycle_distance(cycle: LabelledCycle, i: int, j: int) -> int:
-    """Steps from position i to position j along the cycle direction.
-
-    Satisfies d(i, i) = 0, 0 <= d <= l-1, and d(i, j) + d(j, i) = l for
-    distinct positions.
-    """
-    cycle._check_position(i)
-    cycle._check_position(j)
-    return (j - i) % cycle.length
 
 
 def _check_gamma(gamma: float) -> float:
@@ -74,19 +63,9 @@ def lower_bound_matrix(l: int, gamma: float) -> np.ndarray:
     return W
 
 
-def uniform_completion(W: np.ndarray) -> ColumnStochasticMatrix:
-    """Admissible chain obtained by normalising each column's support."""
-    arr = np.asarray(W, dtype=np.float64)
-    support = (arr > 0).astype(np.float64)
-    sums = support.sum(axis=0)
-    if (sums == 0).any():
-        raise ValidationError("every column of W needs at least one positive entry")
-    return ColumnStochasticMatrix(support / sums)
-
-
 @dataclass(frozen=True, eq=False)
 class RateCertificate:
-    """Certified envelope ||P_k ... P_1 - e1 1^T||_max <= c0 * beta^k."""
+    """Certified envelope ``max |P^k - e1 1^T| <= c0 * beta^k`` of a distance chain."""
 
     c0: float
     beta: float
@@ -98,49 +77,15 @@ class RateCertificate:
         object.__setattr__(self, "errors", arr)
 
 
-def _fit_envelope(errors: np.ndarray) -> tuple:
-    ks = np.arange(1, len(errors) + 1)
-    positive = errors > 0
-    if not positive.any():
-        return 0.0, 0.5
-    tail = positive & (ks >= max(2, len(errors) // 2))
-    if positive.sum() < 3:
-        # too short a prefix to fit a decay: the envelope takes its c0
-        beta = 0.5
-    elif tail.sum() >= 2:
-        slope = np.polyfit(ks[tail], np.log(errors[tail]), 1)[0]
-        beta = float(np.exp(slope))
-    else:
-        ratios = errors[1:][positive[1:] & positive[:-1]] / errors[:-1][positive[1:] & positive[:-1]]
-        beta = float(ratios.max()) if ratios.size else 0.5
-    if not beta < 1.0:
-        raise ValidationError(f"no geometric decay detected (fitted rate {beta})")
-    beta = min(max(beta, 1e-12), 1.0 - 1e-12)
-    c0 = float((errors[positive] / beta ** ks[positive]).max())
-    # a quotient may round down: raise c0 by ulps until the envelope holds
-    while (errors > c0 * beta ** ks).any():
-        c0 = float(np.nextafter(c0, np.inf))
-    return c0, beta
+def _product_errors(P, W, k_max: int) -> np.ndarray:
+    """``max |P^k - e1 1^T|`` for k = 1..k_max.
 
-
-def product_convergence_rate(p_seq, W) -> RateCertificate:
-    """Fit and verify a geometric envelope for left products of chains.
-
-    The returned pair satisfies ``errors[k-1] <= c0 * beta**k`` for every
-    prefix length k supplied (see ``_product_errors`` for the checks).
+    ``P`` must be column stochastic, dominate ``W`` entrywise and carry the
+    same sign pattern; ``W`` must be square and nonnegative, and ``W``
+    transposed rooted with node 1 as its unique, self-looped root.
     """
-    errors = _product_errors(p_seq, W)
-    c0, beta = _fit_envelope(errors)
-    return RateCertificate(c0=c0, beta=beta, errors=errors)
-
-
-def _product_errors(p_seq, W) -> np.ndarray:
-    """``max |P_k ... P_1 - e1 1^T|`` for each prefix length k of ``p_seq``.
-
-    Every matrix must dominate ``W`` entrywise, carry the same sign pattern,
-    and be column stochastic; ``W`` transposed must be rooted with node 1
-    as its unique, self-looped root.
-    """
+    if k_max < 1:
+        raise ValidationError("need k_max >= 1")
     Warr = np.asarray(W, dtype=np.float64)
     if Warr.ndim != 2 or Warr.shape[0] != Warr.shape[1]:
         raise DimensionError(f"W must be square, got shape {Warr.shape}")
@@ -151,30 +96,20 @@ def _product_errors(p_seq, W) -> np.ndarray:
         raise ValidationError(
             "W^T's graph must be rooted with node 1 as the unique self-looped root"
         )
+    arr = P.entries if isinstance(P, ColumnStochasticMatrix) else np.asarray(P, np.float64)
+    ColumnStochasticMatrix(arr, tol=1e-9)
+    if arr.shape != Warr.shape:
+        raise DimensionError(f"the chain has shape {arr.shape}, W has {Warr.shape}")
+    if (arr < Warr - 1e-12).any():
+        raise ValidationError("the chain drops below the lower bound W")
+    if ((arr > 0) != (Warr > 0)).any():
+        raise ValidationError("the chain is not of the same type as W")
     l = Warr.shape[0]
-    mats = []
-    prev = None
-    for idx, P in enumerate(p_seq):
-        if P is prev:  # one object repeated, as in rate_certificate: checked once
-            mats.append(mats[-1])
-            continue
-        prev = P
-        arr = P.entries if isinstance(P, ColumnStochasticMatrix) else np.asarray(P, np.float64)
-        ColumnStochasticMatrix(arr, tol=1e-9)
-        if arr.shape != Warr.shape:
-            raise DimensionError(f"matrix {idx + 1} has shape {arr.shape}, W has {Warr.shape}")
-        if (arr < Warr - 1e-12).any():
-            raise ValidationError(f"matrix {idx + 1} drops below the lower bound W")
-        if ((arr > 0) != (Warr > 0)).any():
-            raise ValidationError(f"matrix {idx + 1} is not of the same type as W")
-        mats.append(arr)
-    if not mats:
-        raise ValidationError("need at least one matrix")
     target = np.zeros((l, l))
     target[0, :] = 1.0
     prod = np.eye(l)
-    errors = np.empty(len(mats))
-    for k, arr in enumerate(mats):
+    errors = np.empty(k_max)
+    for k in range(k_max):
         prod = arr @ prod
         errors[k] = np.abs(prod - target).max()
     return errors
@@ -251,7 +186,7 @@ class DistanceChain:
         over k <= ``k_max`` makes the envelope hold at every k supplied.
         """
         W = lower_bound_matrix(self.l, self.gamma)
-        errors = _product_errors([self.matrix] * k_max, W)
+        errors = _product_errors(self.matrix, W, k_max)
         p_j, p_i, p_stay, p_both = self.move_probs
         # the transient block is tridiagonal Toeplitz, so its eigenvalues
         # are p_stay + p_both + 2 sqrt(p_i p_j) cos(m pi / l), m = 1..l-1
@@ -307,21 +242,17 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     pos = rng.integers(0, l, size=(trials, 2))
     hits = _kernels.walk_match_batch(labels, pos, np.empty((trials, 0)), t1, t2, t3)
     unmatched = np.flatnonzero(hits < 0)
+    pos = pos[unmatched]
     done = 0
     while unmatched.size and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
         u = rng.random((unmatched.size, width))
-        block_hits = _kernels.walk_match_batch(labels, pos[unmatched], u, t1, t2, t3)
+        # the kernel advances pos to the end of the block
+        block_hits = _kernels.walk_match_batch(labels, pos, u, t1, t2, t3)
         matched = block_hits > 0
         hits[unmatched[matched]] = block_hits[matched] + done
         done += width
-        unmatched, u = unmatched[~matched], u[~matched]
-        # trials still unmatched made every move of their block; moves
-        # commute, so the end positions depend only on the move counts
-        both = (u >= t3).sum(axis=1)
-        pos[unmatched, 0] -= ((u >= t1) & (u < t2)).sum(axis=1) + both
-        pos[unmatched, 1] -= (u < t1).sum(axis=1) + both
-        pos[unmatched] %= l
+        unmatched, pos = unmatched[~matched], pos[~matched]
 
     counts = np.bincount(hits[hits > 0], minlength=k_max + 1)
     empirical = np.cumsum(counts)[1:] / trials

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
 Each test prints one `ACCEPTANCE <criterion>: PASS|FAIL` line.  Wall-clock
-budgets exclude one-time kernel warmup (the JIT cache is primed by an
-autouse fixture) but include everything else.
+budgets exclude the first call of each kernel (an autouse fixture makes it,
+so one-time imports and allocator growth are not timed) but include
+everything else.
 """
 import functools
 import time
@@ -63,7 +64,7 @@ def criterion(name):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Prime the JIT cache so budget timings measure the work, not compilation."""
+    """Call each kernel once so budget timings measure the work, not first-call setup."""
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     masks = np.ones((1, 2, 2), dtype=bool)
     x0 = np.array([[1.0, -1.0]])

@@ -236,6 +236,22 @@ def test_repro_zero_trials_or_steps_exit_2(capsys):
         assert code == 2 and "trials >= 1" in err and out == ""
 
 
+def test_repro_bad_counts_exit_2_without_monte_carlo(capsys):
+    # example2, example3 and strongly_aperiodic run no Monte Carlo
+    for case, flag, value in (("example2", "--trials", "0"),
+                              ("strongly_aperiodic", "--steps", "-5"),
+                              ("example3", "--trials", "-1")):
+        code, out, err = run_cli(capsys, "repro", case, flag, value)
+        assert code == 2 and "trials >= 1" in err and out == ""
+
+
+def test_verify_conditions_q_max_below_one_exit_2(six_node, uniform_clock, capsys):
+    for q_max in ("0", "-1"):
+        code, out, err = run_cli(capsys, "verify-conditions", "--matrix", six_node,
+                                 "--scheduler", uniform_clock, "--q-max", q_max)
+        assert code == 2 and "q_max" in err and out == ""
+
+
 def test_dimension_mismatch_is_input_error(six_node, tmp_path, capsys):
     clock4 = tmp_path / "clock4.json"
     clock4.write_text(json.dumps({"kind": "global_clock", "params": {"p": [0.25] * 4}}))

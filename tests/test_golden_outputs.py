@@ -5,7 +5,11 @@ Each case is one canonical ``async-dca`` invocation (the workloads of
 and ``mc`` under a Markov and a period-3 support-sequence scheduler), run
 in process at seeds 1729 and 5.  The SHA-256 of each output is
 compared with a recorded digest, so every refactor keeps every output
-byte.  The ``simulate`` digests were recorded before the streamed ``mc``
+byte.  The seedless cases, ``analyze`` on every bundled matrix and
+``verify-conditions`` on ``six_node_coupled`` under every bundled
+scheduler, draw nothing and run once without ``--seed``; they pin the
+graph layer's verdicts (roots, components, SIA, cycle length, the five
+conditions).  The ``simulate`` digests were recorded before the streamed ``mc``
 pipeline, the walk ``curve.csv`` after its certificate took the exact rate
 of the distance chain, and the ``mc``, ``repro`` and walk ``summary.json``
 digests with seed contract 3, one stream for all trials of a run (the
@@ -74,6 +78,13 @@ CASES = {
              ("curve.csv", "summary.json")),
     "repro-all": (("repro", "all"), ("stdout",)),
 }
+SEEDLESS_CASES = {
+    **{f"analyze-{m}": (("analyze", "--matrix", f"{{data}}/{m}.json"), ("stdout",))
+       for m in async_dca.BUNDLED_MATRICES},
+    **{f"verify-{s}": (("verify-conditions", *_SIX, "--scheduler", f"{{data}}/{s}.json"),
+                       ("stdout",))
+       for s in async_dca.BUNDLED_SCHEDULERS},
+}
 
 DIGESTS = {
     ("mc-lambda", 1729): {"tails.csv": "4d38af20cb18bae4963bfb0e67b38be06ee8a18dd430fcb6df2402adb7cfa6e8",
@@ -105,15 +116,32 @@ DIGESTS = {
     ("repro-all", 1729): {"stdout": "c65207a971f722faa03a588af51fa96b0fe26a73eca69f000a04991627513b16"},
     ("repro-all", 5): {"stdout": "03ae82bc4792b2cee9a2d3764b559907420b57cfa93559d2ae0230425823953d"},
 }
+SEEDLESS_DIGESTS = {
+    "analyze-two_node_swap": {"stdout": "85d1e0fb8e06caec3682045a18b655479d83c3cfd69109e739b1c58cace75408"},
+    "analyze-three_node_chain": {"stdout": "612dab321c04be09b15ea2e11c96ae5ed9f2e673b410541c89ac65293c4ad947"},
+    "analyze-three_node_cycle": {"stdout": "3df64dd4d0e35e80e93087fa2e6d2e2f17a0d02eaa747e50ff3eb799037a088c"},
+    "analyze-three_node_lazy_cycle": {
+        "stdout": "2d9f21297b8dc61e2a8426ef5d70524a3363952e73dd06aa37739a64c4a7d13f"},
+    "analyze-four_node_rooted": {"stdout": "808a64865a4017c2984b8d1bc0a32c032f0cf8780bf0fd112fe4dcb830fa20e6"},
+    "analyze-four_node_ring": {"stdout": "4903566931860507d4fdff17e89368ec4727bfa9cc5a1458c3a795a02ae866cd"},
+    "analyze-five_node_shift": {"stdout": "778f48d29876452251918ae5bb00dc0e44671ada2a86d06e482526950d877de3"},
+    "analyze-six_node_coupled": {"stdout": "32fcc3c3a80a44a9c3ae27f4a05d2fdc6ef2dccfe9e2f23e5c2396eefeb121ac"},
+    "verify-uniform_clock6": {"stdout": "b3e12f514d740bdfb7e5fa5fede5b615e608923080aa902de65f1e9279163bd3"},
+    "verify-half_clocks6": {"stdout": "7f4d67f4be9592552bcbdff0cac3a498e1ae2cba1c0fa5b101b583cfcc986ea2"},
+    "verify-synchronous6": {"stdout": "1cb78d06a0be05a4f66bc268b33af74b6e89f397863a353ac787220d185ed089"},
+}
 
 
-def run_case(case: str, seed: int) -> tuple:
-    """Exit code and ``{output: sha256 hex}`` of one case at one seed."""
-    argv, outputs = CASES[case]
+def run_case(case: str, seed) -> tuple:
+    """Exit code and ``{output: sha256 hex}`` of one case at one seed, or of
+    a seedless case when ``seed`` is None."""
+    argv, outputs = CASES[case] if seed is not None else SEEDLESS_CASES[case]
     with tempfile.TemporaryDirectory() as out:
         for name, spec in SPECS.items():
             (Path(out) / name).write_text(json.dumps(spec))
-        argv = [a.format(data=DATA, out=out) for a in argv] + ["--seed", str(seed)]
+        argv = [a.format(data=DATA, out=out) for a in argv]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = dispatch(argv)
@@ -132,9 +160,21 @@ def test_canonical_outputs_are_byte_identical(case, seed):
     assert digests == DIGESTS[case, seed]
 
 
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests recorded with numpy {NUMPY_VERSION}")
+@pytest.mark.parametrize("case", sorted(SEEDLESS_CASES))
+def test_seedless_outputs_are_byte_identical(case):
+    code, digests = run_case(case, None)
+    assert code == 0
+    assert digests == SEEDLESS_DIGESTS[case]
+
+
 if __name__ == "__main__":
     print(f"numpy {np.__version__}", file=sys.stderr)
     for case in CASES:
         for seed in SEEDS:
             code, digests = run_case(case, seed)
             print(f"    ({case!r}, {seed}): {digests!r},  # exit {code}")
+    for case in SEEDLESS_CASES:
+        code, digests = run_case(case, None)
+        print(f"    {case!r}: {digests!r},  # exit {code}")

@@ -14,7 +14,7 @@ from async_dca import (
     scc_decomposition,
 )
 from async_dca.montecarlo import _run_script
-from _oracles import bfs_roots, make_async_matrix, power_sia_oracle
+from _oracles import bfs_reachable, bfs_roots, make_async_matrix, power_sia_oracle
 from _samplers import random_strongly_connected_edges, random_structured
 
 
@@ -159,6 +159,44 @@ def test_labelled_cycle_invariants_random():
         component = set(range(1, n + 1))
         cyc = build_labelled_cycle(G, component)
         _check_cycle_invariants(G, component, cyc)
+
+
+def _strongly_connected_inside(n, edges, members):
+    """Whether ``members`` is strongly connected using its own edges only."""
+    inside = [(u, v) for u, v in edges if u in members and v in members]
+    start = min(members)
+    return (members <= bfs_reachable(n, inside, start)
+            and members <= bfs_reachable(n, [(v, u) for u, v in inside], start))
+
+
+def test_labelled_cycle_strong_connectivity_matches_bfs_oracle():
+    # {1, 2} is joined only through node 3 (1 -> 3 -> 2 -> 1)
+    G = DirectedGraph(3, frozenset({(1, 3), (3, 2), (2, 1)}))
+    with pytest.raises(ValidationError, match="not strongly connected"):
+        build_labelled_cycle(G, {1, 2})
+    _check_cycle_invariants(G, {1, 2, 3}, build_labelled_cycle(G, {1, 2, 3}))
+    rng = np.random.default_rng(2026_10)
+    verdicts = []
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        density = rng.uniform(0.15, 0.6)
+        edges = {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                 if rng.random() < density}
+        G = DirectedGraph(n, frozenset(edges))
+        members = {v for v in range(1, n + 1) if rng.random() < 0.6} or {n}
+        connected = _strongly_connected_inside(n, edges, members)
+        # a lone node makes a cycle only through its self-loop
+        expected = connected and (len(members) > 1 or (min(members),) * 2 in edges)
+        try:
+            cyc = build_labelled_cycle(G, members)
+        except ValidationError:
+            accepted = False
+        else:
+            accepted = True
+            _check_cycle_invariants(G, members, cyc)
+        assert accepted == expected, (n, sorted(edges), sorted(members))
+        verdicts.append((connected, len(members) > 1))
+    assert (True, True) in verdicts and (False, True) in verdicts
 
 
 def test_cycle_json_round_trip():

@@ -9,6 +9,7 @@ import pytest
 from async_dca import _kernels
 from async_dca import (
     ExperimentConfig,
+    LabelledCycle,
     StochasticMatrix,
     bundled_matrix,
     bundled_scheduler,
@@ -18,7 +19,7 @@ from async_dca import (
     step,
     stream,
 )
-from _oracles import trajectory_batch_trials_first
+from _oracles import _WalkReplay, simulate_backward_walk, trajectory_batch_trials_first
 from _samplers import mc_inputs, random_stochastic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -340,6 +341,25 @@ def test_walk_kernel_respects_initial_matches():
     assert hits[0] == 1          # labels equal at start
     assert hits[1] == -1         # odd distance on alternating labels never matches
     assert hits[2] == 1          # identical positions
+
+
+def test_walk_kernel_advances_starts_to_the_block_end():
+    # matched or not, each walk ends where the per-trial walk over the same
+    # draws ends; a matched one stays where it matched
+    rng = np.random.default_rng(2026_12)
+    cycle = LabelledCycle(7, (1, 2, 3, 4, 2, 5, 3))
+    move_probs = (0.2, 0.25, 0.25, 0.3)
+    t1, t2, t3 = np.cumsum(move_probs[:3])
+    starts = rng.integers(0, 7, size=(300, 2))
+    uniforms = rng.random((300, 9))
+    ends = starts.copy()
+    hits = _kernels.walk_match_batch(np.array(cycle.labels), ends, uniforms, t1, t2, t3)
+    for t in range(300):
+        walk = simulate_backward_walk(cycle, 0.2, 10, _WalkReplay(starts[t], uniforms[t]),
+                                      move_probs=move_probs)
+        assert (ends[t] + 1).tolist() == walk.positions[-1].tolist()
+        assert hits[t] == (walk.hit_time or -1)
+    assert (hits > 1).any() and (hits < 0).any()
 
 
 def test_env_flag_selects_backend():

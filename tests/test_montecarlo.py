@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from async_dca import (
+    REPLAY_CASES,
     ExperimentConfig,
     GlobalClockScheduler,
     ScriptScheduler,
@@ -177,6 +178,14 @@ def test_replay_cases_pass(case):
 def test_replay_unknown_case():
     with pytest.raises(ValidationError):
         replay("example9")
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES)
+def test_replay_rejects_counts_below_one(case):
+    # also the cases that run no Monte Carlo and ignore both values
+    for kwargs in ({"trials": 0}, {"horizon": -5}):
+        with pytest.raises(ValidationError, match="trials >= 1"):
+            replay(case, **kwargs)
 
 
 def test_replay_reports_are_json_ready():

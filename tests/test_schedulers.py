@@ -416,6 +416,24 @@ def test_conditions_markov_reports_history_dependence():
     assert "previous state" in hist.note
 
 
+def test_conditions_reject_q_max_below_one():
+    scheduler, A = GlobalClockScheduler([1 / 6] * 6), bundled_matrix("six_node_coupled")
+    for q_max in (0, -1):
+        with pytest.raises(ValidationError, match="q_max"):
+            check_conditions(scheduler, A, q_max=q_max)
+    assert check_conditions(scheduler, A, q_max=1).q == 1
+
+
+def test_conditions_weight_hook_has_no_probability_floor():
+    # the draws follow the hook's weights, not the declared 0.5 each
+    hooked = SupportSequenceScheduler(4, [[({1, 2}, 0.5), ({3, 4}, 0.5)]],
+                                      weight_fn=lambda k, history: [1e-300, 1 - 1e-300])
+    assert hooked.alpha() is None
+    check = check_conditions(hooked, bundled_matrix("four_node_ring"))["positive_probability"]
+    assert not check.passed
+    assert "no uniform lower bound" in check.note
+
+
 def test_conditions_markov_matrix_fn_unknown_alpha():
     scheduler = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=vanishing_law)
     report = check_conditions(scheduler, bundled_matrix("three_node_lazy_cycle"))

@@ -4,43 +4,23 @@ import numpy as np
 import pytest
 
 from async_dca import (
+    DimensionError,
     DistanceChain,
     LabelledCycle,
     ValidationError,
     build_graph,
-    cycle_distance,
     default_move_probabilities,
     lower_bound_matrix,
     match_probability_curve,
-    product_convergence_rate,
     roots,
     stream,
-    uniform_completion,
     wilson_interval,
 )
-from async_dca import _kernels
+from async_dca import _kernels, walk
 from async_dca.walk import WALK_BLOCK
 from _oracles import simulate_backward_walk, walk_hits_v2, walk_match_exact
 
 SIX_CYCLE = LabelledCycle(6, (1, 2, 4, 3, 2, 4))
-
-
-def test_cycle_distance_examples():
-    assert cycle_distance(SIX_CYCLE, 1, 2) == 1
-    assert cycle_distance(SIX_CYCLE, 2, 1) == 5
-    for i in range(1, 7):
-        assert cycle_distance(SIX_CYCLE, i, i) == 0
-
-
-def test_cycle_distance_complement_property_exhaustive():
-    for l in range(2, 13):
-        cyc = LabelledCycle(l, tuple(range(1, l + 1)))
-        for i in range(1, l + 1):
-            for j in range(1, l + 1):
-                d = cycle_distance(cyc, i, j)
-                assert 0 <= d <= l - 1
-                if i != j:
-                    assert d + cycle_distance(cyc, j, i) == l
 
 
 def test_lower_bound_matrix_small_cases():
@@ -78,120 +58,77 @@ def test_lower_bound_matrix_validation():
         lower_bound_matrix(4, 0.0)
 
 
-def test_uniform_completion_is_admissible():
-    for l in (2, 3, 6, 9):
-        W = lower_bound_matrix(l, 0.15)
-        P = uniform_completion(W)
-        assert np.abs(P.entries.sum(axis=0) - 1.0).max() <= 1e-12
-        assert (P.entries >= W - 1e-15).all()
-        assert ((P.entries > 0) == (W > 0)).all()
+def _absorbing_errors(P, k_max):
+    """max |P^k - e1 1^T| for k = 1..k_max, each power taken afresh."""
+    target = np.zeros(P.shape)
+    target[0, :] = 1.0
+    return np.array([np.abs(np.linalg.matrix_power(P, k) - target).max()
+                     for k in range(1, k_max + 1)])
 
 
 def test_rate_certificate_uniform_completion_l6():
-    # direct multiplication oracle: the max-entry error of P^k against the
-    # absorbing target first drops below 1e-6 at k = 150 for this chain
-    W = lower_bound_matrix(6, 0.15)
-    P = uniform_completion(W)
-    cert = product_convergence_rate([P] * 200, W)
-    errors = cert.errors
-    assert errors[149] < 1e-6
-    assert errors[148] >= 1e-6
+    # the uniform completion of W: each column spreads 1/3 over staying,
+    # stepping down and stepping up.  Against the power oracle the error of
+    # P^k first drops below 1e-6 at k = 150
+    chain = DistanceChain.for_walk(6, 1 / 3, move_probs=(1 / 3, 1 / 3, 1 / 6, 1 / 6))
+    cert = chain.rate_certificate(200)
+    oracle = _absorbing_errors(chain.matrix.entries, 200)
+    assert np.abs(cert.errors - oracle).max() <= 1e-12
+    first = int(np.argmax(oracle < 1e-6)) + 1
+    assert first == 150
+    assert cert.errors[first - 1] < 1e-6 <= cert.errors[first - 2]
     ks = np.arange(1, 201)
-    assert cert.beta < 1.0
-    assert (errors <= cert.c0 * cert.beta ** ks + 1e-12).all()
+    assert 0 < cert.beta < 1.0
+    assert (cert.errors <= cert.c0 * cert.beta ** ks * (1 + 1e-12)).all()
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_rate_certificate_holds_on_short_prefixes(k):
-    # a two-matrix prefix has errors [1, 1], too few to fit a decay; like
-    # the one-matrix prefix it takes beta = 1/2, and every envelope holds
-    # without a tolerance
-    W = lower_bound_matrix(6, 0.2)
-    cert = product_convergence_rate([uniform_completion(W)] * k, W)
+    # the errors of P and P^2 are both 1, too few to show a decay; the exact
+    # rate still gives an envelope that holds at every k, without a tolerance
+    cert = DistanceChain.for_walk(6, 0.2).rate_certificate(k)
     assert 0.0 < cert.beta < 1.0
     for j in range(1, k + 1):
         assert cert.errors[j - 1] <= cert.c0 * cert.beta ** j
 
 
 def test_rate_certificate_l2_matches_scalar_recursion():
-    gamma = 0.3
-    W = lower_bound_matrix(2, gamma)
-    P = uniform_completion(W)  # the transient state keeps mass 1/2 per step
-    cert = product_convergence_rate([P] * 60, W)
-    expected = 0.5 ** np.arange(1, 61)
-    assert np.abs(cert.errors - expected).max() <= 1e-12
-    assert cert.beta <= 1.0 - gamma + 1e-9
-
-
-def test_rate_certificate_absorbing_product():
-    target = np.zeros((4, 4))
-    target[0, :] = 1.0
-    cert = product_convergence_rate([target] * 5, target)
-    assert (cert.errors == 0.0).all()
-    assert cert.c0 == 0.0
+    # on two positions the unabsorbed mass keeps p_stay + p_both per step,
+    # which is also the exact rate
+    move_probs = (0.3, 0.3, 0.1, 0.3)
+    chain = DistanceChain.for_walk(2, 0.3, move_probs)
+    cert = chain.rate_certificate(60)
+    keep = move_probs[2] + move_probs[3]
+    assert np.abs(cert.errors - keep ** np.arange(1, 61)).max() <= 1e-12
+    assert cert.beta == pytest.approx(keep, rel=1e-12)
 
 
 def test_rate_certificate_validation():
-    W = lower_bound_matrix(4, 0.2)
-    P = uniform_completion(W)
-    bad_type = P.entries.copy()
-    bad_type[3, 1] = bad_type[2, 1]
-    bad_type[2, 1] = 0.0
-    with pytest.raises(ValidationError):
-        product_convergence_rate([bad_type], W)
-    with pytest.raises(ValidationError):
-        product_convergence_rate([], W)
-    droopy = P.entries.copy()
-    droopy[:, 1] = 0.0
-    droopy[0, 1], droopy[1, 1], droopy[2, 1] = 0.9, 0.05, 0.05
-    with pytest.raises(ValidationError):
-        # two entries of column 2 fall below the 0.2 floor
-        product_convergence_rate([droopy], W)
-    unrooted = np.eye(4)
-    with pytest.raises(ValidationError):
-        product_convergence_rate([P], unrooted)
-
-
-def test_rate_certificate_checks_each_distinct_matrix_once(monkeypatch):
-    from async_dca import walk
-
-    W = lower_bound_matrix(6, 0.15)
-    P = uniform_completion(W)
-    # a repeated object is validated once; distinct copies, each validated,
-    # are the reference, and the certificate must not change by a bit
-    fast = product_convergence_rate([P] * 200, W)
-    slow = product_convergence_rate([P.entries.copy() for _ in range(200)], W)
-    assert fast.errors.tobytes() == slow.errors.tobytes()
-    assert np.float64(fast.c0).tobytes() == np.float64(slow.c0).tobytes()
-    assert np.float64(fast.beta).tobytes() == np.float64(slow.beta).tobytes()
-
-    checked = []
-
-    class Counting(walk.ColumnStochasticMatrix):
-        def __post_init__(self):
-            checked.append(1)
-            super().__post_init__()
-
-    monkeypatch.setattr(walk, "ColumnStochasticMatrix", Counting)
-    arr = P.entries.copy()
-    product_convergence_rate([arr] * 50, W)
-    assert len(checked) == 1
-    product_convergence_rate([arr] * 3 + [arr.copy()] + [arr] * 2, W)
-    assert len(checked) == 1 + 3
-
-    # a bad matrix after a run of repeats is still rejected, on every check
+    # a chain built directly, not by for_walk, is checked against W once
+    good = DistanceChain.for_walk(4, 0.2)
+    arr = good.matrix.entries
     not_stochastic = arr * 1.5
     bad_type = arr.copy()
-    bad_type[0, 1] = 0.0
-    bad_type[2, 1] = arr[0, 1] + arr[2, 1]
+    bad_type[3, 1] = bad_type[2, 1]
+    bad_type[2, 1] = 0.0
     droopy = arr.copy()
     droopy[:, 1] = 0.0
-    droopy[0, 1], droopy[1, 1] = 0.9, 0.1
-    for bad in (not_stochastic, bad_type, droopy, np.eye(5)):
-        with pytest.raises((ValidationError, walk.DimensionError)):
-            product_convergence_rate([arr] * 4 + [bad] + [arr] * 2, W)
-        with pytest.raises((ValidationError, walk.DimensionError)):
-            product_convergence_rate([arr] * 4 + [bad] * 3, W)
+    droopy[0, 1], droopy[1, 1], droopy[2, 1] = 0.9, 0.05, 0.05  # below the 0.2 floor
+    for bad, error in ((not_stochastic, ValidationError), (bad_type, ValidationError),
+                       (droopy, ValidationError), (np.eye(5), DimensionError)):
+        chain = DistanceChain(l=4, gamma=0.2, move_probs=good.move_probs, matrix=bad)
+        with pytest.raises(error):
+            chain.rate_certificate(10)
+    with pytest.raises(ValidationError):
+        good.rate_certificate(0)
+    # the checks of W itself
+    W = lower_bound_matrix(4, 0.2)
+    with pytest.raises(DimensionError):
+        walk._product_errors(arr, W[:3], 5)
+    with pytest.raises(ValidationError):
+        walk._product_errors(arr, -W, 5)
+    with pytest.raises(ValidationError):
+        walk._product_errors(arr, np.eye(4), 5)
 
 
 def test_distance_chain_is_admissible_and_absorbing():
@@ -338,9 +275,9 @@ def test_match_curve_memory_is_bounded_by_block():
 @pytest.mark.parametrize("l", range(2, 9))
 def test_certificate_holds_at_every_short_horizon(l, move_probs):
     # beta is the exact rate of the transient block, so a horizon too short
-    # to show decay still yields a certificate: a rate fitted to the errors
-    # found none at (l, k_max) = (6, 2), (7, 2), (8, 2) and (8, 3).  With
-    # distinct labels a match is an absorbed distance, the tightest case.
+    # to show decay, such as (l, k_max) = (6, 2), (7, 2), (8, 2) or (8, 3),
+    # still yields a certificate.  With distinct labels a match is an
+    # absorbed distance, the tightest case.
     cycle = LabelledCycle(l, tuple(range(1, l + 1)))
     chain = DistanceChain.for_walk(l, 0.2, move_probs)
     for k_max in range(1, 12):
