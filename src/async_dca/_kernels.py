@@ -1,8 +1,11 @@
 """Hot inner loops: trajectory evolution and cycle-walk simulation.
 
-Both kernels are pure numpy, vectorised across trials, which they store on
-the last, contiguous axis, so each per-step reduction over the n agents is
-n-1 element-wise operations on length-T vectors.
+Both kernels are pure numpy and vectorised across trials.  The trajectory
+kernel stores the trials on the last, contiguous axis, so each per-step
+reduction over the n agents is n-1 element-wise operations on length-T
+vectors.  The walk kernel has no loop over transitions: it takes a block's
+trials in slabs of about ``CHUNK_BYTES``, steps-major, and runs a fixed
+number of numpy passes per slab (see ``walk_match_batch``).
 
 The trajectory kernel is resumable.  The caller draws the horizon in blocks
 of steps and passes each block together with the ``Carry`` the previous
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-CHUNK_BYTES = 64 * 1024  # sizes the kernel's chunks (of states) and pair-min groups
+CHUNK_BYTES = 64 * 1024  # sizes the chunks (of states), pair-min groups and walk slabs
 TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
 
 
@@ -244,32 +247,84 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     call advances in place to the positions at its end (a matched walk stops
     where it matched); ``uniforms`` is a (T, S) block of pre-drawn uniforms,
     one per transition (S may be 0).  Thresholds partition [0, 1) into the
-    four moves: j steps back, i steps back, both stay, both step back.
-    Returns (T,) first times at which the two labels coincide, counted from
-    1 at ``starts``, so a match after the s-th transition of the block reads
-    s + 1; -1 if none within the block.
+    four moves: j steps back below ``t_move_j``, i steps back on
+    ``[t_move_j, t_move_i)``, both stay on ``[t_move_i, t_stay)`` and both
+    step back from ``t_stay``.  Returns (T,) first times at which the two
+    labels coincide, counted from 1 at ``starts``, so a match after the
+    s-th transition of the block reads s + 1; -1 if none within the block.
+
+    There is no loop over transitions.  The trials are taken in slabs of
+    ``W = max(1, CHUNK_BYTES // (8 (S + 1)))``, steps-major, so a slab's
+    S + 1 positions of one token take CHUNK_BYTES and every temporary is
+    O(CHUNK_BYTES) whatever T is.  A cumulative sum of each token's
+    back-step indicators along the steps gives its positions after 0..S
+    transitions, ``start - back-steps`` in [-S, l).  The sum runs on
+    uint64 words that each pack several trials' counts in lanes of the
+    least unsigned dtype that holds S: no lane exceeds S, so no carry
+    crosses lanes and one word addition adds them all.  The positions index
+    tables of ``S // l + 1`` copies of the cycle without a modulo, the
+    negative ones from the end.  The first match is the least step index of
+    the matches, and a walk ends at its first match, else at the block's
+    end, so the outputs are bitwise those of stepping the walks one
+    transition at a time (``tests/_oracles.py::simulate_backward_walk``).
     """
     labels = np.asarray(labels, dtype=np.int64)
     uniforms = np.asarray(uniforms, dtype=np.float64)
     l = labels.shape[0]
-    T, steps = uniforms.shape
-    i = starts[:, 0].copy()
-    j = starts[:, 1].copy()
-    hits = np.where(labels[i] == labels[j], 1, -1).astype(np.int64)
-    for k in range(steps):
-        alive = hits < 0
-        if not alive.any():
-            break
-        u = uniforms[:, k]
-        move_j = alive & (u < t_move_j)
-        move_i = alive & (u >= t_move_j) & (u < t_move_i)
-        move_b = alive & (u >= t_stay)
-        j = np.where(move_j | move_b, (j - 1) % l, j)
-        i = np.where(move_i | move_b, (i - 1) % l, i)
-        matched = alive & (labels[i] == labels[j])
-        hits[matched] = k + 2
-    starts[:, 0] = i
-    starts[:, 1] = j
+    T, S = uniforms.shape
+    R = S + 1
+    reps = S // l + 1
+    _, codes = np.unique(labels, return_inverse=True)
+    label_of = np.tile(codes.astype(np.min_scalar_type(l)), reps)
+    residue_of = np.tile(np.arange(l), reps)
+    # (k - R) marks a match after k transitions; no match leaves 0
+    ks = np.arange(-R, 0, dtype=np.min_scalar_type(-R))[:, None]
+    W = max(1, min(T, CHUNK_BYTES // (8 * R)))
+    U = np.empty(S * W)
+    B = np.empty(3 * S * W, dtype=bool)
+    lane = np.min_scalar_type(S)
+    per_word = 8 // lane.itemsize
+    C = np.empty((2, S, -(-W // per_word) * per_word), dtype=lane)
+    words = C.view(np.uint64)
+    I = np.empty(2 * R * W, dtype=np.intp)
+    K = np.empty(R * W, dtype=ks.dtype)
+    E = np.empty(2 * W, dtype=np.intp)
+    cols = np.arange(W)
+    hits = np.empty(T, dtype=np.int64)
+    for a in range(0, T, W):
+        w = min(W, T - a)
+        u = U[:S * w].reshape(S, w)
+        np.copyto(u, uniforms[a:a + w].T)
+        b = B[:3 * S * w].reshape(3, S, w)
+        np.less(u, t_move_i, out=b[0])
+        np.less(u, t_move_j, out=b[1])
+        np.greater_equal(u, t_stay, out=b[2])
+        # back-steps: i on [t_move_j, t_move_i), j below t_move_j, both from t_stay
+        np.greater(b[0], b[1], out=b[0])
+        np.logical_or(b[:2], b[2], out=b[:2])
+        # back-step counts; the lanes past w are zeroed to stay within S
+        C[:, :, w:] = 0
+        np.copyto(C[:, :, :w], b[:2])
+        np.cumsum(words, axis=1, out=words)
+        # pos[:, k] holds each token's position after k transitions
+        pos = I[:2 * R * w].reshape(2, R, w)
+        pos[:, 0] = starts[a:a + w].T
+        np.subtract(pos[:, :1], C[:, :, :w], out=pos[:, 1:])
+        lab = label_of[pos]
+        k = K[:R * w].reshape(R, w)
+        np.multiply(np.equal(lab[0], lab[1]), ks, out=k)
+        first = np.add(k.min(axis=0), R, dtype=np.intp)
+        h = hits[a:a + w]
+        np.add(first, 1, out=h)
+        missed = first == R
+        np.putmask(h, missed, -1)
+        # the end is row first of the slab, or row S without a match
+        first -= missed
+        first *= w
+        first += cols[:w]
+        end = E[:2 * w].reshape(2, w)
+        np.take(pos.reshape(2, R * w), first, axis=1, out=end)
+        starts[a:a + w] = residue_of[end].T
     return hits
 
 

@@ -230,7 +230,9 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     trial in increasing trial order, until every trial has matched or
     ``k_max - 1`` transitions have been drawn.  The empirical curve is
     cumulative, hence non-decreasing, and dominates the bound whenever the
-    walk's moves meet the ``gamma`` floors.
+    walk's moves meet the ``gamma`` floors.  On a one-position cycle every
+    walk matches at k = 1: the curve and the bound are all ones, with
+    ``c0 = beta = 0``.
     """
     if trials < 1 or k_max < 1:
         raise ValidationError("need trials >= 1 and k_max >= 1")
@@ -257,10 +259,14 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     counts = np.bincount(hits[hits > 0], minlength=k_max + 1)
     empirical = np.cumsum(counts)[1:] / trials
 
-    chain = DistanceChain.for_walk(l, gamma, move_probs)
-    cert = chain.rate_certificate(k_max)
-    c0 = cert.c0 / cert.beta if cert.c0 > 0 else 0.0
+    if l == 1:
+        # one position: every walk matches at k = 1, so the bound is exact
+        c0 = beta = 0.0
+    else:
+        cert = DistanceChain.for_walk(l, gamma, move_probs).rate_certificate(k_max)
+        c0 = cert.c0 / cert.beta if cert.c0 > 0 else 0.0
+        beta = cert.beta
     ks = np.arange(1, k_max + 1)
-    bound = 1.0 - c0 * cert.beta ** ks
+    bound = 1.0 - c0 * beta ** ks
     return MatchCurve(k=ks, empirical=empirical, bound=bound,
-                      c0=c0, beta=cert.beta, hits=hits)
+                      c0=c0, beta=beta, hits=hits)

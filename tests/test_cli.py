@@ -167,6 +167,27 @@ def test_walk_cli_auto_from_matrix(six_node, capsys):
     assert code == 0
 
 
+def test_walk_cli_on_a_one_node_root_component(tmp_path, capsys):
+    # a stubborn agent 1 is the whole root component: a cycle of one position
+    matrix = tmp_path / "stubborn.json"
+    matrix.write_text(json.dumps({"n": 2, "rows": [[1, 0], [0.5, 0.5]]}))
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"length": 1, "labels": [1]}))
+    for source in (("--auto-from-matrix", str(matrix)), ("--cycle", str(cycle))):
+        csv_path = tmp_path / "walk.csv"
+        code, out, _ = run_cli(capsys, "walk", *source, "--gamma", "0.2", "--kmax", "12",
+                               "--trials", "40", "--out", str(csv_path))
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["cycle_length"] == 1
+        assert summary["c0"] == 0.0 and summary["beta"] == 0.0
+        assert summary["match_prob_at_kmax"] == 1.0
+        rows = list(csv.DictReader(csv_path.open()))
+        assert len(rows) == 12
+        assert {(r["empirical_match_prob"], r["bound_1_minus_c0_beta_k"]) for r in rows} == {
+            ("1.0", "1.0")}
+
+
 def test_repro_success_and_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "repro", "example3")
     assert code == 0

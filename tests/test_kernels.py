@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,94 @@ def test_walk_kernel_advances_starts_to_the_block_end():
         assert (ends[t] + 1).tolist() == walk.positions[-1].tolist()
         assert hits[t] == (walk.hit_time or -1)
     assert (hits > 1).any() and (hits < 0).any()
+
+
+def _walk_oracle(cycle, move_probs, starts, uniforms):
+    """Hits and 0-based end positions, one plain walk per trial."""
+    hits, ends = [], []
+    for start, row in zip(starts, uniforms):
+        walk = simulate_backward_walk(cycle, 0.01, uniforms.shape[1] + 1,
+                                      _WalkReplay(start, row), move_probs=move_probs)
+        hits.append(walk.hit_time or -1)
+        ends.append((walk.positions[-1] - 1).tolist())
+    return np.array(hits), np.array(ends, dtype=np.int64).reshape(-1, 2)
+
+
+def _walk_inputs(l, S, T, move_probs, seed):
+    """Labels, starts and uniforms that hit the kernel's edge cases.
+
+    Labels repeat, so walks match at distinct positions; trial 0 starts
+    matched; whole rows of 0.99 move both tokens; single entries sit exactly
+    on the three thresholds and at 0.  Trial 1 moves both tokens at every
+    transition from adjacent positions, whose labels differ for l in
+    {2, 7}, so it never matches and steps back S times.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, 13, size=l) if l > 7 else (1, 2, 3, 4, 2, 5, 3)[:l]
+    cycle = LabelledCycle(l, tuple(int(v) for v in labels))
+    starts = rng.integers(0, l, size=(T, 2))
+    starts[0] = (l - 1, l - 1)
+    uniforms = rng.random((T, S))
+    uniforms[1::5] = 0.99
+    thresholds = np.cumsum(move_probs[:3])
+    edges = np.append(thresholds, 0.0)
+    mask = rng.random((T, S)) < 0.1
+    uniforms[mask] = rng.choice(edges, size=int(mask.sum()))
+    starts[1] = (0, 1 % l)
+    uniforms[1] = 0.99
+    return cycle, starts, uniforms, thresholds
+
+
+_MOVE_LAWS = [(0.25, 0.25, 0.25, 0.25), (0.2, 0.5, 0.0, 0.3), (0.6, 0.1, 0.0, 0.3),
+              (0.1, 0.3, 0.5, 0.1)]
+
+
+@pytest.mark.parametrize("move_probs", _MOVE_LAWS)
+@pytest.mark.parametrize("l, S", sorted({(l, S) for l in (1, 2, 7)
+                                         for S in (0, 1, l - 1, l, l + 1, 16, 35)}
+                                        | {(300, 200), (7, 256)}))
+def test_walk_kernel_matches_the_per_trial_walk(monkeypatch, l, S, move_probs):
+    # slabs of 5 trials, so 17 trials make four slabs and a ragged last one
+    monkeypatch.setattr(_kernels, "CHUNK_BYTES", 8 * (S + 1) * 5)
+    cycle, starts, uniforms, (t1, t2, t3) = _walk_inputs(l, S, 17, move_probs, 13 * l + S)
+    ends = starts.copy()
+    hits = _kernels.walk_match_batch(np.array(cycle.labels), ends, uniforms, t1, t2, t3)
+    want_hits, want_ends = _walk_oracle(cycle, move_probs, starts, uniforms)
+    assert hits.dtype == np.int64 and ends.dtype == np.int64
+    assert np.array_equal(hits, want_hits)
+    assert np.array_equal(ends, want_ends)
+    assert hits[0] == 1 and (ends[0] == l - 1).all()
+    if l in (2, 7):
+        assert hits[1] == -1 and (ends[1] == (np.array([0, 1]) - S) % l).all()
+
+
+def test_walk_kernel_matches_the_per_trial_walk_across_full_slabs():
+    S = 16
+    slab = _kernels.CHUNK_BYTES // (8 * (S + 1))
+    move_probs = (0.2, 0.2, 0.3, 0.3)
+    cycle, starts, uniforms, (t1, t2, t3) = _walk_inputs(7, S, 2 * slab + 37, move_probs, 41)
+    ends = starts.copy()
+    hits = _kernels.walk_match_batch(np.array(cycle.labels), ends, uniforms, t1, t2, t3)
+    want_hits, want_ends = _walk_oracle(cycle, move_probs, starts, uniforms)
+    assert np.array_equal(hits, want_hits)
+    assert np.array_equal(ends, want_ends)
+    assert (hits == 1).any() and (hits > 1).any() and (hits < 0).any()
+
+
+def test_walk_kernel_memory_is_bounded_by_the_slab():
+    # the inputs exist before tracing starts; the (T,) int64 hits take 1.6 MB
+    rng = np.random.default_rng(7)
+    T, S = 200_000, 16
+    labels = np.array([1, 4, 3, 4, 3, 6])
+    starts = rng.integers(0, 6, size=(T, 2))
+    uniforms = rng.random((T, S))
+    tracemalloc.start()
+    try:
+        _kernels.walk_match_batch(labels, starts, uniforms, 0.2, 0.4, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_env_flag_selects_backend():

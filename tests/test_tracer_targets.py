@@ -3,13 +3,22 @@
 ``perfbench/tracer.py`` resolves each ``TARGETS`` entry with ``getattr``
 when a traced benchmark run starts, so a library change that removes one
 makes every ``--trace 1`` run fail.  The table is read from the file's
-source, without importing the tracer or installing it.
+source, without importing the tracer or installing it.  The tracer's work
+counts are computed from a kernel's arguments and return value, so they
+are checked against the per-trial walk; for that the module is loaded from
+its path, and nothing is wrapped.
 """
 import ast
 import importlib
+import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from async_dca import LabelledCycle, _kernels
+from _oracles import _WalkReplay, simulate_backward_walk
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +43,29 @@ def test_tracer_target_resolves(module, attr, name):
         assert isinstance(getattr(owner, cls_name, None), type), f"{name}: no class {cls_name}"
     else:
         assert callable(getattr(owner, attr, None)), f"{name}: no function {attr}"
+
+
+def test_walk_hook_counts_the_transitions_the_walks_ran():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hook = tracer.HOOKS["kernels.walk_match_batch"]
+    rng = np.random.default_rng(2027)
+    cycle = LabelledCycle(6, (1, 4, 3, 4, 3, 6))
+    move_probs = (0.2, 0.2, 0.3, 0.3)
+    T, S = 40, 16
+    starts = rng.integers(0, 6, size=(T, 2))
+    uniforms = rng.random((T, S))
+    # adjacent labels all differ, so moving both tokens never matches
+    starts[:6] = np.column_stack([np.arange(6), (np.arange(6) + 1) % 6])
+    uniforms[:6] = 0.99
+    args = (np.array(cycle.labels), starts.copy(), uniforms, *np.cumsum(move_probs[:3]))
+    hits = _kernels.walk_match_batch(*args)
+    counts = defaultdict(int)
+    hook(counts, args, {}, hits)
+    ran = sum(len(simulate_backward_walk(cycle, 0.2, S + 1, _WalkReplay(start, row),
+                                         move_probs=move_probs).positions) - 1
+              for start, row in zip(starts, uniforms))
+    assert counts["kernels.walk_match_batch.uniforms"] == T * S
+    assert counts["kernels.walk_match_batch.trial_steps"] == ran
+    assert (hits == 1).any() and (hits > 1).any() and (hits < 0).any()

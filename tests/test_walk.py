@@ -234,6 +234,14 @@ def test_all_matching_cycle_draws_no_uniforms(monkeypatch):
     assert np.array_equal(curve.hits, walk_hits_v2(cycle, 0.2, 50, 20, seed=3))
 
 
+def test_one_position_cycle_gives_the_exact_trivial_curve():
+    # both tokens sit on the one position, so every walk matches at k = 1
+    curve = match_probability_curve(LabelledCycle(1, (1,)), 0.2, 30, 50, seed=8)
+    assert (curve.hits == 1).all()
+    assert (curve.empirical == 1.0).all() and (curve.bound == 1.0).all()
+    assert curve.c0 == 0.0 and curve.beta == 0.0
+
+
 def test_exact_oracle_small_cases():
     # one transition on a 2-cycle with distinct labels: a single move of
     # either token matches, staying or moving both does not
