@@ -12,8 +12,9 @@ of steps and passes each block together with the ``Carry`` the previous
 block left: the states, the accumulated products, the last coefficients,
 the initial discrepancies, the maxima of the three checks and the exit-test
 schedule.  Each call returns that block's discrepancies and coefficients,
-steps first, and the carry.  Only the carry lives from block to block, so a
-batch needs O(T n^2) memory plus what the caller keeps of the blocks.
+steps first, and the carry.  Only the carry, chunk buffers included, lives
+from block to block, so a batch needs O(T n^2 + n CHUNK_BYTES) memory plus
+what the caller keeps of the blocks.
 
 Inside a block the state and the accumulated product step together as
 one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``), so each step
@@ -94,6 +95,8 @@ class Carry:
     ``viol_mono`` and ``row_err`` (T,) maxima of the checks so far (see
     ``trajectory_batch``); ``fixed`` is True once the batch is an exact
     fixed point.  ``chunks`` and ``next_test`` schedule the exit test.
+    ``buffers`` holds the chunk work arrays, allocated by the first block
+    and reused by every later block no longer than it.
     """
 
     def __init__(self, x0, track_lambda):
@@ -114,6 +117,7 @@ class Carry:
         self.chunks = 0
         self.next_test = 1
         self.fixed = False
+        self.buffers = None
 
 
 def trajectory_batch(A, masks, carry, track_lambda=True):
@@ -124,9 +128,10 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     columns run in sequential order, as in
     ``tests/_oracles.py::trajectory_batch_trials_first``.  The block is
     walked in chunks and stops early at an exact fixed point (see the
-    module docstring).  Every buffer is allocated once per block: fresh
-    per-step temporaries make the allocator return and refault their pages
-    every step, which costs more than the arithmetic.
+    module docstring).  The chunk buffers are allocated once per batch
+    and kept in the carry, only the returned series once per block: fresh
+    temporaries make the allocator return and refault their pages, which
+    costs more than the arithmetic.
 
     Parameters
     ----------
@@ -168,29 +173,32 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     C = max(1, min(K, CHUNK_BYTES // max(1, 8 * n * T)))
     Q, d0 = carry.Q, carry.d0
     m = Q.shape[1]
+    if track_lambda:
+        pairs = np.triu_indices(n, 1)
+        npairs = len(pairs[0])
+        # the pair minima of G steps at a time stay within CHUNK_BYTES
+        G = max(1, min(C, CHUNK_BYTES // max(1, 8 * npairs * n * T)))
+    bufs = carry.buffers
+    if bufs is None or len(bufs[1]) < C:
+        bufs = carry.buffers = [np.empty((C + 1, n, m, T)), np.empty((C, n, T), dtype=bool),
+                                np.empty((C, n, m, T), dtype=bool), np.empty((C, T)),
+                                np.empty(T)]
+        if track_lambda:
+            bufs += [np.empty((C, n, T)), np.empty((C, T)),
+                     (np.empty((2, G, npairs, m * T)), np.empty((G, npairs, T)))]
+    Qs, kt, keep, w, wT = bufs[:5]
     # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
-    Qs = np.empty((C + 1, n, m, T))
     Qs[0] = Q
-    Qs2 = Qs.reshape(C + 1, n, m * T)
-    kt = np.empty((C, n, T), dtype=bool)
-    keep = np.empty((C, n, m, T), dtype=bool)
-    keep2 = keep.reshape(C, n, m * T)
+    Qs2 = Qs.reshape(len(Qs), n, m * T)
+    keep2 = keep.reshape(len(keep), n, m * T)
     X = Qs[:, :, 0]
-    w = np.empty((C, T))
-    wT = np.empty(T)
     # row 0 holds the values before the block's first step
     deltas = np.empty((K + 1, T))
     deltas[0] = d0
     viol_contract, viol_mono, row_err = carry.viol_contract, carry.viol_mono, carry.row_err
     if track_lambda:
         lams = np.empty((K + 1, T))
-        pairs = np.triu_indices(n, 1)
-        npairs = len(pairs[0])
-        # the pair minima of G steps at a time stay within CHUNK_BYTES
-        G = max(1, min(C, CHUNK_BYTES // max(1, 8 * npairs * n * T)))
-        work = (np.empty((2, G, npairs, m * T)), np.empty((G, npairs, T)))
-        rs = np.empty((C, n, T))
-        shared = np.empty((C, T))
+        rs, shared, work = bufs[5:]
         if first:
             _shared_mass(Qs2[:1], pairs, work, shared[:1])
             np.clip(1.0 - shared[0], 0.0, 1.0, out=lams[0])
@@ -239,6 +247,12 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     return deltas[rows], lams[rows], carry
 
 
+def walk_slab_rows(S):
+    """Trials per slab of a walk block of S transitions: the slab's S + 1
+    positions of one token take about ``CHUNK_BYTES``."""
+    return max(1, CHUNK_BYTES // (8 * (S + 1)))
+
+
 def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     """First label-match times for a batch of backward cycle walks.
 
@@ -254,7 +268,7 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     s-th transition of the block reads s + 1; -1 if none within the block.
 
     There is no loop over transitions.  The trials are taken in slabs of
-    ``W = max(1, CHUNK_BYTES // (8 (S + 1)))``, steps-major, so a slab's
+    ``W = walk_slab_rows(S)``, steps-major, so a slab's
     S + 1 positions of one token take CHUNK_BYTES and every temporary is
     O(CHUNK_BYTES) whatever T is.  A cumulative sum of each token's
     back-step indicators along the steps gives its positions after 0..S
@@ -274,12 +288,13 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     T, S = uniforms.shape
     R = S + 1
     reps = S // l + 1
-    _, codes = np.unique(labels, return_inverse=True)
-    label_of = np.tile(codes.astype(np.min_scalar_type(l)), reps)
-    residue_of = np.tile(np.arange(l), reps)
+    # labels less their least one: equal exactly where the labels are
+    codes = labels - labels.min()
+    label_of = np.resize(codes.astype(np.min_scalar_type(codes.max())), reps * l)
+    residue_of = np.arange(reps * l) % l
     # (k - R) marks a match after k transitions; no match leaves 0
     ks = np.arange(-R, 0, dtype=np.min_scalar_type(-R))[:, None]
-    W = max(1, min(T, CHUNK_BYTES // (8 * R)))
+    W = max(1, min(T, walk_slab_rows(S)))
     U = np.empty(S * W)
     B = np.empty(3 * S * W, dtype=bool)
     lane = np.min_scalar_type(S)

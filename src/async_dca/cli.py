@@ -103,14 +103,17 @@ def _cmd_simulate(args) -> int:
             deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
         deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
         check_product_rows(carry)
-    columns = [range(1, steps + 1), deltas[1:].tolist()]
-    if track:
-        columns.append(lams[1:].tolist())
     fh, close = _open_out(args.out)
     try:
         writer = csv.writer(fh)
         writer.writerow(["k", "delta"] + (["lambda_product"] if track else []))
-        writer.writerows(zip(*columns))
+        # 4096 rows at a time: no list of the whole horizon's floats is built
+        for a in range(1, steps + 1, 4096):
+            b = min(a + 4096, steps + 1)
+            columns = [range(a, b), deltas[a:b].tolist()]
+            if track:
+                columns.append(lams[a:b].tolist())
+            writer.writerows(zip(*columns))
     finally:
         if close:
             fh.close()

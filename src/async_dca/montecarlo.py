@@ -25,7 +25,9 @@ on B; and a run of one trial draws what trial 0 drew under seed contract
 outputs.  Once the kernel stops at an exact fixed point nothing more is
 drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not called
 for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the sets a
-``weight_fn`` hook reads.
+``weight_fn`` hook reads: a block holds about ``MASK_BLOCK_BYTES`` (256
+KiB) of masks and, 8 / n times that each, its (B + 1, T) float64 series of
+discrepancies and, with lambda, coefficients.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .schedulers import (
 CONSENSUS_EPSILON = 1e-6
 NONCONVERGENCE_EPSILON = 1e-3
 NONCONSENSUS_DELTA = 0.05
-MASK_BLOCK_BYTES = 1 << 20  # update masks drawn per block of the pipeline
+MASK_BLOCK_BYTES = 1 << 18  # update masks drawn per block of the pipeline
 
 _THRESHOLD_NOTE = (
     "desk-scale operationalisation: the asymptotic claim is replaced by "
@@ -157,6 +159,8 @@ def trajectory_blocks(cfg: ExperimentConfig):
         deltas, lams, carry = _kernels.trajectory_batch(
             cfg.matrix.entries, masks.transpose(1, 0, 2), carry, cfg.track_lambda)
         del masks
+        if carry.fixed or k0 + B >= K:
+            carry.buffers = None  # the last block: free the kernel's chunk buffers
         yield k, deltas, lams, carry
         k += len(deltas)
         if carry.fixed:

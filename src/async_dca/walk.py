@@ -28,8 +28,12 @@ from .rng import stream
 GAMMA_MAX = 1.0 / 3.0
 # Transition uniforms are drawn in blocks of this many columns, for the
 # unmatched trials only.  Part of the seed contract: changing it changes
-# every walk output for a given seed.
+# every walk output for a given seed.  Each block is drawn and walked in
+# row slabs of about WALK_SLAB_BYTES of uniforms, whole kernel slabs each;
+# the stream is read row-major, so the slabs change no draw and no output
+# and their size is outside the seed contract.
 WALK_BLOCK = 16
+WALK_SLAB_BYTES = 1 << 18
 
 
 def _check_gamma(gamma: float) -> float:
@@ -228,7 +232,9 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     ``(trials, 2)`` array, then blocks of ``WALK_BLOCK`` transition uniforms
     (fewer for the last block of the horizon), one row per still-unmatched
     trial in increasing trial order, until every trial has matched or
-    ``k_max - 1`` transitions have been drawn.  The empirical curve is
+    ``k_max - 1`` transitions have been drawn.  Each block is drawn and
+    walked in slabs of rows (see ``WALK_SLAB_BYTES``); the stream is read
+    row-major, so this changes no draw.  The empirical curve is
     cumulative, hence non-decreasing, and dominates the bound whenever the
     walk's moves meet the ``gamma`` floors.  On a one-position cycle every
     walk matches at k = 1: the curve and the bound are all ones, with
@@ -248,9 +254,14 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     done = 0
     while unmatched.size and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
-        u = rng.random((unmatched.size, width))
-        # the kernel advances pos to the end of the block
-        block_hits = _kernels.walk_match_batch(labels, pos, u, t1, t2, t3)
+        slab = _kernels.walk_slab_rows(width)
+        rows = slab * max(1, WALK_SLAB_BYTES // (8 * width * slab))
+        block_hits = np.empty(unmatched.size, dtype=np.int64)
+        for r0 in range(0, unmatched.size, rows):
+            r1 = min(r0 + rows, unmatched.size)
+            u = rng.random((r1 - r0, width))
+            # the kernel advances pos[r0:r1] to the end of the block
+            block_hits[r0:r1] = _kernels.walk_match_batch(labels, pos[r0:r1], u, t1, t2, t3)
         matched = block_hits > 0
         hits[unmatched[matched]] = block_hits[matched] + done
         done += width

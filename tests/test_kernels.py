@@ -422,6 +422,21 @@ def test_walk_kernel_matches_the_per_trial_walk(monkeypatch, l, S, move_probs):
         assert hits[1] == -1 and (ends[1] == (np.array([0, 1]) - S) % l).all()
 
 
+@pytest.mark.parametrize("relabel", [lambda v: v + 250, lambda v: 10 ** 12 * v - 7,
+                                     lambda v: -v])
+def test_walk_kernel_reads_only_label_equality(relabel):
+    # labels are coded by their offset from the least one, so a relabelling
+    # with a wide or negative range changes no hit and no end position
+    move_probs = (0.2, 0.2, 0.3, 0.3)
+    cycle, starts, uniforms, (t1, t2, t3) = _walk_inputs(7, 16, 60, move_probs, 5)
+    labels = np.array(cycle.labels)
+    want_ends, ends = starts.copy(), starts.copy()
+    want = _kernels.walk_match_batch(labels, want_ends, uniforms, t1, t2, t3)
+    hits = _kernels.walk_match_batch(relabel(labels), ends, uniforms, t1, t2, t3)
+    assert np.array_equal(hits, want) and np.array_equal(ends, want_ends)
+    assert (hits > 1).any() and (hits < 0).any()
+
+
 def test_walk_kernel_matches_the_per_trial_walk_across_full_slabs():
     S = 16
     slab = _kernels.CHUNK_BYTES // (8 * (S + 1))

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,34 @@ def test_simulate_matches_engine_oracle_on_bundled(tmp_path, sched, track, seed)
     expected = simulate_rows_engine(bundled_matrix("six_node_coupled"),
                                     bundled_scheduler(sched), steps, seed, track=track)
     assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("steps", [4096, 4097])
+@pytest.mark.parametrize("track", [True, False])
+def test_simulate_csv_is_whole_across_its_row_chunks(tmp_path, steps, track):
+    # rows are written 4096 at a time: one whole chunk, and one more row
+    argv = ["--matrix", SIX, "--scheduler", str(DATA / "uniform_clock6.json"),
+            "--steps", str(steps), "--seed", "7"]
+    code, out = _simulate(tmp_path, *argv, *([] if track else ["--no-product"]))
+    assert code == 0
+    expected = simulate_rows_engine(bundled_matrix("six_node_coupled"),
+                                    bundled_scheduler("uniform_clock6"), steps, 7, track=track)
+    assert out.read_bytes() == expected.encode()
+
+
+def test_simulate_csv_builds_no_whole_horizon_rows(tmp_path):
+    # 16000 rows as Python lists of floats and tuples take about 1.7 MiB at
+    # their peak; written in chunks, the run stays below 1.5 MiB
+    argv = ["--matrix", SIX, "--scheduler", str(DATA / "uniform_clock6.json")]
+    _simulate(tmp_path, *argv, "--steps", "10")  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        code, _ = _simulate(tmp_path, *argv, "--steps", "16000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_simulate_schedule_and_x0_files_match_engine_oracle(tmp_path):

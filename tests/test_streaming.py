@@ -186,20 +186,44 @@ def test_one_stream_serves_every_trial(monkeypatch, B):
     assert calls == {"stream": 1, "sample_masks": 1 if B is None else -(-40 // 7)}
 
 
-def test_mc_clocks_memory_stays_bounded():
-    # mc-clocks without lambda, measured by tracemalloc: the tick-major
-    # draw never holds more than a block of masks, one buffer of uniforms
-    # and the kernel's carry and chunk buffers
-    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
-                           bundled_scheduler("half_clocks6"),
-                           trials=1000, horizon=5000, seed=1729, track_lambda=False)
+@pytest.mark.parametrize("track_lambda", [True, False])
+def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda):
+    # allocated per block they would be refaulted every block; the pipeline
+    # frees them with its last block
+    cfg = _cfg("uniform_clock6", trials=20, horizon=120, track_lambda=track_lambda)
+    _with_block(monkeypatch, cfg, 7)
+    held = [carry.buffers for _, _, _, carry in montecarlo.trajectory_blocks(cfg)]
+    assert len(held) == -(-120 // 7) and held[-1] is None
+    assert all(b is held[0] for b in held[:-1])
+    assert len(held[0]) == (8 if track_lambda else 5)
+
+
+def _traced_peak(cfg):
     tracemalloc.start()
     try:
         run_experiment(cfg)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+
+
+def test_mc_clocks_memory_stays_bounded():
+    # mc-clocks without lambda, measured by tracemalloc: the tick-major
+    # draw never holds more than a block of masks (MASK_BLOCK_BYTES), one
+    # buffer of uniforms and the kernel's carry and chunk buffers
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
+                           bundled_scheduler("half_clocks6"),
+                           trials=1000, horizon=5000, seed=1729, track_lambda=False)
+    assert _traced_peak(cfg) < 2 * 2 ** 20
+
+
+def test_mc_lambda_memory_stays_bounded():
+    # mc-lambda: a block's two (B + 1, T) series are returned with its
+    # masks, so all three scale with MASK_BLOCK_BYTES
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
+                           bundled_scheduler("uniform_clock6"),
+                           trials=200, horizon=5000, seed=1729)
+    assert _traced_peak(cfg) < 3 * 2 ** 20
 
 
 def _script(tmp_path, sets, repeat=False):

@@ -269,14 +269,80 @@ def test_match_curve_inside_wilson_bands_of_exact_curve(seed, trials):
 
 
 def test_match_curve_memory_is_bounded_by_block():
-    # drawing all k_max - 1 uniforms up front would take 50k x 199 x 8 B = 80 MB
+    # drawing all k_max - 1 uniforms up front would take 50k x 199 x 8 B = 80 MB,
+    # and one whole 16-column block of the 50k trials 6.4 MB; slabs of about
+    # WALK_SLAB_BYTES leave the O(trials) positions and hits
     tracemalloc.start()
     try:
         match_probability_curve(SIX_CYCLE, 0.2, 200, 50_000, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 4 * 2 ** 20
+
+
+def _record_kernel_calls(monkeypatch):
+    """Wrap the walk kernel; each call appends (rows, columns, hits)."""
+    calls, kernel = [], _kernels.walk_match_batch
+
+    def recording(labels, starts, uniforms, *thresholds):
+        hits = kernel(labels, starts, uniforms, *thresholds)
+        calls.append((*uniforms.shape, hits.copy()))
+        return hits
+
+    monkeypatch.setattr(_kernels, "walk_match_batch", recording)
+    return calls
+
+
+def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
+    # every block is cut into slabs of R rows, the last one ragged, with R
+    # a whole number of kernel slabs whose uniforms fit in WALK_SLAB_BYTES
+    calls = _record_kernel_calls(monkeypatch)
+    trials, k_max = 20_000, 60
+    curve = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=12)
+    (_, _, start_hits), calls = calls[0], calls[1:]
+    unmatched, done, slabs = int((start_hits < 0).sum()), 0, []
+    while unmatched and done < k_max - 1:
+        width = min(WALK_BLOCK, k_max - 1 - done)
+        sizes, left = [], 0
+        while sum(sizes) < unmatched:
+            r, w, h = calls.pop(0)
+            assert w == width and 8 * r * w <= walk.WALK_SLAB_BYTES
+            sizes.append(r)
+            left += int((h < 0).sum())
+        assert sum(sizes) == unmatched and set(sizes[:-1]) <= {sizes[0]}
+        assert len(sizes) == 1 or sizes[0] % _kernels.walk_slab_rows(width) == 0
+        slabs.append(len(sizes))
+        unmatched, done = left, done + width
+    assert calls == [] and done == k_max - 1 and (curve.hits < 0).any()
+    assert len(slabs) == 4 and slabs[0] > 2
+
+
+@pytest.mark.parametrize("chunk_bytes, slab_bytes, rows", [
+    (8, 1, 1),                                            # one row per call
+    (8, 8 * WALK_BLOCK * 7, 7),                           # seven rows
+    (_kernels.CHUNK_BYTES, 1, _kernels.CHUNK_BYTES // (8 * (WALK_BLOCK + 1))),  # 481
+    (_kernels.CHUNK_BYTES, 1 << 40, None),                # each block whole
+])
+def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, chunk_bytes,
+                                                     slab_bytes, rows):
+    trials, k_max = 1200, 40
+    calls = _record_kernel_calls(monkeypatch)
+    want = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
+    want_uniforms = sum(r * w for r, w, _ in calls)
+    calls.clear()
+    monkeypatch.setattr(_kernels, "CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(walk, "WALK_SLAB_BYTES", slab_bytes)
+    got = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
+    assert np.array_equal(got.hits, want.hits)
+    assert np.array_equal(got.empirical, want.empirical)
+    assert sum(r * w for r, w, _ in calls) == want_uniforms
+    # the first call walks the starts, one per block follows when blocks are whole
+    sizes = [r for r, w, _ in calls if w == WALK_BLOCK]
+    if rows is None:
+        assert len(calls) == 1 + -(-(k_max - 1) // WALK_BLOCK)
+    else:
+        assert max(sizes) == rows
 
 
 @pytest.mark.parametrize("move_probs", [None, (0.2, 0.3, 0.1, 0.4)])
