@@ -15,7 +15,6 @@ from .datasets import (
     bundled_matrix,
     bundled_scheduler,
 )
-from .engine import TrajectoryState, initial_state, step
 from .errors import DimensionError, ValidationError
 from .graphs import (
     DirectedGraph,
@@ -100,7 +99,6 @@ __all__ = [
     "StochasticMatrix",
     "StrongAperiodicityCheck",
     "SupportSequenceScheduler",
-    "TrajectoryState",
     "ValidationError",
     "analysis_report",
     "backend_name",
@@ -112,7 +110,6 @@ __all__ = [
     "check_strongly_aperiodic",
     "default_move_probabilities",
     "ergodic_coefficient",
-    "initial_state",
     "is_scrambling",
     "is_sia",
     "lower_bound_matrix",
@@ -125,7 +122,6 @@ __all__ = [
     "scc_decomposition",
     "scheduler_from_json",
     "scrambling_hit_rate",
-    "step",
     "stream",
     "wilson_interval",
 ]

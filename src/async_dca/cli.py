@@ -8,6 +8,7 @@ Every subcommand is deterministic given --seed (default 1729).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -37,9 +38,11 @@ def _load_scheduler(path):
 
 
 def _open_out(path):
+    """Context manager for a CSV output: the file at ``path``, or the
+    current ``sys.stdout``, which it leaves open, for None or "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def _emit_json(obj, path=None) -> None:
@@ -103,8 +106,7 @@ def _cmd_simulate(args) -> int:
             deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
         deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
         check_product_rows(carry)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "delta"] + (["lambda_product"] if track else []))
         # 4096 rows at a time: no list of the whole horizon's floats is built
@@ -114,9 +116,6 @@ def _cmd_simulate(args) -> int:
             if track:
                 columns.append(lams[a:b].tolist())
             writer.writerows(zip(*columns))
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -133,15 +132,11 @@ def _cmd_mc(args) -> int:
         track_lambda=not args.no_lambda,
     )
     result = run_experiment(cfg)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "p_delta_tail", "p_lambda_tail"])
         writer.writerows(zip(range(result.horizon + 1), result.delta_tail.tolist(),
                              result.lambda_tail.tolist()))
-    finally:
-        if close:
-            fh.close()
     _emit_json(result.to_json(), args.summary)
     return 0
 
@@ -167,15 +162,11 @@ def _cmd_walk(args) -> int:
             raise ValidationError("matrix graph is not rooted; no root component to walk")
         cycle = build_labelled_cycle(G, rep.chi)
     curve = match_probability_curve(cycle, args.gamma, args.kmax, args.trials, args.seed)
-    fh, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "empirical_match_prob", "bound_1_minus_c0_beta_k"])
         for row in curve.to_rows():
             writer.writerow(row)
-    finally:
-        if close:
-            fh.close()
     summary = {
         "cycle_length": cycle.length,
         "labels": list(cycle.labels),

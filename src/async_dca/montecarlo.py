@@ -290,6 +290,20 @@ class _Checks:
             self.failures.append(name)
 
 
+def _median_stays_above(checks: _Checks, A, scheduler, report, trials, horizon, seed,
+                        **details) -> dict:
+    """Run the Monte Carlo part of a non-consensus replay and expect its
+    median final discrepancy above ``NONCONSENSUS_DELTA``; returns
+    ``details`` followed by the median, ``report`` and the threshold note."""
+    cfg = ExperimentConfig(A, scheduler, trials=trials, horizon=horizon, seed=seed,
+                           track_lambda=False)
+    median = run_experiment(cfg).delta_quantiles["median"]
+    checks.expect(f"median final discrepancy stays above {NONCONSENSUS_DELTA}",
+                  median > NONCONSENSUS_DELTA)
+    return {**details, "median_final_delta": median, "conditions": report.to_json(),
+            "threshold_note": _THRESHOLD_NOTE}
+
+
 def _run_script(A: StochasticMatrix, sets, x1):
     """Final state and accumulated product of one run over the update sets
     ``sets``, as a one-trial kernel call with the product tracked.
@@ -352,15 +366,8 @@ def _replay_markov_vanishing_alpha(trials, horizon, seed):
     report = check_conditions(scheduler, A)
     checks.expect("no positive probability floor exists",
                   not report["positive_probability"].passed)
-    cfg = ExperimentConfig(A, scheduler, trials=_given(trials, 200), horizon=_given(horizon, 300),
-                           seed=seed, track_lambda=False)
-    result = run_experiment(cfg)
-    median = result.delta_quantiles["median"]
-    checks.expect(f"median final discrepancy stays above {NONCONSENSUS_DELTA}",
-                  median > NONCONSENSUS_DELTA)
-    details = {"median_final_delta": median, "conditions": report.to_json(),
-               "threshold_note": _THRESHOLD_NOTE}
-    return checks, details
+    return checks, _median_stays_above(checks, A, scheduler, report, _given(trials, 200),
+                                       _given(horizon, 300), seed)
 
 
 def _coverage_violation_scheduler() -> SupportSequenceScheduler:
@@ -394,19 +401,9 @@ def _replay_coverage_violation(trials, horizon, seed):
     violations = qs.witness.get("violations", [])
     checks.expect("first witness intersection is {1, 3}",
                   bool(violations) and violations[0].get("intersection") == [1, 3])
-    cfg = ExperimentConfig(A, scheduler, trials=_given(trials, 50), horizon=_given(horizon, 201),
-                           seed=seed, track_lambda=False)
-    result = run_experiment(cfg)
-    median = result.delta_quantiles["median"]
-    checks.expect(f"median final discrepancy stays above {NONCONSENSUS_DELTA}",
-                  median > NONCONSENSUS_DELTA)
-    details = {
-        "product": product.entries.tolist(),
-        "median_final_delta": median,
-        "conditions": report.to_json(),
-        "threshold_note": _THRESHOLD_NOTE,
-    }
-    return checks, details
+    return checks, _median_stays_above(checks, A, scheduler, report, _given(trials, 50),
+                                       _given(horizon, 201), seed,
+                                       product=product.entries.tolist())
 
 
 def _replay_period3_markov(trials, horizon, seed):
@@ -424,19 +421,9 @@ def _replay_period3_markov(trials, horizon, seed):
     report = check_conditions(scheduler, A)
     checks.expect("history independence fails for the markov law",
                   not report["history_independent"].passed)
-    cfg = ExperimentConfig(A, scheduler, trials=_given(trials, 50), horizon=_given(horizon, 300),
-                           seed=seed, track_lambda=False)
-    result = run_experiment(cfg)
-    median = result.delta_quantiles["median"]
-    checks.expect(f"median final discrepancy stays above {NONCONSENSUS_DELTA}",
-                  median > NONCONSENSUS_DELTA)
-    details = {
-        "period_product": product.entries.tolist(),
-        "median_final_delta": median,
-        "conditions": report.to_json(),
-        "threshold_note": _THRESHOLD_NOTE,
-    }
-    return checks, details
+    return checks, _median_stays_above(checks, A, scheduler, report, _given(trials, 50),
+                                       _given(horizon, 300), seed,
+                                       period_product=product.entries.tolist())
 
 
 def _replay_strongly_aperiodic(trials, horizon, seed):

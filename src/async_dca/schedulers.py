@@ -2,7 +2,8 @@
 
 Five scheduler kinds cover the regimes studied here:
 
-* ``global_clock`` -- one agent per tick, i.i.d. from a probability vector;
+* ``global_clock`` -- one agent per tick, i.i.d. from a probability vector:
+  the period-1 ``support_sequence`` of the singletons, drawn by its sampler;
 * ``independent_clocks`` -- every agent joins the tick's update set by an
   independent Bernoulli coin;
 * ``support_sequence`` -- a periodic list of candidate update sets with
@@ -101,6 +102,8 @@ class Scheduler:
 
     kind = "abstract"
     n: int
+    # whether the tick-k support set is fixed regardless of history
+    history_independent = True
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
                      carry=None) -> np.ndarray:
@@ -120,11 +123,6 @@ class Scheduler:
         """Smallest declared nonzero transition probability, if known."""
         raise NotImplementedError
 
-    @property
-    def history_independent(self) -> bool:
-        """Whether the tick-k support set is fixed regardless of history."""
-        raise NotImplementedError
-
     def support_sets(self):
         """(period, per-tick list of possible update sets, exact flag)."""
         raise NotImplementedError
@@ -135,48 +133,6 @@ class Scheduler:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-class GlobalClockScheduler(Scheduler):
-    """One uniform draw per tick selects a single updating agent."""
-
-    kind = "global_clock"
-
-    def __init__(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1:
-            raise ValidationError("global_clock needs a 1-d probability vector")
-        if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
-            raise ValidationError("global_clock probabilities must be >= 0 and sum to 1")
-        self.n = p.size
-        self.p = p
-        self._active = np.nonzero(p > 0)[0]
-        self._cum = np.cumsum(p[self._active])
-        self._masks = np.eye(self.n, dtype=bool)[self._active]
-
-    def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
-                     carry=None) -> np.ndarray:
-        masks = np.empty((steps, trials, self.n), dtype=bool)
-        for i, u in _uniform_groups(rng, steps, (trials,)):
-            np.take(self._masks, _inverse_cdf(self._cum, u), axis=0,
-                    out=masks[i:i + len(u)], mode="clip")
-        return masks
-
-    def alpha(self) -> float:
-        return float(self.p[self._active].min())
-
-    @property
-    def history_independent(self) -> bool:
-        return True
-
-    def support_sets(self):
-        return 1, [[frozenset({int(j) + 1}) for j in self._active]], True
-
-    def one_step_distribution(self, k: int = 1) -> list:
-        return [(frozenset({int(j) + 1}), float(self.p[j])) for j in self._active]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": {"p": [float(v) for v in self.p]}}
 
 
 class IndependentClocksScheduler(Scheduler):
@@ -208,10 +164,6 @@ class IndependentClocksScheduler(Scheduler):
             else:
                 factors.append(min(pj, 1.0 - pj))
         return float(np.prod(factors))
-
-    @property
-    def history_independent(self) -> bool:
-        return True
 
     def _enumerate(self) -> list:
         if self.n > MAX_ENUM_NODES:
@@ -307,8 +259,8 @@ class SupportSequenceScheduler(Scheduler):
                 # the ticks of one phase of the period share their law
                 for r in range(min(P, len(u))):
                     tick = (start + i + r) % P
-                    idx = _inverse_cdf(self._cums[tick], u[r::P])
-                    masks[i + r:i + len(u):P] = self._masks[tick][idx]
+                    np.take(self._masks[tick], _inverse_cdf(self._cums[tick], u[r::P]),
+                            axis=0, out=masks[i + r:i + len(u):P], mode="clip")
             else:
                 for r, row in enumerate(u):
                     k = start + i + r + 1
@@ -339,10 +291,6 @@ class SupportSequenceScheduler(Scheduler):
             return None
         return float(min(p for options in self.ticks for _, p in options))
 
-    @property
-    def history_independent(self) -> bool:
-        return True
-
     def support_sets(self):
         return self.period, [[s for s, _ in options] for options in self.ticks], True
 
@@ -368,6 +316,25 @@ class SupportSequenceScheduler(Scheduler):
         }
 
 
+class GlobalClockScheduler(SupportSequenceScheduler):
+    """One uniform draw per tick selects a single updating agent: the
+    period-1 support sequence of the singletons {j} with ``p[j] > 0``."""
+
+    kind = "global_clock"
+
+    def __init__(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 1 or p.size < 1:
+            raise ValidationError("global_clock needs a 1-d probability vector")
+        if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
+            raise ValidationError("global_clock probabilities must be >= 0 and sum to 1")
+        self.p = p
+        super().__init__(p.size, [[({j + 1}, p[j]) for j in np.flatnonzero(p > 0)]])
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "params": {"p": [float(v) for v in self.p]}}
+
+
 class MarkovScheduler(Scheduler):
     """Update sets forming a Markov chain over a declared state list.
 
@@ -380,6 +347,7 @@ class MarkovScheduler(Scheduler):
     """
 
     kind = "markov"
+    history_independent = False
 
     def __init__(self, n: int, states, initial, matrix=None, matrices=None, matrix_fn=None):
         if n < 1:
@@ -468,10 +436,6 @@ class MarkovScheduler(Scheduler):
         positive = entries[entries > 0]
         return float(positive.min()) if positive.size else None
 
-    @property
-    def history_independent(self) -> bool:
-        return False
-
     def support_sets(self):
         """Union of column supports over all states; an over-approximation."""
         if self.matrices is None:
@@ -527,10 +491,6 @@ class ScriptScheduler(Scheduler):
 
     def alpha(self) -> float:
         return 1.0
-
-    @property
-    def history_independent(self) -> bool:
-        return True
 
     def support_sets(self):
         return max(len(self.sets), 1), [[s] for s in self.sets] or [[frozenset()]], True

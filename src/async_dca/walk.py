@@ -248,7 +248,7 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
     rng = stream(seed)
     pos = rng.integers(0, l, size=(trials, 2))
-    hits = _kernels.walk_match_batch(labels, pos, np.empty((trials, 0)), t1, t2, t3)
+    hits = np.where(labels[pos[:, 0]] == labels[pos[:, 1]], 1, -1)
     unmatched = np.flatnonzero(hits < 0)
     pos = pos[unmatched]
     done = 0

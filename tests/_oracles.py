@@ -16,11 +16,10 @@ from async_dca import (
     StochasticMatrix,
     ValidationError,
     ergodic_coefficient,
-    initial_state,
     normalize_update_set,
-    step,
     stream,
 )
+from async_dca.engine import initial_state, step
 from async_dca.schedulers import _inverse_cdf
 from async_dca.walk import WALK_BLOCK, _check_move_probabilities
 
@@ -198,8 +197,9 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
 # last), from scalar ``rng.random()`` draws.
 
 def _draw_global_clock(self, k, history, rng) -> frozenset:
-    idx = int(_inverse_cdf(self._cum, rng.random()))
-    return frozenset({int(self._active[idx]) + 1})
+    active = np.flatnonzero(self.p > 0)
+    idx = int(_inverse_cdf(np.cumsum(self.p[active]), rng.random()))
+    return frozenset({int(active[idx]) + 1})
 
 
 def _draw_independent_clocks(self, k, history, rng) -> frozenset:

@@ -280,3 +280,26 @@ def test_dimension_mismatch_is_input_error(six_node, tmp_path, capsys):
                            "--scheduler", str(clock4), "--trials", "2",
                            "--steps", "10")
     assert code == 2 and "n=4" in err
+
+
+@pytest.mark.parametrize("out", [None, "-"])
+def test_csv_to_stdout_leaves_it_open(six_node, uniform_clock, monkeypatch, out):
+    # the CSV goes to the sys.stdout of the call, which stays open after
+    # simulate, mc and walk
+    fake = io.StringIO()
+    monkeypatch.setattr("sys.stdout", fake)
+    to = [] if out is None else ["--out", out]
+    argvs = [
+        ["simulate", "--matrix", six_node, "--scheduler", uniform_clock, "--steps", "5"],
+        ["mc", "--matrix", six_node, "--scheduler", uniform_clock, "--trials", "3",
+         "--steps", "5", "--summary", "-"],
+        ["walk", "--auto-from-matrix", six_node, "--gamma", "0.2", "--kmax", "5",
+         "--trials", "20", "--summary", "-"],
+    ]
+    for argv in argvs:
+        assert dispatch(argv + to) == 0
+        assert not fake.closed
+    text = fake.getvalue()
+    assert text.count("k,delta,lambda_product") == 1
+    assert text.count("k,p_delta_tail,p_lambda_tail") == 1
+    assert text.count("k,empirical_match_prob,bound_1_minus_c0_beta_k") == 1

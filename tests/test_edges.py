@@ -9,7 +9,6 @@ from async_dca import (
     IndependentClocksScheduler,
     LabelledCycle,
     StochasticMatrix,
-    TrajectoryState,
     ValidationError,
     bundled_matrix,
     bundled_scheduler,
@@ -19,6 +18,7 @@ from async_dca import (
 )
 from async_dca.cli import dispatch
 from async_dca.datasets import BUNDLED_MATRICES, BUNDLED_SCHEDULERS
+from async_dca.engine import TrajectoryState
 from _oracles import simulate_backward_walk
 
 

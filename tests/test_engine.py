@@ -15,12 +15,11 @@ from async_dca import (
     ValidationError,
     bundled_matrix,
     ergodic_coefficient,
-    initial_state,
     max_discrepancy,
     normalize_update_set,
-    step,
 )
 from async_dca import _kernels
+from async_dca.engine import initial_state, step
 from async_dca.montecarlo import _run_script
 from _oracles import make_async_matrix, run_script_steps
 from _samplers import random_stochastic

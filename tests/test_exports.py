@@ -2,9 +2,13 @@
 
 A name deleted from a module but left in ``__all__`` fails here, not only
 on ``from async_dca import *``; a public name imported but not listed is
-caught as well.
+caught as well.  The per-step reference ``engine`` is not re-exported, so
+importing the package does not load it.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import async_dca
@@ -26,3 +30,12 @@ def test_every_listed_name_resolves():
 
 def test_every_public_import_is_listed():
     assert _imported_public_names() - set(async_dca.__all__) == set()
+
+
+def test_importing_the_package_leaves_the_engine_unloaded():
+    code = "import sys, async_dca; print('async_dca.engine' in sys.modules)"
+    src = str(Path(async_dca.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert out.stdout.strip() == "False"

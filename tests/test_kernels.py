@@ -15,11 +15,10 @@ from async_dca import (
     bundled_matrix,
     bundled_scheduler,
     ergodic_coefficient,
-    initial_state,
     max_discrepancy,
-    step,
     stream,
 )
+from async_dca.engine import initial_state, step
 from _oracles import _WalkReplay, simulate_backward_walk, trajectory_batch_trials_first
 from _samplers import mc_inputs, random_stochastic
 

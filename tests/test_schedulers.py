@@ -227,6 +227,66 @@ def test_global_clock_uniform_frequencies():
     assert np.abs(freqs - 1 / 6).max() < 0.01
 
 
+P_WITH_ZERO = [0.1, 0.0, 0.45, 0.2, 0.25]
+
+
+@pytest.mark.parametrize("trials", [1, 3, 200])
+def test_global_clock_is_its_singleton_support_sequence(trials):
+    # block for block, with the tick offset and the carry passed on, the
+    # global clock draws the masks of the period-1 support sequence of the
+    # singletons {j} with p[j] > 0; 218 ticks is a block of mc at 200 trials
+    p = np.array(P_WITH_ZERO)
+    singletons = [[({j + 1}, p[j]) for j in np.flatnonzero(p > 0)]]
+    steps = 436
+    for block in (1, 7, 218):
+        masks = []
+        for scheduler in (GlobalClockScheduler(p), SupportSequenceScheduler(p.size, singletons)):
+            rng, carry = stream(9, 1), {}
+            masks.append(np.concatenate([
+                scheduler.sample_masks(min(block, steps - k), rng, trials, k, carry)
+                for k in range(0, steps, block)
+            ]))
+        assert np.array_equal(masks[0], masks[1]), block
+        assert (masks[0].sum(axis=2) == 1).all() and not masks[0][..., 1].any()
+
+
+def test_global_clock_with_a_zero_entry_matches_the_scalar_draws():
+    scheduler = GlobalClockScheduler(P_WITH_ZERO)
+    rng = stream(4, 2)
+    expected = _tick_major(draw_sets_per_tick(scheduler, 60, rng, 3), 5)
+    assert np.array_equal(scheduler.sample_masks(60, stream(4, 2), 3), expected)
+
+
+def test_global_clock_json_keeps_the_zero_entries():
+    scheduler = GlobalClockScheduler(P_WITH_ZERO)
+    obj = scheduler.to_json()
+    assert obj == {"kind": "global_clock", "params": {"p": P_WITH_ZERO}}
+    again = scheduler_from_json(obj)
+    assert isinstance(again, GlobalClockScheduler)
+    assert again.p.tolist() == P_WITH_ZERO and again.to_json() == obj
+
+
+def test_global_clock_law_is_its_positive_entries():
+    scheduler = GlobalClockScheduler(P_WITH_ZERO)
+    assert scheduler.alpha() == 0.1
+    assert scheduler.support_sets() == (1, [[frozenset({j}) for j in (1, 3, 4, 5)]], True)
+    assert scheduler.one_step_distribution(7) == [
+        (frozenset({1}), 0.1), (frozenset({3}), 0.45), (frozenset({4}), 0.2),
+        (frozenset({5}), 0.25)]
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("global_clock", True), ("independent_clocks", True), ("support_sequence", True),
+    ("support_weight_fn", True), ("script", True), ("markov", False),
+    ("markov_matrix_fn", False), ("markov_periodic", False),
+])
+def test_history_independence_by_kind(kind, expected):
+    scheduler = DRAWN[kind]()
+    assert scheduler.history_independent is expected
+    # a plain class attribute, not a property
+    assert type(scheduler).history_independent is expected
+
+
 def test_independent_clocks_mean_set_size():
     scheduler = IndependentClocksScheduler([0.5] * 6)
     masks = scheduler.sample_masks(100_000, stream(12, 0))[:, 0]

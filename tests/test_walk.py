@@ -294,14 +294,26 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
+def test_walks_matched_at_the_start_take_no_kernel_call(monkeypatch):
+    # the starts are compared by label; the kernel walks only the blocks
+    # of the walks unmatched at k = 1, one row each
+    calls = _record_kernel_calls(monkeypatch)
+    curve = match_probability_curve(SIX_CYCLE, 0.2, 10, 1000, seed=1729)
+    assert [w for _, w, _ in calls] == [9] and calls[0][0] == (curve.hits != 1).sum()
+    assert (curve.hits == 1).any()
+    calls.clear()
+    curve = match_probability_curve(LabelledCycle(3, (2, 2, 2)), 0.2, 10, 50, seed=3)
+    assert calls == [] and (curve.hits == 1).all()
+
+
 def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
     # every block is cut into slabs of R rows, the last one ragged, with R
     # a whole number of kernel slabs whose uniforms fit in WALK_SLAB_BYTES
     calls = _record_kernel_calls(monkeypatch)
     trials, k_max = 20_000, 60
     curve = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=12)
-    (_, _, start_hits), calls = calls[0], calls[1:]
-    unmatched, done, slabs = int((start_hits < 0).sum()), 0, []
+    # the walks unmatched at k = 1 are the ones the blocks walk
+    unmatched, done, slabs = int((curve.hits != 1).sum()), 0, []
     while unmatched and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
         sizes, left = [], 0
@@ -337,10 +349,10 @@ def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, chunk_bytes,
     assert np.array_equal(got.hits, want.hits)
     assert np.array_equal(got.empirical, want.empirical)
     assert sum(r * w for r, w, _ in calls) == want_uniforms
-    # the first call walks the starts, one per block follows when blocks are whole
+    # one call per block when blocks are whole; the starts take no call
     sizes = [r for r, w, _ in calls if w == WALK_BLOCK]
     if rows is None:
-        assert len(calls) == 1 + -(-(k_max - 1) // WALK_BLOCK)
+        assert len(calls) == -(-(k_max - 1) // WALK_BLOCK)
     else:
         assert max(sizes) == rows
 
