@@ -82,22 +82,6 @@ class LabelledCycle:
             raise ValidationError("labels must be positive node indices")
         object.__setattr__(self, "labels", labels)
 
-    def label(self, position: int) -> int:
-        self._check_position(position)
-        return self.labels[position - 1]
-
-    def predecessor(self, position: int) -> int:
-        self._check_position(position)
-        return self.length if position == 1 else position - 1
-
-    def successor(self, position: int) -> int:
-        self._check_position(position)
-        return 1 if position == self.length else position + 1
-
-    def _check_position(self, position: int) -> None:
-        if not 1 <= position <= self.length:
-            raise DimensionError(f"position {position} out of range 1..{self.length}")
-
     @classmethod
     def from_json(cls, obj: dict) -> "LabelledCycle":
         try:

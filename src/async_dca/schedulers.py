@@ -27,18 +27,29 @@ trial draws what seed contract 1 drew.  ``carry`` is a dict, empty at tick
 0: a Markov chain keeps its (trials,) last states there, a ``weight_fn``
 hook every set of every trial.
 
+Law contract: ``law(k)`` is each kind's one answer to "which sets can tick
+k draw, and with what probability".  It returns ``(masks, probs)``:
+``masks`` is the (s, n) bool table of the sets, one row per set, and
+``probs`` their (s,) probabilities -- ``None`` under a ``weight_fn`` hook,
+whose weights follow history, and for ``markov`` the (s, s)
+column-stochastic law of the move from tick k to tick k+1 over the state
+masks.  Tick k + ``period`` has the law of tick k; ``period`` is None for
+a ``matrix_fn`` law, which need not repeat.  Independent clocks enumerate
+their 2^free sets (up to ``MAX_ENUM_NODES`` agents, ``NotEnumerableError``
+above), and an empty script gives a (0, n) table.
+
 ``check_conditions`` evaluates the almost-sure-consensus conditions for a
-scheduler/matrix pair: rootedness, a positive lower bound on nonzero
-transition probabilities, history independence of the support sets, joint
-coverage of all agents within a window of q ticks, and the quasi-singleton
-property of the root component (for each root-component member j, every
-tick offers a set containing j, and the intersection of all such sets meets
-the root component exactly in {j}).
+scheduler/matrix pair as reductions over the laws of ticks 1 .. period:
+rootedness, a positive lower bound on nonzero transition probabilities,
+history independence of the support sets, joint coverage of all agents
+within a window of q ticks, and the quasi-singleton property of the root
+component (for each root-component member j, every tick offers a set
+containing j, and the intersection of all such sets meets the root
+component exactly in {j}).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -54,7 +65,7 @@ UNIFORM_BUFFER_BYTES = 1 << 17  # the buffer a block's uniforms are drawn into
 
 
 class NotEnumerableError(ValidationError):
-    """The scheduler's one-step support distribution cannot be enumerated."""
+    """The scheduler's law of a tick cannot be enumerated."""
 
 
 def normalize_update_set(sigma, n: int) -> frozenset:
@@ -98,10 +109,13 @@ def _uniform_groups(rng, steps: int, shape: tuple):
 
 
 class Scheduler:
-    """Shared interface; subclasses set ``kind`` and implement ``sample_masks``."""
+    """Shared interface; subclasses set ``kind`` and ``period`` and implement
+    ``sample_masks`` and ``law``."""
 
     kind = "abstract"
     n: int
+    # tick k + period has the law of tick k; None when the law need not repeat
+    period: int | None = 1
     # whether the tick-k support set is fixed regardless of history
     history_independent = True
 
@@ -119,16 +133,8 @@ class Scheduler:
     def check_horizon(self, steps: int) -> None:
         """Raise ValidationError when the scheduler cannot draw ``steps`` ticks."""
 
-    def alpha(self) -> float | None:
-        """Smallest declared nonzero transition probability, if known."""
-        raise NotImplementedError
-
-    def support_sets(self):
-        """(period, per-tick list of possible update sets, exact flag)."""
-        raise NotImplementedError
-
-    def one_step_distribution(self, k: int = 1) -> list:
-        """[(update_set, probability)] for tick k; history-free kinds only."""
+    def law(self, k: int) -> tuple:
+        """``(masks, probs)`` of tick k (see the module docstring)."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -156,38 +162,22 @@ class IndependentClocksScheduler(Scheduler):
             np.less(u, self.p, out=masks[i:i + len(u)])
         return masks
 
-    def alpha(self) -> float:
-        factors = []
-        for pj in self.p:
-            if pj in (0.0, 1.0):
-                factors.append(1.0)
-            else:
-                factors.append(min(pj, 1.0 - pj))
-        return float(np.prod(factors))
-
-    def _enumerate(self) -> list:
+    def law(self, k: int) -> tuple:
+        """The 2^f sets of the f agents with a coin in (0, 1), each with the
+        sure agents, fewest members first and then lexicographically."""
         if self.n > MAX_ENUM_NODES:
             raise NotEnumerableError(
                 f"2^{self.n} update sets exceed the enumeration cap of 2^{MAX_ENUM_NODES}"
             )
-        out = []
-        on = [j for j in range(self.n) if self.p[j] > 0]
-        sure = frozenset(j + 1 for j in range(self.n) if self.p[j] == 1.0)
-        free = [j for j in on if self.p[j] < 1.0]
-        for r in range(len(free) + 1):
-            for chosen in combinations(free, r):
-                members = sure | frozenset(j + 1 for j in chosen)
-                prob = 1.0
-                for j in free:
-                    prob *= self.p[j] if j in chosen else 1.0 - self.p[j]
-                out.append((members, float(prob)))
-        return out
-
-    def support_sets(self):
-        return 1, [[s for s, _ in self._enumerate()]], True
-
-    def one_step_distribution(self, k: int = 1) -> list:
-        return self._enumerate()
+        free = np.flatnonzero((self.p > 0) & (self.p < 1))
+        codes = np.arange(1 << free.size)
+        # free agent i joins when bit f - 1 - i of the code is set, so among
+        # sets of one size a larger code is a lexicographically earlier set
+        bits = ((codes[:, None] >> np.arange(free.size)[::-1]) & 1).astype(bool)
+        bits = bits[np.lexsort((-codes, bits.sum(axis=1)))]
+        masks = np.repeat((self.p == 1.0)[None], len(bits), axis=0)
+        masks[:, free] = bits
+        return masks, np.where(bits, self.p[free], 1.0 - self.p[free]).prod(axis=1)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": {"p": [float(v) for v in self.p]}}
@@ -217,7 +207,7 @@ class SupportSequenceScheduler(Scheduler):
                 f"support period {len(ticks)} exceeds the cap of {MAX_SUPPORT_PERIOD}"
             )
         self.n = int(n)
-        norm_ticks = []
+        norm_ticks, tick_probs = [], []
         for t, options in enumerate(ticks):
             if not options:
                 raise ValidationError(f"tick {t + 1} lists no update sets")
@@ -232,17 +222,20 @@ class SupportSequenceScheduler(Scheduler):
             if len(set(sets)) != len(sets):
                 raise ValidationError(f"tick {t + 1} lists a duplicate update set")
             norm_ticks.append(list(zip(sets, probs)))
+            tick_probs.append(probs)
         self.ticks = norm_ticks
+        self.period = len(norm_ticks)
         self.weight_fn = weight_fn
-        self._cums = [np.cumsum([p for _, p in options]) for options in norm_ticks]
+        self._probs = tick_probs
+        self._cums = [np.cumsum(p) for p in tick_probs]
         self._masks = [_mask_table([s for s, _ in options], self.n) for options in norm_ticks]
 
-    @property
-    def period(self) -> int:
-        return len(self.ticks)
-
-    def _options(self, k: int):
-        return self.ticks[(k - 1) % self.period]
+    def law(self, k: int) -> tuple:
+        """The tick's declared sets and probabilities; ``probs`` is None
+        under a ``weight_fn`` hook, whose weights the draws follow and no
+        declared probability bounds."""
+        t = (k - 1) % self.period
+        return self._masks[t], None if self.weight_fn is not None else self._probs[t]
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
                      carry=None) -> np.ndarray:
@@ -273,7 +266,7 @@ class SupportSequenceScheduler(Scheduler):
     def _weighted_pick(self, k: int, history: list, u: float) -> int:
         """Index of the tick-k set that ``u`` picks under the hook's weights
         given one trial's ``history``, which the set then extends."""
-        options = self._options(k)
+        options = self.ticks[(k - 1) % self.period]
         w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
         if w.shape != (len(options),) or not (w > 0).all() or not abs(w.sum() - 1.0) <= 1e-9:
             raise ValidationError(
@@ -283,23 +276,6 @@ class SupportSequenceScheduler(Scheduler):
         idx = int(_inverse_cdf(np.cumsum(w), u))
         history.append(options[idx][0])
         return idx
-
-    def alpha(self) -> float | None:
-        """The smallest declared probability; None under a ``weight_fn``
-        hook, whose weights the draws follow and no declared floor bounds."""
-        if self.weight_fn is not None:
-            return None
-        return float(min(p for options in self.ticks for _, p in options))
-
-    def support_sets(self):
-        return self.period, [[s for s, _ in options] for options in self.ticks], True
-
-    def one_step_distribution(self, k: int = 1) -> list:
-        if self.weight_fn is not None:
-            raise NotEnumerableError(
-                "tick probabilities depend on history through the weight hook"
-            )
-        return [(s, float(p)) for s, p in self._options(k)]
 
     def to_json(self) -> dict:
         if self.weight_fn is not None:
@@ -372,6 +348,7 @@ class MarkovScheduler(Scheduler):
             self.matrices = tuple(self._check_matrix(M, m) for M in matrices)
             if not self.matrices:
                 raise ValidationError("matrices list is empty")
+        self.period = None if self.matrices is None else len(self.matrices)
         self._masks = _mask_table(self.states, self.n)
         self._cums = (None if self.matrices is None
                       else [self._cumulative(M) for M in self.matrices])
@@ -398,7 +375,13 @@ class MarkovScheduler(Scheduler):
         cum[:, -1] = np.inf
         return cum
 
-    def _law(self, k: int) -> np.ndarray:
+    def law(self, k: int) -> tuple:
+        """The state masks and the column-stochastic law of the move from
+        tick k to tick k+1: ``probs[i, j]`` is the probability of state i
+        following state j."""
+        return self._masks, self.transition_matrix(k).entries
+
+    def _cumulative_law(self, k: int) -> np.ndarray:
         """``_cumulative`` of the law of the move from tick k to tick k+1."""
         if self._cums is not None:
             return self._cums[(k - 1) % len(self._cums)]
@@ -422,32 +405,12 @@ class MarkovScheduler(Scheduler):
         for i, u in _uniform_groups(rng, steps - first, (trials,)):
             path = np.empty(u.shape, dtype=np.intp)
             for r, row in enumerate(u):
-                law = self._law(start + first + i + r)
+                law = self._cumulative_law(start + first + i + r)
                 state = path[r] = (law[state] <= row[:, None]).sum(axis=1)
             np.take(self._masks, path, axis=0, out=masks[first + i:first + i + len(u)],
                     mode="clip")
         carry["state"] = state
         return masks
-
-    def alpha(self) -> float | None:
-        if self.matrices is None:
-            return None
-        entries = np.concatenate([M.entries.ravel() for M in self.matrices])
-        positive = entries[entries > 0]
-        return float(positive.min()) if positive.size else None
-
-    def support_sets(self):
-        """Union of column supports over all states; an over-approximation."""
-        if self.matrices is None:
-            raise NotEnumerableError("time-varying matrix_fn supports cannot be enumerated")
-        ticks = []
-        for M in self.matrices:
-            reachable = sorted({i for i in range(len(self.states)) if (M.entries[i] > 0).any()})
-            ticks.append([self.states[i] for i in reachable])
-        return len(self.matrices), ticks, False
-
-    def one_step_distribution(self, k: int = 1) -> list:
-        raise NotEnumerableError("markov draws depend on the previous state")
 
     def to_json(self) -> dict:
         if self.matrices is None:
@@ -477,6 +440,7 @@ class ScriptScheduler(Scheduler):
         self.n = int(n)
         self.sets = tuple(normalize_update_set(s, self.n) for s in sets)
         self.repeat = bool(repeat)
+        self.period = max(len(self.sets), 1)
         self._masks = _mask_table(self.sets, self.n)
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
@@ -489,16 +453,10 @@ class ScriptScheduler(Scheduler):
         if steps > len(self.sets) and not (self.repeat and self.sets):
             raise ValidationError(f"script of length {len(self.sets)} exhausted")
 
-    def alpha(self) -> float:
-        return 1.0
-
-    def support_sets(self):
-        return max(len(self.sets), 1), [[s] for s in self.sets] or [[frozenset()]], True
-
-    def one_step_distribution(self, k: int = 1) -> list:
-        if not self.sets:
-            raise ValidationError("empty script has no distribution")
-        return [(self.sets[(k - 1) % len(self.sets)], 1.0)]
+    def law(self, k: int) -> tuple:
+        """The set of tick k with probability 1; no row for an empty script."""
+        rows = self._masks[(k - 1) % self.period:][:1]
+        return rows, np.ones(len(rows))
 
     def to_json(self) -> dict:
         return {
@@ -609,6 +567,16 @@ class ConditionReport:
         }
 
 
+def _supports(law: tuple) -> np.ndarray:
+    """The rows of a law that can be drawn: those with a positive entry (for
+    a Markov law, the states some state moves to)."""
+    masks, probs = law
+    if probs is None:
+        return masks
+    live = probs > 0
+    return masks[live.any(axis=1) if live.ndim == 2 else live]
+
+
 def check_conditions(scheduler: Scheduler, A: StochasticMatrix,
                      q_max: int = DEFAULT_Q_MAX) -> ConditionReport:
     """Evaluate the five almost-sure-consensus conditions for the pair.
@@ -628,49 +596,51 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix,
     report = roots(build_graph(A))
     checks.append(ConditionCheck("rooted", report.rooted, report.to_json()))
 
-    alpha = scheduler.alpha()
-    if alpha is None:
+    try:
+        if scheduler.period is None:
+            raise NotEnumerableError("time-varying matrix_fn supports cannot be enumerated")
+        laws = [scheduler.law(k) for k in range(1, scheduler.period + 1)]
+    except NotEnumerableError as exc:
+        laws, unavailable = None, str(exc)
+    if laws is None or any(probs is None for _, probs in laws):
         checks.append(ConditionCheck(
             "positive_probability", False, {},
             note="no uniform lower bound on transition probabilities is available",
         ))
     else:
-        checks.append(ConditionCheck("positive_probability", alpha > 0, {"alpha": alpha}))
+        alpha = min(float(np.min(probs, initial=1.0, where=probs > 0)) for _, probs in laws)
+        checks.append(ConditionCheck("positive_probability", True, {"alpha": alpha}))
 
     hist_free = scheduler.history_independent
     note = "" if hist_free else "supports depend on the previous state"
     checks.append(ConditionCheck("history_independent", hist_free,
                                  {"kind": scheduler.kind}, note=note))
 
-    try:
-        period, ticks, exact = scheduler.support_sets()
-    except NotEnumerableError as exc:
-        msg = str(exc)
-        checks.append(ConditionCheck("joint_coverage", False, {}, note=msg))
-        checks.append(ConditionCheck("quasi_singleton", False, {}, note=msg))
+    if laws is None:
+        checks.append(ConditionCheck("joint_coverage", False, {}, note=unavailable))
+        checks.append(ConditionCheck("quasi_singleton", False, {}, note=unavailable))
         return ConditionReport(checks)
-    approx_note = "" if exact else "supports approximated by the union over source states"
+    approx_note = "" if hist_free else "supports approximated by the union over source states"
+    supports = [_supports(law) for law in laws]
+    period = len(supports)
 
-    all_nodes = frozenset(range(1, n + 1))
-    q_needed = 0
-    coverage_fail = None
-    for k in range(period):
-        covered: set = set()
-        q_here = None
-        for q in range(1, q_max + 1):
-            covered |= set().union(*ticks[(k + q - 1) % period])
-            if covered == set(all_nodes):
-                q_here = q
-                break
-        if q_here is None:
-            coverage_fail = {"window_start": k + 1, "covered": sorted(covered), "q_max": q_max}
-            break
-        q_needed = max(q_needed, q_here)
-    if coverage_fail is None:
-        checks.append(ConditionCheck("joint_coverage", True,
-                                     {"q": q_needed, "period": period}, note=approx_note))
+    # covered[k]: the agents drawable within q ticks of window start k + 1;
+    # a window has seen every tick of the period by q = period
+    unions = np.array([masks.any(axis=0) for masks in supports])
+    covered = np.zeros_like(unions)
+    q_at = np.zeros(period, dtype=int)
+    for q in range(1, min(q_max, period) + 1):
+        covered |= np.roll(unions, 1 - q, axis=0)
+        q_at[(q_at == 0) & covered.all(axis=1)] = q
+    short = np.flatnonzero(q_at == 0)
+    if short.size:
+        k = int(short[0])
+        checks.append(ConditionCheck("joint_coverage", False, {
+            "window_start": k + 1, "covered": (np.flatnonzero(covered[k]) + 1).tolist(),
+            "q_max": q_max}, note=approx_note))
     else:
-        checks.append(ConditionCheck("joint_coverage", False, coverage_fail, note=approx_note))
+        checks.append(ConditionCheck("joint_coverage", True,
+                                     {"q": int(q_at.max()), "period": period}, note=approx_note))
 
     if not report.rooted:
         checks.append(ConditionCheck(
@@ -679,19 +649,18 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix,
         ))
         return ConditionReport(checks)
     chi = report.chi
+    in_chi = np.isin(np.arange(1, n + 1), sorted(chi))
     violations = []
     for j in sorted(chi):
-        for k in range(1, period + 1):
-            containing = [s for s in ticks[k - 1] if j in s]
-            if not containing:
+        for k, masks in enumerate(supports, start=1):
+            containing = masks[masks[:, j - 1]]
+            if not len(containing):
                 violations.append({"k": k, "j": j, "kind": "no_support"})
                 continue
-            inter = frozenset.intersection(*containing) & chi
-            if inter != frozenset({j}):
-                violations.append({
-                    "k": k, "j": j, "kind": "intersection",
-                    "intersection": sorted(inter),
-                })
+            inter = (np.flatnonzero(containing.all(axis=0) & in_chi) + 1).tolist()
+            if inter != [j]:
+                violations.append({"k": k, "j": j, "kind": "intersection",
+                                   "intersection": inter})
     checks.append(ConditionCheck(
         "quasi_singleton", not violations,
         {"chi": sorted(chi), "violations": violations[:20]}, note=approx_note,
@@ -723,20 +692,20 @@ class StrongAperiodicityCheck:
 
 def check_strongly_aperiodic(scheduler: Scheduler, A: StochasticMatrix,
                              i: int, j: int, k: int = 1) -> StrongAperiodicityCheck:
-    """Enumerate tick-k draws and compare the two expectations exactly."""
+    """Compare the two expectations exactly over the law of tick k."""
     if scheduler.n != A.n:
         raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
     if not (1 <= i <= A.n and 1 <= j <= A.n) or i == j:
         raise ValidationError(f"need distinct agents in 1..{A.n}, got i={i}, j={j}")
+    masks, probs = scheduler.law(k)
+    if probs is None or probs.ndim != 1 or not probs.size:
+        raise NotEnumerableError(
+            f"tick {k} of the {scheduler.kind} scheduler has no history-free law")
     a_ii = float(A.entries[i - 1, i - 1])
     a_ij = float(A.entries[i - 1, j - 1])
-    lhs = 0.0
-    rhs = 0.0
-    for members, prob in scheduler.one_step_distribution(k):
-        if i in members:
-            row_ii, row_ij = a_ii, a_ij
-        else:
-            row_ii, row_ij = 1.0, 0.0
-        lhs += prob * row_ii * row_ij
-        rhs += prob * row_ij
+    # only the sets with i add: row i of A_sigma is e_i otherwise, so its
+    # (i, j) entry is 0; the sums add the rows left to right, where np.sum
+    # would add pairwise and round differently
+    p = probs[masks[:, i - 1]]
+    lhs, rhs = (float(np.cumsum(x)[-1]) if x.size else 0.0 for x in (p * a_ii * a_ij, p * a_ij))
     return StrongAperiodicityCheck(i=i, j=j, lhs=lhs, rhs=rhs)

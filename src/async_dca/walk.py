@@ -168,19 +168,6 @@ class DistanceChain:
         return cls(l=l, gamma=float(gamma), move_probs=(p_j, p_i, p_stay, p_both),
                    matrix=ColumnStochasticMatrix(P))
 
-    def evolve(self, xi1, steps: int) -> np.ndarray:
-        """Distribution trajectory: row m is xi after m transitions."""
-        xi = np.asarray(xi1, dtype=np.float64)
-        if xi.shape != (self.l,):
-            raise DimensionError(f"xi1 must have length {self.l}")
-        if (xi < 0).any() or abs(xi.sum() - 1.0) > 1e-12:
-            raise ValidationError("xi1 must be a probability vector")
-        out = np.empty((steps + 1, self.l))
-        out[0] = xi
-        for m in range(steps):
-            out[m + 1] = self.matrix.entries @ out[m]
-        return out
-
     def rate_certificate(self, k_max: int) -> RateCertificate:
         """Envelope of the chain's first ``k_max`` powers at its exact rate.
 

@@ -7,20 +7,30 @@ shortcuts.
 import csv
 import io
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from async_dca import (
+    DimensionError,
     LabelledCycle,
     StochasticMatrix,
     ValidationError,
+    build_graph,
     ergodic_coefficient,
     normalize_update_set,
+    roots,
     stream,
 )
 from async_dca.engine import initial_state, step
-from async_dca.schedulers import _inverse_cdf
+from async_dca.schedulers import (
+    MAX_ENUM_NODES,
+    ConditionCheck,
+    ConditionReport,
+    NotEnumerableError,
+    StrongAperiodicityCheck,
+    _inverse_cdf,
+)
 from async_dca.walk import WALK_BLOCK, _check_move_probabilities
 
 
@@ -208,7 +218,7 @@ def _draw_independent_clocks(self, k, history, rng) -> frozenset:
 
 
 def _draw_support_sequence(self, k, history, rng) -> frozenset:
-    options = self._options(k)
+    options = self.ticks[(k - 1) % self.period]
     if self.weight_fn is None:
         cum = np.cumsum([p for _, p in options])
     else:
@@ -329,6 +339,46 @@ def simulate_rows_engine(A, scheduler, steps, seed, x0=None, track=True):
     return fh.getvalue()
 
 
+# Position arithmetic on a ``LabelledCycle`` and the distance chain's law
+# over time, one position or one transition at a time.  The library walks
+# whole blocks of trials at once and takes the chain's powers in closed
+# form; the scalar walk below and the tests step through them.
+
+def _check_position(cycle: LabelledCycle, position: int) -> None:
+    if not 1 <= position <= cycle.length:
+        raise DimensionError(f"position {position} out of range 1..{cycle.length}")
+
+
+def cycle_label(cycle: LabelledCycle, position: int) -> int:
+    _check_position(cycle, position)
+    return cycle.labels[position - 1]
+
+
+def cycle_predecessor(cycle: LabelledCycle, position: int) -> int:
+    _check_position(cycle, position)
+    return cycle.length if position == 1 else position - 1
+
+
+def cycle_successor(cycle: LabelledCycle, position: int) -> int:
+    _check_position(cycle, position)
+    return 1 if position == cycle.length else position + 1
+
+
+def evolve_distance(chain, xi1, steps: int) -> np.ndarray:
+    """Distribution trajectory of a ``DistanceChain``: row m is xi after m
+    transitions."""
+    xi = np.asarray(xi1, dtype=np.float64)
+    if xi.shape != (chain.l,):
+        raise DimensionError(f"xi1 must have length {chain.l}")
+    if (xi < 0).any() or abs(xi.sum() - 1.0) > 1e-12:
+        raise ValidationError("xi1 must be a probability vector")
+    out = np.empty((steps + 1, chain.l))
+    out[0] = xi
+    for m in range(steps):
+        out[m + 1] = chain.matrix.entries @ out[m]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class WalkTrajectory:
     """Recorded (i_k, j_k) positions, 1-based, and the first label-match time."""
@@ -362,26 +412,26 @@ def simulate_backward_walk(cycle: LabelledCycle, gamma: float, k_max: int, rng,
         j = int(start[1]) + 1 if j1 is None else int(j1)
     else:
         i, j = int(i1), int(j1)
-    cycle._check_position(i)
-    cycle._check_position(j)
+    _check_position(cycle, i)
+    _check_position(cycle, j)
     t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
     positions = [(i, j)]
-    hit = 1 if cycle.label(i) == cycle.label(j) else None
+    hit = 1 if cycle_label(cycle, i) == cycle_label(cycle, j) else None
     k = 1
     while hit is None and k < k_max:
         u = rng.random()
         if u < t1:
-            j = cycle.predecessor(j)
+            j = cycle_predecessor(cycle, j)
         elif u < t2:
-            i = cycle.predecessor(i)
+            i = cycle_predecessor(cycle, i)
         elif u < t3:
             pass
         else:
-            i = cycle.predecessor(i)
-            j = cycle.predecessor(j)
+            i = cycle_predecessor(cycle, i)
+            j = cycle_predecessor(cycle, j)
         k += 1
         positions.append((i, j))
-        if cycle.label(i) == cycle.label(j):
+        if cycle_label(cycle, i) == cycle_label(cycle, j):
             hit = k
     return WalkTrajectory(positions=np.array(positions, dtype=np.int64), hit_time=hit)
 
@@ -461,3 +511,180 @@ def walk_match_exact(cycle, gamma, k_max, move_probs=None):
         out[k] = dist[absorbing].sum()
         dist = dist @ P
     return out
+
+
+# The consensus-condition checkers as first written: each kind's law as
+# frozensets (its smallest probability, its per-tick supports and its
+# one-step distribution, read from the kind's declared parameters), and
+# plain set loops over them.  The library reduces the arrays of ``law(k)``
+# and must give the same report and the same expectations, to the bit.
+
+def _clock_sets(self) -> list:
+    """[(set, probability)] of independent clocks, by set size, then
+    lexicographically."""
+    if self.n > MAX_ENUM_NODES:
+        raise NotEnumerableError(
+            f"2^{self.n} update sets exceed the enumeration cap of 2^{MAX_ENUM_NODES}"
+        )
+    out = []
+    on = [j for j in range(self.n) if self.p[j] > 0]
+    sure = frozenset(j + 1 for j in range(self.n) if self.p[j] == 1.0)
+    free = [j for j in on if self.p[j] < 1.0]
+    for r in range(len(free) + 1):
+        for chosen in combinations(free, r):
+            members = sure | frozenset(j + 1 for j in chosen)
+            prob = 1.0
+            for j in free:
+                prob *= self.p[j] if j in chosen else 1.0 - self.p[j]
+            out.append((members, float(prob)))
+    return out
+
+
+def reference_alpha(self):
+    """Smallest declared nonzero transition probability, if known."""
+    if self.kind == "independent_clocks":
+        factors = [1.0 if pj in (0.0, 1.0) else min(pj, 1.0 - pj) for pj in self.p]
+        return float(np.prod(factors))
+    if self.kind in ("global_clock", "support_sequence"):
+        if self.weight_fn is not None:
+            return None
+        return float(min(p for options in self.ticks for _, p in options))
+    if self.kind == "markov":
+        if self.matrices is None:
+            return None
+        entries = np.concatenate([M.entries.ravel() for M in self.matrices])
+        positive = entries[entries > 0]
+        return float(positive.min()) if positive.size else None
+    return 1.0
+
+
+def reference_support_sets(self):
+    """(period, per-tick list of possible update sets, exact flag); a
+    Markov law gives the union of column supports over all states."""
+    if self.kind == "independent_clocks":
+        return 1, [[s for s, _ in _clock_sets(self)]], True
+    if self.kind in ("global_clock", "support_sequence"):
+        return len(self.ticks), [[s for s, _ in options] for options in self.ticks], True
+    if self.kind == "markov":
+        if self.matrices is None:
+            raise NotEnumerableError("time-varying matrix_fn supports cannot be enumerated")
+        ticks = []
+        for M in self.matrices:
+            reachable = sorted({i for i in range(len(self.states)) if (M.entries[i] > 0).any()})
+            ticks.append([self.states[i] for i in reachable])
+        return len(self.matrices), ticks, False
+    return max(len(self.sets), 1), [[s] for s in self.sets] or [[frozenset()]], True
+
+
+def reference_one_step_distribution(self, k: int = 1) -> list:
+    """[(update_set, probability)] for tick k; history-free kinds only."""
+    if self.kind == "independent_clocks":
+        return _clock_sets(self)
+    if self.kind in ("global_clock", "support_sequence"):
+        if self.weight_fn is not None:
+            raise NotEnumerableError(
+                "tick probabilities depend on history through the weight hook"
+            )
+        return [(s, float(p)) for s, p in self.ticks[(k - 1) % len(self.ticks)]]
+    if self.kind == "markov":
+        raise NotEnumerableError("markov draws depend on the previous state")
+    if not self.sets:
+        raise ValidationError("empty script has no distribution")
+    return [(self.sets[(k - 1) % len(self.sets)], 1.0)]
+
+
+def reference_check_conditions(scheduler, A, q_max: int = 16) -> ConditionReport:
+    """``check_conditions`` by set loops over the frozenset laws."""
+    n = A.n
+    checks = []
+
+    report = roots(build_graph(A))
+    checks.append(ConditionCheck("rooted", report.rooted, report.to_json()))
+
+    alpha = reference_alpha(scheduler)
+    if alpha is None:
+        checks.append(ConditionCheck(
+            "positive_probability", False, {},
+            note="no uniform lower bound on transition probabilities is available",
+        ))
+    else:
+        checks.append(ConditionCheck("positive_probability", alpha > 0, {"alpha": alpha}))
+
+    hist_free = scheduler.history_independent
+    note = "" if hist_free else "supports depend on the previous state"
+    checks.append(ConditionCheck("history_independent", hist_free,
+                                 {"kind": scheduler.kind}, note=note))
+
+    try:
+        period, ticks, exact = reference_support_sets(scheduler)
+    except NotEnumerableError as exc:
+        msg = str(exc)
+        checks.append(ConditionCheck("joint_coverage", False, {}, note=msg))
+        checks.append(ConditionCheck("quasi_singleton", False, {}, note=msg))
+        return ConditionReport(checks)
+    approx_note = "" if exact else "supports approximated by the union over source states"
+
+    all_nodes = frozenset(range(1, n + 1))
+    q_needed = 0
+    coverage_fail = None
+    for k in range(period):
+        covered: set = set()
+        q_here = None
+        for q in range(1, q_max + 1):
+            covered |= set().union(*ticks[(k + q - 1) % period])
+            if covered == set(all_nodes):
+                q_here = q
+                break
+        if q_here is None:
+            coverage_fail = {"window_start": k + 1, "covered": sorted(covered), "q_max": q_max}
+            break
+        q_needed = max(q_needed, q_here)
+    if coverage_fail is None:
+        checks.append(ConditionCheck("joint_coverage", True,
+                                     {"q": q_needed, "period": period}, note=approx_note))
+    else:
+        checks.append(ConditionCheck("joint_coverage", False, coverage_fail, note=approx_note))
+
+    if not report.rooted:
+        checks.append(ConditionCheck(
+            "quasi_singleton", False, {},
+            note="graph is not rooted, so there is no root component to check",
+        ))
+        return ConditionReport(checks)
+    chi = report.chi
+    violations = []
+    for j in sorted(chi):
+        for k in range(1, period + 1):
+            containing = [s for s in ticks[k - 1] if j in s]
+            if not containing:
+                violations.append({"k": k, "j": j, "kind": "no_support"})
+                continue
+            inter = frozenset.intersection(*containing) & chi
+            if inter != frozenset({j}):
+                violations.append({
+                    "k": k, "j": j, "kind": "intersection",
+                    "intersection": sorted(inter),
+                })
+    checks.append(ConditionCheck(
+        "quasi_singleton", not violations,
+        {"chi": sorted(chi), "violations": violations[:20]}, note=approx_note,
+    ))
+    return ConditionReport(checks)
+
+
+def reference_strongly_aperiodic(scheduler, A, i: int, j: int,
+                                 k: int = 1) -> StrongAperiodicityCheck:
+    """E[A_sigma(i,i) A_sigma(i,j)] and E[A_sigma(i,j)] by a loop over the
+    tick-k draws."""
+    a_ii = float(A.entries[i - 1, i - 1])
+    a_ij = float(A.entries[i - 1, j - 1])
+    lhs = 0.0
+    rhs = 0.0
+    for members, prob in reference_one_step_distribution(scheduler, k):
+        if i in members:
+            row_ii, row_ij = a_ii, a_ij
+        else:
+            row_ii, row_ij = 1.0, 0.0
+        lhs += prob * row_ii * row_ij
+        rhs += prob * row_ij
+    return StrongAperiodicityCheck(i=i, j=j, lhs=lhs, rhs=rhs)

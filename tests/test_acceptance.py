@@ -36,6 +36,7 @@ from async_dca import _kernels
 from async_dca.montecarlo import _run_script
 from _oracles import (
     bfs_roots,
+    cycle_successor,
     half_l1_coefficient,
     make_async_matrix,
     power_sia_oracle,
@@ -209,7 +210,7 @@ def test_criterion_2_property_suites():
         assert set(cyc.labels) == set(range(1, n + 1))
         for pos in range(1, cyc.length + 1):
             u = cyc.labels[pos - 1]
-            v = cyc.labels[cyc.successor(pos) - 1]
+            v = cyc.labels[cycle_successor(cyc, pos) - 1]
             assert (u, v) in G.edges
         assert cyc.length <= n * (n - 1)
 

@@ -18,9 +18,14 @@ from async_dca import (
     scheduler_from_json,
     schedulers,
     stream,
+    wilson_interval,
 )
-from _oracles import draw_sets_per_tick
-from _samplers import random_rooted_stochastic
+from _oracles import (
+    draw_sets_per_tick,
+    reference_check_conditions,
+    reference_strongly_aperiodic,
+)
+from _samplers import random_rooted_stochastic, random_stochastic
 
 
 def example1_scheduler():
@@ -268,11 +273,49 @@ def test_global_clock_json_keeps_the_zero_entries():
 
 def test_global_clock_law_is_its_positive_entries():
     scheduler = GlobalClockScheduler(P_WITH_ZERO)
-    assert scheduler.alpha() == 0.1
-    assert scheduler.support_sets() == (1, [[frozenset({j}) for j in (1, 3, 4, 5)]], True)
-    assert scheduler.one_step_distribution(7) == [
-        (frozenset({1}), 0.1), (frozenset({3}), 0.45), (frozenset({4}), 0.2),
-        (frozenset({5}), 0.25)]
+    assert scheduler.period == 1
+    masks, probs = scheduler.law(7)
+    assert np.array_equal(masks, np.eye(5, dtype=bool)[[0, 2, 3, 4]])
+    assert probs.tolist() == [0.1, 0.45, 0.2, 0.25]
+
+
+def test_independent_clocks_law_enumerates_by_size_then_lexicographically():
+    # agent 2 never updates and agent 4 always does
+    masks, probs = IndependentClocksScheduler([0.25, 0.0, 0.5, 1.0]).law(1)
+    sets = [[j + 1 for j in np.flatnonzero(row)] for row in masks]
+    assert sets == [[4], [1, 4], [3, 4], [1, 3, 4]]
+    assert probs.tolist() == [0.375, 0.125, 0.375, 0.125]
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in DRAWN if DRAWN[k]().history_independent))
+def test_law_rows_are_the_drawn_frequencies(kind):
+    # every drawn set is a row of its tick's law, and each row is drawn
+    # with a frequency whose Wilson interval holds the row's probability
+    scheduler = DRAWN[kind]()
+    hooked = scheduler.law(1)[1] is None  # the weight hook's draws follow history
+    masks = scheduler.sample_masks(600 if hooked else 12_000, stream(11, 0))[:, 0]
+    for t in range(scheduler.period):
+        rows, probs = scheduler.law(t + 1)
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        drawn = masks[t::scheduler.period]
+        hits = (drawn[:, None, :] == rows[None]).all(axis=2)
+        assert hits.any(axis=1).all()
+        if hooked:
+            continue
+        assert abs(probs.sum() - 1.0) <= schedulers.PROB_TOL
+        for count, prob in zip(hits.sum(axis=0), probs):
+            lo, hi = wilson_interval(int(count), len(drawn), z=4.0)
+            assert lo <= prob <= hi, (t, count, prob)
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in DRAWN if k.startswith("markov")))
+def test_markov_law_is_its_states_and_transition_matrix(kind):
+    scheduler = DRAWN[kind]()
+    states = np.array([[j + 1 in s for j in range(scheduler.n)] for s in scheduler.states])
+    for k in range(1, 6):
+        masks, probs = scheduler.law(k)
+        assert np.array_equal(masks, states)
+        assert np.array_equal(probs, scheduler.transition_matrix(k).entries)
 
 
 @pytest.mark.parametrize("kind, expected", [
@@ -402,7 +445,7 @@ def test_markov_time_varying_law():
     sets = _sets(scheduler, 200, stream(22, 0))
     # at k=1 the law forces 1 -> 2 -> 3 -> 1
     assert sets[:4] == [frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1})]
-    assert scheduler.alpha() is None
+    assert scheduler.period is None
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +531,7 @@ def test_conditions_weight_hook_has_no_probability_floor():
     # the draws follow the hook's weights, not the declared 0.5 each
     hooked = SupportSequenceScheduler(4, [[({1, 2}, 0.5), ({3, 4}, 0.5)]],
                                       weight_fn=lambda k, history: [1e-300, 1 - 1e-300])
-    assert hooked.alpha() is None
+    assert hooked.law(1)[1] is None
     check = check_conditions(hooked, bundled_matrix("four_node_ring"))["positive_probability"]
     assert not check.passed
     assert "no uniform lower bound" in check.note
@@ -512,6 +555,95 @@ def test_conditions_synchronous_script_fails_quasi_singleton():
 def test_conditions_dimension_mismatch():
     with pytest.raises(DimensionError):
         check_conditions(GlobalClockScheduler([0.5, 0.5]), bundled_matrix("three_node_chain"))
+
+
+def test_conditions_empty_script_has_no_support():
+    empty = ScriptScheduler(3, [], repeat=True)
+    report = check_conditions(empty, bundled_matrix("three_node_cycle"))
+    assert report["positive_probability"].witness == {"alpha": 1.0}
+    cov = report["joint_coverage"]
+    assert not cov.passed and cov.witness == {"window_start": 1, "covered": [], "q_max": 16}
+    qs = report["quasi_singleton"]
+    assert not qs.passed
+    assert qs.witness["violations"] == [{"k": 1, "j": j, "kind": "no_support"} for j in (1, 2, 3)]
+
+
+def _random_sets(rng, n, count):
+    """``count`` distinct random subsets of 1..n (at most 2^n), empty ones too."""
+    codes = rng.choice(1 << n, size=min(count, 1 << n), replace=False)
+    return [{j + 1 for j in range(n) if code >> j & 1} for code in codes]
+
+
+def _random_probs(rng, m):
+    w = rng.uniform(0.05, 1.0, m)
+    return w / w.sum()
+
+
+def _random_column_stochastic(rng, m):
+    M = rng.uniform(0.05, 1.0, (m, m)) * (rng.random((m, m)) < 0.6)
+    M[rng.integers(0, m, m), np.arange(m)] += 0.5  # no column is all zero
+    return M / M.sum(axis=0)
+
+
+def _random_instance(rng, kind):
+    """A scheduler of ``kind`` on n <= 6 agents: clocks with sure and silent
+    agents, support periods up to 3, markov laws of 1 or 2 matrices (a few
+    with hooks instead), and empty or repeating scripts."""
+    n = int(rng.integers(1, 7))
+    if kind == "global_clock":
+        w = _random_probs(rng, n) * (rng.random(n) < 0.8) + np.eye(n)[0]
+        return GlobalClockScheduler(w / w.sum())
+    if kind == "independent_clocks":
+        return IndependentClocksScheduler(
+            np.choose(rng.integers(0, 3, n), [np.zeros(n), np.ones(n), rng.random(n)]))
+    if kind == "support_sequence":
+        ticks = []
+        for _ in range(int(rng.integers(1, 4))):
+            sets = _random_sets(rng, n, int(rng.integers(1, 5)))
+            ticks.append(list(zip(sets, _random_probs(rng, len(sets)))))
+        hook = (lambda k, history: None) if rng.random() < 0.1 else None
+        return SupportSequenceScheduler(n, ticks, weight_fn=hook)
+    if kind == "markov":
+        states = _random_sets(rng, n, int(rng.integers(1, 5)))
+        m = len(states)
+        initial = states[int(rng.integers(0, m))]
+        if rng.random() < 0.1:
+            return MarkovScheduler(n, states, initial,
+                                   matrix_fn=lambda k: np.full((m, m), 1.0 / m))
+        mats = [_random_column_stochastic(rng, m) for _ in range(int(rng.integers(1, 3)))]
+        return MarkovScheduler(n, states, initial, matrices=mats)
+    sets = [_random_sets(rng, n, 1)[0] for _ in range(int(rng.integers(0, 5)))]
+    return ScriptScheduler(n, sets, repeat=bool(rng.integers(0, 2)))
+
+
+def test_conditions_match_the_set_loop_reference():
+    # 600 random scheduler/matrix pairs: the reports, and for every pair of
+    # agents sampled the strong-aperiodicity expectations, are those of the
+    # frozenset loops to the bit, errors included
+    rng = np.random.default_rng(2024_32)
+    verdicts = set()
+    for trial in range(600):
+        kind = sorted(ALL_SCHEDULERS)[trial % 5]
+        scheduler = _random_instance(rng, kind)
+        n = scheduler.n
+        A = StochasticMatrix(random_stochastic(rng, n, density=rng.uniform(0.2, 1.0)))
+        q_max = int(rng.integers(1, 6))
+        report = check_conditions(scheduler, A, q_max=q_max)
+        assert report.to_json() == reference_check_conditions(scheduler, A, q_max).to_json(), trial
+        verdicts.add((kind, report.passed))
+        if n < 2:
+            continue
+        i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+        k = int(rng.integers(1, 4))
+        try:
+            want = reference_strongly_aperiodic(scheduler, A, i, j, k).to_json()
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                check_strongly_aperiodic(scheduler, A, i, j, k)
+            continue
+        assert check_strongly_aperiodic(scheduler, A, i, j, k).to_json() == want, trial
+    both = {(kind, ok) for kind in ALL_SCHEDULERS for ok in (True, False)}
+    assert verdicts == both - {("markov", True)}
 
 
 def test_conditions_unrooted_graph():
@@ -566,14 +698,22 @@ def test_strongly_aperiodic_errors():
     )
     with pytest.raises(ValidationError):
         check_strongly_aperiodic(hooked, A, 1, 2)
+    with pytest.raises(ValidationError):
+        check_strongly_aperiodic(ScriptScheduler(3, []), A, 1, 2)
 
 
 def test_conditions_large_independent_clocks_hit_enumeration_cap():
     n = 17
     A = StochasticMatrix(np.full((n, n), 1.0 / n))
     report = check_conditions(IndependentClocksScheduler([0.5] * n), A)
-    assert not report["joint_coverage"].passed
+    # no law table, so no probability floor either
+    for name in ("positive_probability", "joint_coverage", "quasi_singleton"):
+        assert not report[name].passed and not report[name].witness
+    assert "no uniform lower bound" in report["positive_probability"].note
     assert "enumeration cap" in report["joint_coverage"].note
+    assert "enumeration cap" in report["quasi_singleton"].note
+    with pytest.raises(ValidationError, match="enumeration cap"):
+        check_strongly_aperiodic(IndependentClocksScheduler([0.5] * n), A, 1, 2)
 
 
 def test_analysis_of_single_agent():
