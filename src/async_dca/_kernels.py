@@ -13,7 +13,7 @@ block left: the states, the accumulated products, the last coefficients,
 the initial discrepancies, the maxima of the three checks and the exit-test
 schedule.  Each call returns that block's discrepancies and coefficients,
 steps first, and the carry.  Only the carry, chunk buffers included, lives
-from block to block, so a batch needs O(T n^2 + n CHUNK_BYTES) memory plus
+from block to block, so a batch needs O(T n^3 + n CHUNK_BYTES) memory plus
 what the caller keeps of the blocks.
 
 Inside a block the state and the accumulated product step together as
@@ -21,17 +21,39 @@ one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``), so each step
 is exactly two numpy calls: ``A @ Q`` into the next entry of a series and a
 ``putmask`` that restores the rows of the agents that did not update.
 The kernel walks chunks of ``C = max(1, min(B, CHUNK_BYTES // (8 n T)))``
-steps, keeps the chunk's series of ``Q`` and the not-updating mask
-materialised at the series' shape, and then reduces the series once per
-chunk: the discrepancies from the state column, the pairs' shared mass in
-groups of ``G = max(1, CHUNK_BYTES // (8 pairs n T))`` steps (one step at
-a time at T = 200, which keeps each group in cache), the product's row
-sums, the coefficients and the maxima of the three checks.  These are the
-element-wise operations of a per-step loop and a maximum does not depend
-on order, so the outputs are bitwise those of stepping one step at a time,
-whatever the block and chunk sizes, and every check still covers every
-trial and every step.  Each step's product is a matrix-matrix product even
-for one trial, so a trial's bits do not depend on the batch it runs in.
+steps, so that a chunk's states take about ``CHUNK_BYTES``, keeps the
+chunk's series of ``Q`` (m times that: 470 KB with lambda at n = 6 and
+T = 200) and the not-updating mask materialised at the series' shape, and
+then reduces the series once per chunk: the discrepancies from the state
+column, the product's row sums, the coefficients and the maxima of the
+three checks.  Every sum over columns runs left to right (``_sum_left``)
+for every T and n; numpy's own sum of a lone trial's contiguous columns
+would go pairwise from n = 8 on.
+
+The coefficient is ``lambda = clip(1 - s, 0, 1)`` with ``s`` the least
+pair mass ``sum_c min(P[a, c], P[b, c])`` over the row pairs a < b, which
+costs (n - 1) n^2 T / 2 minima a step.  First comes a cheap lower bound,
+the column-minimum mass ``sum_c min_i P[i, c]``, summed in the same order
+(``_min_column_mass``).  ``min`` is exact, so each of its terms is at most
+the pair's, and a fixed-order round-to-nearest sum does not decrease when
+a term increases, so the bound is at most every pair's computed mass.
+Where it is >= 1, lambda is +0.0, the bits the pairs would give, and the
+bound stands in for ``s``.  The products lose rank early in float64: on
+200 x 5000 steps of ``uniform_clock6`` 86-87% of the trial-steps are
+certified.  The pair masses then run only for the trials with an
+uncertified step in the chunk, gathered along the trial axis unless all
+are, in groups of ``cap // t`` steps of the t trials, with ``cap = max(T,
+CHUNK_BYTES // (8 pairs n))`` trial-steps; at T = 200 a group is one step
+of every trial, whose pair rows take 336 KB.  The groups and the gather
+change no bit, and the bound is per trial, so the outputs still do not
+depend on which trials share a batch.
+
+These are the element-wise operations of a per-step loop and a maximum
+does not depend on order, so the outputs are bitwise those of stepping one
+step at a time, whatever the block and chunk sizes, and every check still
+covers every trial and every step.  Each step's product is a matrix-matrix
+product even for one trial, so a trial's bits do not depend on the batch
+it runs in.
 
 After a chunk the kernel may test for an exact fixed point: ``A @ Q``
 equals ``Q`` bit for bit for every trial (compared as ``uint64`` so that
@@ -54,28 +76,58 @@ CHUNK_BYTES = 64 * 1024  # sizes the chunks (of states), pair-min groups and wal
 TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
 
 
+def _sum_left(X, out):
+    """Sum ``X`` (..., k, T) over its axis -2 left to right into ``out``
+    (..., T): ``((X_0 + X_1) + X_2) + ...``.
+
+    When T > 1 the summed axis is not the innermost one, and numpy's
+    reduction adds it a whole row of T at a time, in order.  When T is 1 it
+    is, and numpy would sum it pairwise from eight terms on, so that a
+    trial's bits would depend on the width of its batch; the terms are then
+    added one element-wise ``add`` at a time.
+    """
+    if X.shape[-1] > 1:
+        return np.add.reduce(X, axis=-2, out=out)
+    np.copyto(out, X[..., 0, :])
+    for j in range(1, X.shape[-2]):
+        np.add(out, X[..., j, :], out=out)
+    return out
+
+
 def _shared_mass(Q2, pairs, work, out):
     """``min over a < b of sum_c min(P[a, c], P[b, c])`` for the products
     ``P = Q[:, 1:]`` of a (G, n, (n + 1) T) stack of ``Q`` (see ``Carry``),
     into ``out`` (G, T); 1 when n = 1, so lambda is 0.
 
     ``pairs`` holds the row indices ``(a, b)`` of every pair with ``a < b``;
-    ``work`` is ``((2, G', pairs, (n + 1) T), (G', pairs, T))`` buffers,
-    G' >= G.  The rows are taken whole, state column included, since
-    ``take`` copies a strided input first.
+    ``work`` is a (2, L) buffer for the two rows of every pair and an
+    (L // (n + 1),) one for the pairs' sums, L >= G pairs (n + 1) T.  The
+    rows are taken whole, state column included, since ``take`` copies a
+    strided input first.
     """
-    G, n, _ = Q2.shape
+    G, n, mT = Q2.shape
     if n == 1:
         out[...] = 1.0
         return
-    (a, b), ((Qa, Qb), S) = pairs, work
-    Qa, Qb, S = Qa[:G], Qb[:G], S[:G]
+    (a, b), (Qab, S) = pairs, work
+    size = G * len(a) * mT
+    Qa = Qab[0, :size].reshape(G, len(a), mT)
+    Qb = Qab[1, :size].reshape(G, len(a), mT)
     # mode="clip" lets take write straight into out (the indices are valid)
     np.take(Q2, a, axis=1, out=Qa, mode="clip")
     np.take(Q2, b, axis=1, out=Qb, mode="clip")
     np.minimum(Qa, Qb, out=Qa)
     Pmin = Qa.reshape(G, len(a), n + 1, -1)[:, :, 1:]
-    Pmin.sum(axis=2, out=S).min(axis=1, out=out)
+    S = S[:size // (n + 1)].reshape(G, len(a), -1)
+    _sum_left(Pmin, S).min(axis=1, out=out)
+
+
+def _min_column_mass(P, mins, out):
+    """``sum_c min_i P[i, c]`` of a (G, n, n, T) stack of products ``P``,
+    summed left to right into ``out`` (G, T); ``mins`` (G, n, T) receives
+    the column minima.  It is below no pair's mass of ``_shared_mass``
+    (see the module docstring)."""
+    return _sum_left(np.min(P, axis=1, out=mins), out)
 
 
 def _fixed(A, Z, AZ):
@@ -125,10 +177,13 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
 
     Trials sit on the last axis inside the kernel: the state is (n, T) and
     the product (n, n, T), stepped together as ``Q = [x | P]``.  Sums over
-    columns run in sequential order, as in
+    columns run left to right for every T and n, as in
     ``tests/_oracles.py::trajectory_batch_trials_first``.  The block is
-    walked in chunks and stops early at an exact fixed point (see the
-    module docstring).  The chunk buffers are allocated once per batch
+    walked in chunks and stops early at an exact fixed point.  A trial's
+    pair minima are skipped on the chunks where its column-minimum mass,
+    a lower bound of every pair's mass summed in the same order, is >= 1
+    at every step: lambda is then +0.0 bit for bit (see the module
+    docstring).  The chunk buffers are allocated once per batch
     and kept in the carry, only the returned series once per block: fresh
     temporaries make the allocator return and refault their pages, which
     costs more than the arithmetic.
@@ -176,8 +231,9 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     if track_lambda:
         pairs = np.triu_indices(n, 1)
         npairs = len(pairs[0])
-        # the pair minima of G steps at a time stay within CHUNK_BYTES
-        G = max(1, min(C, CHUNK_BYTES // max(1, 8 * npairs * n * T)))
+        # the pair minima of ``cap`` trial-steps at a time take about
+        # CHUNK_BYTES, or one step of every trial when that is more
+        cap = max(T, CHUNK_BYTES // max(1, 8 * npairs * n))
     bufs = carry.buffers
     if bufs is None or len(bufs[1]) < C:
         bufs = carry.buffers = [np.empty((C + 1, n, m, T)), np.empty((C, n, T), dtype=bool),
@@ -185,7 +241,8 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
                                 np.empty(T)]
         if track_lambda:
             bufs += [np.empty((C, n, T)), np.empty((C, T)),
-                     (np.empty((2, G, npairs, m * T)), np.empty((G, npairs, T)))]
+                     (np.empty((2, cap * npairs * m)), np.empty(cap * npairs)),
+                     np.empty(cap * n * m)]
     Qs, kt, keep, w, wT = bufs[:5]
     # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
     Qs[0] = Q
@@ -198,7 +255,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     viol_contract, viol_mono, row_err = carry.viol_contract, carry.viol_mono, carry.row_err
     if track_lambda:
         lams = np.empty((K + 1, T))
-        rs, shared, work = bufs[5:]
+        rs, shared, work, gathered = bufs[5:]
         if first:
             _shared_mass(Qs2[:1], pairs, work, shared[:1])
             np.clip(1.0 - shared[0], 0.0, 1.0, out=lams[0])
@@ -221,18 +278,30 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         np.max(X[1:c + 1], axis=1, out=D)
         np.subtract(D, np.min(X[1:c + 1], axis=1, out=W), out=D)
         if track_lambda:
-            L, R = lams[k0 + 1:k1 + 1], rs[:c]
-            for g in range(0, c, G):
-                e = min(c, g + G)
-                _shared_mass(Qs2[1 + g:1 + e], pairs, work, shared[g:e])
-            np.clip(np.subtract(1.0, shared[:c], out=L), 0.0, 1.0, out=L)
+            L, R, S, P = lams[k0 + 1:k1 + 1], rs[:c], shared[:c], Qs[1:c + 1, :, 1:]
+            np.abs(np.subtract(_sum_left(P, R), 1.0, out=R), out=R)
+            np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
+            _min_column_mass(P, R, S)
+            # the live trials have a step whose bound is not >= 1 (NaN
+            # included); their pair masses replace the bound, gathered along
+            # the trials into St unless every trial is live
+            live = np.flatnonzero(~(S.min(axis=0, out=wT) >= 1.0))
+            t = len(live)
+            St = S if t == T else W.reshape(-1)[:c * t].reshape(c, t)
+            Gt = cap // max(1, t)
+            for g in range(0, c if t else 0, Gt):
+                Qg = Qs[1 + g:1 + min(c, g + Gt)]
+                if t < T:
+                    Qg = np.take(Qg, live, axis=3, mode="clip",
+                                 out=gathered[:Qg.size // T * t].reshape(*Qg.shape[:3], t))
+                _shared_mass(Qg.reshape(len(Qg), n, m * t), pairs, work, St[g:g + len(Qg)])
+            if 0 < t < T:
+                S[:, live] = St
+            np.clip(np.subtract(1.0, S, out=L), 0.0, 1.0, out=L)
             np.subtract(D, np.multiply(L, d0, out=W), out=W)
             np.maximum(viol_contract, W.max(axis=0, out=wT), out=viol_contract)
             np.subtract(L, lams[k0:k1], out=W)
             np.maximum(viol_mono, W.max(axis=0, out=wT), out=viol_mono)
-            Qs[1:c + 1, :, 1:].sum(axis=2, out=R)
-            np.abs(np.subtract(R, 1.0, out=R), out=R)
-            np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
         Qs[0] = Qs[c]
         carry.chunks += 1
         if k1 == K or carry.chunks >= carry.next_test:

@@ -153,12 +153,23 @@ def run_script_steps(A, sets, x1, track_product=True):
 # every per-step reduction over a trailing axis of length n.  The library
 # kernel stores trials last and must reproduce these outputs bit for bit.
 
+def sum_in_order(X: np.ndarray) -> np.ndarray:
+    """Sum over the last axis left to right, ``((x0 + x1) + x2) + ...``.
+
+    numpy's own sum of a contiguous axis is pairwise from eight terms on.
+    """
+    total = X[..., 0].copy()
+    for j in range(1, X.shape[-1]):
+        total += X[..., j]
+    return total
+
+
 def ergodic_batch_trials_first(P: np.ndarray) -> np.ndarray:
     """Ergodic coefficient of each matrix in a (T, n, n) stack."""
     n = P.shape[1]
     if n == 1:
         return np.zeros(P.shape[0])
-    shared = np.minimum(P[:, :, None, :], P[:, None, :, :]).sum(axis=3)
+    shared = sum_in_order(np.minimum(P[:, :, None, :], P[:, None, :, :]))
     shared[:, np.eye(n, dtype=bool)] = np.inf
     lam = 1.0 - shared.reshape(P.shape[0], -1).min(axis=1)
     return np.clip(lam, 0.0, 1.0)
@@ -197,7 +208,7 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
             lams[:, k + 1] = lam_k
             viol_contract = np.maximum(viol_contract, deltas[:, k + 1] - lam_k * d0)
             viol_mono = np.maximum(viol_mono, lam_k - lams[:, k])
-            row_err = np.maximum(row_err, np.abs(P.sum(axis=2) - 1.0).max(axis=1))
+            row_err = np.maximum(row_err, np.abs(sum_in_order(P) - 1.0).max(axis=1))
     return deltas, lams, x, viol_contract, viol_mono, row_err
 
 

@@ -19,7 +19,13 @@ from async_dca import (
     stream,
 )
 from async_dca.engine import initial_state, step
-from _oracles import _WalkReplay, simulate_backward_walk, trajectory_batch_trials_first
+from _oracles import (
+    _WalkReplay,
+    ergodic_batch_trials_first,
+    simulate_backward_walk,
+    sum_in_order,
+    trajectory_batch_trials_first,
+)
 from _samplers import mc_inputs, random_stochastic
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,9 +39,9 @@ def _random_inputs(seed, trials=6, steps=40, n=5):
     return A, masks, x0
 
 
-def _coupled_inputs(scheduler, trials=12, horizon=300):
+def _coupled_inputs(scheduler, trials=12, horizon=300, seed=1729):
     cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler(scheduler),
-                           trials=trials, horizon=horizon, seed=1729)
+                           trials=trials, horizon=horizon, seed=seed)
     x0, masks = mc_inputs(cfg)
     return cfg.matrix.entries, masks, x0
 
@@ -99,6 +105,12 @@ def _signed_zero_inputs(T=3, n=4):
     return np.full((n, n), 1.0 / n), masks, x0
 
 
+def _certified_inputs(seed=1729, horizon=1500):
+    # 200 trials of uniform_clock6: from about step 800 the column-minimum
+    # bound certifies lambda = 0 for all but a few trials
+    return _coupled_inputs("uniform_clock6", trials=200, horizon=horizon, seed=seed)
+
+
 ORACLE_CASES = [
     pytest.param(lambda: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
     pytest.param(lambda: _coupled_inputs("half_clocks6"), id="half_clocks6"),
@@ -109,9 +121,10 @@ ORACLE_CASES = [
     pytest.param(_slow_inputs, id="slow-never-exits"),
     pytest.param(_consensus_start_inputs, id="consensus-start"),
     pytest.param(lambda: _chunk_inputs(200, 3 * _chunk(200, 1) + 5, n=1), id="n1-multichunk"),
+    pytest.param(_certified_inputs, id="mostly-certified"),
 ] + [
     pytest.param(lambda n=n: _random_inputs_with_extremes(n), id=f"random-n{n}")
-    for n in range(1, 8)
+    for n in (*range(1, 8), 8, 10, 12)
 ] + [
     pytest.param(lambda T=T, dk=dk, mul=mul: _chunk_inputs(T, max(0, mul * _chunk(T) + dk)),
                  id=f"chunk-T{T}-K{label}")
@@ -167,12 +180,13 @@ def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
 def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda):
     # a trial's bits may not depend on the batch it runs in, on every
     # matrix; a one-column state product would go through gemv, which
-    # rounds differently from the gemm of a wider batch on non-dyadic A
+    # rounds differently from the gemm of a wider batch on non-dyadic A,
+    # and from n = 8 on numpy sums a lone trial's contiguous columns pairwise
     rng = np.random.default_rng(2027)
-    for _ in range(20):
-        A = random_stochastic(rng, 6, density=1.0)
-        masks = rng.random((3, 120, 6)) < 0.4
-        x0 = rng.uniform(-1.0, 1.0, (3, 6))
+    for n in [6] * 20 + list(range(8, 17)):
+        A = random_stochastic(rng, n, density=1.0)
+        masks = rng.random((3, 120, n)) < 0.4
+        x0 = rng.uniform(-1.0, 1.0, (3, n))
         lone, _ = _run_blocks(A, masks[:1], x0[:1], track_lambda)
         wide, _ = _run_blocks(A, masks, x0, track_lambda)
         for g, w in zip(lone, wide):
@@ -264,6 +278,7 @@ BLOCK_CASES = [
     pytest.param(_signed_zero_inputs, id="signed-zeros"),
     pytest.param(_slow_inputs, id="slow-never-exits"),
     pytest.param(_consensus_start_inputs, id="consensus-start"),
+    pytest.param(_certified_inputs, id="mostly-certified"),
     pytest.param(lambda: _random_inputs_with_extremes(1), id="random-n1"),
     # rounding lets lambda rise by an ulp here, so viol_mono must see the
     # coefficient carried across each block boundary
@@ -331,6 +346,96 @@ def test_exit_test_backs_off_on_the_mc_lambda_shape(monkeypatch):
     assert len(calls) > 800
     for g, w in zip(backed_off, every_chunk):
         assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 200])
+def test_column_sums_add_left_to_right(T):
+    # numpy sums a contiguous axis pairwise from eight terms on; the
+    # kernel's column sums (over the strided columns of a Q series) and the
+    # oracle's must both equal a plain float loop, whatever T
+    rng = np.random.default_rng(55 + T)
+    for k in range(1, 17):
+        Qs = rng.random((2, 3, k + 1, T)) * 10.0 ** rng.integers(-8, 9, (2, 3, k + 1, T))
+        P = Qs[:, :, 1:]
+        want = np.empty((2, 3, T))
+        for idx in np.ndindex(2, 3, T):
+            s = float(P[idx[0], idx[1], 0, idx[2]])
+            for j in range(1, k):
+                s += float(P[idx[0], idx[1], j, idx[2]])
+            want[idx] = s
+        got = _kernels._sum_left(P, np.empty((2, 3, T)))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(sum_in_order(P.swapaxes(2, 3))), _bits(want))
+
+
+def _near_rank_one_products(rng, n, T, steps=8):
+    """(steps, n, n, T) stack of the powers A^k of a random A around the
+    first k at which the oracle's lambda reads +0.0, each entry moved by
+    -1, 0 or +1 ulp at random, with a zero column whose zeros carry random
+    signs (n > 2)."""
+    A = random_stochastic(rng, n, density=1.0)
+    if n > 2:
+        A[:, -1] = 0.0
+        A /= A.sum(axis=1, keepdims=True)
+    powers, P = [], np.eye(n)
+    while len(powers) < 400:
+        P = A @ P
+        powers.append(P)
+        if ergodic_batch_trials_first(P[None])[0] == 0.0:
+            break
+    for _ in range(steps // 2 - 1):
+        P = A @ P
+        powers.append(P)
+    exact = np.repeat(np.array(powers[-steps:])[..., None], T, axis=3)
+    ulp = rng.integers(-1, 2, exact.shape)
+    Ps = np.where(ulp > 0, np.nextafter(exact, np.inf), exact)
+    Ps = np.where(ulp < 0, np.nextafter(exact, -np.inf), Ps)
+    zero = exact == 0.0
+    Ps[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, zero.sum()))
+    return Ps
+
+
+def test_column_minimum_bound_certifies_only_zero_lambdas():
+    # the kernel skips the pair minima where the column-minimum mass is
+    # >= 1; on near-rank-one products, moved by an ulp either way around
+    # the step where lambda first reads 0, the oracle's lambda must then
+    # be +0.0 bit for bit
+    rng = np.random.default_rng(404)
+    certified = checked = 0
+    for n in range(1, 13):
+        for T in (1, 3, 200):
+            Ps = _near_rank_one_products(rng, n, T)
+            steps = len(Ps)
+            bound = np.empty((steps, T))
+            _kernels._min_column_mass(Ps, np.empty((steps, n, T)), bound)
+            lam = ergodic_batch_trials_first(
+                Ps.transpose(0, 3, 1, 2).reshape(-1, n, n)).reshape(steps, T)
+            sure = bound >= 1.0
+            assert np.array_equal(_bits(lam[sure]), _bits(np.zeros(sure.sum())))
+            certified += sure.sum()
+            checked += sure.size
+    # the bound straddles 1 on these inputs, so both sides are exercised
+    assert 0 < certified < checked
+
+
+@pytest.mark.parametrize("seed", [1729, 11])
+def test_bound_skips_most_pair_minima_on_the_mc_lambda_shape(monkeypatch, seed):
+    # mc-lambda (200 x 5000 of uniform_clock6): from about step 800 the
+    # column-minimum bound certifies lambda = 0 for all but a few trials,
+    # so the pair minima see well under a quarter of the trial-steps; the
+    # few live trials are gathered, and at seed 11 one stays live to the end
+    A, masks, x0 = _certified_inputs(seed, horizon=5000)
+    real, shapes = _kernels._shared_mass, []
+
+    def counted(Q2, pairs, work, out):
+        shapes.append(out.shape)
+        return real(Q2, pairs, work, out)
+
+    monkeypatch.setattr(_kernels, "_shared_mass", counted)
+    _run_blocks(A, masks, x0, True, B=218)
+    T, K, _ = masks.shape
+    assert sum(g * t for g, t in shapes) < T * K / 4
+    assert any(t < T for _, t in shapes)
 
 
 def test_walk_kernel_respects_initial_matches():

@@ -195,7 +195,7 @@ def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda):
     held = [carry.buffers for _, _, _, carry in montecarlo.trajectory_blocks(cfg)]
     assert len(held) == -(-120 // 7) and held[-1] is None
     assert all(b is held[0] for b in held[:-1])
-    assert len(held[0]) == (8 if track_lambda else 5)
+    assert len(held[0]) == (9 if track_lambda else 5)
 
 
 def _traced_peak(cfg):
