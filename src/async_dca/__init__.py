@@ -66,7 +66,6 @@ from .walk import (
     MatchCurve,
     RateCertificate,
     default_move_probabilities,
-    lower_bound_matrix,
     match_probability_curve,
 )
 
@@ -112,7 +111,6 @@ __all__ = [
     "ergodic_coefficient",
     "is_scrambling",
     "is_sia",
-    "lower_bound_matrix",
     "match_probability_curve",
     "max_discrepancy",
     "normalize_update_set",

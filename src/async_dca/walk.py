@@ -7,21 +7,23 @@ least ``gamma`` and the stay-or-move-both alternative at least ``gamma``
 combined.  Once the labels coincide the pair freezes.
 
 The distance between the tokens then performs a birth/death chain on
-``{0, .., l-1}`` with an absorbing 0.  Its transition matrix dominates a
-fixed band matrix ``W`` entrywise, with the same sign pattern, so the chain
-is absorbed geometrically.  Its exact rate, the spectral radius of the
-transient block, gives the certified lower bound
-``P(match by k) >= 1 - c0 * beta^k`` used throughout.
+``{0, .., l-1}`` with an absorbing 0.  In the paper's argument its
+transition matrix dominates a fixed band matrix ``W`` entrywise, with the
+same sign pattern, so the chain is absorbed geometrically.  Here the
+envelope is taken from the chain itself: the largest mass that any start
+distance leaves unabsorbed after k steps, carried at the exact rate
+``beta`` of the transient block J (its spectral radius), gives the
+certified lower bound ``P(match by k) >= 1 - c0 * beta^k`` used throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, ValidationError
-from .graphs import LabelledCycle, build_graph, roots
+from .errors import ValidationError
+from .graphs import LabelledCycle
 from .matrices import ColumnStochasticMatrix
 from .rng import stream
 
@@ -42,34 +44,14 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def lower_bound_matrix(l: int, gamma: float) -> np.ndarray:
-    """Entrywise lower bound for the distance chain of an l-cycle walk.
-
-    Column d is the distribution of the next distance given the current
-    one: column 0 is absorbing; every other column carries ``gamma`` on
-    staying, on stepping down (reaching 0 from distance 1), and on stepping
-    up (wrapping to 0 from distance l-1).  The transpose's graph is rooted
-    with node 1 as the unique, self-looped root.
-    """
-    if l < 2:
-        raise ValidationError("the distance chain needs l >= 2")
-    gamma = _check_gamma(gamma)
-    W = np.zeros((l, l))
-    W[0, 0] = 1.0
-    W[0, 1] = gamma
-    W[0, l - 1] = gamma
-    for d in range(1, l):
-        W[d, d] = gamma
-    for d in range(1, l - 1):
-        W[d + 1, d] = gamma
-    for d in range(2, l):
-        W[d - 1, d] = gamma
-    return W
-
-
 @dataclass(frozen=True, eq=False)
 class RateCertificate:
-    """Certified envelope ``max |P^k - e1 1^T| <= c0 * beta^k`` of a distance chain."""
+    """Certified envelope ``errors[k-1] <= c0 * beta^k`` of a distance chain.
+
+    ``errors[k-1]`` is the largest mass that any start distance leaves
+    unabsorbed after k steps, that is, the largest column sum of the k-th
+    power of the transient block; ``beta`` is the block's spectral radius.
+    """
 
     c0: float
     beta: float
@@ -79,44 +61,6 @@ class RateCertificate:
         arr = np.asarray(self.errors, dtype=np.float64).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "errors", arr)
-
-
-def _product_errors(P, W, k_max: int) -> np.ndarray:
-    """``max |P^k - e1 1^T|`` for k = 1..k_max.
-
-    ``P`` must be column stochastic, dominate ``W`` entrywise and carry the
-    same sign pattern; ``W`` must be square and nonnegative, and ``W``
-    transposed rooted with node 1 as its unique, self-looped root.
-    """
-    if k_max < 1:
-        raise ValidationError("need k_max >= 1")
-    Warr = np.asarray(W, dtype=np.float64)
-    if Warr.ndim != 2 or Warr.shape[0] != Warr.shape[1]:
-        raise DimensionError(f"W must be square, got shape {Warr.shape}")
-    if (Warr < 0).any():
-        raise ValidationError("W must be entrywise nonnegative")
-    rep = roots(build_graph(Warr.T))
-    if not (rep.rooted and rep.roots == frozenset({1}) and Warr[0, 0] > 0):
-        raise ValidationError(
-            "W^T's graph must be rooted with node 1 as the unique self-looped root"
-        )
-    arr = P.entries if isinstance(P, ColumnStochasticMatrix) else np.asarray(P, np.float64)
-    ColumnStochasticMatrix(arr, tol=1e-9)
-    if arr.shape != Warr.shape:
-        raise DimensionError(f"the chain has shape {arr.shape}, W has {Warr.shape}")
-    if (arr < Warr - 1e-12).any():
-        raise ValidationError("the chain drops below the lower bound W")
-    if ((arr > 0) != (Warr > 0)).any():
-        raise ValidationError("the chain is not of the same type as W")
-    l = Warr.shape[0]
-    target = np.zeros((l, l))
-    target[0, :] = 1.0
-    prod = np.eye(l)
-    errors = np.empty(k_max)
-    for k in range(k_max):
-        prod = arr @ prod
-        errors[k] = np.abs(prod - target).max()
-    return errors
 
 
 def default_move_probabilities(gamma: float) -> tuple:
@@ -145,18 +89,22 @@ def _check_move_probabilities(gamma: float, move_probs) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DistanceChain:
-    """Exact distance chain of a walk with the given move probabilities."""
+    """Exact distance chain of a walk with the given move probabilities.
+
+    ``move_probs`` defaults to ``default_move_probabilities(gamma)``; the
+    constructor validates it and derives ``matrix`` from it.
+    """
 
     l: int
     gamma: float
-    move_probs: tuple
-    matrix: ColumnStochasticMatrix
+    move_probs: tuple = None
+    matrix: ColumnStochasticMatrix = field(init=False, repr=False)
 
-    @classmethod
-    def for_walk(cls, l: int, gamma: float, move_probs=None) -> "DistanceChain":
-        if l < 2:
+    def __post_init__(self):
+        if self.l < 2:
             raise ValidationError("the distance chain needs l >= 2")
-        p_j, p_i, p_stay, p_both = _check_move_probabilities(gamma, move_probs)
+        p_j, p_i, p_stay, p_both = p = _check_move_probabilities(self.gamma, self.move_probs)
+        l = self.l
         P = np.zeros((l, l))
         P[0, 0] = 1.0
         for d in range(1, l):
@@ -165,27 +113,51 @@ class DistanceChain:
             P[down, d] += p_j
             P[up, d] += p_i
             P[d, d] += p_stay + p_both
-        return cls(l=l, gamma=float(gamma), move_probs=(p_j, p_i, p_stay, p_both),
-                   matrix=ColumnStochasticMatrix(P))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "move_probs", p)
+        object.__setattr__(self, "matrix", ColumnStochasticMatrix(P))
 
     def rate_certificate(self, k_max: int) -> RateCertificate:
-        """Envelope of the chain's first ``k_max`` powers at its exact rate.
+        """Unabsorbed mass of the chain's first ``k_max`` steps at its exact rate.
 
-        ``beta`` is the spectral radius of the transient block (distances
+        ``beta`` is the spectral radius of the transient block J (distances
         1..l-1), the rate at which unabsorbed mass decays, so no decay need
-        show within ``k_max`` steps; ``c0 = max_k errors[k-1] / beta^k``
-        over k <= ``k_max`` makes the envelope hold at every k supplied.
+        show within ``k_max`` steps.  The scaled masses ``errors[k-1] /
+        beta^k`` tend to the Perron limit of ``J / beta``; ``c0`` is the
+        larger of that limit and their maximum over k <= ``k_max``, so it
+        does not depend on ``k_max`` once the masses have settled, and the
+        envelope holds at every k supplied.
         """
-        W = lower_bound_matrix(self.l, self.gamma)
-        errors = _product_errors(self.matrix, W, k_max)
+        if k_max < 1:
+            raise ValidationError("need k_max >= 1")
         p_j, p_i, p_stay, p_both = self.move_probs
-        # the transient block is tridiagonal Toeplitz, so its eigenvalues
-        # are p_stay + p_both + 2 sqrt(p_i p_j) cos(m pi / l), m = 1..l-1
-        beta = p_stay + p_both + 2.0 * float(np.sqrt(p_i * p_j) * np.cos(np.pi / self.l))
-        ks = np.arange(1, k_max + 1)
-        positive = errors > 0
-        # in logs: beta^k may underflow before the errors do
-        c0 = float(np.exp((np.log(errors[positive]) - ks[positive] * np.log(beta)).max()))
+        l = self.l
+        # J is tridiagonal Toeplitz, so its eigenvalues are
+        # p_stay + p_both + 2 sqrt(p_i p_j) cos(m pi / l), m = 1..l-1, and
+        # its Perron vectors are rho^(-/+d) sin(d pi / l), rho = sqrt(p_i / p_j)
+        beta = p_stay + p_both + 2.0 * float(np.sqrt(p_i * p_j) * np.cos(np.pi / l))
+        d = np.arange(1, l)
+        sines = np.sin(np.pi * d / l)
+        rho = np.sqrt(p_i / p_j)
+        left, right = sines / rho ** d, sines * rho ** d
+        left /= left @ right
+        # ones @ (J / beta)^k = limit + ones @ deflated^k: the deflated matrix
+        # has spectral radius below 1, so the remainder decays to nothing in
+        # floating point and no rounding drift of the unit Perron mode can
+        # make the scaled mass grow with k
+        limit = right.sum() * left
+        deflated = self.matrix.entries[1:, 1:] / beta - np.outer(right, left)
+        scaled = np.empty(k_max)
+        rest = np.ones(l - 1)
+        # one numpy call per step; the maxima are taken a block of steps at a time
+        rows = np.empty((min(k_max, 256), l - 1))
+        for k0 in range(0, k_max, len(rows)):
+            n = min(len(rows), k_max - k0)
+            for j in range(n):
+                rest = np.matmul(rest, deflated, out=rows[j])
+            scaled[k0:k0 + n] = (rows[:n] + limit).max(axis=1)
+        c0 = float(max(scaled.max(), limit.max()))
+        errors = scaled * beta ** np.arange(1, k_max + 1)
         return RateCertificate(c0=c0, beta=beta, errors=errors)
 
 
@@ -229,8 +201,9 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     """
     if trials < 1 or k_max < 1:
         raise ValidationError("need trials >= 1 and k_max >= 1")
-    p = _check_move_probabilities(gamma, move_probs)
     l = cycle.length
+    chain = DistanceChain(l, gamma, move_probs) if l > 1 else None
+    p = chain.move_probs if chain is not None else _check_move_probabilities(gamma, move_probs)
     labels = np.array(cycle.labels, dtype=np.int64)
     t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
     rng = stream(seed)
@@ -257,13 +230,12 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     counts = np.bincount(hits[hits > 0], minlength=k_max + 1)
     empirical = np.cumsum(counts)[1:] / trials
 
-    if l == 1:
+    if chain is not None:
+        cert = chain.rate_certificate(k_max)
+        c0, beta = cert.c0 / cert.beta, cert.beta
+    else:
         # one position: every walk matches at k = 1, so the bound is exact
         c0 = beta = 0.0
-    else:
-        cert = DistanceChain.for_walk(l, gamma, move_probs).rate_certificate(k_max)
-        c0 = cert.c0 / cert.beta if cert.c0 > 0 else 0.0
-        beta = cert.beta
     ks = np.arange(1, k_max + 1)
     bound = 1.0 - c0 * beta ** ks
     return MatchCurve(k=ks, empirical=empirical, bound=bound,

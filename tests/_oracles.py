@@ -31,7 +31,7 @@ from async_dca.schedulers import (
     StrongAperiodicityCheck,
     _inverse_cdf,
 )
-from async_dca.walk import WALK_BLOCK, _check_move_probabilities
+from async_dca.walk import WALK_BLOCK, _check_gamma, _check_move_probabilities
 
 
 def half_l1_coefficient(A):
@@ -375,6 +375,32 @@ def cycle_successor(cycle: LabelledCycle, position: int) -> int:
     return 1 if position == cycle.length else position + 1
 
 
+def lower_bound_matrix(l: int, gamma: float) -> np.ndarray:
+    """The paper's entrywise lower bound ``W`` for the distance chain of an
+    l-cycle walk.
+
+    Column d is the distribution of the next distance given the current
+    one: column 0 is absorbing; every other column carries ``gamma`` on
+    staying, on stepping down (reaching 0 from distance 1), and on stepping
+    up (wrapping to 0 from distance l-1).  The transpose's graph is rooted
+    with node 1 as the unique, self-looped root.
+    """
+    if l < 2:
+        raise ValidationError("the distance chain needs l >= 2")
+    gamma = _check_gamma(gamma)
+    W = np.zeros((l, l))
+    W[0, 0] = 1.0
+    W[0, 1] = gamma
+    W[0, l - 1] = gamma
+    for d in range(1, l):
+        W[d, d] = gamma
+    for d in range(1, l - 1):
+        W[d + 1, d] = gamma
+    for d in range(2, l):
+        W[d - 1, d] = gamma
+    return W
+
+
 def evolve_distance(chain, xi1, steps: int) -> np.ndarray:
     """Distribution trajectory of a ``DistanceChain``: row m is xi after m
     transitions."""
@@ -494,11 +520,13 @@ def walk_hits_v2(cycle, gamma, k_max, trials, seed, move_probs=None):
     return np.array([-1 if h is None else h for h in hits], dtype=np.int64)
 
 
-def walk_match_exact(cycle, gamma, k_max, move_probs=None):
+def walk_match_exact(cycle, gamma, k_max, move_probs=None, unmatched=False):
     """Exact P(match by k), k = 1..k_max, from uniform independent starts.
 
     Evolves the distribution of the position pair (i, j) over the l^2 pairs;
-    pairs with equal labels absorb.  No sampling is involved.
+    pairs with equal labels absorb.  No sampling is involved.  With
+    ``unmatched`` it returns P(no match by k), summed over the unmatched
+    pairs directly rather than taken as one minus the matched mass.
     """
     p_j, p_i, p_stay, p_both = _check_move_probabilities(gamma, move_probs)
     l = cycle.length
@@ -516,10 +544,11 @@ def walk_match_exact(cycle, gamma, k_max, move_probs=None):
             P[src, src] += p_stay
             P[src, back_i * l + back_j] += p_both
     absorbing = np.array([labels[i] == labels[j] for i in range(l) for j in range(l)])
+    counted = ~absorbing if unmatched else absorbing
     dist = np.full(l * l, 1.0 / (l * l))
     out = np.empty(k_max)
     for k in range(k_max):
-        out[k] = dist[absorbing].sum()
+        out[k] = dist[counted].sum()
         dist = dist @ P
     return out
 

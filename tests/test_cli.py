@@ -167,6 +167,24 @@ def test_walk_cli_auto_from_matrix(six_node, capsys):
     assert code == 0
 
 
+def test_walk_cli_c0_does_not_grow_with_kmax(tmp_path, capsys):
+    # the 3-cycle's distance chain absorbs to within rounding long before
+    # k = 200; c0 must not be read off that rounding floor at k = kmax
+    matrix = tmp_path / "three.json"
+    bundled_matrix("three_node_cycle").save(matrix)
+    c0s = []
+    for kmax in ("200", "1000"):
+        csv_path = tmp_path / "walk.csv"
+        code, out, _ = run_cli(capsys, "walk", "--auto-from-matrix", str(matrix),
+                               "--gamma", "0.2", "--kmax", kmax, "--trials", "200",
+                               "--out", str(csv_path))
+        assert code == 0
+        c0s.append(json.loads(out)["c0"])
+        first = next(csv.DictReader(csv_path.open()))
+        assert float(first["bound_1_minus_c0_beta_k"]) >= -1.0
+    assert c0s[0] == c0s[1] <= 2.0
+
+
 def test_walk_cli_on_a_one_node_root_component(tmp_path, capsys):
     # a stubborn agent 1 is the whole root component: a cycle of one position
     matrix = tmp_path / "stubborn.json"

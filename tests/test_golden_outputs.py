@@ -10,10 +10,10 @@ byte.  The seedless cases, ``analyze`` on every bundled matrix and
 scheduler, draw nothing and run once without ``--seed``; they pin the
 graph layer's verdicts (roots, components, SIA, cycle length, the five
 conditions).  The ``simulate`` digests were recorded before the streamed ``mc``
-pipeline, the walk ``curve.csv`` after its certificate took the exact rate
-of the distance chain, and the ``mc``, ``repro`` and walk ``summary.json``
-digests with seed contract 3, one stream for all trials of a run (the
-walk summary records the contract's number).  A change that alters an
+pipeline, the ``mc`` and ``repro`` digests with seed contract 3, one stream
+for all trials of a run, and the walk digests after its certificate took
+``c0`` from the distance chain's unabsorbed mass at the exact rate (the
+walk summary records the seed contract's number).  A change that alters an
 output must update its digest here and name the change in CHANGES.md.
 
 The digests hold for the numpy version recorded below: a different numpy
@@ -109,10 +109,10 @@ DIGESTS = {
         "trajectory.csv": "ed437619a92d784a7314fb0bd52e89db24587c837a3f65a75b437195e357ecb0"},
     ("simulate-no-product", 5): {
         "trajectory.csv": "ca66ba9f6b1d31ab261f76c4a96f87a5f5dd02bdb5a7ced96fe524741b2c2aae"},
-    ("walk", 1729): {"curve.csv": "bf5c209d6d340342c2729297368782cee06ca471b88ca38e565049e388f9b21c",
-                     "summary.json": "72b73534792f665a57b51f283e84a1ca311d586d402e12a030a5a33ddfa7a340"},
-    ("walk", 5): {"curve.csv": "422c720dab1ebcfdbd7935a4573c602cea1260b6096450d9697e79a0f1533c91",
-                  "summary.json": "72b73534792f665a57b51f283e84a1ca311d586d402e12a030a5a33ddfa7a340"},
+    ("walk", 1729): {"curve.csv": "6c23bd91dbaff18fba0e9391dc4476a4a7f9e429ae76a0b2ab028ee1e5a8c9b9",
+                     "summary.json": "61ca5728a5d476547c89c53cd06f0498e7419ebcbcab50063e42fb3f099ade30"},
+    ("walk", 5): {"curve.csv": "565b3e6574c9ac44ed2ccb7b3afda49b94e390b888de3218dd3c7214fc6c951e",
+                  "summary.json": "61ca5728a5d476547c89c53cd06f0498e7419ebcbcab50063e42fb3f099ade30"},
     ("repro-all", 1729): {"stdout": "c65207a971f722faa03a588af51fa96b0fe26a73eca69f000a04991627513b16"},
     ("repro-all", 5): {"stdout": "03ae82bc4792b2cee9a2d3764b559907420b57cfa93559d2ae0230425823953d"},
 }

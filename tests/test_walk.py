@@ -1,16 +1,18 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from async_dca import (
-    DimensionError,
+    BUNDLED_MATRICES,
     DistanceChain,
     LabelledCycle,
     ValidationError,
     build_graph,
+    build_labelled_cycle,
+    bundled_matrix,
     default_move_probabilities,
-    lower_bound_matrix,
     match_probability_curve,
     roots,
     stream,
@@ -21,6 +23,7 @@ from async_dca.walk import WALK_BLOCK
 from _oracles import (
     cycle_label,
     evolve_distance,
+    lower_bound_matrix,
     simulate_backward_walk,
     walk_hits_v2,
     walk_match_exact,
@@ -76,7 +79,7 @@ def test_rate_certificate_uniform_completion_l6():
     # the uniform completion of W: each column spreads 1/3 over staying,
     # stepping down and stepping up.  Against the power oracle the error of
     # P^k first drops below 1e-6 at k = 150
-    chain = DistanceChain.for_walk(6, 1 / 3, move_probs=(1 / 3, 1 / 3, 1 / 6, 1 / 6))
+    chain = DistanceChain(6, 1 / 3, move_probs=(1 / 3, 1 / 3, 1 / 6, 1 / 6))
     cert = chain.rate_certificate(200)
     oracle = _absorbing_errors(chain.matrix.entries, 200)
     assert np.abs(cert.errors - oracle).max() <= 1e-12
@@ -85,14 +88,14 @@ def test_rate_certificate_uniform_completion_l6():
     assert cert.errors[first - 1] < 1e-6 <= cert.errors[first - 2]
     ks = np.arange(1, 201)
     assert 0 < cert.beta < 1.0
-    assert (cert.errors <= cert.c0 * cert.beta ** ks * (1 + 1e-12)).all()
+    assert (cert.errors <= cert.c0 * cert.beta ** ks).all()
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_rate_certificate_holds_on_short_prefixes(k):
     # the errors of P and P^2 are both 1, too few to show a decay; the exact
     # rate still gives an envelope that holds at every k, without a tolerance
-    cert = DistanceChain.for_walk(6, 0.2).rate_certificate(k)
+    cert = DistanceChain(6, 0.2).rate_certificate(k)
     assert 0.0 < cert.beta < 1.0
     for j in range(1, k + 1):
         assert cert.errors[j - 1] <= cert.c0 * cert.beta ** j
@@ -102,7 +105,7 @@ def test_rate_certificate_l2_matches_scalar_recursion():
     # on two positions the unabsorbed mass keeps p_stay + p_both per step,
     # which is also the exact rate
     move_probs = (0.3, 0.3, 0.1, 0.3)
-    chain = DistanceChain.for_walk(2, 0.3, move_probs)
+    chain = DistanceChain(2, 0.3, move_probs)
     cert = chain.rate_certificate(60)
     keep = move_probs[2] + move_probs[3]
     assert np.abs(cert.errors - keep ** np.arange(1, 61)).max() <= 1e-12
@@ -110,36 +113,22 @@ def test_rate_certificate_l2_matches_scalar_recursion():
 
 
 def test_rate_certificate_validation():
-    # a chain built directly, not by for_walk, is checked against W once
-    good = DistanceChain.for_walk(4, 0.2)
-    arr = good.matrix.entries
-    not_stochastic = arr * 1.5
-    bad_type = arr.copy()
-    bad_type[3, 1] = bad_type[2, 1]
-    bad_type[2, 1] = 0.0
-    droopy = arr.copy()
-    droopy[:, 1] = 0.0
-    droopy[0, 1], droopy[1, 1], droopy[2, 1] = 0.9, 0.05, 0.05  # below the 0.2 floor
-    for bad, error in ((not_stochastic, ValidationError), (bad_type, ValidationError),
-                       (droopy, ValidationError), (np.eye(5), DimensionError)):
-        chain = DistanceChain(l=4, gamma=0.2, move_probs=good.move_probs, matrix=bad)
-        with pytest.raises(error):
-            chain.rate_certificate(10)
+    # the constructor validates what the certificate is built from
+    for l in (0, 1):
+        with pytest.raises(ValidationError):
+            DistanceChain(l, 0.2)
+    for gamma, move_probs in ((0.2, (0.1, 0.2, 0.35, 0.35)),   # one move below gamma
+                              (0.3, (0.35, 0.35, 0.1, 0.1)),   # stay-or-both below gamma
+                              (0.2, (0.2, 0.2, 0.0, 0.1))):    # sums to 0.5
+        with pytest.raises(ValidationError):
+            DistanceChain(6, gamma, move_probs)
     with pytest.raises(ValidationError):
-        good.rate_certificate(0)
-    # the checks of W itself
-    W = lower_bound_matrix(4, 0.2)
-    with pytest.raises(DimensionError):
-        walk._product_errors(arr, W[:3], 5)
-    with pytest.raises(ValidationError):
-        walk._product_errors(arr, -W, 5)
-    with pytest.raises(ValidationError):
-        walk._product_errors(arr, np.eye(4), 5)
+        DistanceChain(4, 0.2).rate_certificate(0)
 
 
 def test_distance_chain_is_admissible_and_absorbing():
     for l in range(3, 9):
-        chain = DistanceChain.for_walk(l, 0.2)
+        chain = DistanceChain(l, 0.2)
         W = lower_bound_matrix(l, 0.2)
         assert (chain.matrix.entries >= W - 1e-15).all()
         assert ((chain.matrix.entries > 0) == (W > 0)).all()
@@ -162,12 +151,12 @@ def test_default_move_probabilities():
 
 
 def test_move_probability_validation():
-    with pytest.raises(ValidationError):
-        DistanceChain.for_walk(6, 0.2, move_probs=(0.1, 0.2, 0.35, 0.35))
-    with pytest.raises(ValidationError):
-        DistanceChain.for_walk(6, 0.2, move_probs=(0.3, 0.3, 0.3, 0.3))
-    with pytest.raises(ValidationError):
-        DistanceChain.for_walk(6, 0.3, move_probs=(0.35, 0.35, 0.1, 0.1))
+    # the curve validates once, through the chain or, on one position, directly
+    for cycle in (SIX_CYCLE, LabelledCycle(1, (1,))):
+        for gamma, move_probs in ((0.2, (0.1, 0.2, 0.35, 0.35)), (0.2, (0.3, 0.3, 0.3, 0.3)),
+                                  (0.3, (0.35, 0.35, 0.1, 0.1)), (0.5, None)):
+            with pytest.raises(ValidationError):
+                match_probability_curve(cycle, gamma, 10, 5, seed=1, move_probs=move_probs)
 
 
 def test_simulate_walk_immediate_matches():
@@ -258,7 +247,7 @@ def test_exact_oracle_small_cases():
     # with distinct labels a match is distance 0, so the distance chain from
     # a uniform start distance gives the same curve
     distinct = LabelledCycle(6, (1, 2, 3, 4, 5, 6))
-    chain = DistanceChain.for_walk(6, 0.2)
+    chain = DistanceChain(6, 0.2)
     by_distance = evolve_distance(chain, np.full(6, 1 / 6), 59)[:, 0]
     assert np.allclose(walk_match_exact(distinct, 0.2, 60), by_distance, rtol=0, atol=1e-12)
 
@@ -371,14 +360,14 @@ def test_certificate_holds_at_every_short_horizon(l, move_probs):
     # still yields a certificate.  With distinct labels a match is an
     # absorbed distance, the tightest case.
     cycle = LabelledCycle(l, tuple(range(1, l + 1)))
-    chain = DistanceChain.for_walk(l, 0.2, move_probs)
+    chain = DistanceChain(l, 0.2, move_probs)
     for k_max in range(1, 12):
         curve = match_probability_curve(cycle, 0.2, k_max, 50, seed=3, move_probs=move_probs)
         assert 0 < curve.beta < 1
         assert (curve.bound <= walk_match_exact(cycle, 0.2, k_max, move_probs)).all()
         cert = chain.rate_certificate(k_max)
         ks = np.arange(1, k_max + 1)
-        assert (cert.errors <= cert.c0 * cert.beta ** ks * (1 + 1e-12)).all()
+        assert (cert.errors <= cert.c0 * cert.beta ** ks).all()
     radius = np.abs(np.linalg.eigvals(chain.matrix.entries[1:, 1:])).max()
     assert cert.beta == pytest.approx(radius, rel=1e-12)
 
@@ -389,3 +378,44 @@ def test_match_curve_dominates_bound():
     assert curve.empirical[-1] >= 0.95
     assert (curve.empirical >= curve.bound).all()
     assert 0 < curve.beta < 1
+
+
+@pytest.mark.parametrize("move_probs", [None, (0.2, 0.3, 0.1, 0.4)])
+@pytest.mark.parametrize("l", range(2, 9))
+def test_certificate_c0_does_not_grow_with_the_horizon(l, move_probs):
+    # the unabsorbed mass is carried at the exact rate, so neither the
+    # rounding floor of 1 - P^k[0, d] nor a drift of the unit Perron mode
+    # can set c0 at k = k_max
+    chain = DistanceChain(l, 0.2, move_probs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certs = [chain.rate_certificate(k_max) for k_max in (200, 1000, 5000, 100_000)]
+    assert len({cert.c0 for cert in certs}) == 1
+    for cert in certs:
+        ks = np.arange(1, len(cert.errors) + 1)
+        assert (cert.errors <= cert.c0 * cert.beta ** ks).all()
+    oracle = _absorbing_errors(chain.matrix.entries, 200)
+    assert np.abs(certs[0].errors - oracle).max() <= 1e-12
+
+
+def _bundled_cycles():
+    for name in BUNDLED_MATRICES:
+        G = build_graph(bundled_matrix(name))
+        rep = roots(G)
+        if rep.rooted:
+            cycle = build_labelled_cycle(G, rep.chi)
+            if cycle.length > 1:
+                yield name, cycle
+
+
+@pytest.mark.parametrize("move_probs", [None, (0.2, 0.3, 0.1, 0.4)])
+@pytest.mark.parametrize("name, cycle", list(_bundled_cycles()))
+def test_envelope_dominates_the_exact_unmatched_mass(name, cycle, move_probs):
+    # c0 beta^k against P(no match by k) summed over the unmatched position
+    # pairs, with no tolerance.  One minus the exact matched mass is not
+    # compared: it rounds at 1 long before the envelope does.
+    k_max = 1000
+    curve = match_probability_curve(cycle, 0.2, k_max, 10, seed=3, move_probs=move_probs)
+    unmatched = walk_match_exact(cycle, 0.2, k_max, move_probs, unmatched=True)
+    envelope = curve.c0 * curve.beta ** curve.k
+    assert (envelope >= unmatched).all()
