@@ -39,10 +39,8 @@ from .montecarlo import (
     ExperimentResult,
     ReplayReport,
     REPLAY_CASES,
-    ScramblingHitRate,
     replay,
     run_experiment,
-    scrambling_hit_rate,
     wilson_interval,
 )
 from .rng import DEFAULT_SEED, stream
@@ -93,7 +91,6 @@ __all__ = [
     "ReplayReport",
     "RootReport",
     "Scheduler",
-    "ScramblingHitRate",
     "ScriptScheduler",
     "StochasticMatrix",
     "StrongAperiodicityCheck",
@@ -119,7 +116,6 @@ __all__ = [
     "run_experiment",
     "scc_decomposition",
     "scheduler_from_json",
-    "scrambling_hit_rate",
     "stream",
     "wilson_interval",
 ]

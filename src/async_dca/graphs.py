@@ -19,7 +19,7 @@ from math import gcd
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matrices import StochasticMatrix, _entries, ergodic_coefficient, is_scrambling
+from .matrices import StochasticMatrix, _entries, _integer, ergodic_coefficient, is_scrambling
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,19 @@ class LabelledCycle:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        if self.length < 1 or len(labels) != self.length:
-            raise ValidationError(
-                f"cycle length {self.length} does not match {len(labels)} labels"
-            )
+        length = _integer(self.length, "cycle length")
+        labels = tuple(_integer(v, "cycle label") for v in self.labels)
+        if length < 1 or len(labels) != length:
+            raise ValidationError(f"cycle length {length} does not match {len(labels)} labels")
         if any(v < 1 for v in labels):
             raise ValidationError("labels must be positive node indices")
+        object.__setattr__(self, "length", length)
         object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_json(cls, obj: dict) -> "LabelledCycle":
         try:
-            return cls(int(obj["length"]), tuple(obj["labels"]))
+            return cls(obj["length"], tuple(obj["labels"]))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"cycle JSON needs 'length' and 'labels': {exc}") from exc
 

@@ -30,6 +30,17 @@ PRODUCT_ROW_SUM_TOL = 1e-10
 SCRAMBLING_TOL = 1e-12
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValidationError unless it is an integral number
+    (``1.5``, ``"1"`` and ``None`` are not)."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_square_array(entries) -> np.ndarray:
     arr = np.array(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -74,7 +85,7 @@ class StochasticMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "StochasticMatrix":
         try:
-            n = int(obj["n"])
+            n = _integer(obj["n"], "matrix 'n'")
             rows = obj["rows"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"matrix JSON needs 'n' and 'rows': {exc}") from exc

@@ -24,14 +24,13 @@ on B; and a run of one trial draws what trial 0 drew under seed contract
 1, so ``simulate`` equals ``mc --trials 1`` and both equal their contract-1
 outputs.  Once the kernel stops at an exact fixed point nothing more is
 drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not called
-for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the sets a
-``weight_fn`` hook reads: a block holds about ``MASK_BLOCK_BYTES`` (256
+for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the state a
+``weight_fn`` hook keeps: a block holds about ``MASK_BLOCK_BYTES`` (256
 KiB) of masks and, 8 / n times that each, its (B + 1, T) float64 series of
 discrepancies and, with lambda, coefficients.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from math import sqrt
 
@@ -231,33 +230,6 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple:
     lo = 0.0 if successes == 0 else max(0.0, centre - half)
     hi = 1.0 if successes == n else min(1.0, centre + half)
     return (lo, hi)
-
-
-@dataclass(frozen=True)
-class ScramblingHitRate:
-    m: int
-    trials: int
-    rate: float
-    interval: tuple
-
-    def to_json(self) -> dict:
-        return {"m": self.m, "trials": self.trials, "rate": self.rate,
-                "interval": [self.interval[0], self.interval[1]]}
-
-
-def scrambling_hit_rate(cfg: ExperimentConfig, m: int) -> ScramblingHitRate:
-    """Fraction of trials whose accumulated product is scrambling at step m."""
-    if not 1 <= m <= cfg.horizon:
-        raise ValidationError(f"need 1 <= m <= horizon, got m={m}")
-    # rows up to m do not depend on later steps, so the run stops at m
-    cfg = dataclasses.replace(cfg, track_lambda=True, horizon=m)
-    for _, _, lams, _ in trajectory_blocks(cfg):
-        pass
-    hits = int((lams[-1] < 1.0 - 1e-12).sum())
-    return ScramblingHitRate(
-        m=m, trials=cfg.trials, rate=hits / cfg.trials,
-        interval=wilson_interval(hits, cfg.trials),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ in blocks, with ``start`` and ``carry`` passed on, is the horizon drawn at
 once and equals the scalar reference draws in ``tests/_oracles.py``; one
 trial draws what seed contract 1 drew.  ``carry`` is a dict, empty at tick
 0: a Markov chain keeps its (trials,) last states there, a ``weight_fn``
-hook every set of every trial.
+hook its state and the (trials,) picks of the last tick.  Every per-trial
+pick is the count of a trial's cumulative row (``_cumulative``, last entry
+inf) at or below its uniform.
 
 Law contract: ``law(k)`` is each kind's one answer to "which sets can tick
 k draw, and with what probability".  It returns ``(masks, probs)``:
@@ -55,7 +57,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .graphs import build_graph, roots
-from .matrices import ColumnStochasticMatrix, StochasticMatrix
+from .matrices import ColumnStochasticMatrix, StochasticMatrix, _integer
 
 PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
@@ -76,16 +78,26 @@ def normalize_update_set(sigma, n: int) -> frozenset:
     if isinstance(sigma, (int, np.integer)):
         members = frozenset({int(sigma)})
     else:
-        members = frozenset(int(j) for j in sigma)
+        members = frozenset(_integer(j, "update-set member") for j in sigma)
     for j in members:
         if not 1 <= j <= n:
             raise ValidationError(f"update-set member {j} out of range 1..{n}")
     return members
 
 
-def _inverse_cdf(cumulative: np.ndarray, u) -> np.ndarray:
-    idx = np.searchsorted(cumulative, u, side="right")
-    return np.minimum(idx, len(cumulative) - 1)
+def _cumulative(probs) -> np.ndarray:
+    """The cumulative sums of ``probs`` along the last axis, with the last
+    entry inf: the count of entries <= u then picks an outcome for every u,
+    however the sum rounds."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = np.inf
+    return cum
+
+
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome each uniform ``u[t]`` picks from its row ``cum[t]`` of
+    ``_cumulative``: the count of the row's entries <= u."""
+    return (cum <= u[:, None]).sum(axis=1)
 
 
 def _mask_table(sets, n: int) -> np.ndarray:
@@ -189,10 +201,14 @@ class SupportSequenceScheduler(Scheduler):
     ``ticks`` is a list (one entry per tick of the period) of
     ``[(update_set, probability), ...]``.  All listed probabilities must be
     strictly positive, so the declared supports are exactly the possible
-    draws.  An optional ``weight_fn(k, history) -> weights`` reweights the
-    tick's candidates based on history, the sets of the ticks before k; it
-    must keep every candidate's probability positive, which preserves
-    history independence of the support sets themselves.
+    draws.  An optional ``weight_fn(k, state, picked) -> (weights, state)``
+    reweights the tick's candidates based on history.  It is called once
+    per tick k for all T trials: ``picked`` is the (T,) indices of the
+    candidates tick k - 1 drew (-1 at tick 1), ``state`` what the hook
+    returned at tick k - 1 (None at tick 1), and ``weights`` the (T,
+    candidates) weights of tick k.  They must keep every candidate's
+    probability positive, which preserves history independence of the
+    support sets themselves.
     """
 
     kind = "support_sequence"
@@ -227,7 +243,7 @@ class SupportSequenceScheduler(Scheduler):
         self.period = len(norm_ticks)
         self.weight_fn = weight_fn
         self._probs = tick_probs
-        self._cums = [np.cumsum(p) for p in tick_probs]
+        self._cums = [_cumulative(p) for p in tick_probs]
         self._masks = [_mask_table([s for s, _ in options], self.n) for options in norm_ticks]
 
     def law(self, k: int) -> tuple:
@@ -239,43 +255,38 @@ class SupportSequenceScheduler(Scheduler):
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
                      carry=None) -> np.ndarray:
-        """Masks of ticks ``start + 1 ..``; a ``weight_fn`` hook is called per
-        trial and per tick with that trial's history, the sets of its ticks
-        before, which ``carry["history"]`` holds for every trial."""
+        """Masks of ticks ``start + 1 ..``; a ``weight_fn`` hook is called
+        once per tick for all trials, and ``carry["hook"]`` holds its state
+        and the (trials,) picks of tick ``start``."""
         masks = np.empty((steps, trials, self.n), dtype=bool)
-        if self.weight_fn is not None:
-            carry = {} if carry is None else carry
-            histories = carry.setdefault("history", [[] for _ in range(trials)])
         P = self.period
-        for i, u in _uniform_groups(rng, steps, (trials,)):
-            if self.weight_fn is None:
+        if self.weight_fn is None:
+            for i, u in _uniform_groups(rng, steps, (trials,)):
                 # the ticks of one phase of the period share their law
                 for r in range(min(P, len(u))):
                     tick = (start + i + r) % P
-                    np.take(self._masks[tick], _inverse_cdf(self._cums[tick], u[r::P]),
+                    np.take(self._masks[tick],
+                            np.searchsorted(self._cums[tick], u[r::P], side="right"),
                             axis=0, out=masks[i + r:i + len(u):P], mode="clip")
-            else:
-                for r, row in enumerate(u):
-                    k = start + i + r + 1
-                    idx = [self._weighted_pick(k, h, v)
-                           for h, v in zip(histories, row.tolist())]
-                    np.take(self._masks[(k - 1) % P], idx, axis=0, out=masks[i + r],
-                            mode="clip")
+            return masks
+        carry = {} if carry is None else carry
+        state, picked = carry.get("hook", (None, np.full(trials, -1)))
+        for i, u in _uniform_groups(rng, steps, (trials,)):
+            for r, row in enumerate(u):
+                k = start + i + r + 1
+                tick = (k - 1) % P
+                w, state = self.weight_fn(k, state, picked)
+                w = np.asarray(w, dtype=np.float64)
+                if (w.shape != (trials, len(self._probs[tick])) or not (w > 0).all()
+                        or not (np.abs(w.sum(axis=1) - 1.0) <= 1e-9).all()):
+                    raise ValidationError(
+                        "weight_fn must return (trials, candidates) positive weights "
+                        "over the tick's declared supports, each row summing to 1"
+                    )
+                picked = _pick(_cumulative(w), row)
+                np.take(self._masks[tick], picked, axis=0, out=masks[i + r], mode="clip")
+        carry["hook"] = (state, picked)
         return masks
-
-    def _weighted_pick(self, k: int, history: list, u: float) -> int:
-        """Index of the tick-k set that ``u`` picks under the hook's weights
-        given one trial's ``history``, which the set then extends."""
-        options = self.ticks[(k - 1) % self.period]
-        w = np.asarray(self.weight_fn(k, history), dtype=np.float64)
-        if w.shape != (len(options),) or not (w > 0).all() or not abs(w.sum() - 1.0) <= 1e-9:
-            raise ValidationError(
-                "weight_fn must return positive weights over the tick's "
-                "declared supports, summing to 1"
-            )
-        idx = int(_inverse_cdf(np.cumsum(w), u))
-        history.append(options[idx][0])
-        return idx
 
     def to_json(self) -> dict:
         if self.weight_fn is not None:
@@ -351,7 +362,7 @@ class MarkovScheduler(Scheduler):
         self.period = None if self.matrices is None else len(self.matrices)
         self._masks = _mask_table(self.states, self.n)
         self._cums = (None if self.matrices is None
-                      else [self._cumulative(M) for M in self.matrices])
+                      else [_cumulative(M.entries.T) for M in self.matrices])
 
     @staticmethod
     def _check_matrix(M, m: int) -> ColumnStochasticMatrix:
@@ -366,15 +377,6 @@ class MarkovScheduler(Scheduler):
             return self.matrices[(k - 1) % len(self.matrices)]
         return self._check_matrix(self.matrix_fn(k), len(self.states))
 
-    @staticmethod
-    def _cumulative(M: ColumnStochasticMatrix) -> np.ndarray:
-        """Row s: the cumulative law of the state that follows state s, with
-        the last entry inf, so that counting the entries <= u is
-        ``_inverse_cdf`` (whose clip sends every u past the sum there)."""
-        cum = np.cumsum(M.entries, axis=0).T.copy()
-        cum[:, -1] = np.inf
-        return cum
-
     def law(self, k: int) -> tuple:
         """The state masks and the column-stochastic law of the move from
         tick k to tick k+1: ``probs[i, j]`` is the probability of state i
@@ -382,10 +384,11 @@ class MarkovScheduler(Scheduler):
         return self._masks, self.transition_matrix(k).entries
 
     def _cumulative_law(self, k: int) -> np.ndarray:
-        """``_cumulative`` of the law of the move from tick k to tick k+1."""
+        """Row s: ``_cumulative`` of the law of the state that follows state
+        s in the move from tick k to tick k+1."""
         if self._cums is not None:
             return self._cums[(k - 1) % len(self._cums)]
-        return self._cumulative(self.transition_matrix(k))
+        return _cumulative(self.transition_matrix(k).entries.T)
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
                      carry=None) -> np.ndarray:
@@ -406,7 +409,7 @@ class MarkovScheduler(Scheduler):
             path = np.empty(u.shape, dtype=np.intp)
             for r, row in enumerate(u):
                 law = self._cumulative_law(start + first + i + r)
-                state = path[r] = (law[state] <= row[:, None]).sum(axis=1)
+                state = path[r] = _pick(law[state], row)
             np.take(self._masks, path, axis=0, out=masks[first + i:first + i + len(u)],
                     mode="clip")
         carry["state"] = state
@@ -481,7 +484,7 @@ def scheduler_from_json(obj: dict) -> Scheduler:
         params = obj.get("params", {})
     except TypeError as exc:
         raise ValidationError(f"scheduler JSON must be an object: {exc}") from exc
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown scheduler kind {kind!r}; expected one of {sorted(_KINDS)}")
     try:
         if kind == "global_clock":
@@ -492,19 +495,21 @@ def scheduler_from_json(obj: dict) -> Scheduler:
             ticks = [
                 [(opt["set"], opt["prob"]) for opt in options] for options in params["ticks"]
             ]
-            return SupportSequenceScheduler(int(params["n"]), ticks)
+            return SupportSequenceScheduler(_integer(params["n"], "n"), ticks)
         if kind == "markov":
             return MarkovScheduler(
-                int(params["n"]),
+                _integer(params["n"], "n"),
                 params["states"],
                 params["initial"],
                 matrix=params.get("matrix"),
                 matrices=params.get("matrices"),
             )
         return ScriptScheduler(
-            int(params["n"]), params["sets"], repeat=bool(params.get("repeat", False))
+            _integer(params["n"], "n"), params["sets"], repeat=bool(params.get("repeat", False))
         )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{kind} params are malformed: {exc}") from exc
 
 

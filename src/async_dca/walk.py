@@ -126,7 +126,8 @@ class DistanceChain:
         beta^k`` tend to the Perron limit of ``J / beta``; ``c0`` is the
         larger of that limit and their maximum over k <= ``k_max``, so it
         does not depend on ``k_max`` once the masses have settled, and the
-        envelope holds at every k supplied.
+        envelope holds at every k supplied.  ValidationError when the split
+        is not representable in floating point (see below).
         """
         if k_max < 1:
             raise ValidationError("need k_max >= 1")
@@ -139,6 +140,13 @@ class DistanceChain:
         d = np.arange(1, l)
         sines = np.sin(np.pi * d / l)
         rho = np.sqrt(p_i / p_j)
+        # the split holds only while rho^(l-1) and its inverse are normal floats
+        if (l - 1) * abs(np.log(rho)) > -np.log(np.finfo(float).tiny):
+            raise ValidationError(
+                f"the rate certificate of a {l}-position cycle is not representable "
+                f"under move probabilities {self.move_probs}: rho^{l - 1} with "
+                f"rho = sqrt(p_i / p_j) = {float(rho)!r} leaves the float range"
+            )
         left, right = sines / rho ** d, sines * rho ** d
         left /= left @ right
         # ones @ (J / beta)^k = limit + ones @ deflated^k: the deflated matrix

@@ -29,7 +29,6 @@ from async_dca.schedulers import (
     ConditionReport,
     NotEnumerableError,
     StrongAperiodicityCheck,
-    _inverse_cdf,
 )
 from async_dca.walk import WALK_BLOCK, _check_gamma, _check_move_probabilities
 
@@ -215,11 +214,19 @@ def trajectory_batch_trials_first(A, masks, x0, track_lambda=True):
 # The schedulers' per-tick ``draw`` methods from before every kind drew in
 # blocks through ``sample_masks``: one trial's set of tick k, given the sets
 # it drew at the ticks before (only the weight hook reads more than the
-# last), from scalar ``rng.random()`` draws.
+# last), from scalar ``rng.random()`` draws.  A support sequence given to
+# them carries its hook in the history form the library's vectorised hook
+# replaced: ``weight_fn(k, history) -> weights``, one trial's weights of
+# tick k from every set that trial drew before.
+
+def _inverse_cdf(cumulative, u) -> int:
+    """The outcome ``u`` picks: the count of cumulative sums <= u, at most the last."""
+    return min(sum(1 for c in cumulative if c <= u), len(cumulative) - 1)
+
 
 def _draw_global_clock(self, k, history, rng) -> frozenset:
     active = np.flatnonzero(self.p > 0)
-    idx = int(_inverse_cdf(np.cumsum(self.p[active]), rng.random()))
+    idx = _inverse_cdf(np.cumsum(self.p[active]), rng.random())
     return frozenset({int(active[idx]) + 1})
 
 
@@ -240,7 +247,7 @@ def _draw_support_sequence(self, k, history, rng) -> frozenset:
                 "declared supports, summing to 1"
             )
         cum = np.cumsum(w)
-    idx = int(_inverse_cdf(cum, rng.random()))
+    idx = _inverse_cdf(cum, rng.random())
     return options[idx][0]
 
 
@@ -252,7 +259,7 @@ def _draw_markov(self, k, history, rng) -> frozenset:
     if prev not in self._index:
         raise ValidationError(f"history value {sorted(prev)} is not a markov state")
     col = self.transition_matrix(k - 1).entries[:, self._index[prev]]
-    idx = int(_inverse_cdf(np.cumsum(col), rng.random()))
+    idx = _inverse_cdf(np.cumsum(col), rng.random())
     return self.states[idx]
 
 

@@ -269,6 +269,46 @@ def test_non_finite_inputs_exit_2(six_node, uniform_clock, tmp_path, capsys):
     assert code == 2 and "epsilon" in err and out == ""
 
 
+def _support(n=6, member=1, prob=1.0):
+    return {"kind": "support_sequence",
+            "params": {"n": n, "ticks": [[{"set": [member], "prob": prob}]]}}
+
+
+MALFORMED = {
+    "matrix-n-string": ("matrix", {"n": "abc", "rows": [[1.0]]}),
+    "matrix-n-fraction": ("matrix", {"n": 1.5, "rows": [[1.0]]}),
+    "prob-string": ("scheduler", _support(prob="x")),
+    "n-string": ("scheduler", _support(n="x")),
+    "n-fraction": ("scheduler", _support(n=6.5)),
+    "p-string": ("scheduler", {"kind": "global_clock", "params": {"p": ["a"]}}),
+    "markov-matrix-string": ("scheduler", {"kind": "markov", "params": {
+        "n": 6, "states": [[1]], "initial": [1], "matrix": [["a"]]}}),
+    "member-string": ("scheduler", _support(member="a")),
+    "member-fraction": ("scheduler", _support(member=1.5)),
+    "kind-list": ("scheduler", {"kind": [1], "params": {}}),
+    "label-string": ("cycle", {"length": 2, "labels": ["a", 1]}),
+    "label-fraction": ("cycle", {"length": 2, "labels": [1.5, 1]}),
+    "length-string": ("cycle", {"length": "x", "labels": [1, 2]}),
+    "length-fraction": ("cycle", {"length": 2.5, "labels": [1, 2]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exits_2(case, six_node, tmp_path, capsys):
+    # a value of the wrong type, or a non-integral index, is an input error
+    what, payload = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "matrix": ["analyze", "--matrix", str(path)],
+        "scheduler": ["verify-conditions", "--matrix", six_node, "--scheduler", str(path)],
+        "cycle": ["walk", "--cycle", str(path), "--gamma", "0.2", "--kmax", "5",
+                  "--trials", "10"],
+    }[what]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "invalid input" in err and out == ""
+
+
 def test_repro_zero_trials_or_steps_exit_2(capsys):
     for flag in ("--trials", "--steps"):
         code, out, err = run_cli(capsys, "repro", "period3_markov", flag, "0")

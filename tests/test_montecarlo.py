@@ -15,9 +15,13 @@ from async_dca import (
     bundled_scheduler,
     replay,
     run_experiment,
-    scrambling_hit_rate,
     wilson_interval,
 )
+from async_dca.matrices import SCRAMBLING_TOL
+
+# at this epsilon lambda_tail[m] is the share of trials whose accumulated
+# product is not scrambling at step m
+SCRAMBLING_EPSILON = 1.0 - SCRAMBLING_TOL
 
 
 def small_cfg(**overrides):
@@ -116,9 +120,9 @@ def test_scrambling_hit_rate_trivial_cases():
     A = StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
     cfg = ExperimentConfig(
         matrix=A, scheduler=ScriptScheduler(2, [[1, 2]], repeat=True),
-        trials=10, horizon=5, seed=1,
+        trials=10, horizon=5, seed=1, epsilon=SCRAMBLING_EPSILON,
     )
-    assert scrambling_hit_rate(cfg, 1).rate == 1.0
+    assert run_experiment(cfg).lambda_tail[1] == 0.0
 
     # agent 1 is an influence sink; if it never updates, its product row
     # stays elementary and nobody else ever weighs column 1, so no product
@@ -130,23 +134,21 @@ def test_scrambling_hit_rate_trivial_cases():
     ]))
     cfg = ExperimentConfig(
         matrix=sink, scheduler=GlobalClockScheduler([0.0, 0.5, 0.5]),
-        trials=40, horizon=60, seed=2,
+        trials=40, horizon=60, seed=2, epsilon=SCRAMBLING_EPSILON,
     )
-    report = scrambling_hit_rate(cfg, 60)
-    assert report.rate == 0.0
+    assert (run_experiment(cfg).lambda_tail == 1.0).all()
 
 
 def test_scrambling_hit_rate_positive_on_six_node():
     cfg = ExperimentConfig(
         matrix=bundled_matrix("six_node_coupled"),
         scheduler=bundled_scheduler("uniform_clock6"),
-        trials=100, horizon=90, seed=3,
+        trials=100, horizon=90, seed=3, epsilon=SCRAMBLING_EPSILON,
     )
-    report = scrambling_hit_rate(cfg, 90)
-    assert report.rate > 0.0
-    assert report.interval[0] <= report.rate <= report.interval[1]
-    with pytest.raises(ValidationError):
-        scrambling_hit_rate(cfg, 91)
+    hits = cfg.trials - round(run_experiment(cfg).lambda_tail[90] * cfg.trials)
+    assert hits > 0
+    lo, hi = wilson_interval(hits, cfg.trials)
+    assert lo <= hits / cfg.trials <= hi
 
 
 def test_lambda_tail_decay_in_the_positive_regime():

@@ -57,6 +57,15 @@ def parity_weights(k, history):
     return [0.7, 0.3] if ones % 2 == 0 else [0.2, 0.8]
 
 
+def parity_state(k, state, picked):
+    # parity_weights as a one-bit state: {1} is candidate 0 at both ticks
+    odd = (picked == 0) if state is None else state ^ (picked == 0)
+    return np.where(odd[:, None], [0.2, 0.8], [0.7, 0.3]), odd
+
+
+PARITY_TICKS = [[({1}, 0.5), ({2, 3}, 0.5)], [({1}, 0.25), ({3}, 0.75)]]
+
+
 ALL_SCHEDULERS = {
     "global_clock": lambda: GlobalClockScheduler([0.25, 0.25, 0.25, 0.25]),
     "independent_clocks": lambda: IndependentClocksScheduler([0.3, 0.5, 0.7, 0.2]),
@@ -70,10 +79,8 @@ ALL_SCHEDULERS = {
 
 # the laws that read past ticks or vary with k, besides the five kinds
 HISTORY_SCHEDULERS = {
-    "support_weight_fn": lambda: SupportSequenceScheduler(
-        3, [[({1}, 0.5), ({2, 3}, 0.5)], [({1}, 0.25), ({3}, 0.75)]],
-        weight_fn=parity_weights,
-    ),
+    "support_weight_fn": lambda: SupportSequenceScheduler(3, PARITY_TICKS,
+                                                          weight_fn=parity_state),
     "markov_matrix_fn": lambda: MarkovScheduler(
         3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=vanishing_law,
     ),
@@ -84,6 +91,15 @@ HISTORY_SCHEDULERS = {
     ),
 }
 DRAWN = {**ALL_SCHEDULERS, **HISTORY_SCHEDULERS}
+# what the scalar reference draws in place of a kind: the history-form hook
+REFERENCE = {
+    "support_weight_fn": lambda: SupportSequenceScheduler(3, PARITY_TICKS,
+                                                          weight_fn=parity_weights),
+}
+
+
+def _reference(kind):
+    return REFERENCE.get(kind, DRAWN[kind])()
 
 
 def _sets(scheduler, steps, rng):
@@ -123,7 +139,7 @@ def test_sample_masks_matches_sequential_draws(kind):
     steps = 150
     for trials in (1, 3, 17):
         want_rng = stream(7, 3)
-        ticks = draw_sets_per_tick(make(), steps, want_rng, trials)
+        ticks = draw_sets_per_tick(_reference(kind), steps, want_rng, trials)
         expected = _tick_major(ticks, make().n)
         after = want_rng.random()
         for block in (steps, 1, 2, 7):
@@ -164,10 +180,23 @@ def test_zero_steps_draw_nothing(kind):
         if start:
             scheduler.sample_masks(start, rng, 3, 0, carry)
         after = stream(8, 0)
-        draw_sets_per_tick(make(), start, after, 3)
+        draw_sets_per_tick(_reference(kind), start, after, 3)
         masks = scheduler.sample_masks(0, rng, 3, start, carry)
         assert masks.shape == (0, 3, scheduler.n) and masks.dtype == bool
         assert rng.random() == after.random()
+
+
+@pytest.mark.parametrize("trials", [1, 7, 50])
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+def test_bounded_state_hook_draws_the_history_hook_sets(seed, trials):
+    # the one-bit parity state draws, from the same stream, the sets the
+    # history-form parity_weights draws trial by trial in the reference
+    want_rng = stream(seed, 0)
+    ticks = draw_sets_per_tick(_reference("support_weight_fn"), 300, want_rng, trials)
+    rng = stream(seed, 0)
+    masks = DRAWN["support_weight_fn"]().sample_masks(300, rng, trials)
+    assert np.array_equal(masks, _tick_major(ticks, 3))
+    assert rng.random() == want_rng.random()
 
 
 def test_markov_carries_only_its_last_set():
@@ -293,7 +322,7 @@ def test_law_rows_are_the_drawn_frequencies(kind):
     # with a frequency whose Wilson interval holds the row's probability
     scheduler = DRAWN[kind]()
     hooked = scheduler.law(1)[1] is None  # the weight hook's draws follow history
-    masks = scheduler.sample_masks(600 if hooked else 12_000, stream(11, 0))[:, 0]
+    masks = scheduler.sample_masks(12_000, stream(11, 0))[:, 0]
     for t in range(scheduler.period):
         rows, probs = scheduler.law(t + 1)
         assert len(np.unique(rows, axis=0)) == len(rows)
@@ -396,8 +425,9 @@ def test_support_sequence_rejects_nan():
 
 
 def test_weight_hook_rejects_nan_weights():
-    scheduler = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]],
-                                         weight_fn=lambda k, history: [np.nan, 1.0])
+    scheduler = SupportSequenceScheduler(
+        2, [[({1}, 0.5), ({2}, 0.5)]],
+        weight_fn=lambda k, state, picked: (np.tile([np.nan, 1.0], (len(picked), 1)), state))
     with pytest.raises(ValidationError):
         scheduler.sample_masks(1, stream(5, 0))
 
@@ -405,10 +435,8 @@ def test_weight_hook_rejects_nan_weights():
 def test_support_sequence_history_hook():
     # history-dependent weights over fixed supports: after drawing {1} the
     # next tick prefers {2}, but both stay possible
-    def weights(k, history):
-        if history and history[-1] == frozenset({1}):
-            return [0.1, 0.9]
-        return [0.6, 0.4]
+    def weights(k, state, picked):
+        return np.where((picked == 0)[:, None], [0.1, 0.9], [0.6, 0.4]), state
 
     scheduler = SupportSequenceScheduler(
         2, [[({1}, 0.5), ({2}, 0.5)]], weight_fn=weights
@@ -419,12 +447,16 @@ def test_support_sequence_history_hook():
     frac2 = sum(1 for s in after_one if s == frozenset({2})) / len(after_one)
     assert frac2 > 0.8
 
-    def bad_weights(k, history):
-        return [1.0, 0.0]
+    def bad_weights(k, state, picked):
+        return np.tile([1.0, 0.0], (len(picked), 1)), state
 
-    bad = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]], weight_fn=bad_weights)
-    with pytest.raises(ValidationError):
-        bad.sample_masks(1, stream(5, 0))
+    def one_row(k, state, picked):
+        return [0.5, 0.5], state
+
+    for hook in (bad_weights, one_row):
+        bad = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]], weight_fn=hook)
+        with pytest.raises(ValidationError):
+            bad.sample_masks(1, stream(5, 0), 3)
 
 
 def test_markov_trajectory_structure_and_errors():
@@ -530,7 +562,8 @@ def test_conditions_reject_q_max_below_one():
 def test_conditions_weight_hook_has_no_probability_floor():
     # the draws follow the hook's weights, not the declared 0.5 each
     hooked = SupportSequenceScheduler(4, [[({1, 2}, 0.5), ({3, 4}, 0.5)]],
-                                      weight_fn=lambda k, history: [1e-300, 1 - 1e-300])
+                                      weight_fn=lambda k, state, picked: (
+                                          np.tile([1e-300, 1 - 1e-300], (len(picked), 1)), state))
     assert hooked.law(1)[1] is None
     check = check_conditions(hooked, bundled_matrix("four_node_ring"))["positive_probability"]
     assert not check.passed
@@ -601,7 +634,7 @@ def _random_instance(rng, kind):
         for _ in range(int(rng.integers(1, 4))):
             sets = _random_sets(rng, n, int(rng.integers(1, 5)))
             ticks.append(list(zip(sets, _random_probs(rng, len(sets)))))
-        hook = (lambda k, history: None) if rng.random() < 0.1 else None
+        hook = (lambda k, state, picked: (None, state)) if rng.random() < 0.1 else None
         return SupportSequenceScheduler(n, ticks, weight_fn=hook)
     if kind == "markov":
         states = _random_sets(rng, n, int(rng.integers(1, 5)))
@@ -694,7 +727,7 @@ def test_strongly_aperiodic_errors():
         check_strongly_aperiodic(GlobalClockScheduler([1 / 3] * 3), A, 1, 1)
     hooked = SupportSequenceScheduler(
         3, [[({1}, 0.5), ({2}, 0.5)]],
-        weight_fn=lambda k, history: [0.5, 0.5],
+        weight_fn=lambda k, state, picked: (np.full((len(picked), 2), 0.5), state),
     )
     with pytest.raises(ValidationError):
         check_strongly_aperiodic(hooked, A, 1, 2)

@@ -5,6 +5,7 @@ whole-horizon draw and the trials-first kernel oracle bit for bit, and
 nothing may be drawn past the block in which every trial reached an exact
 fixed point.
 """
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -25,6 +26,7 @@ from async_dca import (
     run_experiment,
 )
 from async_dca.cli import dispatch
+from async_dca.matrices import SCRAMBLING_TOL
 from _oracles import draw_trial_inputs_full, trajectory_batch_trials_first
 from _samplers import mc_inputs
 
@@ -40,13 +42,20 @@ def _period3():
     ])
 
 
+WEIGHTED_TICKS = [[({1, 2, 3}, 0.5), ({4, 5, 6}, 0.5)]]
+
+
 def _weighted():
     # the weight hook reads the previous tick, so it needs the carried history
     def weights(k, history):
         return [0.75, 0.25] if history and 1 in history[-1] else [0.25, 0.75]
 
-    return SupportSequenceScheduler(6, [[({1, 2, 3}, 0.5), ({4, 5, 6}, 0.5)]],
-                                    weight_fn=weights)
+    return SupportSequenceScheduler(6, WEIGHTED_TICKS, weight_fn=weights)
+
+
+def weighted_picks(k, state, picked):
+    # _weighted from the carried picks of the last tick: {1, 2, 3} is candidate 0
+    return np.where((picked == 0)[:, None], [0.75, 0.25], [0.25, 0.75]), state
 
 
 def _markov():
@@ -60,10 +69,13 @@ SCHEDULERS = {
     "uniform_clock6": lambda: bundled_scheduler("uniform_clock6"),
     "half_clocks6": lambda: bundled_scheduler("half_clocks6"),
     "support-period3": _period3,
-    "support-weight_fn": _weighted,
+    "support-weight_fn": lambda: SupportSequenceScheduler(6, WEIGHTED_TICKS,
+                                                          weight_fn=weighted_picks),
     "script-repeat": lambda: ScriptScheduler(6, [[1, 3], [2, 4, 6], [5]], repeat=True),
     "markov": _markov,
 }
+# what the scalar reference draws in place of a kind: the history-form hook
+REFERENCE = {"support-weight_fn": _weighted}
 
 
 def _cfg(name, trials=20, horizon=120, **kw):
@@ -81,10 +93,15 @@ def _with_block(monkeypatch, cfg, B):
         monkeypatch.setattr(montecarlo, "MASK_BLOCK_BYTES", B * cfg.trials * cfg.matrix.n)
 
 
-def _reference(cfg):
+def _as_reference(cfg, name):
+    """``cfg`` with the scheduler the scalar reference draws for ``name``."""
+    return dataclasses.replace(cfg, scheduler=REFERENCE.get(name, SCHEDULERS[name])())
+
+
+def _reference(cfg, name):
     """The statistics of ``run_experiment`` from the whole-horizon draw and
     the trials-first kernel oracle, aggregated as means of indicators."""
-    x0, masks = draw_trial_inputs_full(cfg)
+    x0, masks = draw_trial_inputs_full(_as_reference(cfg, name))
     deltas, lams, _, viol_c, viol_m, row_err = trajectory_batch_trials_first(
         cfg.matrix.entries, masks, x0, cfg.track_lambda)
     return {
@@ -113,18 +130,50 @@ def _stats(result):
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_outputs_do_not_depend_on_the_block_size(monkeypatch, name, track_lambda, B):
     cfg = _cfg(name, track_lambda=track_lambda)
-    want = _reference(cfg)
+    want = _reference(cfg, name)
     _with_block(monkeypatch, cfg, B)
     got = _stats(run_experiment(cfg))
     for key in want:
         assert np.array_equal(_bits(got[key]), _bits(want[key])), key
 
 
+@pytest.mark.parametrize("trials", [1, 7, 50])
+@pytest.mark.parametrize("seed", [1, 5, 1729])
+def test_bounded_state_hook_draws_the_history_hook_masks(seed, trials):
+    # weighted_picks draws, in mc's order, the masks the history-form
+    # _weighted draws trial by trial in the scalar reference
+    cfg = dataclasses.replace(_cfg("support-weight_fn", trials=trials), seed=seed)
+    x0, masks = mc_inputs(cfg)
+    want_x0, want = draw_trial_inputs_full(_as_reference(cfg, "support-weight_fn"))
+    assert np.array_equal(masks, want)
+    assert np.array_equal(_bits(x0), _bits(want_x0))
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, None], ids=["B1", "B2", "B7", "default"])
+def test_weight_hook_is_called_once_per_tick(monkeypatch, B):
+    # one call per tick for all trials, whatever the blocks, in tick order
+    calls = []
+
+    def counted(k, state, picked):
+        calls.append((k, picked.shape))
+        return weighted_picks(k, state, picked)
+
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"),
+                           SupportSequenceScheduler(6, WEIGHTED_TICKS, weight_fn=counted),
+                           trials=20, horizon=120, seed=31)
+    _with_block(monkeypatch, cfg, B)
+    run_experiment(cfg)
+    assert calls == [(k, (20,)) for k in range(1, 121)]
+
+
 def test_scrambling_rate_does_not_depend_on_the_block_size(monkeypatch):
-    cfg = _cfg("uniform_clock6", horizon=90)
-    want = montecarlo.scrambling_hit_rate(cfg, 60)
+    # the share of trials whose product is scrambling at step m is
+    # 1 - lambda_tail[m] at epsilon 1 - SCRAMBLING_TOL
+    cfg = _cfg("uniform_clock6", horizon=90, epsilon=1.0 - SCRAMBLING_TOL)
+    want = run_experiment(cfg).lambda_tail
+    assert 0.0 < want[20] < 1.0
     _with_block(monkeypatch, cfg, 7)
-    assert montecarlo.scrambling_hit_rate(cfg, 60) == want
+    assert np.array_equal(_bits(run_experiment(cfg).lambda_tail), _bits(want))
 
 
 def test_blocked_draws_equal_the_whole_horizon_draw():

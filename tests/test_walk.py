@@ -408,6 +408,24 @@ def _bundled_cycles():
                 yield name, cycle
 
 
+@pytest.mark.parametrize("l, move_probs", [
+    (2000, (0.2, 0.5, 0.1, 0.2)), (1300, (0.2, 0.6, 0.0, 0.2)), (2000, (0.5, 0.2, 0.1, 0.2)),
+])
+def test_unrepresentable_certificate_is_rejected(l, move_probs):
+    # rho^(l-1) or its inverse leaves the float range: no NaN c0 and no
+    # overflow warning, but a ValidationError; just inside the range the
+    # certificate is finite
+    cycle = LabelledCycle(l, tuple(range(1, l + 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not representable"):
+            match_probability_curve(cycle, 0.1, 5, 10, seed=1, move_probs=move_probs)
+        limit = -np.log(np.finfo(float).tiny)
+        inside = int(limit / abs(np.log(np.sqrt(move_probs[1] / move_probs[0])))) + 1
+        cert = DistanceChain(inside, 0.1, move_probs).rate_certificate(50)
+        assert np.isfinite(cert.c0) and np.isfinite(cert.errors).all()
+
+
 @pytest.mark.parametrize("move_probs", [None, (0.2, 0.3, 0.1, 0.4)])
 @pytest.mark.parametrize("name, cycle", list(_bundled_cycles()))
 def test_envelope_dominates_the_exact_unmatched_mass(name, cycle, move_probs):
