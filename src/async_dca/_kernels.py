@@ -256,11 +256,8 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     if track_lambda:
         lams = np.empty((K + 1, T))
         rs, shared, work, gathered = bufs[5:]
-        if first:
-            _shared_mass(Qs2[:1], pairs, work, shared[:1])
-            np.clip(1.0 - shared[0], 0.0, 1.0, out=lams[0])
-        else:
-            lams[0] = carry.lam
+        # the first block starts from the identity, whose rows share no mass
+        lams[0] = (0.0 if n == 1 else 1.0) if first else carry.lam
     else:
         lams = np.broadcast_to(1.0, (K + 1, T))
     matmul, putmask = np.matmul, np.putmask

@@ -38,7 +38,7 @@ def _load_scheduler(path):
 
 
 def _open_out(path):
-    """Context manager for a CSV output: the file at ``path``, or the
+    """Context manager for an output: the file at ``path``, or the
     current ``sys.stdout``, which it leaves open, for None or "-"."""
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
@@ -46,12 +46,8 @@ def _open_out(path):
 
 
 def _emit_json(obj, path=None) -> None:
-    text = json.dumps(obj, indent=2)
-    if path in (None, "-"):
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+    with _open_out(path) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _cmd_analyze(args) -> int:

@@ -167,7 +167,11 @@ def ergodic_coefficient(A) -> float:
     n = arr.shape[0]
     if n == 1:
         return 0.0
-    shared = np.minimum(arr[:, None, :], arr[None, :, :]).sum(axis=2)
+    # each pair's minima are added column by column, left to right, as the
+    # trajectory kernel adds them, so both give the same bits
+    shared = np.zeros((n, n))
+    for c in range(n):
+        shared += np.minimum.outer(arr[:, c], arr[:, c])
     shared[np.eye(n, dtype=bool)] = np.inf
     return float(np.clip(1.0 - shared.min(), 0.0, 1.0))
 

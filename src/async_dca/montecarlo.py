@@ -112,10 +112,9 @@ class ExperimentResult:
     max_lambda_increase: float
     max_product_row_error: float
 
-    def to_json(self, include_series: bool = False) -> dict:
-        """Summary dict; the per-k tail series are included only on request
-        (they are what the CSV output carries)."""
-        out = {
+    def to_json(self) -> dict:
+        """Summary dict; the per-k tail series go to the CSV output."""
+        return {
             "trials": self.trials,
             "horizon": self.horizon,
             "epsilon": self.epsilon,
@@ -128,10 +127,6 @@ class ExperimentResult:
             "max_lambda_increase": self.max_lambda_increase,
             "max_product_row_error": self.max_product_row_error,
         }
-        if include_series:
-            out["delta_tail"] = [float(v) for v in self.delta_tail]
-            out["lambda_tail"] = [float(v) for v in self.lambda_tail]
-        return out
 
 
 def trajectory_blocks(cfg: ExperimentConfig):

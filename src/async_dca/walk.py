@@ -2,9 +2,12 @@
 
 Two tokens sit on a directed cycle and, while their labels differ, each
 step either moves one of them to its cycle predecessor, moves both, or
-leaves both in place; each single-token move must carry probability at
-least ``gamma`` and the stay-or-move-both alternative at least ``gamma``
-combined.  Once the labels coincide the pair freezes.
+leaves both in place.  The paper's argument needs only floors: each
+single-token move has probability at least ``gamma``, and so has
+stay-or-move-both.  The library walks one law,
+``default_move_probabilities(gamma)``: each token moves alone with
+probability ``gamma``, and ``1 - 2 gamma`` splits evenly between staying
+and moving both.  Once the labels coincide the pair freezes.
 
 The distance between the tokens then performs a birth/death chain on
 ``{0, .., l-1}`` with an absorbing 0.  In the paper's argument its
@@ -14,6 +17,8 @@ envelope is taken from the chain itself: the largest mass that any start
 distance leaves unabsorbed after k steps, carried at the exact rate
 ``beta`` of the transient block J (its spectral radius), gives the
 certified lower bound ``P(match by k) >= 1 - c0 * beta^k`` used throughout.
+Under the one law J is symmetric, so ``beta`` and its Perron vector have a
+closed form and ``c0`` stays below ``4 / pi`` at every cycle length.
 """
 from __future__ import annotations
 
@@ -70,40 +75,18 @@ def default_move_probabilities(gamma: float) -> tuple:
     return (gamma, gamma, residual / 2.0, residual / 2.0)
 
 
-def _check_move_probabilities(gamma: float, move_probs) -> tuple:
-    gamma = _check_gamma(gamma)
-    if move_probs is None:
-        move_probs = default_move_probabilities(gamma)
-    p = tuple(float(v) for v in move_probs)
-    if len(p) != 4 or any(v < 0 for v in p):
-        raise ValidationError("move probabilities are 4 nonnegative numbers")
-    if abs(sum(p) - 1.0) > 1e-12:
-        raise ValidationError(f"move probabilities sum to {sum(p)!r}, not 1")
-    if p[0] < gamma - 1e-12 or p[1] < gamma - 1e-12 or p[2] + p[3] < gamma - 1e-12:
-        raise ValidationError(
-            "each single move needs probability >= gamma and stay-or-move-both "
-            "needs combined probability >= gamma"
-        )
-    return p
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceChain:
-    """Exact distance chain of a walk with the given move probabilities.
-
-    ``move_probs`` defaults to ``default_move_probabilities(gamma)``; the
-    constructor validates it and derives ``matrix`` from it.
-    """
+    """Exact distance chain of a walk with ``default_move_probabilities(gamma)``."""
 
     l: int
     gamma: float
-    move_probs: tuple = None
     matrix: ColumnStochasticMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.l < 2:
             raise ValidationError("the distance chain needs l >= 2")
-        p_j, p_i, p_stay, p_both = p = _check_move_probabilities(self.gamma, self.move_probs)
+        p_j, p_i, p_stay, p_both = default_move_probabilities(self.gamma)
         l = self.l
         P = np.zeros((l, l))
         P[0, 0] = 1.0
@@ -114,7 +97,6 @@ class DistanceChain:
             P[up, d] += p_i
             P[d, d] += p_stay + p_both
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "move_probs", p)
         object.__setattr__(self, "matrix", ColumnStochasticMatrix(P))
 
     def rate_certificate(self, k_max: int) -> RateCertificate:
@@ -126,29 +108,18 @@ class DistanceChain:
         beta^k`` tend to the Perron limit of ``J / beta``; ``c0`` is the
         larger of that limit and their maximum over k <= ``k_max``, so it
         does not depend on ``k_max`` once the masses have settled, and the
-        envelope holds at every k supplied.  ValidationError when the split
-        is not representable in floating point (see below).
+        envelope holds at every k supplied.
         """
         if k_max < 1:
             raise ValidationError("need k_max >= 1")
-        p_j, p_i, p_stay, p_both = self.move_probs
-        l = self.l
-        # J is tridiagonal Toeplitz, so its eigenvalues are
-        # p_stay + p_both + 2 sqrt(p_i p_j) cos(m pi / l), m = 1..l-1, and
-        # its Perron vectors are rho^(-/+d) sin(d pi / l), rho = sqrt(p_i / p_j)
-        beta = p_stay + p_both + 2.0 * float(np.sqrt(p_i * p_j) * np.cos(np.pi / l))
-        d = np.arange(1, l)
-        sines = np.sin(np.pi * d / l)
-        rho = np.sqrt(p_i / p_j)
-        # the split holds only while rho^(l-1) and its inverse are normal floats
-        if (l - 1) * abs(np.log(rho)) > -np.log(np.finfo(float).tiny):
-            raise ValidationError(
-                f"the rate certificate of a {l}-position cycle is not representable "
-                f"under move probabilities {self.move_probs}: rho^{l - 1} with "
-                f"rho = sqrt(p_i / p_j) = {float(rho)!r} leaves the float range"
-            )
-        left, right = sines / rho ** d, sines * rho ** d
-        left /= left @ right
+        l, gamma = self.l, self.gamma
+        # J is symmetric tridiagonal Toeplitz, 1 - 2 gamma on the diagonal and
+        # gamma beside it, so its eigenvalues are
+        # 1 - 2 gamma + 2 gamma cos(m pi / l), m = 1..l-1, and its Perron
+        # vector is sin(d pi / l)
+        beta = 1.0 - 2.0 * gamma + 2.0 * gamma * float(np.cos(np.pi / l))
+        right = np.sin(np.pi * np.arange(1, l) / l)
+        left = right / (right @ right)
         # ones @ (J / beta)^k = limit + ones @ deflated^k: the deflated matrix
         # has spectral radius below 1, so the remainder decays to nothing in
         # floating point and no rounding drift of the unit Perron mode can
@@ -191,7 +162,7 @@ class MatchCurve:
 
 
 def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
-                            trials: int, seed: int, move_probs=None) -> MatchCurve:
+                            trials: int, seed: int) -> MatchCurve:
     """Monte Carlo match-by-k curve with its distance-chain lower bound.
 
     All trials share the one stream ``stream(seed)`` (seed contracts 2 and 3): it
@@ -201,17 +172,17 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     trial in increasing trial order, until every trial has matched or
     ``k_max - 1`` transitions have been drawn.  Each block is drawn and
     walked in slabs of rows (see ``WALK_SLAB_BYTES``); the stream is read
-    row-major, so this changes no draw.  The empirical curve is
-    cumulative, hence non-decreasing, and dominates the bound whenever the
-    walk's moves meet the ``gamma`` floors.  On a one-position cycle every
-    walk matches at k = 1: the curve and the bound are all ones, with
-    ``c0 = beta = 0``.
+    row-major, so this changes no draw.  The walk moves by
+    ``default_move_probabilities(gamma)``.  The empirical curve is
+    cumulative, hence non-decreasing; the exact curve it estimates
+    dominates the bound.  On a one-position cycle every walk matches at
+    k = 1: the curve and the bound are all ones, with ``c0 = beta = 0``.
     """
     if trials < 1 or k_max < 1:
         raise ValidationError("need trials >= 1 and k_max >= 1")
     l = cycle.length
-    chain = DistanceChain(l, gamma, move_probs) if l > 1 else None
-    p = chain.move_probs if chain is not None else _check_move_probabilities(gamma, move_probs)
+    p = default_move_probabilities(gamma)
+    chain = DistanceChain(l, gamma) if l > 1 else None
     labels = np.array(cycle.labels, dtype=np.int64)
     t1, t2, t3 = p[0], p[0] + p[1], p[0] + p[1] + p[2]
     rng = stream(seed)

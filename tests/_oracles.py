@@ -30,7 +30,7 @@ from async_dca.schedulers import (
     NotEnumerableError,
     StrongAperiodicityCheck,
 )
-from async_dca.walk import WALK_BLOCK, _check_gamma, _check_move_probabilities
+from async_dca.walk import WALK_BLOCK, _check_gamma, default_move_probabilities
 
 
 def half_l1_coefficient(A):
@@ -438,6 +438,25 @@ class WalkTrajectory:
     @property
     def matched(self) -> bool:
         return self.hit_time is not None
+
+
+def _check_move_probabilities(gamma: float, move_probs) -> tuple:
+    """A general move law (move j, move i, stay, move both) that meets the
+    ``gamma`` floors; None gives the library's one law."""
+    gamma = _check_gamma(gamma)
+    if move_probs is None:
+        return default_move_probabilities(gamma)
+    p = tuple(float(v) for v in move_probs)
+    if len(p) != 4 or any(v < 0 for v in p):
+        raise ValidationError("move probabilities are 4 nonnegative numbers")
+    if abs(sum(p) - 1.0) > 1e-12:
+        raise ValidationError(f"move probabilities sum to {sum(p)!r}, not 1")
+    if p[0] < gamma - 1e-12 or p[1] < gamma - 1e-12 or p[2] + p[3] < gamma - 1e-12:
+        raise ValidationError(
+            "each single move needs probability >= gamma and stay-or-move-both "
+            "needs combined probability >= gamma"
+        )
+    return p
 
 
 def simulate_backward_walk(cycle: LabelledCycle, gamma: float, k_max: int, rng,

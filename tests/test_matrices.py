@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from async_dca import _kernels
 from async_dca import (
     ColumnStochasticMatrix,
     StochasticMatrix,
@@ -47,6 +48,19 @@ def test_ergodic_coefficient_partial_update_matrix():
     lam = ergodic_coefficient(A)
     assert lam == pytest.approx(pairwise_min_coefficient(A), abs=1e-15)
     assert lam == pytest.approx(0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_ergodic_coefficient_is_the_kernels_to_the_bit(n):
+    # after one all-agents step from the identity the kernel's product is A
+    # itself, so its lambda is A's coefficient; numpy's pairwise summation
+    # from eight columns on would differ from the kernel's left-to-right sum
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        A = random_stochastic(rng, n)
+        _, lams, _ = _kernels.trajectory_batch(A, np.ones((1, 1, n), dtype=bool),
+                                               rng.random((1, n)))
+        assert ergodic_coefficient(A) == lams[1, 0]
 
 
 def test_ergodic_coefficient_single_agent_convention():
