@@ -186,12 +186,17 @@ def test_simulate_walk_deterministic():
 FIVE_CYCLE = LabelledCycle(5, (1, 2, 3, 2, 4))
 
 
+# the oracles' move law; None is the library's one law, default_move_probabilities
+ORACLE_LAWS = [None]
+
+
+@pytest.mark.parametrize("move_probs", ORACLE_LAWS)
 @pytest.mark.parametrize("trials", [1, 20, 500])
 @pytest.mark.parametrize("k_max", [1, 2, WALK_BLOCK, WALK_BLOCK + 1, 150])
-def test_batch_curve_matches_per_trial_oracle(k_max, trials):
+def test_batch_curve_matches_per_trial_oracle(k_max, trials, move_probs):
     # hits do not depend on the certificate
     curve = match_probability_curve(FIVE_CYCLE, 0.2, k_max, trials, seed=31)
-    oracle = walk_hits_v2(FIVE_CYCLE, 0.2, k_max, trials, seed=31)
+    oracle = walk_hits_v2(FIVE_CYCLE, 0.2, k_max, trials, seed=31, move_probs=move_probs)
     assert np.array_equal(curve.hits, oracle)
 
 
@@ -347,8 +352,9 @@ def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, chunk_bytes,
         assert max(sizes) == rows
 
 
+@pytest.mark.parametrize("move_probs", ORACLE_LAWS)
 @pytest.mark.parametrize("l", range(2, 9))
-def test_certificate_holds_at_every_short_horizon(l):
+def test_certificate_holds_at_every_short_horizon(l, move_probs):
     # beta is the exact rate of the transient block, so a horizon too short
     # to show decay, such as (l, k_max) = (6, 2), (7, 2), (8, 2) or (8, 3),
     # still yields a certificate.  With distinct labels a match is an
@@ -358,7 +364,7 @@ def test_certificate_holds_at_every_short_horizon(l):
     for k_max in range(1, 12):
         curve = match_probability_curve(cycle, 0.2, k_max, 50, seed=3)
         assert 0 < curve.beta < 1
-        assert (curve.bound <= walk_match_exact(cycle, 0.2, k_max)).all()
+        assert (curve.bound <= walk_match_exact(cycle, 0.2, k_max, move_probs)).all()
         cert = chain.rate_certificate(k_max)
         ks = np.arange(1, k_max + 1)
         assert (cert.errors <= cert.c0 * cert.beta ** ks).all()
@@ -401,14 +407,15 @@ def _bundled_cycles():
                 yield name, cycle
 
 
+@pytest.mark.parametrize("move_probs", ORACLE_LAWS)
 @pytest.mark.parametrize("name, cycle", list(_bundled_cycles()))
-def test_envelope_dominates_the_exact_unmatched_mass(name, cycle):
+def test_envelope_dominates_the_exact_unmatched_mass(name, cycle, move_probs):
     # c0 beta^k against P(no match by k) summed over the unmatched position
     # pairs, with no tolerance.  One minus the exact matched mass is not
     # compared: it rounds at 1 long before the envelope does.
     k_max = 1000
     curve = match_probability_curve(cycle, 0.2, k_max, 10, seed=3)
-    unmatched = walk_match_exact(cycle, 0.2, k_max, unmatched=True)
+    unmatched = walk_match_exact(cycle, 0.2, k_max, move_probs, unmatched=True)
     envelope = curve.c0 * curve.beta ** curve.k
     assert (envelope >= unmatched).all()
 
