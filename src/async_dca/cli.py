@@ -45,6 +45,16 @@ def _open_out(path):
     return open(path, "w", newline="")
 
 
+def _write_csv(path, header, *columns) -> None:
+    """Write ``header`` and the rows of the equal-length array ``columns``,
+    4096 rows at a time: no list of the whole output's values is built."""
+    with _open_out(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for a in range(0, len(columns[0]), 4096):
+            writer.writerows(zip(*(c[a:a + 4096].tolist() for c in columns)))
+
+
 def _emit_json(obj, path=None) -> None:
     with _open_out(path) as fh:
         fh.write(json.dumps(obj, indent=2) + "\n")
@@ -102,16 +112,11 @@ def _cmd_simulate(args) -> int:
             deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
         deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
         check_product_rows(carry)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "delta"] + (["lambda_product"] if track else []))
-        # 4096 rows at a time: no list of the whole horizon's floats is built
-        for a in range(1, steps + 1, 4096):
-            b = min(a + 4096, steps + 1)
-            columns = [range(a, b), deltas[a:b].tolist()]
-            if track:
-                columns.append(lams[a:b].tolist())
-            writer.writerows(zip(*columns))
+    header, columns = ["k", "delta"], [np.arange(1, steps + 1), deltas[1:]]
+    if track:
+        header.append("lambda_product")
+        columns.append(lams[1:])
+    _write_csv(args.out, header, *columns)
     return 0
 
 
@@ -128,11 +133,8 @@ def _cmd_mc(args) -> int:
         track_lambda=not args.no_lambda,
     )
     result = run_experiment(cfg)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "p_delta_tail", "p_lambda_tail"])
-        writer.writerows(zip(range(result.horizon + 1), result.delta_tail.tolist(),
-                             result.lambda_tail.tolist()))
+    _write_csv(args.out, ["k", "p_delta_tail", "p_lambda_tail"],
+               np.arange(result.horizon + 1), result.delta_tail, result.lambda_tail)
     _emit_json(result.to_json(), args.summary)
     return 0
 
@@ -140,7 +142,7 @@ def _cmd_mc(args) -> int:
 def _cmd_verify_conditions(args) -> int:
     A = StochasticMatrix.load(args.matrix)
     scheduler = _load_scheduler(args.scheduler)
-    report = check_conditions(scheduler, A, q_max=args.q_max)
+    report = check_conditions(scheduler, A)
     _emit_json(report.to_json(), args.out)
     return 0
 
@@ -158,11 +160,8 @@ def _cmd_walk(args) -> int:
             raise ValidationError("matrix graph is not rooted; no root component to walk")
         cycle = build_labelled_cycle(G, rep.chi)
     curve = match_probability_curve(cycle, args.gamma, args.kmax, args.trials, args.seed)
-    with _open_out(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "empirical_match_prob", "bound_1_minus_c0_beta_k"])
-        for row in curve.to_rows():
-            writer.writerow(row)
+    _write_csv(args.out, ["k", "empirical_match_prob", "bound_1_minus_c0_beta_k"],
+               curve.k, curve.empirical, curve.bound)
     summary = {
         "cycle_length": cycle.length,
         "labels": list(cycle.labels),
@@ -230,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the almost-sure-consensus conditions")
     p.add_argument("--matrix", required=True)
     p.add_argument("--scheduler", required=True)
-    p.add_argument("--q-max", type=int, default=16)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_verify_conditions)
 

@@ -278,12 +278,9 @@ def analysis_report(A: StochasticMatrix) -> dict:
     G = build_graph(A)
     rep = roots(G)
     comps = scc_decomposition(G)
-    cycle_length = None
-    if rep.rooted:
-        try:
-            cycle_length = build_labelled_cycle(G, rep.chi).length
-        except ValidationError:
-            cycle_length = None
+    # chi is strongly connected, and a lone root has a self-loop (its row's
+    # positive entry is its own), so building the cycle cannot fail
+    cycle_length = build_labelled_cycle(G, rep.chi).length if rep.rooted else None
     return {
         "n": A.n,
         "rooted": rep.rooted,

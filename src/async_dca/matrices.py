@@ -41,13 +41,25 @@ def _integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def _as_square_array(entries) -> np.ndarray:
+def _stochastic(entries, axis: int, tol: float) -> np.ndarray:
+    """A read-only float64 copy of a nonempty square nonnegative matrix whose
+    sums along ``axis`` (1: rows, 0: columns) are one within ``tol``."""
     arr = np.array(entries, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionError(f"expected a nonempty square matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         i, j = np.argwhere(~np.isfinite(arr))[0]
         raise ValidationError(f"non-finite entry at row {i + 1}, column {j + 1}")
+    if (arr < 0).any():
+        i, j = np.argwhere(arr < 0)[0]
+        raise ValidationError(f"negative entry at row {i + 1}, column {j + 1}")
+    sums = arr.sum(axis=axis)
+    bad = np.abs(sums - 1.0) > tol
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "row" if axis == 1 else "column"
+        raise ValidationError(f"{what} {i + 1} sums to {float(sums[i])!r}, not 1 within {tol}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -59,19 +71,7 @@ class StochasticMatrix:
     tol: float = ROW_SUM_TOL
 
     def __post_init__(self):
-        arr = _as_square_array(self.entries)
-        if (arr < 0).any():
-            i, j = np.argwhere(arr < 0)[0]
-            raise ValidationError(f"negative entry at row {i + 1}, column {j + 1}")
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > self.tol
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"row {i + 1} sums to {float(sums[i])!r}, not 1 within {self.tol}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _stochastic(self.entries, 1, self.tol))
 
     @property
     def n(self) -> int:
@@ -121,22 +121,9 @@ class ColumnStochasticMatrix:
     """
 
     entries: np.ndarray
-    tol: float = ROW_SUM_TOL
 
     def __post_init__(self):
-        arr = _as_square_array(self.entries)
-        if (arr < 0).any():
-            i, j = np.argwhere(arr < 0)[0]
-            raise ValidationError(f"negative entry at row {i + 1}, column {j + 1}")
-        sums = arr.sum(axis=0)
-        bad = np.abs(sums - 1.0) > self.tol
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ValidationError(
-                f"column {j + 1} sums to {float(sums[j])!r}, not 1 within {self.tol}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _stochastic(self.entries, 0, ROW_SUM_TOL))
 
     @property
     def n(self) -> int:

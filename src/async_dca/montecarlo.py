@@ -4,10 +4,9 @@ An experiment runs T independent trials of K asynchronous updates and
 aggregates, per step count k, the empirical tail probabilities
 ``P(Delta(x) >= eps)`` and ``P(lambda(product) >= eps)``.  Consensus is
 declared at the horizon when the discrepancy drops below ``eps``
-(default 1e-6).  Non-convergence claims use coarser thresholds: 1e-3 on
-per-trial discrepancies (``NONCONVERGENCE_EPSILON``) and 0.05 on the
-median final discrepancy in the replays (``NONCONSENSUS_DELTA``).  All of
-these are desk-scale stand-ins for asymptotic statements, chosen so each
+(default 1e-6).  Non-convergence claims in the replays use a coarser
+threshold, 0.05 on the median final discrepancy (``NONCONSENSUS_DELTA``).
+Both are desk-scale stand-ins for asymptotic statements, chosen so each
 canned experiment finishes in seconds; replay reports carry a note saying
 which threshold they operationalise.
 
@@ -53,7 +52,6 @@ from .schedulers import (
 )
 
 CONSENSUS_EPSILON = 1e-6
-NONCONVERGENCE_EPSILON = 1e-3
 NONCONSENSUS_DELTA = 0.05
 MASK_BLOCK_BYTES = 1 << 18  # update masks drawn per block of the pipeline
 

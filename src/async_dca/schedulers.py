@@ -44,7 +44,8 @@ above), and an empty script gives a (0, n) table.
 scheduler/matrix pair as reductions over the laws of ticks 1 .. period:
 rootedness, a positive lower bound on nonzero transition probabilities,
 history independence of the support sets, joint coverage of all agents
-within a window of q ticks, and the quasi-singleton property of the root
+within a window of q ticks (decided exactly, since a window of ``period``
+ticks sees every tick), and the quasi-singleton property of the root
 component (for each root-component member j, every tick offers a set
 containing j, and the intersection of all such sets meets the root
 component exactly in {j}).
@@ -62,7 +63,6 @@ from .matrices import ColumnStochasticMatrix, StochasticMatrix, _integer
 PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
 MAX_ENUM_NODES = 16
-DEFAULT_Q_MAX = 16
 UNIFORM_BUFFER_BYTES = 1 << 17  # the buffer a block's uniforms are drawn into
 
 
@@ -582,17 +582,17 @@ def _supports(law: tuple) -> np.ndarray:
     return masks[live.any(axis=1) if live.ndim == 2 else live]
 
 
-def check_conditions(scheduler: Scheduler, A: StochasticMatrix,
-                     q_max: int = DEFAULT_Q_MAX) -> ConditionReport:
+def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionReport:
     """Evaluate the five almost-sure-consensus conditions for the pair.
 
-    Markov schedulers are reported as failing history independence (their
-    supports genuinely depend on the previous state); their coverage and
-    quasi-singleton checks run on the union of supports over source states
-    and are flagged as approximate in the notes.
+    Joint coverage passes with witness ``{"q", "period"}``, q the least
+    window length after which every window covers every agent, or fails
+    with ``{"covered"}``, the agents some tick can draw.  Markov schedulers
+    are reported as failing history independence (their supports genuinely
+    depend on the previous state); their coverage and quasi-singleton
+    checks run on the union of supports over source states and are flagged
+    as approximate in the notes.
     """
-    if q_max < 1:
-        raise ValidationError(f"q_max must be >= 1, got {q_max}")
     if scheduler.n != A.n:
         raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
     n = A.n
@@ -629,23 +629,21 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix,
     supports = [_supports(law) for law in laws]
     period = len(supports)
 
-    # covered[k]: the agents drawable within q ticks of window start k + 1;
-    # a window has seen every tick of the period by q = period
     unions = np.array([masks.any(axis=0) for masks in supports])
-    covered = np.zeros_like(unions)
-    q_at = np.zeros(period, dtype=int)
-    for q in range(1, min(q_max, period) + 1):
-        covered |= np.roll(unions, 1 - q, axis=0)
-        q_at[(q_at == 0) & covered.all(axis=1)] = q
-    short = np.flatnonzero(q_at == 0)
-    if short.size:
-        k = int(short[0])
+    drawable = unions.any(axis=0)
+    if not drawable.all():
         checks.append(ConditionCheck("joint_coverage", False, {
-            "window_start": k + 1, "covered": (np.flatnonzero(covered[k]) + 1).tolist(),
-            "q_max": q_max}, note=approx_note))
+            "covered": (np.flatnonzero(drawable) + 1).tolist()}, note=approx_note))
     else:
+        # covered[k]: the agents drawable within q ticks of window start k + 1;
+        # every window covers every agent by q = period
+        covered = np.zeros_like(unions)
+        q = 0
+        while not covered.all():
+            q += 1
+            covered |= np.roll(unions, 1 - q, axis=0)
         checks.append(ConditionCheck("joint_coverage", True,
-                                     {"q": int(q_at.max()), "period": period}, note=approx_note))
+                                     {"q": q, "period": period}, note=approx_note))
 
     if not report.rooted:
         checks.append(ConditionCheck(

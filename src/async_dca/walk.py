@@ -136,7 +136,8 @@ class DistanceChain:
                 rest = np.matmul(rest, deflated, out=rows[j])
             scaled[k0:k0 + n] = (rows[:n] + limit).max(axis=1)
         c0 = float(max(scaled.max(), limit.max()))
-        errors = scaled * beta ** np.arange(1, k_max + 1)
+        # rounding in the deflated split can lift a mass past 1 on long cycles
+        errors = np.minimum(scaled * beta ** np.arange(1, k_max + 1), 1.0)
         return RateCertificate(c0=c0, beta=beta, errors=errors)
 
 
@@ -155,10 +156,6 @@ class MatchCurve:
     c0: float
     beta: float
     hits: np.ndarray
-
-    def to_rows(self):
-        for idx in range(len(self.k)):
-            yield int(self.k[idx]), float(self.empirical[idx]), float(self.bound[idx])
 
 
 def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,

@@ -659,8 +659,10 @@ def reference_one_step_distribution(self, k: int = 1) -> list:
     return [(self.sets[(k - 1) % len(self.sets)], 1.0)]
 
 
-def reference_check_conditions(scheduler, A, q_max: int = 16) -> ConditionReport:
-    """``check_conditions`` by set loops over the frozenset laws."""
+def reference_check_conditions(scheduler, A) -> ConditionReport:
+    """``check_conditions`` by set loops over the frozenset laws; every
+    window of ``period`` ticks sees every tick, so the windows are searched
+    up to that length."""
     n = A.n
     checks = []
 
@@ -696,13 +698,13 @@ def reference_check_conditions(scheduler, A, q_max: int = 16) -> ConditionReport
     for k in range(period):
         covered: set = set()
         q_here = None
-        for q in range(1, q_max + 1):
+        for q in range(1, period + 1):
             covered |= set().union(*ticks[(k + q - 1) % period])
             if covered == set(all_nodes):
                 q_here = q
                 break
         if q_here is None:
-            coverage_fail = {"window_start": k + 1, "covered": sorted(covered), "q_max": q_max}
+            coverage_fail = {"covered": sorted(covered)}
             break
         q_needed = max(q_needed, q_here)
     if coverage_fail is None:

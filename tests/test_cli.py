@@ -142,6 +142,22 @@ def test_verify_conditions_cli(tmp_path, capsys):
     assert report["conditions"]["quasi_singleton"]["witness"]["chi"] == [1, 2, 3]
 
 
+def test_verify_conditions_decides_coverage_over_the_period(six_node, tmp_path, capsys):
+    # agent 6 is drawable only at tick 20 of 20; there is no window cap to set
+    spec = tmp_path / "spec.json"
+    ticks = [[{"set": [(k - 1) % 5 + 1], "prob": 1.0}] for k in range(1, 20)]
+    ticks.append([{"set": [6], "prob": 1.0}])
+    spec.write_text(json.dumps({"kind": "support_sequence", "params": {"n": 6, "ticks": ticks}}))
+    code, out, _ = run_cli(capsys, "verify-conditions", "--matrix", six_node,
+                           "--scheduler", str(spec))
+    assert code == 0
+    coverage = json.loads(out)["conditions"]["joint_coverage"]
+    assert coverage["passed"] and coverage["witness"] == {"q": 20, "period": 20}
+    code, out, err = run_cli(capsys, "verify-conditions", "--matrix", six_node,
+                             "--scheduler", str(spec), "--q-max", "20")
+    assert code == 2 and "--q-max" in err and out == ""
+
+
 def test_walk_cli_with_cycle_file(tmp_path, capsys):
     cycle = tmp_path / "cycle.json"
     cycle.write_text(json.dumps({"length": 6, "labels": [1, 2, 4, 3, 2, 4]}))
@@ -322,13 +338,6 @@ def test_repro_bad_counts_exit_2_without_monte_carlo(capsys):
                               ("example3", "--trials", "-1")):
         code, out, err = run_cli(capsys, "repro", case, flag, value)
         assert code == 2 and "trials >= 1" in err and out == ""
-
-
-def test_verify_conditions_q_max_below_one_exit_2(six_node, uniform_clock, capsys):
-    for q_max in ("0", "-1"):
-        code, out, err = run_cli(capsys, "verify-conditions", "--matrix", six_node,
-                                 "--scheduler", uniform_clock, "--q-max", q_max)
-        assert code == 2 and "q_max" in err and out == ""
 
 
 def test_dimension_mismatch_is_input_error(six_node, tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from async_dca import (
     DirectedGraph,
     LabelledCycle,
+    StochasticMatrix,
     ValidationError,
     analysis_report,
     build_graph,
@@ -23,7 +24,12 @@ from _oracles import (
     make_async_matrix,
     power_sia_oracle,
 )
-from _samplers import random_strongly_connected_edges, random_structured
+from _samplers import (
+    random_rooted_stochastic,
+    random_stochastic,
+    random_strongly_connected_edges,
+    random_structured,
+)
 
 
 def test_build_graph_diagonal():
@@ -223,6 +229,23 @@ def test_analysis_report_fields():
     assert report["roots"] == [1, 3, 4, 6]
     assert report["cycle_length"] is not None
     assert report["cycle_length"] <= 4 * 3
+
+
+def test_analysis_report_gives_every_rooted_matrix_a_cycle():
+    # chi is strongly connected and a lone root has a self-loop, so the
+    # report always builds a cycle for a rooted matrix (lone roots included)
+    rng = np.random.default_rng(2024_12)
+    lone_roots = 0
+    for trial in range(600):
+        n = int(rng.integers(1, 8))
+        sample = (random_stochastic, random_structured, random_rooted_stochastic)[trial % 3]
+        report = analysis_report(StochasticMatrix(sample(rng, n)))
+        if report["rooted"]:
+            assert type(report["cycle_length"]) is int and report["cycle_length"] >= 1
+            lone_roots += len(report["roots"]) == 1
+        else:
+            assert report["cycle_length"] is None
+    assert lone_roots > 100
 
 
 def test_async_matrix_graph_consistency():
