@@ -20,8 +20,8 @@ from .errors import ValidationError
 from .graphs import LabelledCycle, analysis_report, build_graph, build_labelled_cycle, roots
 from .matrices import StochasticMatrix
 from .montecarlo import (
-    REPLAY_CASES, ExperimentConfig, check_product_rows, replay, run_experiment,
-    trajectory_blocks,
+    CONSENSUS_EPSILON, REPLAY_CASES, ExperimentConfig, check_product_rows, replay,
+    run_experiment, trajectory_blocks,
 )
 from .rng import DEFAULT_SEED, SEED_CONTRACT
 from .schedulers import ScriptScheduler, check_conditions, scheduler_from_json
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheduler", required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=CONSENSUS_EPSILON)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--summary", help="write the JSON summary here instead of stdout")

@@ -4,17 +4,21 @@ The graph of a row-stochastic matrix ``A`` has an edge ``j -> i`` exactly
 when ``a_ij > 0``: information flows from the agent being listened to, to
 the agent doing the averaging.  This is the support digraph of the Markov
 chain with transition matrix ``A`` reversed, so the chain's closed classes
-are the graph's source components (``is_sia`` reads them from ``roots``).
+are the graph's source components.
 
 A node is a root when every other node is reachable from it.  The set of
 roots of a rooted graph is always a single strongly connected component
 (any node that reaches a root is itself a root, and roots reach each
 other), namely the unique source component of the condensation.
+
+Every verdict reads the boolean reachability matrix ``R`` (``_reach``):
+the roots are the rows of ``R`` that are all true, the strongly connected
+components are the rows of ``R & R.T``, and a node set is strongly
+connected when the ``R`` of its induced subgraph is all true.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -106,54 +110,47 @@ def build_graph(A) -> DirectedGraph:
     return DirectedGraph(n, frozenset(edges))
 
 
-def _scc_indices(adj: list) -> list:
-    """Kosaraju SCCs over 0-based adjacency lists, sources first."""
-    n = len(adj)
-    visited = [False] * n
-    order = []
-    for s in range(n):
-        if visited[s]:
-            continue
-        stack = [(s, 0)]
-        visited[s] = True
-        while stack:
-            u, ptr = stack[-1]
-            if ptr < len(adj[u]):
-                stack[-1] = (u, ptr + 1)
-                v = adj[u][ptr]
-                if not visited[v]:
-                    visited[v] = True
-                    stack.append((v, 0))
-            else:
-                order.append(u)
-                stack.pop()
-    radj = [[] for _ in range(n)]
-    for u in range(n):
-        for v in adj[u]:
-            radj[v].append(u)
-    comp = [-1] * n
-    comps = []
-    for s in reversed(order):
-        if comp[s] != -1:
-            continue
-        cid = len(comps)
-        members = [s]
-        comp[s] = cid
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in radj[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    members.append(v)
-                    stack.append(v)
-        comps.append(sorted(members))
-    return comps
+def _relation(G: DirectedGraph) -> np.ndarray:
+    """The one-step relation of ``G`` as a boolean matrix over 0-based nodes."""
+    adj = np.zeros((G.n, G.n), dtype=bool)
+    for u, v in G.edges:
+        adj[u - 1, v - 1] = True
+    return adj
+
+
+def _reach(adj: np.ndarray) -> np.ndarray:
+    """Reachability matrix: entry (u, v) is true when v is reachable from u
+    in zero or more steps of the boolean relation ``adj``.
+
+    Squares the relation (with the identity) until it stops growing, at most
+    ceil(log2 n) + 1 products; ``bool @ bool`` runs in numpy's own loop, so
+    no float (BLAS) product is made.
+    """
+    R = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        step = R @ R
+        if (step == R).all():
+            return R
+        R = step
 
 
 def scc_decomposition(G: DirectedGraph) -> list:
-    """Maximal strongly connected components, in condensation topological order."""
-    return [frozenset(m + 1 for m in members) for members in _scc_indices(G.adjacency())]
+    """Maximal strongly connected components, in a topological order of the
+    condensation with sources first.
+
+    The components are ordered by how many nodes they reach, most first, and
+    ties by their least member.  A component reaching another reaches
+    strictly more nodes, so it always comes earlier.
+    """
+    R = _reach(_relation(G))
+    mutual = R & R.T
+    reached = R.sum(axis=1)
+    comps, seen = [], np.zeros(G.n, dtype=bool)
+    for v in sorted(range(G.n), key=lambda v: (-reached[v], v)):
+        if not seen[v]:
+            seen |= mutual[v]
+            comps.append(frozenset((np.flatnonzero(mutual[v]) + 1).tolist()))
+    return comps
 
 
 def roots(G: DirectedGraph) -> RootReport:
@@ -163,47 +160,8 @@ def roots(G: DirectedGraph) -> RootReport:
     condensation, which is also the only strongly connected component fully
     contained in it; ``chi`` reports that component (empty when unrooted).
     """
-    comps = scc_decomposition(G)
-    comp_of = {}
-    for idx, members in enumerate(comps):
-        for v in members:
-            comp_of[v] = idx
-    has_incoming = [False] * len(comps)
-    for u, v in G.edges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            has_incoming[cv] = True
-    sources = [i for i, inc in enumerate(has_incoming) if not inc]
-    if len(sources) == 1:
-        root_set = comps[sources[0]]
-        return RootReport(True, root_set, root_set)
-    return RootReport(False, frozenset(), frozenset())
-
-
-def _component_period(members: list, adj: list) -> int:
-    """gcd of (depth(u) + 1 - depth(v)) over edges inside one SCC.
-
-    Depths come from a BFS layering rooted at the smallest member; tree
-    edges contribute 0, which gcd ignores.  Returns 0 for a single node
-    with no self-loop.
-    """
-    inside = set(members)
-    depth = {members[0]: 0}
-    queue = [members[0]]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if v in inside and v not in depth:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    g = 0
-    for u in members:
-        for v in adj[u]:
-            if v in inside:
-                g = gcd(g, depth[u] + 1 - depth[v])
-    return abs(g)
+    root_set = frozenset((np.flatnonzero(_reach(_relation(G)).all(axis=1)) + 1).tolist())
+    return RootReport(bool(root_set), root_set, root_set)
 
 
 def is_sia(A) -> bool:
@@ -214,12 +172,20 @@ def is_sia(A) -> bool:
     communicating class and that class is aperiodic.  The chain's support
     edges (``i -> j`` iff ``a_ij > 0``) are the influence graph's edges
     reversed, so its closed classes are the graph's source components: a
-    single one means the graph is rooted, with ``chi`` that class.
-    Reversing the edges keeps a component's period.
+    single one means the graph is rooted, with ``chi`` that class.  A
+    strongly connected class of m nodes is aperiodic exactly when some power
+    of its support is all positive, and then the powers from (m - 1)^2 + 1
+    on all are (Wielandt's bound), so squaring the support past (m - 1)^2
+    decides it.
     """
-    G = build_graph(_entries(A))
-    rep = roots(G)
-    return rep.rooted and _component_period(sorted(v - 1 for v in rep.chi), G.adjacency()) == 1
+    support = _entries(A) > 0
+    chi = np.flatnonzero(_reach(support.T).all(axis=1))
+    S = support[np.ix_(chi, chi)]
+    span = 1
+    while span <= (len(chi) - 1) ** 2 and not S.all():
+        S = S @ S
+        span *= 2
+    return chi.size > 0 and bool(S.all())
 
 
 def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
@@ -236,11 +202,11 @@ def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
     if any(not 1 <= v <= G.n for v in members):
         raise ValidationError(f"component {members} out of range 1..{G.n}")
     # the induced subgraph, its nodes renumbered 0..m-1 in ascending order
-    full = G.adjacency()
-    index = {v - 1: k for k, v in enumerate(members)}
-    adj = [[index[v] for v in full[u - 1] if v in index] for u in members]
-    if len(_scc_indices(adj)) != 1:
+    inside = [v - 1 for v in members]
+    sub = _relation(G)[np.ix_(inside, inside)]
+    if not _reach(sub).all():
         raise ValidationError(f"component {members} is not strongly connected")
+    adj = [np.flatnonzero(row).tolist() for row in sub]
     if len(members) == 1:
         if not adj[0]:
             raise ValidationError(

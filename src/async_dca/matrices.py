@@ -89,7 +89,11 @@ class StochasticMatrix:
             rows = obj["rows"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"matrix JSON needs 'n' and 'rows': {exc}") from exc
-        if len(rows) != n or any(len(r) != n for r in rows):
+        try:
+            square = len(rows) == n and all(len(r) == n for r in rows)
+        except TypeError:
+            square = False
+        if not square:
             raise ValidationError(f"'rows' is not an {n}x{n} array")
         try:
             entries = np.array(rows, dtype=np.float64)

@@ -441,7 +441,10 @@ class ScriptScheduler(Scheduler):
         if n < 1:
             raise ValidationError("script scheduler needs n >= 1")
         self.n = int(n)
-        self.sets = tuple(normalize_update_set(s, self.n) for s in sets)
+        try:
+            self.sets = tuple(normalize_update_set(s, self.n) for s in sets)
+        except TypeError as exc:
+            raise ValidationError(f"a script is a list of update sets: {exc}") from exc
         self.repeat = bool(repeat)
         self.period = max(len(self.sets), 1)
         self._masks = _mask_table(self.sets, self.n)
@@ -529,15 +532,6 @@ class ConditionCheck:
         if self.note:
             out["note"] = self.note
         return out
-
-
-CONDITION_NAMES = (
-    "rooted",
-    "positive_probability",
-    "history_independent",
-    "joint_coverage",
-    "quasi_singleton",
-)
 
 
 @dataclass(frozen=True)

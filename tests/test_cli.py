@@ -293,6 +293,11 @@ def _support(n=6, member=1, prob=1.0):
 MALFORMED = {
     "matrix-n-string": ("matrix", {"n": "abc", "rows": [[1.0]]}),
     "matrix-n-fraction": ("matrix", {"n": 1.5, "rows": [[1.0]]}),
+    "rows-number": ("matrix", {"n": 1, "rows": 5}),
+    "rows-of-numbers": ("matrix", {"n": 1, "rows": [5]}),
+    "rows-null": ("matrix", {"n": 2, "rows": None}),
+    "schedule-number": ("schedule", 5),
+    "schedule-null": ("schedule", None),
     "prob-string": ("scheduler", _support(prob="x")),
     "n-string": ("scheduler", _support(n="x")),
     "n-fraction": ("scheduler", _support(n=6.5)),
@@ -318,6 +323,7 @@ def test_malformed_json_exits_2(case, six_node, tmp_path, capsys):
     argv = {
         "matrix": ["analyze", "--matrix", str(path)],
         "scheduler": ["verify-conditions", "--matrix", six_node, "--scheduler", str(path)],
+        "schedule": ["simulate", "--matrix", six_node, "--schedule", str(path)],
         "cycle": ["walk", "--cycle", str(path), "--gamma", "0.2", "--kmax", "5",
                   "--trials", "10"],
     }[what]

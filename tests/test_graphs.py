@@ -25,6 +25,7 @@ from _oracles import (
     power_sia_oracle,
 )
 from _samplers import (
+    random_edges,
     random_rooted_stochastic,
     random_stochastic,
     random_strongly_connected_edges,
@@ -99,7 +100,7 @@ def test_is_sia_on_asynchronous_products():
 def test_is_sia_matches_power_oracle():
     rng = np.random.default_rng(2024_10)
     for _ in range(500):
-        n = int(rng.integers(2, 8))
+        n = int(rng.integers(1, 13))
         A = random_structured(rng, n)
         assert is_sia(A) == power_sia_oracle(A), f"disagreement on\n{A}"
 
@@ -107,13 +108,33 @@ def test_is_sia_matches_power_oracle():
 def test_roots_match_bfs_oracle():
     rng = np.random.default_rng(2024_11)
     for _ in range(500):
-        n = int(rng.integers(2, 8))
+        n = int(rng.integers(1, 13))
         A = random_structured(rng, n)
         G = build_graph(A)
         rep = roots(G)
         expected = bfs_roots(n, G.edges)
         assert set(rep.roots) == expected
         assert rep.rooted == bool(expected)
+
+
+def test_scc_decomposition_matches_bfs_oracle():
+    rng = np.random.default_rng(2026_22)
+    for _ in range(1000):
+        n = int(rng.integers(1, 10))
+        edges = random_edges(rng, n, density=rng.uniform(0.05, 0.5))
+        comps = scc_decomposition(DirectedGraph(n, frozenset(edges)))
+        reach = {v: bfs_reachable(n, edges, v) for v in range(1, n + 1)}
+        assert sorted(v for c in comps for v in c) == list(range(1, n + 1))
+        for i, c in enumerate(comps):
+            # strongly connected, and no outside node reaches in and back
+            assert all(c <= reach[u] for u in c)
+            assert not any(u in reach[w] and w in reach[u]
+                           for u in c for w in set(reach) - c)
+            # sources first: no later component reaches this one
+            assert not any(reach[u] & c for later in comps[i + 1:] for u in later)
+        # most nodes reached first, ties by least member
+        keys = [(-len(reach[min(c)]), min(c)) for c in comps]
+        assert keys == sorted(keys), (n, sorted(edges))
 
 
 def test_labelled_cycle_type_validation():
