@@ -25,10 +25,15 @@ steps, so that a chunk's states take about ``CHUNK_BYTES``, keeps the
 chunk's series of ``Q`` (m times that: 470 KB with lambda at n = 6 and
 T = 200) and the not-updating mask materialised at the series' shape, and
 then reduces the series once per chunk: the discrepancies from the state
-column, the product's row sums, the coefficients and the maxima of the
-three checks.  Every sum over columns runs left to right (``_sum_left``)
-for every T and n; numpy's own sum of a lone trial's contiguous columns
-would go pairwise from n = 8 on.
+column, the product's row sums and their maximum error, and each step's
+shared mass ``s`` (below), written straight into the block's rows of
+coefficients.  After the last chunk one pass over the rows that ran
+finishes them: ``lambda = clip(1 - s, 0, 1)``, then the maxima of the
+contraction and monotonicity checks, against row 0 as the previous
+coefficient, in groups of rows that fit the chunk series, which is free by
+then.  Every sum over columns runs left to right (``_sum_left``) for every
+T and n; numpy's own sum of a lone trial's contiguous columns would go
+pairwise from n = 8 on.
 
 The coefficient is ``lambda = clip(1 - s, 0, 1)`` with ``s`` the least
 pair mass ``sum_c min(P[a, c], P[b, c])`` over the row pairs a < b, which
@@ -40,13 +45,21 @@ a term increases, so the bound is at most every pair's computed mass.
 Where it is >= 1, lambda is +0.0, the bits the pairs would give, and the
 bound stands in for ``s``.  The products lose rank early in float64: on
 200 x 5000 steps of ``uniform_clock6`` 86-87% of the trial-steps are
-certified.  The pair masses then run only for the trials with an
-uncertified step in the chunk, gathered along the trial axis unless all
-are, in groups of ``cap // t`` steps of the t trials, with ``cap = max(T,
-CHUNK_BYTES // (8 pairs n))`` trial-steps; at T = 200 a group is one step
-of every trial, whose pair rows take 336 KB.  The groups and the gather
-change no bit, and the bound is per trial, so the outputs still do not
-depend on which trials share a batch.
+certified.  The pair masses then run only for the t live trials, those
+with an uncertified step in the chunk, at most ``cap = max(T, CHUNK_BYTES
+// (8 pairs n))`` trial-steps at a time; at T = 200 that is one step of
+every trial, whose pair rows take 336 KB.  A chunk in which at least half
+the trials are live reduces every trial in place, in groups of ``cap //
+T`` steps: where the bound is >= 1 so is each pair's mass, which then
+gives the same lambda, +0.0.  In other chunks the live trial-steps are
+only needed by the block's end: they are gathered as trials-last columns,
+with their flat indices into the coefficients, across chunks, reduced
+together once ``cap`` are held or the block ends, and scattered back.  At
+seed 11 of that run one or two trials stay live for about 700 of its 848
+chunks, which then cost one gather each instead of a reduction each.  Each
+column's mass is summed in the same order wherever it sits, and the bound
+is per trial, so the outputs still do not depend on which trials share a
+batch or a reduction.
 
 These are the element-wise operations of a per-step loop and a maximum
 does not depend on order, so the outputs are bitwise those of stepping one
@@ -94,10 +107,10 @@ def _sum_left(X, out):
     return out
 
 
-def _shared_mass(Q2, pairs, work, out):
+def _shared_mass(Q, pairs, work, out):
     """``min over a < b of sum_c min(P[a, c], P[b, c])`` for the products
-    ``P = Q[:, 1:]`` of a (G, n, (n + 1) T) stack of ``Q`` (see ``Carry``),
-    into ``out`` (G, T); 1 when n = 1, so lambda is 0.
+    ``P = Q[:, :, 1:]`` of a (G, n, n + 1, T) stack of ``Q`` (see
+    ``Carry``), into ``out`` (G, T); 1 when n = 1, so lambda is 0.
 
     ``pairs`` holds the row indices ``(a, b)`` of every pair with ``a < b``;
     ``work`` is a (2, L) buffer for the two rows of every pair and an
@@ -105,21 +118,20 @@ def _shared_mass(Q2, pairs, work, out):
     rows are taken whole, state column included, since ``take`` copies a
     strided input first.
     """
-    G, n, mT = Q2.shape
+    G, n, m, T = Q.shape
     if n == 1:
         out[...] = 1.0
         return
     (a, b), (Qab, S) = pairs, work
-    size = G * len(a) * mT
-    Qa = Qab[0, :size].reshape(G, len(a), mT)
-    Qb = Qab[1, :size].reshape(G, len(a), mT)
+    size = G * len(a) * m * T
+    Qa = Qab[0, :size].reshape(G, len(a), m, T)
+    Qb = Qab[1, :size].reshape(G, len(a), m, T)
     # mode="clip" lets take write straight into out (the indices are valid)
-    np.take(Q2, a, axis=1, out=Qa, mode="clip")
-    np.take(Q2, b, axis=1, out=Qb, mode="clip")
+    np.take(Q, a, axis=1, out=Qa, mode="clip")
+    np.take(Q, b, axis=1, out=Qb, mode="clip")
     np.minimum(Qa, Qb, out=Qa)
-    Pmin = Qa.reshape(G, len(a), n + 1, -1)[:, :, 1:]
-    S = S[:size // (n + 1)].reshape(G, len(a), -1)
-    _sum_left(Pmin, S).min(axis=1, out=out)
+    S = S[:size // m].reshape(G, len(a), T)
+    _sum_left(Qa[:, :, 1:], S).min(axis=1, out=out)
 
 
 def _min_column_mass(P, mins, out):
@@ -240,9 +252,9 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
                                 np.empty((C, n, m, T), dtype=bool), np.empty((C, T)),
                                 np.empty(T)]
         if track_lambda:
-            bufs += [np.empty((C, n, T)), np.empty((C, T)),
+            bufs += [np.empty((C, n, T)),
                      (np.empty((2, cap * npairs * m)), np.empty(cap * npairs)),
-                     np.empty(cap * n * m)]
+                     np.empty((n * m + 1, cap)), np.empty(cap, dtype=np.intp)]
     Qs, kt, keep, w, wT = bufs[:5]
     # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
     Qs[0] = Q
@@ -255,9 +267,19 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     viol_contract, viol_mono, row_err = carry.viol_contract, carry.viol_mono, carry.row_err
     if track_lambda:
         lams = np.empty((K + 1, T))
-        rs, shared, work, gathered = bufs[5:]
+        rs, work, gathered, where = bufs[5:]
         # the first block starts from the identity, whose rows share no mass
         lams[0] = (0.0 if n == 1 else 1.0) if first else carry.lam
+        # the held live trial-steps of chunks with fewer than half their
+        # trials live: their Q columns, trials last, their pair masses in
+        # the last row of ``gathered``, their flat indices into lams in
+        # ``where``
+        Gq, held = gathered[:-1].reshape(n, m, cap), 0
+
+        def scatter():
+            out = gathered[-1:, :held]
+            _shared_mass(Gq[None, :, :, :held], pairs, work, out)
+            np.put(lams, where[:held], out)
     else:
         lams = np.broadcast_to(1.0, (K + 1, T))
     matmul, putmask = np.matmul, np.putmask
@@ -275,30 +297,36 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         np.max(X[1:c + 1], axis=1, out=D)
         np.subtract(D, np.min(X[1:c + 1], axis=1, out=W), out=D)
         if track_lambda:
-            L, R, S, P = lams[k0 + 1:k1 + 1], rs[:c], shared[:c], Qs[1:c + 1, :, 1:]
+            L, R, P = lams[k0 + 1:k1 + 1], rs[:c], Qs[1:c + 1, :, 1:]
             np.abs(np.subtract(_sum_left(P, R), 1.0, out=R), out=R)
             np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
-            _min_column_mass(P, R, S)
-            # the live trials have a step whose bound is not >= 1 (NaN
-            # included); their pair masses replace the bound, gathered along
-            # the trials into St unless every trial is live
-            live = np.flatnonzero(~(S.min(axis=0, out=wT) >= 1.0))
+            # the bound goes into the chunk's rows of lams; the live trials
+            # have a step where it is not >= 1 (NaN included), and pair
+            # masses replace it.  With at least half the trials live, every
+            # trial's are taken in place: where the bound is >= 1 the pair
+            # masses are too, and give the same lambda, +0.0.  Fewer live
+            # trials are gathered with those of later chunks
+            _min_column_mass(P, R, L)
+            live = np.flatnonzero(~(L.min(axis=0, out=wT) >= 1.0))
             t = len(live)
-            St = S if t == T else W.reshape(-1)[:c * t].reshape(c, t)
-            Gt = cap // max(1, t)
+            direct = 2 * t >= T
+            Gt = cap // (T if direct else max(1, t))
             for g in range(0, c if t else 0, Gt):
                 Qg = Qs[1 + g:1 + min(c, g + Gt)]
-                if t < T:
-                    Qg = np.take(Qg, live, axis=3, mode="clip",
-                                 out=gathered[:Qg.size // T * t].reshape(*Qg.shape[:3], t))
-                _shared_mass(Qg.reshape(len(Qg), n, m * t), pairs, work, St[g:g + len(Qg)])
-            if 0 < t < T:
-                S[:, live] = St
-            np.clip(np.subtract(1.0, S, out=L), 0.0, 1.0, out=L)
-            np.subtract(D, np.multiply(L, d0, out=W), out=W)
-            np.maximum(viol_contract, W.max(axis=0, out=wT), out=viol_contract)
-            np.subtract(L, lams[k0:k1], out=W)
-            np.maximum(viol_mono, W.max(axis=0, out=wT), out=viol_mono)
+                if direct:
+                    _shared_mass(Qg, pairs, work, L[g:g + len(Qg)])
+                    continue
+                cols = len(Qg) * t
+                if held + cols > cap:
+                    scatter()
+                    held = 0
+                np.take(Qg, live, axis=3, mode="clip",
+                        out=Gq[:, :, held:held + cols].reshape(n, m, len(Qg), t)
+                        .transpose(2, 0, 1, 3))
+                r0 = k0 + 1 + g
+                np.add.outer(np.arange(r0 * T, (r0 + len(Qg)) * T, T), live,
+                             out=where[held:held + cols].reshape(len(Qg), t))
+                held += cols
         Qs[0] = Qs[c]
         carry.chunks += 1
         if k1 == K or carry.chunks >= carry.next_test:
@@ -308,6 +336,21 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
             carry.next_test = carry.chunks + max(1, carry.chunks // TEST_BACKOFF)
     Q[...] = Qs[0]
     if track_lambda:
+        if held:
+            scatter()
+        # the rows that ran hold shared masses: finish them into lambda,
+        # then take the checks' maxima against the previous coefficients,
+        # in groups of rows that fit the chunk series Qs, free by now
+        L = lams[1:k1 + 1]
+        np.clip(np.subtract(1.0, L, out=L), 0.0, 1.0, out=L)
+        span = Qs.size // T
+        for a in range(1, k1 + 1, span):
+            b = min(k1 + 1, a + span)
+            W = Qs.reshape(-1)[:(b - a) * T].reshape(b - a, T)
+            np.subtract(deltas[a:b], np.multiply(lams[a:b], d0, out=W), out=W)
+            np.maximum(viol_contract, W.max(axis=0, out=wT), out=viol_contract)
+            np.subtract(lams[a:b], lams[a - 1:b - 1], out=W)
+            np.maximum(viol_mono, W.max(axis=0, out=wT), out=viol_mono)
         carry.lam = lams[k1].copy()
     rows = slice(0 if first else 1, k1 + 1)
     return deltas[rows], lams[rows], carry

@@ -41,15 +41,6 @@ class DirectedGraph:
                 raise ValidationError(f"edge ({u}, {v}) out of range 1..{self.n}")
         object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
 
-    def adjacency(self) -> list:
-        """0-based adjacency lists, successors in ascending order."""
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u - 1].append(v - 1)
-        for lst in adj:
-            lst.sort()
-        return adj
-
 
 @dataclass(frozen=True)
 class RootReport:
@@ -122,16 +113,16 @@ def _reach(adj: np.ndarray) -> np.ndarray:
     """Reachability matrix: entry (u, v) is true when v is reachable from u
     in zero or more steps of the boolean relation ``adj``.
 
-    Squares the relation (with the identity) until it stops growing, at most
-    ceil(log2 n) + 1 products; ``bool @ bool`` runs in numpy's own loop, so
-    no float (BLAS) product is made.
+    Warshall's closure: after the pass for node k, (u, v) is true when some
+    walk from u to v has all its intermediate nodes in 0..k, so after the
+    last pass R is the closure.  Each pass is one element-wise OR of the
+    rows that reach k with row k, O(n^2) and no matrix product, so a
+    long-diameter graph costs no more than a dense one.
     """
     R = adj | np.eye(len(adj), dtype=bool)
-    while True:
-        step = R @ R
-        if (step == R).all():
-            return R
-        R = step
+    for k in range(len(R)):
+        R |= R[:, k:k + 1] & R[k]
+    return R
 
 
 def scc_decomposition(G: DirectedGraph) -> list:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +96,13 @@ class StochasticMatrix:
             square = False
         if not square:
             raise ValidationError(f"'rows' is not an {n}x{n} array")
-        try:
-            entries = np.array(rows, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"'rows' holds a non-numeric entry: {exc}") from exc
-        return cls(entries)
+        # float64 would convert the strings and booleans that JSON allows
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, Real):
+                    raise ValidationError(
+                        f"'rows' holds a non-numeric entry {v!r} at row {i + 1}, column {j + 1}")
+        return cls(np.array(rows, dtype=np.float64))
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [[float(v) for v in row] for row in self.entries]}

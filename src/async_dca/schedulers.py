@@ -25,9 +25,14 @@ in blocks, with ``start`` and ``carry`` passed on, is the horizon drawn at
 once and equals the scalar reference draws in ``tests/_oracles.py``; one
 trial draws what seed contract 1 drew.  ``carry`` is a dict, empty at tick
 0: a Markov chain keeps its (trials,) last states there, a ``weight_fn``
-hook its state and the (trials,) picks of the last tick.  Every per-trial
-pick is the count of a trial's cumulative row (``_cumulative``, last entry
-inf) at or below its uniform.
+hook its state and the (trials,) picks of the last tick.  Every pick is
+``_pick``: the count of the finite entries of a cumulative row
+(``_cumulative``, last entry inf) at or below the uniform, one ``add`` per
+candidate into the least unsigned dtype that holds the outcomes.  A fixed
+law picks a whole group of ticks against its one row; a ``weight_fn`` hook
+and a Markov chain pick against one row per trial.  The count is the
+insertion point a binary search would find; it costs O(candidates) a draw,
+less than the kernel's O(n^2) work a trial-step.
 
 Law contract: ``law(k)`` is each kind's one answer to "which sets can tick
 k draw, and with what probability".  It returns ``(masks, probs)``:
@@ -95,9 +100,20 @@ def _cumulative(probs) -> np.ndarray:
 
 
 def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The outcome each uniform ``u[t]`` picks from its row ``cum[t]`` of
-    ``_cumulative``: the count of the row's entries <= u."""
-    return (cum <= u[:, None]).sum(axis=1)
+    """The outcome each uniform picks from ``_cumulative`` rows: the count
+    of the finite entries <= u, in the least unsigned dtype that holds the
+    last outcome.
+
+    ``cum`` is one (K,) row for every uniform of ``u`` (a fixed law) or one
+    (T, K) row per trial for the (T,) uniforms ``u``.  One ``add`` per
+    finite entry counts it for every uniform at once; the last entry is
+    inf, which no uniform reaches.
+    """
+    K = cum.shape[-1]
+    acc = np.zeros(u.shape, dtype=np.min_scalar_type(K - 1))
+    for j in range(K - 1):
+        np.add(acc, u >= cum[..., j], out=acc)
+    return acc
 
 
 def _mask_table(sets, n: int) -> np.ndarray:
@@ -203,8 +219,8 @@ class SupportSequenceScheduler(Scheduler):
     strictly positive, so the declared supports are exactly the possible
     draws.  An optional ``weight_fn(k, state, picked) -> (weights, state)``
     reweights the tick's candidates based on history.  It is called once
-    per tick k for all T trials: ``picked`` is the (T,) indices of the
-    candidates tick k - 1 drew (-1 at tick 1), ``state`` what the hook
+    per tick k for all T trials: ``picked`` is the (T,) intp indices of
+    the candidates tick k - 1 drew (-1 at tick 1), ``state`` what the hook
     returned at tick k - 1 (None at tick 1), and ``weights`` the (T,
     candidates) weights of tick k.  They must keep every candidate's
     probability positive, which preserves history independence of the
@@ -265,8 +281,7 @@ class SupportSequenceScheduler(Scheduler):
                 # the ticks of one phase of the period share their law
                 for r in range(min(P, len(u))):
                     tick = (start + i + r) % P
-                    np.take(self._masks[tick],
-                            np.searchsorted(self._cums[tick], u[r::P], side="right"),
+                    np.take(self._masks[tick], _pick(self._cums[tick], u[r::P]),
                             axis=0, out=masks[i + r:i + len(u):P], mode="clip")
             return masks
         carry = {} if carry is None else carry
@@ -283,7 +298,8 @@ class SupportSequenceScheduler(Scheduler):
                         "weight_fn must return (trials, candidates) positive weights "
                         "over the tick's declared supports, each row summing to 1"
                     )
-                picked = _pick(_cumulative(w), row)
+                # the hook reads signed indices, as the -1 of tick 1
+                picked = _pick(_cumulative(w), row).astype(np.intp)
                 np.take(self._masks[tick], picked, axis=0, out=masks[i + r], mode="clip")
         carry["hook"] = (state, picked)
         return masks
@@ -406,7 +422,7 @@ class MarkovScheduler(Scheduler):
         else:
             state = carry["state"]
         for i, u in _uniform_groups(rng, steps - first, (trials,)):
-            path = np.empty(u.shape, dtype=np.intp)
+            path = np.empty(u.shape, dtype=np.min_scalar_type(len(self.states) - 1))
             for r, row in enumerate(u):
                 law = self._cumulative_law(start + first + i + r)
                 state = path[r] = _pick(law[state], row)

@@ -40,9 +40,9 @@ def half_l1_coefficient(A):
     if n == 1:
         return 0.0
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, 0.5 * float(np.abs(A[i] - A[j]).sum()))
+    for i in range(n - 1):
+        # row i against every later row at once
+        worst = max(worst, 0.5 * float(np.abs(A[i] - A[i + 1:]).sum(axis=1).max()))
     return worst
 
 
@@ -302,6 +302,18 @@ def draw_sets_per_tick(scheduler, steps, rng, trials=1, start=0, histories=None)
                 del history[:-1]
         ticks.append(sets)
     return ticks
+
+
+# The picks ``sample_masks`` made before ``schedulers._pick`` counted
+# thresholds: a binary search of every uniform in its cumulative row.
+
+def searchsorted_pick(cum, u):
+    """The outcomes the uniforms ``u`` pick from ``_cumulative`` rows: one
+    (K,) row for all of them, or one row of a (T, K) stack per uniform of a
+    (T,) ``u``, each by ``np.searchsorted(row, u, side="right")``."""
+    if cum.ndim == 1:
+        return np.searchsorted(cum, u, side="right")
+    return np.array([np.searchsorted(row, x, side="right") for row, x in zip(cum, u)])
 
 
 # The whole-horizon draw of ``mc``: every mask of every trial is drawn

@@ -296,6 +296,8 @@ MALFORMED = {
     "rows-number": ("matrix", {"n": 1, "rows": 5}),
     "rows-of-numbers": ("matrix", {"n": 1, "rows": [5]}),
     "rows-null": ("matrix", {"n": 2, "rows": None}),
+    "rows-string-entry": ("matrix", {"n": 1, "rows": [["1"]]}),
+    "rows-bool-entry": ("matrix", {"n": 1, "rows": [[True]]}),
     "schedule-number": ("schedule", 5),
     "schedule-null": ("schedule", None),
     "prob-string": ("scheduler", _support(prob="x")),

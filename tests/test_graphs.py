@@ -97,19 +97,30 @@ def test_is_sia_on_asynchronous_products():
     assert is_sia(_run_script(swap, [2, 1], np.zeros(2))[1])
 
 
+def _large_matrices():
+    """Two 300-node matrices: a lazy cycle, of diameter 299, and a random
+    sparse matrix, rooted with 258 roots among 43 components."""
+    n = 300
+    cycle = 0.5 * np.eye(n)
+    cycle[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+    return [cycle, random_stochastic(np.random.default_rng(300), n, density=0.007)]
+
+
 def test_is_sia_matches_power_oracle():
     rng = np.random.default_rng(2024_10)
     for _ in range(500):
         n = int(rng.integers(1, 13))
         A = random_structured(rng, n)
         assert is_sia(A) == power_sia_oracle(A), f"disagreement on\n{A}"
+    for A in _large_matrices():
+        assert is_sia(A) == power_sia_oracle(A)
 
 
 def test_roots_match_bfs_oracle():
     rng = np.random.default_rng(2024_11)
-    for _ in range(500):
-        n = int(rng.integers(1, 13))
-        A = random_structured(rng, n)
+    instances = [random_structured(rng, int(rng.integers(1, 13))) for _ in range(500)]
+    for A in instances + _large_matrices():
+        n = len(A)
         G = build_graph(A)
         rep = roots(G)
         expected = bfs_roots(n, G.edges)
@@ -119,9 +130,12 @@ def test_roots_match_bfs_oracle():
 
 def test_scc_decomposition_matches_bfs_oracle():
     rng = np.random.default_rng(2026_22)
+    instances = []
     for _ in range(1000):
         n = int(rng.integers(1, 10))
-        edges = random_edges(rng, n, density=rng.uniform(0.05, 0.5))
+        instances.append((n, random_edges(rng, n, density=rng.uniform(0.05, 0.5))))
+    instances += [(len(A), build_graph(A).edges) for A in _large_matrices()]
+    for n, edges in instances:
         comps = scc_decomposition(DirectedGraph(n, frozenset(edges)))
         reach = {v: bfs_reachable(n, edges, v) for v in range(1, n + 1)}
         assert sorted(v for c in comps for v in c) == list(range(1, n + 1))

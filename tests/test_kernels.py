@@ -241,6 +241,38 @@ def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
         assert np.array_equal(_bits(g), _bits(w))
 
 
+class _NaNFilledNumpy:
+    """Stands in for numpy inside ``_kernels``: float arrays from ``empty``
+    start as NaN, so a row read before it is written shows in the maxima."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        out = np.empty(shape, dtype)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+
+def test_block_stopped_at_a_fixed_point_finishes_only_the_rows_that_ran(monkeypatch):
+    # the averaging inputs are an exact fixed point within the first chunk
+    # of 40 steps, so the one block of 300 stops part-way; its coefficients
+    # and checks are finished from the rows that ran, and no unwritten row
+    # (NaN here) reaches lams or the maxima
+    A, masks, x0 = _averaging_inputs()
+    monkeypatch.setattr(_kernels, "np", _NaNFilledNumpy())
+    deltas, lams, carry = _kernels.trajectory_batch(A, masks, x0, True)
+    K = masks.shape[1]
+    assert carry.fixed and len(lams) < K + 1
+    want = trajectory_batch_trials_first(A, masks, x0, True)
+    R = len(lams)
+    assert np.array_equal(_bits(deltas.T), _bits(want[0][:, :R]))
+    assert np.array_equal(_bits(lams.T), _bits(want[1][:, :R]))
+    for got, w in zip((carry.viol_contract, carry.viol_mono, carry.row_err), want[3:]):
+        assert np.array_equal(_bits(got), _bits(w))
+
+
 def test_trajectory_kernel_matches_engine():
     # the per-step engine is an independent implementation of the same
     # dynamics; the kernel must reproduce its deltas and coefficients

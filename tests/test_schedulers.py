@@ -20,10 +20,12 @@ from async_dca import (
     stream,
     wilson_interval,
 )
+from async_dca.schedulers import _cumulative, _pick
 from _oracles import (
     draw_sets_per_tick,
     reference_check_conditions,
     reference_strongly_aperiodic,
+    searchsorted_pick,
 )
 from _samplers import random_rooted_stochastic, random_stochastic
 
@@ -170,6 +172,48 @@ def test_uniforms_are_drawn_in_groups_of_ticks(monkeypatch):
 
     assert np.array_equal(make().sample_masks(150, Counting(stream(7, 3)), 17), whole)
     assert calls == [(2, 17, 4)] * 75
+
+
+def _cumulative_laws(rng, K, rows):
+    """``_cumulative`` of ``rows`` random laws over K outcomes."""
+    w = rng.uniform(0.01, 1.0, (rows, K))
+    return _cumulative(w / w.sum(axis=1, keepdims=True))
+
+
+def _hit_thresholds(rng, u, cum):
+    """Set about a fifth of the uniforms ``u`` to a finite entry of their
+    row of ``cum`` (broadcast against u), so a pick lands on a threshold."""
+    if cum.shape[-1] > 1:
+        hit = rng.random(u.shape) < 0.2
+        j = rng.integers(0, cum.shape[-1] - 1, u.shape)
+        rows = np.broadcast_to(cum, (*u.shape, cum.shape[-1]))
+        u[hit] = np.take_along_axis(rows, j[..., None], axis=-1)[..., 0][hit]
+    return u
+
+
+@pytest.mark.parametrize("K", [1, 2, 6, 255, 256, 257, 300])
+def test_pick_counts_what_searchsorted_picks(K):
+    # the count of thresholds <= u is the binary search's insertion point,
+    # bit for bit, in uint8 up to 256 outcomes and uint16 beyond
+    rng = np.random.default_rng(2300 + K)
+    dtype = np.uint8 if K <= 256 else np.uint16
+    for P in (1, 3):
+        # the fixed-law groups of a period-P law: (g, T) uniforms of one phase
+        laws = _cumulative_laws(rng, K, P)
+        u = rng.random((12, 50))
+        for r in range(P):
+            group = _hit_thresholds(rng, u[r::P].copy(), laws[r])
+            got = _pick(laws[r], group)
+            assert got.dtype == dtype and got.shape == group.shape
+            assert np.array_equal(got, searchsorted_pick(laws[r], group))
+    # per-trial rows, as the weight_fn and Markov paths pick
+    cum = _cumulative_laws(rng, K, 50)
+    u = _hit_thresholds(rng, rng.random(50), cum)
+    got = _pick(cum, u)
+    assert got.dtype == dtype
+    assert np.array_equal(got, searchsorted_pick(cum, u))
+    if K > 1:
+        assert np.isin(u, cum).any()
 
 
 @pytest.mark.parametrize("kind", sorted(DRAWN))
