@@ -18,7 +18,7 @@ import numpy as np
 from .datasets import BUNDLED_MATRICES
 from .errors import ValidationError
 from .graphs import LabelledCycle, analysis_report, build_graph, build_labelled_cycle, roots
-from .matrices import StochasticMatrix
+from .matrices import StochasticMatrix, _reals
 from .montecarlo import (
     CONSENSUS_EPSILON, REPLAY_CASES, ExperimentConfig, check_product_rows, replay,
     run_experiment, trajectory_blocks,
@@ -70,6 +70,8 @@ def _cmd_simulate(args) -> int:
     A = StochasticMatrix.load(args.matrix)
     if args.schedule is not None and args.scheduler is not None:
         raise ValidationError("give at most one of --schedule and --scheduler")
+    if args.steps is not None and args.steps < 0:
+        raise ValidationError("--steps must be >= 0")
     if args.schedule is not None:
         scheduler = ScriptScheduler(A.n, _load_json(args.schedule))
         steps = len(scheduler.sets) if args.steps is None else args.steps
@@ -87,16 +89,11 @@ def _cmd_simulate(args) -> int:
         steps = args.steps or 0
         if steps != 0:
             raise ValidationError("--schedule or --scheduler is required for steps > 0")
-    if steps < 0:
-        raise ValidationError("--steps must be >= 0")
 
     if args.x0 == "random":
         x0 = "uniform"
     else:
-        try:
-            x0 = np.asarray(_load_json(args.x0), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"--x0 file is not a numeric vector: {exc}") from exc
+        x0 = _reals(_load_json(args.x0), "--x0 file")
         if x0.shape != (A.n,):
             raise ValidationError(f"--x0 must hold {A.n} numbers")
 

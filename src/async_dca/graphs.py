@@ -4,14 +4,16 @@ The graph of a row-stochastic matrix ``A`` has an edge ``j -> i`` exactly
 when ``a_ij > 0``: information flows from the agent being listened to, to
 the agent doing the averaging.  This is the support digraph of the Markov
 chain with transition matrix ``A`` reversed, so the chain's closed classes
-are the graph's source components.
+are the graph's source components.  A ``DirectedGraph`` is that boolean
+relation and nothing else: ``adj = (A > 0).T``, true at ``[u - 1, v - 1]``
+for the edge ``u -> v``.
 
 A node is a root when every other node is reachable from it.  The set of
 roots of a rooted graph is always a single strongly connected component
 (any node that reaches a root is itself a root, and roots reach each
 other), namely the unique source component of the condensation.
 
-Every verdict reads the boolean reachability matrix ``R`` (``_reach``):
+Every verdict reads the reachability matrix ``R`` of ``adj`` (``_reach``):
 the roots are the rows of ``R`` that are all true, the strongly connected
 components are the rows of ``R & R.T``, and a node set is strongly
 connected when the ``R`` of its induced subgraph is all true.
@@ -26,20 +28,22 @@ from .errors import DimensionError, ValidationError
 from .matrices import StochasticMatrix, _entries, _integer, ergodic_coefficient, is_scrambling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
-    """Nodes 1..n and a set of ordered edge pairs; self-loops allowed."""
+    """Nodes 1..n as a read-only relation: ``adj[u - 1, v - 1]`` is the edge u -> v."""
 
-    n: int
-    edges: frozenset
+    adj: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("graph needs at least one node")
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValidationError(f"edge ({u}, {v}) out of range 1..{self.n}")
-        object.__setattr__(self, "edges", frozenset((int(u), int(v)) for u, v in self.edges))
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
+            raise ValidationError(f"expected a nonempty square relation, got shape {adj.shape}")
+        adj.setflags(write=False)
+        object.__setattr__(self, "adj", adj)
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
 
 
 @dataclass(frozen=True)
@@ -89,24 +93,17 @@ class LabelledCycle:
 
 
 def build_graph(A) -> DirectedGraph:
-    """Influence graph of a nonnegative square matrix: edge (j, i) iff a_ij > 0."""
+    """Influence graph of a nonnegative square matrix: edge j -> i iff a_ij > 0."""
     if isinstance(A, StochasticMatrix):
         arr = A.entries
     else:
         arr = np.asarray(A, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
-    edges = {(j + 1, i + 1) for i, j in zip(*np.nonzero(arr > 0))}
-    return DirectedGraph(n, frozenset(edges))
-
-
-def _relation(G: DirectedGraph) -> np.ndarray:
-    """The one-step relation of ``G`` as a boolean matrix over 0-based nodes."""
-    adj = np.zeros((G.n, G.n), dtype=bool)
-    for u, v in G.edges:
-        adj[u - 1, v - 1] = True
-    return adj
+        if not (arr >= 0).all():
+            i, j = np.argwhere(~(arr >= 0))[0]
+            raise ValidationError(f"negative or NaN entry at row {i + 1}, column {j + 1}")
+    return DirectedGraph((arr > 0).T)
 
 
 def _reach(adj: np.ndarray) -> np.ndarray:
@@ -133,7 +130,7 @@ def scc_decomposition(G: DirectedGraph) -> list:
     ties by their least member.  A component reaching another reaches
     strictly more nodes, so it always comes earlier.
     """
-    R = _reach(_relation(G))
+    R = _reach(G.adj)
     mutual = R & R.T
     reached = R.sum(axis=1)
     comps, seen = [], np.zeros(G.n, dtype=bool)
@@ -151,7 +148,7 @@ def roots(G: DirectedGraph) -> RootReport:
     condensation, which is also the only strongly connected component fully
     contained in it; ``chi`` reports that component (empty when unrooted).
     """
-    root_set = frozenset((np.flatnonzero(_reach(_relation(G)).all(axis=1)) + 1).tolist())
+    root_set = frozenset((np.flatnonzero(_reach(G.adj).all(axis=1)) + 1).tolist())
     return RootReport(bool(root_set), root_set, root_set)
 
 
@@ -187,14 +184,14 @@ def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
     resulting cycle covers every component node and its length is at most
     m*(m-1) for a component of m >= 2 nodes.
     """
-    members = sorted(set(int(v) for v in component))
+    members = sorted({_integer(v, "component member") for v in component})
     if not members:
         raise ValidationError("component is empty")
     if any(not 1 <= v <= G.n for v in members):
         raise ValidationError(f"component {members} out of range 1..{G.n}")
     # the induced subgraph, its nodes renumbered 0..m-1 in ascending order
     inside = [v - 1 for v in members]
-    sub = _relation(G)[np.ix_(inside, inside)]
+    sub = G.adj[np.ix_(inside, inside)]
     if not _reach(sub).all():
         raise ValidationError(f"component {members} is not strongly connected")
     adj = [np.flatnonzero(row).tolist() for row in sub]
@@ -206,22 +203,21 @@ def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
         return LabelledCycle(1, tuple(members))
 
     def shortest_path(src, dst):
-        # the component is strongly connected, so the search reaches dst
+        # the component is strongly connected, so the search reaches dst;
+        # the queue grows as it is read, so nodes are expanded level by level
         parent = {src: None}
         queue = [src]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in adj[u]:  # ascending order fixes tie-breaking
-                    if v not in parent:
-                        parent[v] = u
-                        if v == dst:
-                            path = [v]
-                            while parent[path[-1]] is not None:
-                                path.append(parent[path[-1]])
-                            return path[::-1]
-                        nxt.append(v)
-            queue = nxt
+        for u in queue:
+            for v in adj[u]:  # ascending order fixes tie-breaking
+                if v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if dst in parent:
+                break
+        path = [dst]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]
 
     m = len(members)
     labels = []

@@ -33,13 +33,31 @@ SCRAMBLING_TOL = 1e-12
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; ValidationError unless it is an integral number
-    (``1.5``, ``"1"`` and ``None`` are not)."""
+    (``1.5``, ``"1"``, ``True`` and ``None`` are not)."""
     try:
-        if int(value) == value:
+        if int(value) == value and not isinstance(value, (bool, np.bool_)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """``values``, a number or nested lists of numbers as JSON holds them, as
+    a float64 array; ValidationError for a ragged nesting or any entry that
+    is not a number, such as the strings and booleans float64 would convert."""
+    def check(v, at):
+        if isinstance(v, list):
+            for k, item in enumerate(v, 1):
+                check(item, at + [k])
+        elif isinstance(v, bool) or not isinstance(v, Real):
+            raise ValidationError(f"{what} holds a non-numeric entry {v!r} at index {at}")
+
+    check(values, [])
+    try:
+        return np.array(values, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} is not an array of numbers: {exc}") from exc
 
 
 def _stochastic(entries, axis: int, tol: float) -> np.ndarray:
@@ -87,22 +105,12 @@ class StochasticMatrix:
     def from_json(cls, obj: dict) -> "StochasticMatrix":
         try:
             n = _integer(obj["n"], "matrix 'n'")
-            rows = obj["rows"]
+            arr = _reals(obj["rows"], "'rows'")
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"matrix JSON needs 'n' and 'rows': {exc}") from exc
-        try:
-            square = len(rows) == n and all(len(r) == n for r in rows)
-        except TypeError:
-            square = False
-        if not square:
+        if arr.shape != (n, n):
             raise ValidationError(f"'rows' is not an {n}x{n} array")
-        # float64 would convert the strings and booleans that JSON allows
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, Real):
-                    raise ValidationError(
-                        f"'rows' holds a non-numeric entry {v!r} at row {i + 1}, column {j + 1}")
-        return cls(np.array(rows, dtype=np.float64))
+        return cls(arr)
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [[float(v) for v in row] for row in self.entries]}

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .graphs import build_graph, roots
-from .matrices import ColumnStochasticMatrix, StochasticMatrix, _integer
+from .matrices import ColumnStochasticMatrix, StochasticMatrix, _integer, _reals
 
 PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
@@ -81,7 +81,7 @@ def normalize_update_set(sigma, n: int) -> frozenset:
     A bare integer j and the one-element set {j} are the same update set.
     """
     if isinstance(sigma, (int, np.integer)):
-        members = frozenset({int(sigma)})
+        members = frozenset({_integer(sigma, "update-set member")})
     else:
         members = frozenset(_integer(j, "update-set member") for j in sigma)
     for j in members:
@@ -507,25 +507,22 @@ def scheduler_from_json(obj: dict) -> Scheduler:
         raise ValidationError(f"unknown scheduler kind {kind!r}; expected one of {sorted(_KINDS)}")
     try:
         if kind == "global_clock":
-            return GlobalClockScheduler(params["p"])
+            return GlobalClockScheduler(_reals(params["p"], "'p'"))
         if kind == "independent_clocks":
-            return IndependentClocksScheduler(params["p"])
+            return IndependentClocksScheduler(_reals(params["p"], "'p'"))
         if kind == "support_sequence":
-            ticks = [
-                [(opt["set"], opt["prob"]) for opt in options] for options in params["ticks"]
-            ]
+            ticks = [[(opt["set"], _reals(opt["prob"], "'prob'")) for opt in options]
+                     for options in params["ticks"]]
             return SupportSequenceScheduler(_integer(params["n"], "n"), ticks)
         if kind == "markov":
-            return MarkovScheduler(
-                _integer(params["n"], "n"),
-                params["states"],
-                params["initial"],
-                matrix=params.get("matrix"),
-                matrices=params.get("matrices"),
-            )
-        return ScriptScheduler(
-            _integer(params["n"], "n"), params["sets"], repeat=bool(params.get("repeat", False))
-        )
+            laws = {key: _reals(params[key], f"'{key}'") for key in ("matrix", "matrices")
+                    if params.get(key) is not None}
+            return MarkovScheduler(_integer(params["n"], "n"), params["states"],
+                                   params["initial"], **laws)
+        repeat = params.get("repeat", False)
+        if not isinstance(repeat, bool):
+            raise ValidationError(f"script 'repeat' must be true or false, got {repeat!r}")
+        return ScriptScheduler(_integer(params["n"], "n"), params["sets"], repeat=repeat)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

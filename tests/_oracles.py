@@ -13,6 +13,7 @@ import numpy as np
 
 from async_dca import (
     DimensionError,
+    DirectedGraph,
     LabelledCycle,
     StochasticMatrix,
     ValidationError,
@@ -105,13 +106,42 @@ def power_sia_oracle(A, squarings=20):
     raise AssertionError(f"power oracle undecided: coefficient {lam}")
 
 
-def bfs_reachable(n, edges, start):
+# Graphs as plain edge sets: ``(u, v)`` pairs over nodes 1..n, converted
+# to and from the library's boolean relation by explicit loops.
+
+def graph_of(n, edges):
+    """The ``DirectedGraph`` on nodes 1..n with the given (u, v) edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u - 1, v - 1] = True
+    return DirectedGraph(adj)
+
+
+def edges_of(G):
+    """The (u, v) pairs of the true entries of ``G``'s relation."""
+    return {(u + 1, v + 1) for u in range(G.n) for v in range(G.n) if G.adj[u, v]}
+
+
+def matrix_edges(A):
+    """The influence edges of a matrix, read straight off its entries:
+    (j + 1, i + 1) for each a_ij > 0."""
+    A = np.asarray(A.entries if isinstance(A, StochasticMatrix) else A)
+    n = len(A)
+    return {(j + 1, i + 1) for i in range(n) for j in range(n) if A[i, j] > 0}
+
+
+def _successors(n, edges):
     adj = {u: [] for u in range(1, n + 1)}
     for u, v in edges:
         adj[u].append(v)
+    return adj
+
+
+def _search(adj, start):
+    # stops once every node is seen: a dense graph costs one scan per start
     seen = {start}
     queue = [start]
-    while queue:
+    while queue and len(seen) < len(adj):
         u = queue.pop()
         for v in adj[u]:
             if v not in seen:
@@ -120,10 +150,19 @@ def bfs_reachable(n, edges, start):
     return seen
 
 
+def bfs_reachable(n, edges, start):
+    return _search(_successors(n, edges), start)
+
+
+def bfs_reach_all(n, edges):
+    """Node v -> the set of nodes reachable from v, one search per node."""
+    adj = _successors(n, edges)
+    return {v: _search(adj, v) for v in adj}
+
+
 def bfs_roots(n, edges):
     """Roots by brute force: BFS from every node."""
-    full = set(range(1, n + 1))
-    return {r for r in full if bfs_reachable(n, edges, r) == full}
+    return {r for r, seen in bfs_reach_all(n, edges).items() if len(seen) == n}
 
 
 # The asynchronous iteration one tick at a time: the matrix ``A_sigma`` of

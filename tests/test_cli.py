@@ -89,6 +89,11 @@ def test_simulate_source_requirements(six_node, uniform_clock, tmp_path, capsys)
     code, _, err = run_cli(capsys, "simulate", "--matrix", six_node,
                            "--steps", "5")
     assert code == 2 and "required for steps > 0" in err
+    # a negative count is named as such, whatever the source
+    for source in ([], ["--scheduler", uniform_clock]):
+        code, out, err = run_cli(capsys, "simulate", "--matrix", six_node,
+                                 "--steps", "-1", *source)
+        assert code == 2 and "--steps must be >= 0" in err and out == ""
 
     # a zero-step run needs no schedule at all
     code, out, _ = run_cli(capsys, "simulate", "--matrix", six_node, "--steps", "0")
@@ -298,19 +303,36 @@ MALFORMED = {
     "rows-null": ("matrix", {"n": 2, "rows": None}),
     "rows-string-entry": ("matrix", {"n": 1, "rows": [["1"]]}),
     "rows-bool-entry": ("matrix", {"n": 1, "rows": [[True]]}),
+    "matrix-n-bool": ("matrix", {"n": True, "rows": [[1.0]]}),
     "schedule-number": ("schedule", 5),
     "schedule-null": ("schedule", None),
+    "schedule-bool-set": ("schedule", [True]),
+    "schedule-bool-member": ("schedule", [[True]]),
+    "x0-string-and-bool": ("x0", ["1", True, 0.5, 0, 0, 0]),
     "prob-string": ("scheduler", _support(prob="x")),
+    "prob-numeric-string": ("scheduler", _support(prob="1")),
+    "prob-bool": ("scheduler", _support(prob=True)),
     "n-string": ("scheduler", _support(n="x")),
     "n-fraction": ("scheduler", _support(n=6.5)),
+    "n-bool": ("one-node scheduler", {"kind": "script", "params": {"n": True, "sets": [[1]]}}),
     "p-string": ("scheduler", {"kind": "global_clock", "params": {"p": ["a"]}}),
+    "global-clock-p-numeric-strings": ("scheduler", {"kind": "global_clock", "params": {
+        "p": ["0.5", "0.5", 0, 0, 0, 0]}}),
+    "independent-clocks-p-bool-and-string": ("scheduler", {
+        "kind": "independent_clocks", "params": {"p": [True, "0.5", 0.5, 0.5, 0.5, 0.5]}}),
     "markov-matrix-string": ("scheduler", {"kind": "markov", "params": {
         "n": 6, "states": [[1]], "initial": [1], "matrix": [["a"]]}}),
+    "markov-matrix-numeric-string": ("scheduler", {"kind": "markov", "params": {
+        "n": 6, "states": [[1], [2]], "initial": [1], "matrix": [["0.5", 0.5], [0.5, "0.5"]]}}),
     "member-string": ("scheduler", _support(member="a")),
     "member-fraction": ("scheduler", _support(member=1.5)),
+    "member-bool": ("scheduler", _support(member=True)),
+    "repeat-string": ("scheduler", {"kind": "script", "params": {
+        "n": 6, "sets": [[1]], "repeat": "false"}}),
     "kind-list": ("scheduler", {"kind": [1], "params": {}}),
     "label-string": ("cycle", {"length": 2, "labels": ["a", 1]}),
     "label-fraction": ("cycle", {"length": 2, "labels": [1.5, 1]}),
+    "label-bool": ("cycle", {"length": 2, "labels": [True, 2]}),
     "length-string": ("cycle", {"length": "x", "labels": [1, 2]}),
     "length-fraction": ("cycle", {"length": 2.5, "labels": [1, 2]}),
 }
@@ -322,10 +344,15 @@ def test_malformed_json_exits_2(case, six_node, tmp_path, capsys):
     what, payload = MALFORMED[case]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
+    one_node = tmp_path / "one.json"
+    one_node.write_text(json.dumps({"n": 1, "rows": [[1.0]]}))
     argv = {
         "matrix": ["analyze", "--matrix", str(path)],
         "scheduler": ["verify-conditions", "--matrix", six_node, "--scheduler", str(path)],
+        "one-node scheduler": ["verify-conditions", "--matrix", str(one_node),
+                               "--scheduler", str(path)],
         "schedule": ["simulate", "--matrix", six_node, "--schedule", str(path)],
+        "x0": ["simulate", "--matrix", six_node, "--x0", str(path)],
         "cycle": ["walk", "--cycle", str(path), "--gamma", "0.2", "--kmax", "5",
                   "--trials", "10"],
     }[what]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from async_dca import (
+    DimensionError,
     DirectedGraph,
     LabelledCycle,
     StochasticMatrix,
@@ -16,12 +17,16 @@ from async_dca import (
 )
 from async_dca.montecarlo import _run_script
 from _oracles import (
+    bfs_reach_all,
     bfs_reachable,
     bfs_roots,
     cycle_label,
     cycle_predecessor,
     cycle_successor,
+    edges_of,
+    graph_of,
     make_async_matrix,
+    matrix_edges,
     power_sia_oracle,
 )
 from _samplers import (
@@ -35,13 +40,37 @@ from _samplers import (
 
 def test_build_graph_diagonal():
     G = build_graph(np.eye(2))
-    assert G.edges == frozenset({(1, 1), (2, 2)})
+    assert edges_of(G) == {(1, 1), (2, 2)}
 
 
 def test_build_graph_rooted_four_node():
     # edge (j, i) whenever a_ij > 0: the listener points away from its source
     G = build_graph(bundled_matrix("four_node_rooted"))
-    assert G.edges == frozenset({(2, 1), (3, 2), (1, 3), (3, 4)})
+    assert edges_of(G) == {(2, 1), (3, 2), (1, 3), (3, 4)}
+
+
+def test_build_graph_rejects_nan_and_negative_entries():
+    # such entries used to get no edge, as if they were zero
+    for bad in (np.nan, -0.25):
+        with pytest.raises(ValidationError, match="row 2, column 1"):
+            build_graph(np.array([[1.0, 0.0], [bad, 1.0]]))
+    with pytest.raises(DimensionError):
+        build_graph(np.ones((2, 3)))
+    assert build_graph(np.zeros((2, 2))).n == 2
+
+
+def test_directed_graph_holds_a_read_only_square_relation():
+    for shape in ((0, 0), (2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValidationError, match="square relation"):
+            DirectedGraph(np.zeros(shape, dtype=bool))
+    source = np.eye(3, dtype=bool)
+    G = DirectedGraph(source)
+    assert G.n == 3 and G.adj.dtype == bool
+    with pytest.raises(ValueError):
+        G.adj[0, 1] = True
+    # the graph holds its own copy, so the caller's array stays writable
+    source[0, 1] = True
+    assert not G.adj[0, 1]
 
 
 def test_six_node_graph_structure():
@@ -59,23 +88,23 @@ def test_roots_examples():
     assert rep.rooted and rep.roots == frozenset({1, 2, 3})
     assert rep.chi == rep.roots
 
-    ring = DirectedGraph(4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}))
+    ring = graph_of(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
     rep = roots(ring)
     assert rep.rooted and rep.roots == frozenset({1, 2, 3, 4})
 
-    isolated = DirectedGraph(2, frozenset({(1, 1), (2, 2)}))
+    isolated = graph_of(2, {(1, 1), (2, 2)})
     rep = roots(isolated)
     assert not rep.rooted and rep.roots == frozenset() and rep.chi == frozenset()
 
 
 def test_scc_decomposition_cases():
-    ring = DirectedGraph(4, frozenset({(1, 2), (2, 3), (3, 4), (4, 1)}))
+    ring = graph_of(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
     assert scc_decomposition(ring) == [frozenset({1, 2, 3, 4})]
 
     G = build_graph(bundled_matrix("four_node_rooted"))
     assert scc_decomposition(G) == [frozenset({1, 2, 3}), frozenset({4})]
 
-    edgeless = DirectedGraph(3, frozenset())
+    edgeless = graph_of(3, set())
     comps = scc_decomposition(edgeless)
     assert sorted(map(sorted, comps)) == [[1], [2], [3]]
 
@@ -98,12 +127,14 @@ def test_is_sia_on_asynchronous_products():
 
 
 def _large_matrices():
-    """Two 300-node matrices: a lazy cycle, of diameter 299, and a random
-    sparse matrix, rooted with 258 roots among 43 components."""
+    """Three 300-node matrices: a lazy cycle, of diameter 299, a random
+    sparse matrix, rooted with 258 roots among 43 components, and a dense
+    one, all positive."""
     n = 300
     cycle = 0.5 * np.eye(n)
     cycle[np.arange(n), (np.arange(n) + 1) % n] += 0.5
-    return [cycle, random_stochastic(np.random.default_rng(300), n, density=0.007)]
+    return [cycle, random_stochastic(np.random.default_rng(300), n, density=0.007),
+            random_stochastic(np.random.default_rng(301), n, density=1.0)]
 
 
 def test_is_sia_matches_power_oracle():
@@ -123,7 +154,9 @@ def test_roots_match_bfs_oracle():
         n = len(A)
         G = build_graph(A)
         rep = roots(G)
-        expected = bfs_roots(n, G.edges)
+        edges = matrix_edges(A)
+        assert edges_of(G) == edges
+        expected = bfs_roots(n, edges)
         assert set(rep.roots) == expected
         assert rep.rooted == bool(expected)
 
@@ -134,10 +167,10 @@ def test_scc_decomposition_matches_bfs_oracle():
     for _ in range(1000):
         n = int(rng.integers(1, 10))
         instances.append((n, random_edges(rng, n, density=rng.uniform(0.05, 0.5))))
-    instances += [(len(A), build_graph(A).edges) for A in _large_matrices()]
+    instances += [(len(A), matrix_edges(A)) for A in _large_matrices()]
     for n, edges in instances:
-        comps = scc_decomposition(DirectedGraph(n, frozenset(edges)))
-        reach = {v: bfs_reachable(n, edges, v) for v in range(1, n + 1)}
+        comps = scc_decomposition(graph_of(n, edges))
+        reach = bfs_reach_all(n, edges)
         assert sorted(v for c in comps for v in c) == list(range(1, n + 1))
         for i, c in enumerate(comps):
             # strongly connected, and no outside node reaches in and back
@@ -162,28 +195,37 @@ def test_labelled_cycle_type_validation():
 
 
 def test_build_labelled_cycle_ring():
-    ring = DirectedGraph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+    ring = graph_of(3, {(1, 2), (2, 3), (3, 1)})
     cyc = build_labelled_cycle(ring, {1, 2, 3})
     assert cyc.length == 3
     assert cyc.labels == (1, 2, 3)
 
 
+def test_build_labelled_cycle_rejects_non_integral_members():
+    # 1.7 used to be truncated to node 1
+    ring = graph_of(3, {(1, 2), (2, 3), (3, 1)})
+    for bad in (1.7, "1", True):
+        with pytest.raises(ValidationError, match="component member"):
+            build_labelled_cycle(ring, {bad, 2, 3})
+    assert build_labelled_cycle(ring, {1.0, np.int64(2), 3}).labels == (1, 2, 3)
+
+
 def test_build_labelled_cycle_complete_graph():
     edges = {(u, v) for u in range(1, 4) for v in range(1, 4) if u != v}
-    cyc = build_labelled_cycle(DirectedGraph(3, frozenset(edges)), {1, 2, 3})
+    cyc = build_labelled_cycle(graph_of(3, edges), {1, 2, 3})
     assert cyc.length == 3
 
 
 def test_build_labelled_cycle_singleton():
-    G = DirectedGraph(2, frozenset({(1, 1), (1, 2)}))
+    G = graph_of(2, {(1, 1), (1, 2)})
     cyc = build_labelled_cycle(G, {1})
     assert cyc.length == 1 and cyc.labels == (1,)
     with pytest.raises(ValidationError):
-        build_labelled_cycle(DirectedGraph(2, frozenset({(1, 2)})), {1})
+        build_labelled_cycle(graph_of(2, {(1, 2)}), {1})
 
 
 def test_build_labelled_cycle_requires_strong_connectivity():
-    G = DirectedGraph(3, frozenset({(1, 2), (2, 3)}))
+    G = graph_of(3, {(1, 2), (2, 3)})
     with pytest.raises(ValidationError):
         build_labelled_cycle(G, {1, 2, 3})
 
@@ -194,7 +236,7 @@ def _check_cycle_invariants(G, component, cyc):
     for p in range(1, cyc.length + 1):
         u = cyc.labels[p - 1]
         v = cyc.labels[cycle_successor(cyc, p) - 1]
-        assert (u, v) in G.edges
+        assert G.adj[u - 1, v - 1]
     if m >= 2:
         assert cyc.length <= m * (m - 1)
     assert cyc.length <= max(G.n * (G.n - 1), 1)
@@ -204,7 +246,7 @@ def test_labelled_cycle_invariants_random():
     rng = np.random.default_rng(2024_12)
     for _ in range(500):
         n = int(rng.integers(2, 9))
-        G = DirectedGraph(n, frozenset(random_strongly_connected_edges(rng, n)))
+        G = graph_of(n, random_strongly_connected_edges(rng, n))
         component = set(range(1, n + 1))
         cyc = build_labelled_cycle(G, component)
         _check_cycle_invariants(G, component, cyc)
@@ -220,7 +262,7 @@ def _strongly_connected_inside(n, edges, members):
 
 def test_labelled_cycle_strong_connectivity_matches_bfs_oracle():
     # {1, 2} is joined only through node 3 (1 -> 3 -> 2 -> 1)
-    G = DirectedGraph(3, frozenset({(1, 3), (3, 2), (2, 1)}))
+    G = graph_of(3, {(1, 3), (3, 2), (2, 1)})
     with pytest.raises(ValidationError, match="not strongly connected"):
         build_labelled_cycle(G, {1, 2})
     _check_cycle_invariants(G, {1, 2, 3}, build_labelled_cycle(G, {1, 2, 3}))
@@ -231,7 +273,7 @@ def test_labelled_cycle_strong_connectivity_matches_bfs_oracle():
         density = rng.uniform(0.15, 0.6)
         edges = {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
                  if rng.random() < density}
-        G = DirectedGraph(n, frozenset(edges))
+        G = graph_of(n, edges)
         members = {v for v in range(1, n + 1) if rng.random() < 0.6} or {n}
         connected = _strongly_connected_inside(n, edges, members)
         # a lone node makes a cycle only through its self-loop
@@ -286,6 +328,6 @@ def test_analysis_report_gives_every_rooted_matrix_a_cycle():
 def test_async_matrix_graph_consistency():
     # a non-updating row contributes only its self-loop
     A = bundled_matrix("three_node_chain")
-    G = build_graph(make_async_matrix(A, {2}))
-    assert (1, 1) in G.edges and (3, 3) in G.edges
-    assert (1, 2) in G.edges and (2, 2) in G.edges
+    edges = edges_of(build_graph(make_async_matrix(A, {2})))
+    assert (1, 1) in edges and (3, 3) in edges
+    assert (1, 2) in edges and (2, 2) in edges
