@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .matrices import StochasticMatrix, _entries, _integer, ergodic_coefficient, is_scrambling
+from .matrices import SCRAMBLING_TOL, StochasticMatrix, _entries, _integer, ergodic_coefficient
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +164,13 @@ def is_sia(A) -> bool:
     strongly connected class of m nodes is aperiodic exactly when some power
     of its support is all positive, and then the powers from (m - 1)^2 + 1
     on all are (Wielandt's bound), so squaring the support past (m - 1)^2
-    decides it.
+    decides it.  A self-loop in the class already makes it aperiodic, so
+    a positive diagonal entry there decides it with no squaring.
     """
     support = _entries(A) > 0
     chi = np.flatnonzero(_reach(support.T).all(axis=1))
+    if support[chi, chi].any():
+        return True
     S = support[np.ix_(chi, chi)]
     span = 1
     while span <= (len(chi) - 1) ** 2 and not S.all():
@@ -234,14 +237,15 @@ def analysis_report(A: StochasticMatrix) -> dict:
     # chi is strongly connected, and a lone root has a self-loop (its row's
     # positive entry is its own), so building the cycle cannot fail
     cycle_length = build_labelled_cycle(G, rep.chi).length if rep.rooted else None
+    lam = ergodic_coefficient(A)
     return {
         "n": A.n,
         "rooted": rep.rooted,
         "roots": sorted(rep.roots),
         "scc": [sorted(c) for c in comps],
         "sia": is_sia(A),
-        "scrambling": is_scrambling(A),
-        "lambda": ergodic_coefficient(A),
+        "scrambling": lam < 1.0 - SCRAMBLING_TOL,  # is_scrambling, read off lam
+        "lambda": lam,
         "delta_min": A.min_positive_entry(),
         "cycle_length": cycle_length,
     }

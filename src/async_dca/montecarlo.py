@@ -274,7 +274,7 @@ def _run_script(A: StochasticMatrix, sets, x1):
     ``sets``, as a one-trial kernel call with the product tracked.
 
     A script draws no uniforms, so no stream is made.  The row sums of
-    every step's product are checked, as ``engine.step`` checks them.
+    every step's product are checked.
     """
     masks = ScriptScheduler(A.n, sets).sample_masks(len(sets), None)
     x0 = np.asarray(x1, dtype=np.float64)[None]

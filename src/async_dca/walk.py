@@ -22,14 +22,13 @@ closed form and ``c0`` stays below ``4 / pi`` at every cycle length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
 from .graphs import LabelledCycle
-from .matrices import ColumnStochasticMatrix
 from .rng import stream
 
 GAMMA_MAX = 1.0 / 3.0
@@ -38,7 +37,8 @@ GAMMA_MAX = 1.0 / 3.0
 # every walk output for a given seed.  Each block is drawn and walked in
 # row slabs of about WALK_SLAB_BYTES of uniforms, whole kernel slabs each;
 # the stream is read row-major, so the slabs change no draw and no output
-# and their size is outside the seed contract.
+# and their size is outside the seed contract.  It also sizes the row
+# buffer of ``DistanceChain.rate_certificate``, which changes no output.
 WALK_BLOCK = 16
 WALK_SLAB_BYTES = 1 << 18
 
@@ -77,27 +77,17 @@ def default_move_probabilities(gamma: float) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DistanceChain:
-    """Exact distance chain of a walk with ``default_move_probabilities(gamma)``."""
+    """Exact distance chain of a walk with ``default_move_probabilities(gamma)``,
+    held as ``l`` and ``gamma`` alone: its transient block is stepped as its
+    band, and the dense ``l x l`` chain is a test oracle, like ``W``."""
 
     l: int
     gamma: float
-    matrix: ColumnStochasticMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.l < 2:
             raise ValidationError("the distance chain needs l >= 2")
-        p_j, p_i, p_stay, p_both = default_move_probabilities(self.gamma)
-        l = self.l
-        P = np.zeros((l, l))
-        P[0, 0] = 1.0
-        for d in range(1, l):
-            down = d - 1
-            up = d + 1 if d < l - 1 else 0
-            P[down, d] += p_j
-            P[up, d] += p_i
-            P[d, d] += p_stay + p_both
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "matrix", ColumnStochasticMatrix(P))
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
 
     def rate_certificate(self, k_max: int) -> RateCertificate:
         """Unabsorbed mass of the chain's first ``k_max`` steps at its exact rate.
@@ -125,15 +115,17 @@ class DistanceChain:
         # floating point and no rounding drift of the unit Perron mode can
         # make the scaled mass grow with k
         limit = right.sum() * left
-        deflated = self.matrix.entries[1:, 1:] / beta - np.outer(right, left)
+        band = np.array([gamma, 1.0 - 2.0 * gamma, gamma]) / beta
         scaled = np.empty(k_max)
         rest = np.ones(l - 1)
-        # one numpy call per step; the maxima are taken a block of steps at a time
-        rows = np.empty((min(k_max, 256), l - 1))
+        # O(l) per step, J / beta as its band; the maxima are taken a buffer
+        # of rows at a time
+        rows = np.empty((min(k_max, max(1, WALK_SLAB_BYTES // (8 * (l - 1)))), l - 1))
         for k0 in range(0, k_max, len(rows)):
             n = min(len(rows), k_max - k0)
             for j in range(n):
-                rest = np.matmul(rest, deflated, out=rows[j])
+                band_step = np.correlate(rest, band, "full")[1:-1]
+                rest = np.subtract(band_step, (rest @ right) * left, out=rows[j])
             scaled[k0:k0 + n] = (rows[:n] + limit).max(axis=1)
         c0 = float(max(scaled.max(), limit.max()))
         # rounding in the deflated split can lift a mass past 1 on long cycles

@@ -12,6 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from async_dca import (
+    ColumnStochasticMatrix,
     DimensionError,
     DirectedGraph,
     LabelledCycle,
@@ -459,6 +460,46 @@ def lower_bound_matrix(l: int, gamma: float) -> np.ndarray:
     return W
 
 
+def distance_chain_matrix(l: int, gamma: float) -> np.ndarray:
+    """The dense column-stochastic ``l x l`` matrix of a ``DistanceChain``:
+    column d is the distribution of the next distance from distance d."""
+    if l < 2:
+        raise ValidationError("the distance chain needs l >= 2")
+    p_j, p_i, p_stay, p_both = default_move_probabilities(gamma)
+    P = np.zeros((l, l))
+    P[0, 0] = 1.0
+    for d in range(1, l):
+        down = d - 1
+        up = d + 1 if d < l - 1 else 0
+        P[down, d] += p_j
+        P[up, d] += p_i
+        P[d, d] += p_stay + p_both
+    return ColumnStochasticMatrix(P).entries
+
+
+def dense_rate_certificate(l: int, gamma: float, k_max: int):
+    """(c0, beta, errors) of ``DistanceChain(l, gamma).rate_certificate(k_max)``
+    by the deflated recursion on the dense transient block: one
+    ``(l-1) x (l-1)`` vector-matrix product per step."""
+    gamma = _check_gamma(gamma)
+    beta = 1.0 - 2.0 * gamma + 2.0 * gamma * float(np.cos(np.pi / l))
+    right = np.sin(np.pi * np.arange(1, l) / l)
+    left = right / (right @ right)
+    limit = right.sum() * left
+    deflated = distance_chain_matrix(l, gamma)[1:, 1:] / beta - np.outer(right, left)
+    scaled = np.empty(k_max)
+    rest = np.ones(l - 1)
+    rows = np.empty((min(k_max, 256), l - 1))
+    for k0 in range(0, k_max, len(rows)):
+        n = min(len(rows), k_max - k0)
+        for j in range(n):
+            rest = np.matmul(rest, deflated, out=rows[j])
+        scaled[k0:k0 + n] = (rows[:n] + limit).max(axis=1)
+    c0 = float(max(scaled.max(), limit.max()))
+    errors = np.minimum(scaled * beta ** np.arange(1, k_max + 1), 1.0)
+    return c0, beta, errors
+
+
 def evolve_distance(chain, xi1, steps: int) -> np.ndarray:
     """Distribution trajectory of a ``DistanceChain``: row m is xi after m
     transitions."""
@@ -467,10 +508,11 @@ def evolve_distance(chain, xi1, steps: int) -> np.ndarray:
         raise DimensionError(f"xi1 must have length {chain.l}")
     if (xi < 0).any() or abs(xi.sum() - 1.0) > 1e-12:
         raise ValidationError("xi1 must be a probability vector")
+    P = distance_chain_matrix(chain.l, chain.gamma)
     out = np.empty((steps + 1, chain.l))
     out[0] = xi
     for m in range(steps):
-        out[m + 1] = chain.matrix.entries @ out[m]
+        out[m + 1] = P @ out[m]
     return out
 
 

@@ -227,6 +227,18 @@ def test_walk_cli_on_a_one_node_root_component(tmp_path, capsys):
             ("1.0", "1.0")}
 
 
+def test_walk_cli_on_a_long_cycle(tmp_path, capsys):
+    # the certificate steps the distance chain as its band, so a cycle whose
+    # dense chain would take 128 MB needs only O(l) memory
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"length": 4000, "labels": [1 + p % 7 for p in range(4000)]}))
+    code, out, _ = run_cli(capsys, "walk", "--cycle", str(cycle), "--gamma", "0.2",
+                           "--kmax", "30", "--trials", "20", "--out", str(tmp_path / "w.csv"))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["cycle_length"] == 4000 and 0.0 < summary["beta"] < 1.0
+
+
 def test_repro_success_and_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "repro", "example3")
     assert code == 0

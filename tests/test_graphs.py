@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from async_dca import (
+    BUNDLED_MATRICES,
     DimensionError,
     DirectedGraph,
     LabelledCycle,
@@ -11,10 +12,13 @@ from async_dca import (
     build_graph,
     build_labelled_cycle,
     bundled_matrix,
+    ergodic_coefficient,
+    is_scrambling,
     is_sia,
     roots,
     scc_decomposition,
 )
+from async_dca import graphs, matrices
 from async_dca.montecarlo import _run_script
 from _oracles import (
     bfs_reach_all,
@@ -145,6 +149,36 @@ def test_is_sia_matches_power_oracle():
         assert is_sia(A) == power_sia_oracle(A), f"disagreement on\n{A}"
     for A in _large_matrices():
         assert is_sia(A) == power_sia_oracle(A)
+
+
+def test_is_sia_with_and_without_a_root_self_loop_matches_power_oracle():
+    # a self-loop in the root class decides aperiodicity without squaring;
+    # the same matrices with that diagonal emptied are decided by squaring
+    rng = np.random.default_rng(2026_26)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        n = int(rng.integers(1, 11))
+        A = (random_rooted_stochastic, random_structured)[trial % 2](rng, n)
+        for B in (A, _without_diagonal(A)):
+            chi = np.array(sorted(roots(build_graph(B)).chi), dtype=int) - 1
+            looped = bool((np.diag(B)[chi] > 0).any())
+            seen[looped] += 1
+            assert is_sia(B) == power_sia_oracle(B), f"disagreement on\n{B}"
+            if looped:
+                assert is_sia(B)
+    assert min(seen.values()) > 200
+
+
+def _without_diagonal(A):
+    """A with every diagonal entry moved onto its row's other positive
+    entries, where a row has any."""
+    B = A.copy()
+    for i in range(len(B)):
+        off = B[i].sum() - B[i, i]
+        if off > 0:
+            B[i] /= off
+            B[i, i] = 0.0
+    return B
 
 
 def test_roots_match_bfs_oracle():
@@ -323,6 +357,28 @@ def test_analysis_report_gives_every_rooted_matrix_a_cycle():
         else:
             assert report["cycle_length"] is None
     assert lone_roots > 100
+
+
+def test_analysis_report_takes_the_coefficient_once(monkeypatch):
+    # scrambling is read off the report's own lambda, the test is_scrambling
+    # applies, so the verdict is unchanged
+    calls = []
+
+    def counting(A):
+        calls.append(1)
+        return ergodic_coefficient(A)
+
+    monkeypatch.setattr(graphs, "ergodic_coefficient", counting)
+    monkeypatch.setattr(matrices, "ergodic_coefficient", counting)
+    rng = np.random.default_rng(2026_27)
+    for trial in range(200):
+        A = StochasticMatrix(random_structured(rng, int(rng.integers(1, 9))))
+        calls.clear()
+        report = analysis_report(A)
+        assert len(calls) == 1
+        assert report["scrambling"] is is_scrambling(A)
+    assert {analysis_report(bundled_matrix(name))["scrambling"]
+            for name in BUNDLED_MATRICES} == {True, False}
 
 
 def test_async_matrix_graph_consistency():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -22,6 +23,8 @@ from async_dca import _kernels, walk
 from async_dca.walk import WALK_BLOCK
 from _oracles import (
     cycle_label,
+    dense_rate_certificate,
+    distance_chain_matrix,
     evolve_distance,
     lower_bound_matrix,
     simulate_backward_walk,
@@ -82,7 +85,7 @@ def test_rate_certificate_uniform_completion_l6():
     # power oracle the error of P^k first drops below 1e-6 at k = 150
     chain = DistanceChain(6, 1 / 3)
     cert = chain.rate_certificate(200)
-    oracle = _absorbing_errors(chain.matrix.entries, 200)
+    oracle = _absorbing_errors(distance_chain_matrix(6, 1 / 3), 200)
     assert np.abs(cert.errors - oracle).max() <= 1e-12
     first = int(np.argmax(oracle < 1e-6)) + 1
     assert first == 150
@@ -127,9 +130,9 @@ def test_rate_certificate_validation():
 def test_distance_chain_is_admissible_and_absorbing():
     for l in range(3, 9):
         chain = DistanceChain(l, 0.2)
-        W = lower_bound_matrix(l, 0.2)
-        assert (chain.matrix.entries >= W - 1e-15).all()
-        assert ((chain.matrix.entries > 0) == (W > 0)).all()
+        P, W = distance_chain_matrix(l, 0.2), lower_bound_matrix(l, 0.2)
+        assert (P >= W - 1e-15).all()
+        assert ((P > 0) == (W > 0)).all()
         cert = chain.rate_certificate(150)
         for start in range(1, l):
             xi1 = np.zeros(l)
@@ -369,7 +372,7 @@ def test_certificate_holds_at_every_short_horizon(l, move_probs):
         cert = chain.rate_certificate(k_max)
         ks = np.arange(1, k_max + 1)
         assert (cert.errors <= cert.c0 * cert.beta ** ks).all()
-    radius = np.abs(np.linalg.eigvals(chain.matrix.entries[1:, 1:])).max()
+    radius = np.abs(np.linalg.eigvals(distance_chain_matrix(l, 0.2)[1:, 1:])).max()
     assert cert.beta == pytest.approx(radius, rel=1e-12)
 
 
@@ -394,7 +397,7 @@ def test_certificate_c0_does_not_grow_with_the_horizon(l):
     for cert in certs:
         ks = np.arange(1, len(cert.errors) + 1)
         assert (cert.errors <= cert.c0 * cert.beta ** ks).all()
-    oracle = _absorbing_errors(chain.matrix.entries, 200)
+    oracle = _absorbing_errors(distance_chain_matrix(l, 0.2), 200)
     assert np.abs(certs[0].errors - oracle).max() <= 1e-12
 
 
@@ -431,7 +434,7 @@ def test_long_cycle_errors_match_the_unabsorbed_mass(l, gamma):
     k_max = 2000
     chain = DistanceChain(l, gamma)
     cert = chain.rate_certificate(k_max)
-    J = chain.matrix.entries[1:, 1:]
+    J = distance_chain_matrix(l, gamma)[1:, 1:]
     mass, oracle = np.ones(l - 1), np.empty(k_max)
     for k in range(k_max):
         mass = mass @ J
@@ -439,3 +442,35 @@ def test_long_cycle_errors_match_the_unabsorbed_mass(l, gamma):
     assert (np.abs(cert.errors - oracle) <= 1e-12 * oracle).all()
     assert (cert.errors <= 1.0).all()
     assert 1.0 < cert.c0 < 4 / np.pi
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 1 / 3])
+def test_banded_certificate_matches_the_dense_recursion(gamma):
+    # the band step and the dense deflated product are the same recursion
+    # rounded differently; c0 and beta come out bit for bit, errors to 1e-11
+    for l in [*range(2, 80), *range(100, 501, 100)]:
+        chain = DistanceChain(l, gamma)
+        for k_max in (1, 2, 5, 50, 200, 1000):
+            cert = chain.rate_certificate(k_max)
+            c0, beta, errors = dense_rate_certificate(l, gamma, k_max)
+            assert cert.c0 == c0 and cert.beta == beta, (l, k_max)
+            assert (np.abs(cert.errors - errors) <= 1e-11 * errors).all(), (l, k_max)
+
+
+def test_distance_chain_holds_only_its_length_and_rate():
+    assert [f.name for f in dataclasses.fields(DistanceChain)] == ["l", "gamma"]
+    assert type(DistanceChain(5, np.float32(0.25)).gamma) is float
+
+
+def test_certificate_memory_is_linear_in_the_cycle_length():
+    # the dense transient block at l = 4000 alone is 128 MB; the band step
+    # keeps O(l) vectors and a row buffer of about WALK_SLAB_BYTES
+    DistanceChain(40, 0.2).rate_certificate(5)
+    tracemalloc.start()
+    try:
+        cert = DistanceChain(4000, 0.2).rate_certificate(200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    assert 1.0 < cert.c0 < 4 / np.pi and (cert.errors == 1.0).all()
