@@ -17,17 +17,27 @@ from block to block, so a batch needs O(T n^3 + n CHUNK_BYTES) memory plus
 what the caller keeps of the blocks.
 
 Inside a block the state and the accumulated product step together as
-one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``), so each step
-is exactly two numpy calls: ``A @ Q`` into the next entry of a series and a
-``putmask`` that restores the rows of the agents that did not update.
+one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``).  A batch
+steps in two numpy calls: ``A @ Q`` into the next entry of a series and a
+``putmask`` that restores the rows of the agents that did not update, from
+the not-updating mask materialised at the series' shape once per chunk.  A
+lone trial steps by its tick's own matrix ``A_sigma``: the rows of A for
+the agents that update, of the identity for the rest.  The ``A_sigma`` of
+``G = CHUNK_BYTES // (16 n^2)`` ticks (113 at n = 6) are built at a time
+by two calls, and each tick is then one ``matmul`` into a ring of G + 1
+states, run by ``deque(map(np.matmul, ...))`` over views made once per
+batch, so a step makes no view and runs no Python bytecode; the ring is
+copied into the chunk's series after each group.  An updated row is the
+row of the same gemm, and an identity row returns its row bit for bit
+when the entries are finite, except a -0.0, which it reads as +0.0: a lone
+trial that starts with a -0.0 therefore steps as a batch does.
 The kernel walks chunks of ``C = max(1, min(B, CHUNK_BYTES // (8 n T)))``
 steps, so that a chunk's states take about ``CHUNK_BYTES``, keeps the
 chunk's series of ``Q`` (m times that: 470 KB with lambda at n = 6 and
-T = 200) and the not-updating mask materialised at the series' shape, and
-then reduces the series once per chunk: the discrepancies from the state
-column, the product's row sums and their maximum error, and each step's
-shared mass ``s`` (below), written straight into the block's rows of
-coefficients.  After the last chunk one pass over the rows that ran
+T = 200), and then reduces the series once per chunk: the discrepancies
+from the state column, the product's row sums and their maximum error, and
+each step's shared mass ``s`` (below), written straight into the block's
+rows of coefficients.  After the last chunk one pass over the rows that ran
 finishes them: ``lambda = clip(1 - s, 0, 1)``, then the maxima of the
 contraction and monotonicity checks, against row 0 as the previous
 coefficient, in groups of rows that fit the chunk series, which is free by
@@ -83,28 +93,38 @@ since the last failed test, which bounds the delay of an exit to about
 """
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 CHUNK_BYTES = 64 * 1024  # sizes the chunks (of states), pair-min groups and walk slabs
 TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
 
 
-def _sum_left(X, out):
-    """Sum ``X`` (..., k, T) over its axis -2 left to right into ``out``
-    (..., T): ``((X_0 + X_1) + X_2) + ...``.
+def _reduce_left(op, X, out):
+    """Reduce ``X`` (..., k, T) over its axis -2 by the ufunc ``op`` left to
+    right into ``out`` (..., T): ``op(op(X_0, X_1), X_2) ...``.
 
-    When T > 1 the summed axis is not the innermost one, and numpy's
-    reduction adds it a whole row of T at a time, in order.  When T is 1 it
-    is, and numpy would sum it pairwise from eight terms on, so that a
-    trial's bits would depend on the width of its batch; the terms are then
-    added one element-wise ``add`` at a time.
+    When T > 1 the reduced axis is not the innermost one, and numpy's
+    reduction applies ``op`` to a whole row of T at a time, in order.  When
+    T is 1 it is, and numpy would sum it pairwise from eight terms on, so
+    that a trial's bits would depend on the width of its batch; the terms
+    are then taken one element-wise ``op`` at a time, which also takes the
+    maxima and minima of a lone trial's states several times faster than
+    numpy's own reduction.
     """
     if X.shape[-1] > 1:
-        return np.add.reduce(X, axis=-2, out=out)
+        return op.reduce(X, axis=-2, out=out)
     np.copyto(out, X[..., 0, :])
     for j in range(1, X.shape[-2]):
-        np.add(out, X[..., j, :], out=out)
+        op(out, X[..., j, :], out=out)
     return out
+
+
+def _sum_left(X, out):
+    """Sum ``X`` (..., k, T) over its axis -2 left to right into ``out``
+    (..., T): ``((X_0 + X_1) + X_2) + ...`` (see ``_reduce_left``)."""
+    return _reduce_left(np.add, X, out)
 
 
 def _shared_mass(Q, pairs, work, out):
@@ -159,8 +179,11 @@ class Carry:
     ``viol_mono`` and ``row_err`` (T,) maxima of the checks so far (see
     ``trajectory_batch``); ``fixed`` is True once the batch is an exact
     fixed point.  ``chunks`` and ``next_test`` schedule the exit test.
-    ``buffers`` holds the chunk work arrays, allocated by the first block
-    and reused by every later block no longer than it.
+    ``lone`` tells that the batch is one trial stepped by its ticks'
+    ``A_sigma``.  ``buffers`` holds the chunk work arrays, allocated by the
+    first block and reused by every later block no longer than it: the
+    series of ``Q``, then for a lone trial the ``A_sigma`` group and its
+    ring of states with the views that step them, else the two masks.
     """
 
     def __init__(self, x0, track_lambda):
@@ -174,6 +197,9 @@ class Carry:
         self.d0 = self.x.max(axis=0) - self.x.min(axis=0)
         if track_lambda:
             self.Q[:, 1:] = np.eye(n)[:, :, None]
+        # A_sigma's identity rows return a kept -0.0 as +0.0, so a lone
+        # trial that starts with one steps as a batch does
+        self.lone = T == 1 and not np.signbit(x0[x0 == 0]).any()
         self.lam = None
         self.viol_contract = np.zeros(T)
         self.viol_mono = np.zeros(T)
@@ -247,19 +273,32 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         # CHUNK_BYTES, or one step of every trial when that is more
         cap = max(T, CHUNK_BYTES // max(1, 8 * npairs * n))
     bufs = carry.buffers
-    if bufs is None or len(bufs[1]) < C:
-        bufs = carry.buffers = [np.empty((C + 1, n, m, T)), np.empty((C, n, T), dtype=bool),
-                                np.empty((C, n, m, T), dtype=bool), np.empty((C, T)),
+    if bufs is None or len(bufs[0]) <= C:
+        if carry.lone:
+            # a group of G ticks' A_sigma takes about CHUNK_BYTES / 2; the
+            # group steps in a ring of states, through views made once here
+            G = min(C, max(1, CHUNK_BYTES // (16 * n * n)))
+            Ak, ring = np.empty((G, n, n)), np.empty((G + 1, n, m))
+            step = [Ak, (ring, list(Ak), list(ring))]
+        else:
+            step = [np.empty((C, n, T), dtype=bool), np.empty((C, n, m, T), dtype=bool)]
+        bufs = carry.buffers = [np.empty((C + 1, n, m, T)), *step, np.empty((C, T)),
                                 np.empty(T)]
         if track_lambda:
             bufs += [np.empty((C, n, T)),
                      (np.empty((2, cap * npairs * m)), np.empty(cap * npairs)),
                      np.empty((n * m + 1, cap)), np.empty(cap, dtype=np.intp)]
-    Qs, kt, keep, w, wT = bufs[:5]
+    Qs, w, wT = bufs[0], bufs[3], bufs[4]
     # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
     Qs[0] = Q
     Qs2 = Qs.reshape(len(Qs), n, m * T)
-    keep2 = keep.reshape(len(keep), n, m * T)
+    if carry.lone:
+        Ak, (ring, As, Rs) = bufs[1:3]
+        G, I = len(Ak), np.eye(n)
+        ring[0] = Qs2[0]
+    else:
+        kt, keep = bufs[1:3]
+        keep2 = keep.reshape(len(keep), n, m * T)
     X = Qs[:, :, 0]
     # row 0 holds the values before the block's first step
     deltas = np.empty((K + 1, T))
@@ -286,16 +325,28 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     k1 = 0
     for k0 in range(0, K, C):
         c = min(C, K - k0)
-        # agent i keeps row i of x and of P where it does not update
-        np.logical_not(masks[:, k0:k0 + c].transpose(1, 2, 0), out=kt[:c])
-        keep[:c] = kt[:c, :, None]
-        for Z, AZ, kp in zip(Qs2[:c], Qs2[1:c + 1], keep2):
-            matmul(A, Z, out=AZ)
-            putmask(AZ, kp, Z)
+        if carry.lone:
+            # tick k steps by A_sigma_k, the rows of A for the agents that
+            # update and of the identity for the rest; a group runs in the
+            # ring, whose last state starts the next group
+            for g in range(0, c, G):
+                h = min(G, c - g)
+                Ak[:h] = I
+                np.copyto(Ak[:h], A, where=masks[0, k0 + g:k0 + g + h, :, None])
+                deque(map(matmul, As[:h], Rs, Rs[1:]), 0)
+                Qs2[g + 1:g + h + 1] = ring[1:h + 1]
+                ring[0] = ring[h]
+        else:
+            # agent i keeps row i of x and of P where it does not update
+            np.logical_not(masks[:, k0:k0 + c].transpose(1, 2, 0), out=kt[:c])
+            keep[:c] = kt[:c, :, None]
+            for Z, AZ, kp in zip(Qs2[:c], Qs2[1:c + 1], keep2):
+                matmul(A, Z, out=AZ)
+                putmask(AZ, kp, Z)
         k1 = k0 + c
         D, W = deltas[k0 + 1:k1 + 1], w[:c]
-        np.max(X[1:c + 1], axis=1, out=D)
-        np.subtract(D, np.min(X[1:c + 1], axis=1, out=W), out=D)
+        _reduce_left(np.maximum, X[1:c + 1], D)
+        np.subtract(D, _reduce_left(np.minimum, X[1:c + 1], W), out=D)
         if track_lambda:
             L, R, P = lams[k0 + 1:k1 + 1], rs[:c], Qs[1:c + 1, :, 1:]
             np.abs(np.subtract(_sum_left(P, R), 1.0, out=R), out=R)

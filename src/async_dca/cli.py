@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 
@@ -45,14 +44,28 @@ def _open_out(path):
     return open(path, "w", newline="")
 
 
+def _fields(c) -> list:
+    """The CSV fields of a 1-D int or float64 array: ``str`` of each int,
+    ``repr`` of each float, taken once per run of bit-equal values."""
+    if c.dtype.kind != "f":
+        return list(map(str, c.tolist()))
+    bits = c.view(np.uint64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    runs = np.array(list(map(repr, c[starts].tolist())), dtype=object)
+    return np.repeat(runs, np.diff(starts, append=len(c))).tolist()
+
+
 def _write_csv(path, header, *columns) -> None:
-    """Write ``header`` and the rows of the equal-length array ``columns``,
-    4096 rows at a time: no list of the whole output's values is built."""
+    """Write ``header`` and the rows of the equal-length array ``columns``
+    with the bytes of ``csv.writer``: fields joined by commas, each row
+    ended by CR LF, none quoted, since no header or number holds a
+    character that needs it.  Rows go out 4096 at a time, so no list of the
+    whole output's values is built."""
     with _open_out(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for a in range(0, len(columns[0]), 4096):
-            writer.writerows(zip(*(c[a:a + 4096].tolist() for c in columns)))
+            rows = map(",".join, zip(*(_fields(c[a:a + 4096]) for c in columns)))
+            fh.write("\r\n".join(rows) + "\r\n")
 
 
 def _emit_json(obj, path=None) -> None:

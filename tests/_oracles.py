@@ -388,6 +388,15 @@ def draw_trial_inputs_full(cfg):
 # they are produced.  The CLI now runs the trajectory kernel once and must
 # write the same bytes.
 
+def write_csv_rows(fh, header, *columns) -> None:
+    """The CLI's CSV writer as it was through ``csv.writer``: ``header``,
+    then the rows of the equal-length array ``columns``, 4096 at a time."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for a in range(0, len(columns[0]), 4096):
+        writer.writerows(zip(*(c[a:a + 4096].tolist() for c in columns)))
+
+
 def simulate_rows_engine(A, scheduler, steps, seed, x0=None, track=True):
     """CSV text of ``simulate`` for ``x0`` (None draws it from the stream)."""
     rng = stream(seed, 0)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from async_dca import bundled_matrix
-from async_dca.cli import dispatch
+from async_dca.cli import _write_csv, dispatch
 from async_dca.rng import SEED_CONTRACT
+from _oracles import write_csv_rows
 
 
 @pytest.fixture
@@ -417,3 +418,54 @@ def test_csv_to_stdout_leaves_it_open(six_node, uniform_clock, monkeypatch, out)
     assert text.count("k,delta,lambda_product") == 1
     assert text.count("k,p_delta_tail,p_lambda_tail") == 1
     assert text.count("k,empirical_match_prob,bound_1_minus_c0_beta_k") == 1
+
+
+def _csv_writer_bytes(header, *columns):
+    fh = io.StringIO(newline="")
+    write_csv_rows(fh, header, *columns)
+    return fh.getvalue().encode()
+
+
+def _repeats(size, seed=5):
+    # runs of equal values, -0.0 and 0.0 among them
+    values = np.array([0.0, -0.0, 1 / 3, 2e-308, -7.25])
+    return values[np.repeat(np.random.default_rng(seed).integers(0, 5, size // 3 + 1), 3)[:size]]
+
+
+CSV_COLUMNS = [
+    pytest.param([np.arange(7), np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0])],
+                 id="signed-zeros"),
+    pytest.param([np.arange(11), np.array([5e-324, 1e16, 1e-05, 0.1 + 0.2, 0.1 + 0.2, 1e16,
+                                           5e-324, np.nan, np.inf, -np.inf, 1e-05])],
+                 id="shortest-reprs"),
+    pytest.param([np.arange(4700), np.r_[np.full(4090, 0.1), np.full(610, 0.5)],
+                  np.r_[np.full(4096, 0.25), np.full(604, -0.0)]], id="runs-across-chunks"),
+    pytest.param([np.arange(1, 4097), _repeats(4096), _repeats(4096, 6)], id="4096-rows"),
+    pytest.param([np.arange(1, 4098), _repeats(4097), _repeats(4097, 6)], id="4097-rows"),
+    pytest.param([np.arange(-5000, 5000, 3)], id="int-column"),
+]
+
+
+@pytest.mark.parametrize("columns", CSV_COLUMNS)
+def test_csv_writer_writes_the_bytes_of_csv_writer(tmp_path, columns):
+    # each run of bit-equal floats is formatted once: runs split on bits,
+    # so -0.0 next to 0.0 keeps its sign
+    header = ["k"] + [f"c{j}" for j in range(1, len(columns))]
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), header, *columns)
+    assert path.read_bytes() == _csv_writer_bytes(header, *columns)
+
+
+@pytest.mark.parametrize("out", [None, "-"])
+def test_csv_writer_to_stdout_writes_the_bytes_of_csv_writer(capsysbinary, out):
+    columns = [np.arange(1, 4098), _repeats(4097), _repeats(4097, 6)]
+    _write_csv(out, ["k", "a", "b"], *columns)
+    assert capsysbinary.readouterr().out == _csv_writer_bytes(["k", "a", "b"], *columns)
+
+
+def test_simulate_zero_steps_writes_the_header_of_csv_writer(six_node, tmp_path):
+    out = tmp_path / "run.csv"
+    assert dispatch(["simulate", "--matrix", six_node, "--steps", "0", "--out", str(out)]) == 0
+    empty = np.empty(0)
+    assert out.read_bytes() == _csv_writer_bytes(["k", "delta", "lambda_product"],
+                                                 np.arange(0), empty, empty)

@@ -105,6 +105,18 @@ def _signed_zero_inputs(T=3, n=4):
     return np.full((n, n), 1.0 / n), masks, x0
 
 
+def _kept_negative_zero_inputs(T):
+    # agent 1 starts at -0.0 and never updates, agent 3 starts at -0.0 and
+    # updates now and then: a kept -0.0 must stay -0.0 to the final state
+    rng = np.random.default_rng(61)
+    A = random_stochastic(rng, 5, density=1.0)
+    masks = rng.random((T, 300, 5)) < 0.4
+    masks[:, :, 0] = False
+    x0 = rng.uniform(-1.0, 1.0, (T, 5))
+    x0[:, [0, 2]] = -0.0
+    return A, masks, x0
+
+
 def _certified_inputs(seed=1729, horizon=1500):
     # 200 trials of uniform_clock6: from about step 800 the column-minimum
     # bound certifies lambda = 0 for all but a few trials
@@ -118,6 +130,9 @@ ORACLE_CASES = [
                  id="mc-clocks-exits"),
     pytest.param(_averaging_inputs, id="averaging-exits"),
     pytest.param(_signed_zero_inputs, id="signed-zeros"),
+    pytest.param(lambda: _signed_zero_inputs(T=1), id="signed-zeros-T1"),
+    pytest.param(lambda: _kept_negative_zero_inputs(1), id="kept-negative-zero-T1"),
+    pytest.param(lambda: _kept_negative_zero_inputs(3), id="kept-negative-zero-T3"),
     pytest.param(_slow_inputs, id="slow-never-exits"),
     pytest.param(_consensus_start_inputs, id="consensus-start"),
     pytest.param(lambda: _chunk_inputs(200, 3 * _chunk(200, 1) + 5, n=1), id="n1-multichunk"),
@@ -176,17 +191,24 @@ def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
         assert np.array_equal(_bits(g), _bits(w))  # -0.0 and 0.0 differ
 
 
-@pytest.mark.parametrize("track_lambda", [True, False])
-def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda):
+@pytest.mark.parametrize("track_lambda, signed_zeros",
+                         [(True, False), (False, False), (True, True), (False, True)],
+                         ids=["True", "False", "True-signed-zeros", "False-signed-zeros"])
+def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda, signed_zeros):
     # a trial's bits may not depend on the batch it runs in, on every
     # matrix; a one-column state product would go through gemv, which
     # rounds differently from the gemm of a wider batch on non-dyadic A,
-    # and from n = 8 on numpy sums a lone trial's contiguous columns pairwise
+    # and from n = 8 on numpy sums a lone trial's contiguous columns pairwise.
+    # With signed zeros, agent 1 keeps its start of -0.0 and agent 2 starts
+    # at -0.0, which the lone trial's identity rows would read as +0.0
     rng = np.random.default_rng(2027)
     for n in [6] * 20 + list(range(8, 17)):
         A = random_stochastic(rng, n, density=1.0)
         masks = rng.random((3, 120, n)) < 0.4
         x0 = rng.uniform(-1.0, 1.0, (3, n))
+        if signed_zeros:
+            masks[:, :, 0] = False
+            x0[:, :2] = -0.0
         lone, _ = _run_blocks(A, masks[:1], x0[:1], track_lambda)
         wide, _ = _run_blocks(A, masks, x0, track_lambda)
         for g, w in zip(lone, wide):
@@ -194,10 +216,12 @@ def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda):
 
 
 class _CountingNumpy:
-    """Stands in for numpy inside ``_kernels``, counting ``matmul`` calls."""
+    """Stands in for numpy inside ``_kernels``, counting ``matmul`` and
+    ``putmask`` calls."""
 
     def __init__(self):
         self.matmuls = 0
+        self.putmasks = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -205,6 +229,24 @@ class _CountingNumpy:
     def matmul(self, *args, **kwargs):
         self.matmuls += 1
         return np.matmul(*args, **kwargs)
+
+    def putmask(self, *args, **kwargs):
+        self.putmasks += 1
+        return np.putmask(*args, **kwargs)
+
+
+def _count_calls(monkeypatch):
+    """Count the kernel's numpy calls and exit tests from here on."""
+    counting = _CountingNumpy()
+    monkeypatch.setattr(_kernels, "np", counting)
+    real, tests = _kernels._fixed, []
+
+    def counted(*args):
+        tests.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "_fixed", counted)
+    return counting, tests
 
 
 @pytest.mark.parametrize("make_inputs, track_lambda, exits", [
@@ -221,15 +263,7 @@ def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
                                                     track_lambda, exits):
     A, masks, x0 = make_inputs()
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(_kernels, "np", counting)
-    real, tests = _kernels._fixed, []
-
-    def counted(*args):
-        tests.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "_fixed", counted)
+    counting, tests = _count_calls(monkeypatch)
     got, _ = _run_blocks(A, masks, x0, track_lambda)
     K = masks.shape[1]
     # x and the product step as one array: one matmul a step, with or
@@ -237,6 +271,23 @@ def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
     assert (counting.matmuls < K) == exits
     if not exits:
         assert counting.matmuls == K + len(tests)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("track_lambda", [True, False])
+@pytest.mark.parametrize("T", [1, 3])
+def test_lone_trial_steps_by_its_ticks_own_matrix(monkeypatch, T, track_lambda):
+    # a lone trial steps by A_sigma, one matmul a step and no putmask; a
+    # batch steps by A and restores the kept rows with one putmask a step
+    A, masks, x0 = _slow_inputs(T=T, K=300)
+    want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
+    counting, tests = _count_calls(monkeypatch)
+    got, calls = _run_blocks(A, masks, x0, track_lambda, B=70)
+    K = masks.shape[1]
+    assert calls == 5 and len(tests) >= calls
+    assert counting.matmuls == K + len(tests)
+    assert counting.putmasks == (0 if T == 1 else K)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w))
 

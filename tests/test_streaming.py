@@ -235,15 +235,22 @@ def test_one_stream_serves_every_trial(monkeypatch, B):
     assert calls == {"stream": 1, "sample_masks": 1 if B is None else -(-40 // 7)}
 
 
-@pytest.mark.parametrize("track_lambda", [True, False])
-def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda):
+@pytest.mark.parametrize("track_lambda, trials",
+                         [(True, 20), (False, 20), (True, 1), (False, 1)],
+                         ids=["True", "False", "True-lone", "False-lone"])
+def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda, trials):
     # allocated per block they would be refaulted every block; the pipeline
-    # frees them with its last block
-    cfg = _cfg("uniform_clock6", trials=20, horizon=120, track_lambda=track_lambda)
+    # frees them with its last block.  A lone trial's A_sigma group buffer,
+    # ring of states and views into both are among them
+    cfg = _cfg("uniform_clock6", trials=trials, horizon=120, track_lambda=track_lambda)
     _with_block(monkeypatch, cfg, 7)
-    held = [carry.buffers for _, _, _, carry in montecarlo.trajectory_blocks(cfg)]
+    held, parts = [], []
+    for _, _, _, carry in montecarlo.trajectory_blocks(cfg):
+        held.append(carry.buffers)
+        parts.append(list(carry.buffers or ()))
     assert len(held) == -(-120 // 7) and held[-1] is None
     assert all(b is held[0] for b in held[:-1])
+    assert all(x is y for p in parts[1:-1] for x, y in zip(p, parts[0], strict=True))
     assert len(held[0]) == (9 if track_lambda else 5)
 
 
