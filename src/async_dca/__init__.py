@@ -52,7 +52,6 @@ from .schedulers import (
     MarkovScheduler,
     Scheduler,
     ScriptScheduler,
-    StrongAperiodicityCheck,
     SupportSequenceScheduler,
     check_conditions,
     check_strongly_aperiodic,
@@ -93,7 +92,6 @@ __all__ = [
     "Scheduler",
     "ScriptScheduler",
     "StochasticMatrix",
-    "StrongAperiodicityCheck",
     "SupportSequenceScheduler",
     "ValidationError",
     "analysis_report",

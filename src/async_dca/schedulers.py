@@ -34,26 +34,28 @@ and a Markov chain pick against one row per trial.  The count is the
 insertion point a binary search would find; it costs O(candidates) a draw,
 less than the kernel's O(n^2) work a trial-step.
 
-Law contract: ``law(k)`` is each kind's one answer to "which sets can tick
-k draw, and with what probability".  It returns ``(masks, probs)``:
-``masks`` is the (s, n) bool table of the sets, one row per set, and
-``probs`` their (s,) probabilities -- ``None`` under a ``weight_fn`` hook,
-whose weights follow history, and for ``markov`` the (s, s)
-column-stochastic law of the move from tick k to tick k+1 over the state
-masks.  Tick k + ``period`` has the law of tick k; ``period`` is None for
-a ``matrix_fn`` law, which need not repeat.  Independent clocks enumerate
-their 2^free sets (up to ``MAX_ENUM_NODES`` agents, ``NotEnumerableError``
-above), and an empty script gives a (0, n) table.
+Support contract: ``supports(k)`` is each kind's one answer to "which sets
+can tick k draw".  It returns ``(meet, floor)``: ``meet`` is the (n, n)
+bool matrix whose row j is the intersection of the drawable sets that
+contain agent j, all False when no set contains j, so its diagonal is their
+union; ``floor`` is the least probability of a drawable set -- ``None``
+under a ``weight_fn`` hook, whose weights follow history, and for
+``markov`` the least positive probability of the move from tick k to tick
+k+1.  Tick k + ``period`` has the supports of tick k; ``period`` is None
+for a ``matrix_fn`` law, which need not repeat.  The table kinds count the
+sets that hold each pair of agents (``_meet``); independent clocks answer
+in closed form at any n.
 
 ``check_conditions`` evaluates the almost-sure-consensus conditions for a
-scheduler/matrix pair as reductions over the laws of ticks 1 .. period:
-rootedness, a positive lower bound on nonzero transition probabilities,
-history independence of the support sets, joint coverage of all agents
-within a window of q ticks (decided exactly, since a window of ``period``
-ticks sees every tick), and the quasi-singleton property of the root
-component (for each root-component member j, every tick offers a set
-containing j, and the intersection of all such sets meets the root
-component exactly in {j}).
+scheduler/matrix pair as reductions over the supports of ticks 1 ..
+period: rootedness, a positive lower bound on nonzero transition
+probabilities, history independence of the support sets, joint coverage of
+all agents within a window of q ticks (decided exactly, since a window of
+``period`` ticks sees every tick), and the quasi-singleton property of the
+root component (for each root-component member j, every tick offers a set
+containing j, and the meet of those sets meets the root component exactly
+in {j}).  ``check_strongly_aperiodic`` decides strong aperiodicity for
+every pair of agents from the same answer.
 """
 from __future__ import annotations
 
@@ -67,12 +69,7 @@ from .matrices import ColumnStochasticMatrix, StochasticMatrix, _integer, _reals
 
 PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
-MAX_ENUM_NODES = 16
 UNIFORM_BUFFER_BYTES = 1 << 17  # the buffer a block's uniforms are drawn into
-
-
-class NotEnumerableError(ValidationError):
-    """The scheduler's law of a tick cannot be enumerated."""
 
 
 def normalize_update_set(sigma, n: int) -> frozenset:
@@ -121,6 +118,16 @@ def _mask_table(sets, n: int) -> np.ndarray:
     return np.array([[j + 1 in s for j in range(n)] for s in sets], dtype=bool).reshape(-1, n)
 
 
+def _meet(masks: np.ndarray) -> np.ndarray:
+    """The meet of the (s, n) ``masks`` (see the module docstring): agent i
+    is in row j when every set holding j holds i.  The pair counts are
+    exact in float64 below 2^53 sets, and the product runs in BLAS."""
+    M = masks.astype(np.float64)
+    both = M.T @ M
+    d = both.diagonal()
+    return (both == d[:, None]) & (d > 0)[:, None]
+
+
 def _uniform_groups(rng, steps: int, shape: tuple):
     """Draw the uniforms of ``steps`` ticks, ``shape`` of them per tick,
     tick-major, in groups of ticks: yields ``(i, u)`` with ``u`` the
@@ -138,7 +145,7 @@ def _uniform_groups(rng, steps: int, shape: tuple):
 
 class Scheduler:
     """Shared interface; subclasses set ``kind`` and ``period`` and implement
-    ``sample_masks`` and ``law``."""
+    ``sample_masks`` and ``supports``."""
 
     kind = "abstract"
     n: int
@@ -161,8 +168,8 @@ class Scheduler:
     def check_horizon(self, steps: int) -> None:
         """Raise ValidationError when the scheduler cannot draw ``steps`` ticks."""
 
-    def law(self, k: int) -> tuple:
-        """``(masks, probs)`` of tick k (see the module docstring)."""
+    def supports(self, k: int) -> tuple:
+        """``(meet, floor)`` of tick k (see the module docstring)."""
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -190,22 +197,14 @@ class IndependentClocksScheduler(Scheduler):
             np.less(u, self.p, out=masks[i:i + len(u)])
         return masks
 
-    def law(self, k: int) -> tuple:
-        """The 2^f sets of the f agents with a coin in (0, 1), each with the
-        sure agents, fewest members first and then lexicographically."""
-        if self.n > MAX_ENUM_NODES:
-            raise NotEnumerableError(
-                f"2^{self.n} update sets exceed the enumeration cap of 2^{MAX_ENUM_NODES}"
-            )
-        free = np.flatnonzero((self.p > 0) & (self.p < 1))
-        codes = np.arange(1 << free.size)
-        # free agent i joins when bit f - 1 - i of the code is set, so among
-        # sets of one size a larger code is a lexicographically earlier set
-        bits = ((codes[:, None] >> np.arange(free.size)[::-1]) & 1).astype(bool)
-        bits = bits[np.lexsort((-codes, bits.sum(axis=1)))]
-        masks = np.repeat((self.p == 1.0)[None], len(bits), axis=0)
-        masks[:, free] = bits
-        return masks, np.where(bits, self.p[free], 1.0 - self.p[free]).prod(axis=1)
+    def supports(self, k: int) -> tuple:
+        """In closed form at any n: the sets holding an agent with ``p[j] >
+        0`` meet in {j} and the sure agents, and the least likely set takes
+        the less likely side of every coin in (0, 1)."""
+        p = self.p
+        meet = (np.eye(self.n, dtype=bool) | (p == 1.0)) & (p > 0)[:, None]
+        free = p[(p > 0) & (p < 1)]
+        return meet, float(np.prod(np.minimum(free, 1.0 - free)))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": {"p": [float(v) for v in self.p]}}
@@ -262,12 +261,13 @@ class SupportSequenceScheduler(Scheduler):
         self._cums = [_cumulative(p) for p in tick_probs]
         self._masks = [_mask_table([s for s, _ in options], self.n) for options in norm_ticks]
 
-    def law(self, k: int) -> tuple:
-        """The tick's declared sets and probabilities; ``probs`` is None
-        under a ``weight_fn`` hook, whose weights the draws follow and no
-        declared probability bounds."""
+    def supports(self, k: int) -> tuple:
+        """The meet of the tick's declared sets and their least probability,
+        None under a ``weight_fn`` hook, whose weights the draws follow and
+        no declared probability bounds."""
         t = (k - 1) % self.period
-        return self._masks[t], None if self.weight_fn is not None else self._probs[t]
+        floor = None if self.weight_fn is not None else float(np.min(self._probs[t], initial=1.0))
+        return _meet(self._masks[t]), floor
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
                      carry=None) -> np.ndarray:
@@ -393,11 +393,12 @@ class MarkovScheduler(Scheduler):
             return self.matrices[(k - 1) % len(self.matrices)]
         return self._check_matrix(self.matrix_fn(k), len(self.states))
 
-    def law(self, k: int) -> tuple:
-        """The state masks and the column-stochastic law of the move from
-        tick k to tick k+1: ``probs[i, j]`` is the probability of state i
-        following state j."""
-        return self._masks, self.transition_matrix(k).entries
+    def supports(self, k: int) -> tuple:
+        """The meet of the states some state moves to from tick k to tick
+        k+1, and the least positive probability of that move."""
+        P = self.transition_matrix(k).entries
+        live = P > 0
+        return _meet(self._masks[live.any(axis=1)]), float(np.min(P, initial=1.0, where=live))
 
     def _cumulative_law(self, k: int) -> np.ndarray:
         """Row s: ``_cumulative`` of the law of the state that follows state
@@ -475,10 +476,9 @@ class ScriptScheduler(Scheduler):
         if steps > len(self.sets) and not (self.repeat and self.sets):
             raise ValidationError(f"script of length {len(self.sets)} exhausted")
 
-    def law(self, k: int) -> tuple:
-        """The set of tick k with probability 1; no row for an empty script."""
-        rows = self._masks[(k - 1) % self.period:][:1]
-        return rows, np.ones(len(rows))
+    def supports(self, k: int) -> tuple:
+        """The set of tick k, drawn surely; no set for an empty script."""
+        return _meet(self._masks[(k - 1) % self.period:][:1]), 1.0
 
     def to_json(self) -> dict:
         return {
@@ -579,14 +579,17 @@ class ConditionReport:
         }
 
 
-def _supports(law: tuple) -> np.ndarray:
-    """The rows of a law that can be drawn: those with a positive entry (for
-    a Markov law, the states some state moves to)."""
-    masks, probs = law
-    if probs is None:
-        return masks
-    live = probs > 0
-    return masks[live.any(axis=1) if live.ndim == 2 else live]
+_NO_PERIOD = "time-varying matrix_fn supports cannot be enumerated"
+_UNION_NOTE = "supports approximated by the union over source states"
+
+
+def _period_supports(scheduler: Scheduler) -> tuple:
+    """``(meets, floors)`` of ticks 1 .. period: the (period, n, n) meets and
+    the list of floors; ``(None, None)`` for a law that need not repeat."""
+    if scheduler.period is None:
+        return None, None
+    answers = [scheduler.supports(k) for k in range(1, scheduler.period + 1)]
+    return np.array([meet for meet, _ in answers]), [floor for _, floor in answers]
 
 
 def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionReport:
@@ -608,35 +611,31 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionRepo
     report = roots(build_graph(A))
     checks.append(ConditionCheck("rooted", report.rooted, report.to_json()))
 
-    try:
-        if scheduler.period is None:
-            raise NotEnumerableError("time-varying matrix_fn supports cannot be enumerated")
-        laws = [scheduler.law(k) for k in range(1, scheduler.period + 1)]
-    except NotEnumerableError as exc:
-        laws, unavailable = None, str(exc)
-    if laws is None or any(probs is None for _, probs in laws):
+    meets, floors = _period_supports(scheduler)
+    if floors is None or None in floors:
         checks.append(ConditionCheck(
             "positive_probability", False, {},
             note="no uniform lower bound on transition probabilities is available",
         ))
     else:
-        alpha = min(float(np.min(probs, initial=1.0, where=probs > 0)) for _, probs in laws)
-        checks.append(ConditionCheck("positive_probability", True, {"alpha": alpha}))
+        # every floor is the probability of a drawable set, positive but
+        # for a product of clock coins that rounds to 0
+        alpha = min(floors)
+        note = "" if alpha > 0 else "the least set probability underflows float64"
+        checks.append(ConditionCheck("positive_probability", True, {"alpha": alpha}, note=note))
 
     hist_free = scheduler.history_independent
     note = "" if hist_free else "supports depend on the previous state"
     checks.append(ConditionCheck("history_independent", hist_free,
                                  {"kind": scheduler.kind}, note=note))
 
-    if laws is None:
-        checks.append(ConditionCheck("joint_coverage", False, {}, note=unavailable))
-        checks.append(ConditionCheck("quasi_singleton", False, {}, note=unavailable))
+    if meets is None:
+        checks.append(ConditionCheck("joint_coverage", False, {}, note=_NO_PERIOD))
+        checks.append(ConditionCheck("quasi_singleton", False, {}, note=_NO_PERIOD))
         return ConditionReport(checks)
-    approx_note = "" if hist_free else "supports approximated by the union over source states"
-    supports = [_supports(law) for law in laws]
-    period = len(supports)
+    approx_note = "" if hist_free else _UNION_NOTE
 
-    unions = np.array([masks.any(axis=0) for masks in supports])
+    unions = meets.diagonal(axis1=1, axis2=2)
     drawable = unions.any(axis=0)
     if not drawable.all():
         checks.append(ConditionCheck("joint_coverage", False, {
@@ -650,7 +649,7 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionRepo
             q += 1
             covered |= np.roll(unions, 1 - q, axis=0)
         checks.append(ConditionCheck("joint_coverage", True,
-                                     {"q": q, "period": period}, note=approx_note))
+                                     {"q": q, "period": len(meets)}, note=approx_note))
 
     if not report.rooted:
         checks.append(ConditionCheck(
@@ -662,12 +661,11 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionRepo
     in_chi = np.isin(np.arange(1, n + 1), sorted(chi))
     violations = []
     for j in sorted(chi):
-        for k, masks in enumerate(supports, start=1):
-            containing = masks[masks[:, j - 1]]
-            if not len(containing):
+        for k, meet in enumerate(meets, start=1):
+            if not meet[j - 1, j - 1]:
                 violations.append({"k": k, "j": j, "kind": "no_support"})
                 continue
-            inter = (np.flatnonzero(containing.all(axis=0) & in_chi) + 1).tolist()
+            inter = (np.flatnonzero(meet[j - 1] & in_chi) + 1).tolist()
             if inter != [j]:
                 violations.append({"k": k, "j": j, "kind": "intersection",
                                    "intersection": inter})
@@ -678,44 +676,28 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionRepo
     return ConditionReport(checks)
 
 
-@dataclass(frozen=True)
-class StrongAperiodicityCheck:
-    """Exact expectations E[A_sigma(i,i) A_sigma(i,j)] vs E[A_sigma(i,j)].
+def check_strongly_aperiodic(scheduler: Scheduler, A: StochasticMatrix) -> ConditionCheck:
+    """Strong aperiodicity for every pair at once: one gamma > 0 with
+    E[A_sigma(i,i) A_sigma(i,j)] >= gamma E[A_sigma(i,j)] for all i != j.
 
-    ``holds`` means the left side is positive whenever the right side is,
-    i.e. some positive factor relates them.
+    Row i of A_sigma is row i of A when i updates and e_i otherwise, so the
+    left side is a_ii times the right, and the best gamma is the least a_ii
+    over the agents some tick of the period can draw that have an a_ij > 0,
+    j != i (1.0 when none has).  Passes with witness ``{"gamma"}``, or fails
+    with ``{"pairs"}``, the first 20 such [i, j] with a_ii = 0.
     """
-
-    i: int
-    j: int
-    lhs: float
-    rhs: float
-
-    @property
-    def holds(self) -> bool:
-        return self.rhs == 0.0 or self.lhs > 0.0
-
-    def to_json(self) -> dict:
-        return {"i": self.i, "j": self.j, "lhs": self.lhs, "rhs": self.rhs,
-                "holds": self.holds}
-
-
-def check_strongly_aperiodic(scheduler: Scheduler, A: StochasticMatrix,
-                             i: int, j: int, k: int = 1) -> StrongAperiodicityCheck:
-    """Compare the two expectations exactly over the law of tick k."""
     if scheduler.n != A.n:
         raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
-    if not (1 <= i <= A.n and 1 <= j <= A.n) or i == j:
-        raise ValidationError(f"need distinct agents in 1..{A.n}, got i={i}, j={j}")
-    masks, probs = scheduler.law(k)
-    if probs is None or probs.ndim != 1 or not probs.size:
-        raise NotEnumerableError(
-            f"tick {k} of the {scheduler.kind} scheduler has no history-free law")
-    a_ii = float(A.entries[i - 1, i - 1])
-    a_ij = float(A.entries[i - 1, j - 1])
-    # only the sets with i add: row i of A_sigma is e_i otherwise, so its
-    # (i, j) entry is 0; the sums add the rows left to right, where np.sum
-    # would add pairwise and round differently
-    p = probs[masks[:, i - 1]]
-    lhs, rhs = (float(np.cumsum(x)[-1]) if x.size else 0.0 for x in (p * a_ii * a_ij, p * a_ij))
-    return StrongAperiodicityCheck(i=i, j=j, lhs=lhs, rhs=rhs)
+    meets, _ = _period_supports(scheduler)
+    if meets is None:
+        return ConditionCheck("strongly_aperiodic", False, {}, note=_NO_PERIOD)
+    note = "" if scheduler.history_independent else _UNION_NOTE
+    a = A.entries
+    drawable = meets.diagonal(axis1=1, axis2=2).any(axis=0)
+    pairs = (a > 0) & ~np.eye(A.n, dtype=bool) & drawable[:, None]
+    diag = a.diagonal()
+    gamma = float(np.min(diag, initial=1.0, where=pairs.any(axis=1)))
+    if gamma > 0:
+        return ConditionCheck("strongly_aperiodic", True, {"gamma": gamma}, note=note)
+    failing = np.argwhere(pairs & (diag == 0)[:, None])[:20] + 1
+    return ConditionCheck("strongly_aperiodic", False, {"pairs": failing.tolist()}, note=note)

@@ -25,13 +25,7 @@ from async_dca import (
     stream,
 )
 from async_dca.engine import initial_state, step
-from async_dca.schedulers import (
-    MAX_ENUM_NODES,
-    ConditionCheck,
-    ConditionReport,
-    NotEnumerableError,
-    StrongAperiodicityCheck,
-)
+from async_dca.schedulers import ConditionCheck, ConditionReport
 from async_dca.walk import WALK_BLOCK, _check_gamma, default_move_probabilities
 
 
@@ -684,8 +678,16 @@ def walk_match_exact(cycle, gamma, k_max, move_probs=None, unmatched=False):
 # The consensus-condition checkers as first written: each kind's law as
 # frozensets (its smallest probability, its per-tick supports and its
 # one-step distribution, read from the kind's declared parameters), and
-# plain set loops over them.  The library reduces the arrays of ``law(k)``
-# and must give the same report and the same expectations, to the bit.
+# plain set loops over them.  The library reduces the meets of
+# ``supports(k)`` and must give the same report and the same verdicts, to
+# the bit.  Independent clocks are enumerated up to MAX_ENUM_NODES agents.
+
+MAX_ENUM_NODES = 16
+
+
+class NotEnumerableError(ValidationError):
+    """The oracle cannot list the update sets of a tick."""
+
 
 def _clock_sets(self) -> list:
     """[(set, probability)] of independent clocks, by set size, then
@@ -708,11 +710,28 @@ def _clock_sets(self) -> list:
     return out
 
 
+def _clock_factors(self) -> list:
+    """Per agent, the probability of the less likely side of its coin; 1.0
+    for an agent that never or surely updates."""
+    return [1.0 if pj in (0.0, 1.0) else min(pj, 1.0 - pj) for pj in self.p]
+
+
+def reference_meet(sets, n: int) -> np.ndarray:
+    """(n, n) bool: row j the intersection of the ``sets`` that hold agent
+    j, all False when none does."""
+    meet = np.zeros((n, n), dtype=bool)
+    for j in range(1, n + 1):
+        holding = [frozenset(s) for s in sets if j in s]
+        if holding:
+            for i in frozenset.intersection(*holding):
+                meet[j - 1, i - 1] = True
+    return meet
+
+
 def reference_alpha(self):
     """Smallest declared nonzero transition probability, if known."""
     if self.kind == "independent_clocks":
-        factors = [1.0 if pj in (0.0, 1.0) else min(pj, 1.0 - pj) for pj in self.p]
-        return float(np.prod(factors))
+        return float(np.prod(_clock_factors(self)))
     if self.kind in ("global_clock", "support_sequence"):
         if self.weight_fn is not None:
             return None
@@ -778,7 +797,13 @@ def reference_check_conditions(scheduler, A) -> ConditionReport:
             note="no uniform lower bound on transition probabilities is available",
         ))
     else:
-        checks.append(ConditionCheck("positive_probability", alpha > 0, {"alpha": alpha}))
+        # a product of clock coins is positive when its factors are, even
+        # where it rounds to 0.0
+        positive = (all(f > 0 for f in _clock_factors(scheduler))
+                    if scheduler.kind == "independent_clocks" else alpha > 0)
+        note = "" if alpha > 0 else "the least set probability underflows float64"
+        checks.append(ConditionCheck("positive_probability", positive, {"alpha": alpha},
+                                     note=note))
 
     hist_free = scheduler.history_independent
     note = "" if hist_free else "supports depend on the previous state"
@@ -842,19 +867,42 @@ def reference_check_conditions(scheduler, A) -> ConditionReport:
     return ConditionReport(checks)
 
 
-def reference_strongly_aperiodic(scheduler, A, i: int, j: int,
-                                 k: int = 1) -> StrongAperiodicityCheck:
-    """E[A_sigma(i,i) A_sigma(i,j)] and E[A_sigma(i,j)] by a loop over the
-    tick-k draws."""
-    a_ii = float(A.entries[i - 1, i - 1])
-    a_ij = float(A.entries[i - 1, j - 1])
-    lhs = 0.0
-    rhs = 0.0
-    for members, prob in reference_one_step_distribution(scheduler, k):
-        if i in members:
-            row_ii, row_ij = a_ii, a_ij
-        else:
-            row_ii, row_ij = 1.0, 0.0
-        lhs += prob * row_ii * row_ij
-        rhs += prob * row_ij
-    return StrongAperiodicityCheck(i=i, j=j, lhs=lhs, rhs=rhs)
+def reference_strongly_aperiodic(scheduler, A) -> ConditionCheck:
+    """``check_strongly_aperiodic`` by set loops: per tick of the period and
+    per pair i != j, E[A_sigma(i,i) A_sigma(i,j)] and E[A_sigma(i,j)]
+    summed over the tick's draws.  Markov and hooked laws have no
+    history-free draws, so their union supports count with weight 1.  The
+    pairs whose left side is exactly 0 while the right side is positive
+    fail; gamma is the least a_ii over the pairs with a positive right side.
+    """
+    try:
+        period, ticks, exact = reference_support_sets(scheduler)
+    except NotEnumerableError as exc:
+        return ConditionCheck("strongly_aperiodic", False, {}, note=str(exc))
+    a = A.entries
+    gamma = 1.0
+    failing = set()
+    for k in range(1, period + 1):
+        try:
+            draws = reference_one_step_distribution(scheduler, k)
+        except ValidationError:
+            draws = [(s, 1.0) for s in ticks[k - 1]]
+        for i in range(1, A.n + 1):
+            for j in range(1, A.n + 1):
+                if i == j:
+                    continue
+                lhs = 0.0
+                rhs = 0.0
+                for members, prob in draws:
+                    if i in members:
+                        lhs += prob * a[i - 1, i - 1] * a[i - 1, j - 1]
+                        rhs += prob * a[i - 1, j - 1]
+                if rhs > 0:
+                    gamma = min(gamma, float(a[i - 1, i - 1]))
+                    if lhs == 0:
+                        failing.add((i, j))
+    note = "" if exact else "supports approximated by the union over source states"
+    if failing:
+        pairs = [list(pair) for pair in sorted(failing)[:20]]
+        return ConditionCheck("strongly_aperiodic", False, {"pairs": pairs}, note=note)
+    return ConditionCheck("strongly_aperiodic", True, {"gamma": gamma}, note=note)

@@ -282,13 +282,13 @@ def test_criterion_5_condition_checker():
     assert elapsed < 5.0, f"condition checks took {elapsed:.1f}s"
 
 
-@criterion("6 strong-aperiodicity expectations")
+@criterion("6 strong-aperiodicity verdict")
 def test_criterion_6_strongly_aperiodic():
     spec = GlobalClockScheduler([0.25, 0.25, 0.25, 0.25])
-    chk = check_strongly_aperiodic(spec, bundled_matrix("four_node_rooted"), 1, 2)
-    assert chk.lhs == 0.0
-    assert chk.rhs == 0.25
-    assert not chk.holds
+    chk = check_strongly_aperiodic(spec, bundled_matrix("four_node_rooted"))
+    # a_11 = 0 and a_12 = 1: E[A_sigma(1,1) A_sigma(1,2)] = 0 < E[A_sigma(1,2)] = 1/4
+    assert not chk.passed
+    assert [1, 2] in chk.witness["pairs"]
 
 
 @criterion("7 cycle-walk absorption bound")

@@ -13,7 +13,9 @@ conditions).  The ``simulate`` digests were recorded before the streamed ``mc``
 pipeline, the ``mc`` and ``repro`` digests with seed contract 3, one stream
 for all trials of a run, and the walk digests after its certificate took
 ``c0`` from the distance chain's unabsorbed mass at the exact rate (the
-walk summary records the seed contract's number).  A change that alters an
+walk summary records the seed contract's number); the ``repro`` digests
+were re-recorded when the ``strongly_aperiodic`` replay's check became the
+all-pairs verdict with its failing pairs as the witness.  A change that alters an
 output must update its digest here and name the change in CHANGES.md.
 
 The digests hold for the numpy version recorded below: a different numpy
@@ -113,8 +115,8 @@ DIGESTS = {
                      "summary.json": "61ca5728a5d476547c89c53cd06f0498e7419ebcbcab50063e42fb3f099ade30"},
     ("walk", 5): {"curve.csv": "565b3e6574c9ac44ed2ccb7b3afda49b94e390b888de3218dd3c7214fc6c951e",
                   "summary.json": "61ca5728a5d476547c89c53cd06f0498e7419ebcbcab50063e42fb3f099ade30"},
-    ("repro-all", 1729): {"stdout": "c65207a971f722faa03a588af51fa96b0fe26a73eca69f000a04991627513b16"},
-    ("repro-all", 5): {"stdout": "03ae82bc4792b2cee9a2d3764b559907420b57cfa93559d2ae0230425823953d"},
+    ("repro-all", 1729): {"stdout": "5d0c63b5cef95203842cb43b83bee83023fd41c13bda6a9d5a5ef96a96c15e6f"},
+    ("repro-all", 5): {"stdout": "65ebb53727143be7eb92f27459568b3b7525084a7e72dfc38c5376137927d63e"},
 }
 SEEDLESS_DIGESTS = {
     "analyze-two_node_swap": {"stdout": "85d1e0fb8e06caec3682045a18b655479d83c3cfd69109e739b1c58cace75408"},

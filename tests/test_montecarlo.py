@@ -195,7 +195,7 @@ def test_replay_reports_are_json_ready():
 
     payload = replay("strongly_aperiodic").to_json()
     text = json.dumps(payload)
-    assert "lhs" in text
+    assert '"pairs"' in text
 
 
 def test_track_lambda_off_skips_product_stats():

@@ -22,9 +22,14 @@ from async_dca import (
 )
 from async_dca.schedulers import _cumulative, _pick
 from _oracles import (
+    _clock_sets,
     draw_sets_per_tick,
+    reference_alpha,
     reference_check_conditions,
+    reference_meet,
+    reference_one_step_distribution,
     reference_strongly_aperiodic,
+    reference_support_sets,
     searchsorted_pick,
 )
 from _samplers import random_rooted_stochastic, random_stochastic
@@ -344,51 +349,83 @@ def test_global_clock_json_keeps_the_zero_entries():
     assert again.p.tolist() == P_WITH_ZERO and again.to_json() == obj
 
 
-def test_global_clock_law_is_its_positive_entries():
+def test_global_clock_supports_are_its_positive_entries():
     scheduler = GlobalClockScheduler(P_WITH_ZERO)
     assert scheduler.period == 1
-    masks, probs = scheduler.law(7)
-    assert np.array_equal(masks, np.eye(5, dtype=bool)[[0, 2, 3, 4]])
-    assert probs.tolist() == [0.1, 0.45, 0.2, 0.25]
+    meet, floor = scheduler.supports(7)
+    # each agent with p > 0 is its own one set; agent 2 is in none
+    assert np.array_equal(meet, np.diag(np.array(P_WITH_ZERO) > 0))
+    assert floor == 0.1
+    _, ticks, _ = reference_support_sets(scheduler)
+    assert np.array_equal(meet, reference_meet(ticks[0], 5))
+    assert floor == reference_alpha(scheduler)
 
 
-def test_independent_clocks_law_enumerates_by_size_then_lexicographically():
-    # agent 2 never updates and agent 4 always does
-    masks, probs = IndependentClocksScheduler([0.25, 0.0, 0.5, 1.0]).law(1)
-    sets = [[j + 1 for j in np.flatnonzero(row)] for row in masks]
-    assert sets == [[4], [1, 4], [3, 4], [1, 3, 4]]
-    assert probs.tolist() == [0.375, 0.125, 0.375, 0.125]
+def test_independent_clocks_supports_match_the_enumerated_sets():
+    # random coins with silent and sure agents: the closed-form meet and
+    # floor are those of the 2^free enumerated sets, to the bit
+    rng = np.random.default_rng(2024_33)
+    for trial in range(200):
+        n = int(rng.integers(1, 13))
+        p = np.choose(rng.integers(0, 4, n), [np.zeros(n), np.ones(n), rng.random(n),
+                                               rng.random(n)])
+        scheduler = IndependentClocksScheduler(p)
+        sets = _clock_sets(scheduler)
+        meet, floor = scheduler.supports(1)
+        assert np.array_equal(meet, reference_meet([s for s, _ in sets], n)), trial
+        assert floor == min(prob for _, prob in sets) == reference_alpha(scheduler), trial
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in DRAWN if DRAWN[k]().period is not None))
+def test_supports_match_the_reference_sets(kind):
+    # over two periods: each tick's meet is that of its reference sets, and
+    # the least floor is the reference alpha (None under the hook)
+    scheduler = DRAWN[kind]()
+    period, ticks, _ = reference_support_sets(scheduler)
+    floors = []
+    for k in range(1, 2 * period + 1):
+        meet, floor = scheduler.supports(k)
+        assert np.array_equal(meet, reference_meet(ticks[(k - 1) % period], scheduler.n)), k
+        floors.append(floor)
+    assert (None if None in floors else min(floors)) == reference_alpha(scheduler)
 
 
 @pytest.mark.parametrize("kind", sorted(k for k in DRAWN if DRAWN[k]().history_independent))
 def test_law_rows_are_the_drawn_frequencies(kind):
-    # every drawn set is a row of its tick's law, and each row is drawn
-    # with a frequency whose Wilson interval holds the row's probability
+    # every drawn set is one of its tick's reference sets, and each set is
+    # drawn with a frequency whose Wilson interval holds its probability
     scheduler = DRAWN[kind]()
-    hooked = scheduler.law(1)[1] is None  # the weight hook's draws follow history
+    hooked = getattr(scheduler, "weight_fn", None) is not None  # its draws follow history
+    period, ticks, _ = reference_support_sets(scheduler)
     masks = scheduler.sample_masks(12_000, stream(11, 0))[:, 0]
-    for t in range(scheduler.period):
-        rows, probs = scheduler.law(t + 1)
+    for t in range(period):
+        law = ([(s, None) for s in ticks[t]] if hooked
+               else reference_one_step_distribution(scheduler, t + 1))
+        rows = np.array([[j + 1 in s for j in range(scheduler.n)] for s, _ in law])
         assert len(np.unique(rows, axis=0)) == len(rows)
-        drawn = masks[t::scheduler.period]
+        drawn = masks[t::period]
         hits = (drawn[:, None, :] == rows[None]).all(axis=2)
         assert hits.any(axis=1).all()
         if hooked:
             continue
-        assert abs(probs.sum() - 1.0) <= schedulers.PROB_TOL
+        probs = [prob for _, prob in law]
+        assert abs(sum(probs) - 1.0) <= schedulers.PROB_TOL
         for count, prob in zip(hits.sum(axis=0), probs):
             lo, hi = wilson_interval(int(count), len(drawn), z=4.0)
             assert lo <= prob <= hi, (t, count, prob)
 
 
 @pytest.mark.parametrize("kind", sorted(k for k in DRAWN if k.startswith("markov")))
-def test_markov_law_is_its_states_and_transition_matrix(kind):
+def test_markov_supports_are_its_reachable_states(kind):
+    # the states some state moves to from tick k, and the least positive
+    # probability of the move, by loops over the transition matrix
     scheduler = DRAWN[kind]()
-    states = np.array([[j + 1 in s for j in range(scheduler.n)] for s in scheduler.states])
     for k in range(1, 6):
-        masks, probs = scheduler.law(k)
-        assert np.array_equal(masks, states)
-        assert np.array_equal(probs, scheduler.transition_matrix(k).entries)
+        P = scheduler.transition_matrix(k).entries
+        reachable = [scheduler.states[i] for i in range(len(P)) if any(P[i] > 0)]
+        meet, floor = scheduler.supports(k)
+        assert np.array_equal(meet, reference_meet(reachable, scheduler.n)), k
+        assert floor == min(v for row in P for v in row if v > 0), k
 
 
 @pytest.mark.parametrize("kind, expected", [
@@ -610,7 +647,7 @@ def test_conditions_weight_hook_has_no_probability_floor():
     hooked = SupportSequenceScheduler(4, [[({1, 2}, 0.5), ({3, 4}, 0.5)]],
                                       weight_fn=lambda k, state, picked: (
                                           np.tile([1e-300, 1 - 1e-300], (len(picked), 1)), state))
-    assert hooked.law(1)[1] is None
+    assert hooked.supports(1)[1] is None
     check = check_conditions(hooked, bundled_matrix("four_node_ring"))["positive_probability"]
     assert not check.passed
     assert "no uniform lower bound" in check.note
@@ -696,9 +733,8 @@ def _random_instance(rng, kind):
 
 
 def test_conditions_match_the_set_loop_reference():
-    # 600 random scheduler/matrix pairs: the reports, and for every pair of
-    # agents sampled the strong-aperiodicity expectations, are those of the
-    # frozenset loops to the bit, errors included
+    # 600 random scheduler/matrix pairs: the reports and the
+    # strong-aperiodicity verdicts are those of the frozenset loops to the bit
     rng = np.random.default_rng(2024_32)
     verdicts = set()
     for trial in range(600):
@@ -710,17 +746,12 @@ def test_conditions_match_the_set_loop_reference():
         report = check_conditions(scheduler, A)
         assert report.to_json() == reference_check_conditions(scheduler, A).to_json(), trial
         verdicts.add((kind, report.passed))
-        if n < 2:
-            continue
-        i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
-        k = int(rng.integers(1, 4))
-        try:
-            want = reference_strongly_aperiodic(scheduler, A, i, j, k).to_json()
-        except ValidationError:
-            with pytest.raises(ValidationError):
-                check_strongly_aperiodic(scheduler, A, i, j, k)
-            continue
-        assert check_strongly_aperiodic(scheduler, A, i, j, k).to_json() == want, trial
+        if n >= 2:
+            # the draws of a retired pair and tick, kept so the instances stay the same
+            rng.choice(n, size=2, replace=False)
+            rng.integers(1, 4)
+        assert (check_strongly_aperiodic(scheduler, A).to_json()
+                == reference_strongly_aperiodic(scheduler, A).to_json()), trial
     both = {(kind, ok) for kind in ALL_SCHEDULERS for ok in (True, False)}
     assert verdicts == both - {("markov", True)}
 
@@ -736,63 +767,94 @@ def test_conditions_unrooted_graph():
 # strong aperiodicity
 # ---------------------------------------------------------------------------
 
-def test_strongly_aperiodic_exact_counts():
+def test_strongly_aperiodic_fails_on_a_zero_diagonal():
+    # every agent of four_node_rooted has a_ii = 0 and one a_ij = 1, and a
+    # uniform clock draws each: E[A_sigma(i,i) A_sigma(i,j)] = 0 < 1/4
     A = bundled_matrix("four_node_rooted")
-    chk = check_strongly_aperiodic(GlobalClockScheduler([0.25] * 4), A, 1, 2)
-    assert chk.lhs == 0.0
-    assert chk.rhs == 0.25
-    assert not chk.holds
+    chk = check_strongly_aperiodic(GlobalClockScheduler([0.25] * 4), A)
+    assert chk.name == "strongly_aperiodic"
+    assert not chk.passed
+    assert [1, 2] in chk.witness["pairs"]
+    assert chk.witness == {"pairs": [[1, 2], [2, 3], [3, 1], [4, 3]]}
 
 
 def test_strongly_aperiodic_identity_diagonal():
-    A = StochasticMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    # lift the diagonal to 1 by updating nobody relevant: use a matrix with
-    # unit diagonal instead
+    # no off-diagonal entry: nothing to bound, gamma 1
     lazy = StochasticMatrix(np.eye(2))
-    chk = check_strongly_aperiodic(GlobalClockScheduler([0.5, 0.5]), lazy, 1, 2)
-    assert chk.lhs == chk.rhs == 0.0
-    assert chk.holds
-    chk2 = check_strongly_aperiodic(GlobalClockScheduler([0.5, 0.5]), A, 1, 2)
-    assert chk2.lhs == 0.5 * 0.5 * 0.5
-    assert chk2.rhs == 0.5 * 0.5
-    assert chk2.holds
+    chk = check_strongly_aperiodic(GlobalClockScheduler([0.5, 0.5]), lazy)
+    assert chk.passed and chk.witness == {"gamma": 1.0}
+    A = StochasticMatrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    chk2 = check_strongly_aperiodic(GlobalClockScheduler([0.5, 0.5]), A)
+    assert chk2.passed and chk2.witness == {"gamma": 0.5}
 
 
 def test_strongly_aperiodic_never_selected_agent():
-    A = bundled_matrix("three_node_chain")
-    chk = check_strongly_aperiodic(GlobalClockScheduler([0.0, 0.5, 0.5]), A, 1, 2)
-    assert chk.lhs == 0.0 and chk.rhs == 0.0
-    assert chk.holds
+    # agents 2 and 3 have a zero diagonal but never update
+    A = bundled_matrix("three_node_lazy_cycle")
+    chk = check_strongly_aperiodic(GlobalClockScheduler([1.0, 0.0, 0.0]), A)
+    assert chk.passed and chk.witness == {"gamma": 0.5}
+
+
+def test_strongly_aperiodic_decides_markov_and_hooked_laws():
+    A = bundled_matrix("three_node_lazy_cycle")
+    chk = check_strongly_aperiodic(ALL_SCHEDULERS["markov"](), A)
+    assert not chk.passed
+    assert chk.witness == {"pairs": [[2, 3], [3, 1]]}
+    assert "union over source states" in chk.note
+    hooked = SupportSequenceScheduler(
+        3, [[({1}, 0.5), ({3}, 0.5)]],
+        weight_fn=lambda k, state, picked: (np.full((len(picked), 2), 0.5), state),
+    )
+    chk = check_strongly_aperiodic(hooked, A)
+    assert not chk.passed and chk.witness == {"pairs": [[3, 1]]} and not chk.note
+    lone = SupportSequenceScheduler(3, [[({1}, 1.0)]], weight_fn=hooked.weight_fn)
+    assert check_strongly_aperiodic(lone, A).witness == {"gamma": 0.5}
+    # a time-varying law has no period to read
+    vanishing = MarkovScheduler(3, states=[{1}, {2}, {3}], initial={1}, matrix_fn=vanishing_law)
+    chk = check_strongly_aperiodic(vanishing, A)
+    assert not chk.passed and "matrix_fn" in chk.note
 
 
 def test_strongly_aperiodic_errors():
+    with pytest.raises(DimensionError):
+        check_strongly_aperiodic(GlobalClockScheduler([0.5, 0.5]),
+                                 bundled_matrix("three_node_cycle"))
+
+
+def test_conditions_clock_floor_underflow_keeps_every_set():
+    # the sets {1, 2} and {1, 2, 3} have probabilities 1e-400 and 5e-401:
+    # drawable, though their products round to 0.0
+    scheduler = IndependentClocksScheduler([1e-200, 1e-200, 0.5])
     A = bundled_matrix("three_node_cycle")
-    with pytest.raises(ValidationError):
-        check_strongly_aperiodic(ALL_SCHEDULERS["markov"](), A, 1, 2)
-    with pytest.raises(ValidationError):
-        check_strongly_aperiodic(GlobalClockScheduler([1 / 3] * 3), A, 1, 1)
-    hooked = SupportSequenceScheduler(
-        3, [[({1}, 0.5), ({2}, 0.5)]],
-        weight_fn=lambda k, state, picked: (np.full((len(picked), 2), 0.5), state),
-    )
-    with pytest.raises(ValidationError):
-        check_strongly_aperiodic(hooked, A, 1, 2)
-    with pytest.raises(ValidationError):
-        check_strongly_aperiodic(ScriptScheduler(3, []), A, 1, 2)
+    report = check_conditions(scheduler, A)
+    pos = report["positive_probability"]
+    assert pos.passed and pos.witness == {"alpha": 0.0}
+    assert "underflows float64" in pos.note
+    assert report.to_json() == reference_check_conditions(scheduler, A).to_json()
+    sets = [s for s, _ in _clock_sets(scheduler)]
+    assert {frozenset({1, 2}), frozenset({1, 2, 3})} <= set(sets)
+    assert np.array_equal(scheduler.supports(1)[0], reference_meet(sets, 3))
 
 
-def test_conditions_large_independent_clocks_hit_enumeration_cap():
-    n = 17
-    A = StochasticMatrix(np.full((n, n), 1.0 / n))
-    report = check_conditions(IndependentClocksScheduler([0.5] * n), A)
-    # no law table, so no probability floor either
-    for name in ("positive_probability", "joint_coverage", "quasi_singleton"):
-        assert not report[name].passed and not report[name].witness
-    assert "no uniform lower bound" in report["positive_probability"].note
-    assert "enumeration cap" in report["joint_coverage"].note
-    assert "enumeration cap" in report["quasi_singleton"].note
-    with pytest.raises(ValidationError, match="enumeration cap"):
-        check_strongly_aperiodic(IndependentClocksScheduler([0.5] * n), A, 1, 2)
+def test_conditions_large_independent_clocks_in_closed_form():
+    # past the oracle's enumeration cap the closed forms decide every check
+    rng = np.random.default_rng(2024_34)
+    for n in (17, 64):
+        A = StochasticMatrix(np.full((n, n), 1.0 / n))
+        p = rng.uniform(0.05, 0.95, n)
+        scheduler = IndependentClocksScheduler(p)
+        report = check_conditions(scheduler, A)
+        assert report.passed, n
+        assert report["positive_probability"].witness["alpha"] == reference_alpha(scheduler)
+        assert report.q == 1
+        assert check_strongly_aperiodic(scheduler, A).witness == {"gamma": 1.0 / n}
+        # a sure agent inside chi joins every set, so the sets that hold
+        # agent 1 meet in {1, 4}
+        p[3] = 1.0
+        qs = check_conditions(IndependentClocksScheduler(p), A)["quasi_singleton"]
+        assert not qs.passed
+        assert qs.witness["violations"][0] == {"k": 1, "j": 1, "kind": "intersection",
+                                               "intersection": [1, 4]}
 
 
 def test_analysis_of_single_agent():
