@@ -19,7 +19,6 @@ from .errors import DimensionError, ValidationError
 from .graphs import (
     DirectedGraph,
     LabelledCycle,
-    RootReport,
     analysis_report,
     build_graph,
     build_labelled_cycle,
@@ -88,7 +87,6 @@ __all__ = [
     "RateCertificate",
     "REPLAY_CASES",
     "ReplayReport",
-    "RootReport",
     "Scheduler",
     "ScriptScheduler",
     "StochasticMatrix",

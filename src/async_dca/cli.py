@@ -23,7 +23,7 @@ from .montecarlo import (
     run_experiment, trajectory_blocks,
 )
 from .rng import DEFAULT_SEED, SEED_CONTRACT
-from .schedulers import ScriptScheduler, check_conditions, scheduler_from_json
+from .schedulers import ScriptScheduler, _check_sizes, check_conditions, scheduler_from_json
 from .walk import match_probability_curve
 
 
@@ -90,10 +90,7 @@ def _cmd_simulate(args) -> int:
         steps = len(scheduler.sets) if args.steps is None else args.steps
     elif args.scheduler is not None:
         scheduler = _load_scheduler(args.scheduler)
-        if scheduler.n != A.n:
-            raise ValidationError(
-                f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}"
-            )
+        _check_sizes(scheduler, A)
         if args.steps is None:
             raise ValidationError("--steps is required with --scheduler")
         steps = args.steps
@@ -165,10 +162,10 @@ def _cmd_walk(args) -> int:
     else:
         A = StochasticMatrix.load(args.auto_from_matrix)
         G = build_graph(A)
-        rep = roots(G)
-        if not rep.rooted:
+        chi = roots(G)
+        if not chi:
             raise ValidationError("matrix graph is not rooted; no root component to walk")
-        cycle = build_labelled_cycle(G, rep.chi)
+        cycle = build_labelled_cycle(G, chi)
     curve = match_probability_curve(cycle, args.gamma, args.kmax, args.trials, args.seed)
     _write_csv(args.out, ["k", "empirical_match_prob", "bound_1_minus_c0_beta_k"],
                curve.k, curve.empirical, curve.bound)

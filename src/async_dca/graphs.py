@@ -47,20 +47,6 @@ class DirectedGraph:
 
 
 @dataclass(frozen=True)
-class RootReport:
-    rooted: bool
-    roots: frozenset
-    chi: frozenset
-
-    def to_json(self) -> dict:
-        return {
-            "rooted": self.rooted,
-            "roots": sorted(self.roots),
-            "chi": sorted(self.chi),
-        }
-
-
-@dataclass(frozen=True)
 class LabelledCycle:
     """Directed cycle on positions 1..length with per-position node labels.
 
@@ -76,8 +62,9 @@ class LabelledCycle:
         labels = tuple(_integer(v, "cycle label") for v in self.labels)
         if length < 1 or len(labels) != length:
             raise ValidationError(f"cycle length {length} does not match {len(labels)} labels")
-        if any(v < 1 for v in labels):
-            raise ValidationError("labels must be positive node indices")
+        # the walk compares labels as int64
+        if not all(1 <= v < 1 << 63 for v in labels):
+            raise ValidationError("labels must be positive node indices below 2**63")
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "labels", labels)
 
@@ -141,15 +128,15 @@ def scc_decomposition(G: DirectedGraph) -> list:
     return comps
 
 
-def roots(G: DirectedGraph) -> RootReport:
-    """Nodes from which every other node is reachable.
+def roots(G: DirectedGraph) -> frozenset:
+    """The root set chi: the nodes from which every other node is reachable.
 
-    The root set of a rooted graph is the unique source component of the
-    condensation, which is also the only strongly connected component fully
-    contained in it; ``chi`` reports that component (empty when unrooted).
+    It is empty exactly when the graph is not rooted.  The root set of a
+    rooted graph is the unique source component of the condensation, so it
+    is also the root component, the only strongly connected component fully
+    contained in it.
     """
-    root_set = frozenset((np.flatnonzero(_reach(G.adj).all(axis=1)) + 1).tolist())
-    return RootReport(bool(root_set), root_set, root_set)
+    return frozenset((np.flatnonzero(_reach(G.adj).all(axis=1)) + 1).tolist())
 
 
 def is_sia(A) -> bool:
@@ -232,16 +219,16 @@ def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:
 def analysis_report(A: StochasticMatrix) -> dict:
     """Connectivity / ergodicity summary used by the `analyze` subcommand."""
     G = build_graph(A)
-    rep = roots(G)
+    chi = roots(G)
     comps = scc_decomposition(G)
     # chi is strongly connected, and a lone root has a self-loop (its row's
     # positive entry is its own), so building the cycle cannot fail
-    cycle_length = build_labelled_cycle(G, rep.chi).length if rep.rooted else None
+    cycle_length = build_labelled_cycle(G, chi).length if chi else None
     lam = ergodic_coefficient(A)
     return {
         "n": A.n,
-        "rooted": rep.rooted,
-        "roots": sorted(rep.roots),
+        "rooted": bool(chi),
+        "roots": sorted(chi),
         "scc": [sorted(c) for c in comps],
         "sia": is_sia(A),
         "scrambling": lam < 1.0 - SCRAMBLING_TOL,  # is_scrambling, read off lam

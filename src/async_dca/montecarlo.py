@@ -47,6 +47,7 @@ from .schedulers import (
     Scheduler,
     ScriptScheduler,
     SupportSequenceScheduler,
+    _check_sizes,
     check_conditions,
     check_strongly_aperiodic,
 )
@@ -77,10 +78,7 @@ class ExperimentConfig:
             raise ValidationError("need trials >= 1 and horizon >= 1")
         if not 0 < self.epsilon < np.inf:
             raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if self.scheduler.n != self.matrix.n:
-            raise DimensionError(
-                f"scheduler has n={self.scheduler.n} but matrix is {self.matrix.n}x{self.matrix.n}"
-            )
+        _check_sizes(self.scheduler, self.matrix)
         if not isinstance(self.init, str):
             arr = np.asarray(self.init, dtype=np.float64)
             if arr.shape != (self.matrix.n,):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 DEFAULT_SEED = 1729
 # Version of the mapping from seeds to draws; recorded in result summaries.
 # A run's stream is consumed tick by tick, so drawing it in blocks of ticks
@@ -19,6 +21,13 @@ SEED_CONTRACT = 3
 
 
 def stream(master_seed: int, *path: int) -> np.random.Generator:
-    """Return the generator for the given (master_seed, path) stream."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
+    """Return the generator for the given (master_seed, path) stream.
+
+    Raises ValidationError for a seed or path ``SeedSequence`` rejects,
+    such as a negative one.
+    """
+    try:
+        seq = np.random.SeedSequence(master_seed, spawn_key=tuple(path))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"invalid seed {master_seed!r}: {exc}") from exc
     return np.random.Generator(np.random.Philox(seq))

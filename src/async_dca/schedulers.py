@@ -115,7 +115,10 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _mask_table(sets, n: int) -> np.ndarray:
     """(len(sets), n) update masks, one row per set."""
-    return np.array([[j + 1 in s for j in range(n)] for s in sets], dtype=bool).reshape(-1, n)
+    masks = np.zeros((len(sets), n), dtype=bool)
+    for row, s in zip(masks, sets):
+        row[[j - 1 for j in s]] = True
+    return masks
 
 
 def _meet(masks: np.ndarray) -> np.ndarray:
@@ -174,6 +177,12 @@ class Scheduler:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def _check_sizes(scheduler: Scheduler, A: StochasticMatrix) -> None:
+    """Raise DimensionError unless the scheduler draws for the matrix's agents."""
+    if scheduler.n != A.n:
+        raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
 
 
 class IndependentClocksScheduler(Scheduler):
@@ -564,14 +573,6 @@ class ConditionReport:
                 return c
         raise KeyError(name)
 
-    @property
-    def q(self) -> int | None:
-        return self["joint_coverage"].witness.get("q")
-
-    @property
-    def chi(self) -> list:
-        return self["quasi_singleton"].witness.get("chi", [])
-
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
@@ -603,13 +604,13 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionRepo
     checks run on the union of supports over source states and are flagged
     as approximate in the notes.
     """
-    if scheduler.n != A.n:
-        raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
+    _check_sizes(scheduler, A)
     n = A.n
     checks = []
 
-    report = roots(build_graph(A))
-    checks.append(ConditionCheck("rooted", report.rooted, report.to_json()))
+    chi = roots(build_graph(A))
+    checks.append(ConditionCheck("rooted", bool(chi), {
+        "rooted": bool(chi), "roots": sorted(chi), "chi": sorted(chi)}))
 
     meets, floors = _period_supports(scheduler)
     if floors is None or None in floors:
@@ -651,13 +652,12 @@ def check_conditions(scheduler: Scheduler, A: StochasticMatrix) -> ConditionRepo
         checks.append(ConditionCheck("joint_coverage", True,
                                      {"q": q, "period": len(meets)}, note=approx_note))
 
-    if not report.rooted:
+    if not chi:
         checks.append(ConditionCheck(
             "quasi_singleton", False, {},
             note="graph is not rooted, so there is no root component to check",
         ))
         return ConditionReport(checks)
-    chi = report.chi
     in_chi = np.isin(np.arange(1, n + 1), sorted(chi))
     violations = []
     for j in sorted(chi):
@@ -686,8 +686,7 @@ def check_strongly_aperiodic(scheduler: Scheduler, A: StochasticMatrix) -> Condi
     j != i (1.0 when none has).  Passes with witness ``{"gamma"}``, or fails
     with ``{"pairs"}``, the first 20 such [i, j] with a_ii = 0.
     """
-    if scheduler.n != A.n:
-        raise DimensionError(f"scheduler has n={scheduler.n} but matrix is {A.n}x{A.n}")
+    _check_sizes(scheduler, A)
     meets, _ = _period_supports(scheduler)
     if meets is None:
         return ConditionCheck("strongly_aperiodic", False, {}, note=_NO_PERIOD)

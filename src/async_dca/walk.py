@@ -37,8 +37,7 @@ GAMMA_MAX = 1.0 / 3.0
 # every walk output for a given seed.  Each block is drawn and walked in
 # row slabs of about WALK_SLAB_BYTES of uniforms, whole kernel slabs each;
 # the stream is read row-major, so the slabs change no draw and no output
-# and their size is outside the seed contract.  It also sizes the row
-# buffer of ``DistanceChain.rate_certificate``, which changes no output.
+# and their size is outside the seed contract.
 WALK_BLOCK = 16
 WALK_SLAB_BYTES = 1 << 18
 
@@ -116,17 +115,19 @@ class DistanceChain:
         # make the scaled mass grow with k
         limit = right.sum() * left
         band = np.array([gamma, 1.0 - 2.0 * gamma, gamma]) / beta
-        scaled = np.empty(k_max)
+        scaled = np.full(k_max, limit.max())
         rest = np.ones(l - 1)
-        # O(l) per step, J / beta as its band; the maxima are taken a buffer
-        # of rows at a time
-        rows = np.empty((min(k_max, max(1, WALK_SLAB_BYTES // (8 * (l - 1)))), l - 1))
-        for k0 in range(0, k_max, len(rows)):
-            n = min(len(rows), k_max - k0)
-            for j in range(n):
-                band_step = np.correlate(rest, band, "full")[1:-1]
-                rest = np.subtract(band_step, (rest @ right) * left, out=rows[j])
-            scaled[k0:k0 + n] = (rows[:n] + limit).max(axis=1)
+        # J / beta is symmetric and the deflation removes its Perron mode, so
+        # the 2-norm of rest does not grow: once it is below a quarter of the
+        # least spacing of limit, rest + limit rounds to limit at every later
+        # step, and the scaled masses left are limit.max()
+        settled = 0.25 * np.spacing(limit).min()
+        # O(l) per step, J / beta as its band
+        for k in range(k_max):
+            rest = np.correlate(rest, band, "full")[1:-1] - (rest @ right) * left
+            scaled[k] = (rest + limit).max()
+            if np.linalg.norm(rest) < settled:
+                break
         c0 = float(max(scaled.max(), limit.max()))
         # rounding in the deflated split can lift a mass past 1 on long cycles
         errors = np.minimum(scaled * beta ** np.arange(1, k_max + 1), 1.0)

@@ -503,6 +503,26 @@ def dense_rate_certificate(l: int, gamma: float, k_max: int):
     return c0, beta, errors
 
 
+def all_steps_rate_certificate(l: int, gamma: float, k_max: int):
+    """(c0, beta, errors) of ``DistanceChain(l, gamma).rate_certificate(k_max)``
+    by the same band step, run for all ``k_max`` steps with no stop once the
+    scaled masses settle."""
+    gamma = _check_gamma(gamma)
+    beta = 1.0 - 2.0 * gamma + 2.0 * gamma * float(np.cos(np.pi / l))
+    right = np.sin(np.pi * np.arange(1, l) / l)
+    left = right / (right @ right)
+    limit = right.sum() * left
+    band = np.array([gamma, 1.0 - 2.0 * gamma, gamma]) / beta
+    scaled = np.empty(k_max)
+    rest = np.ones(l - 1)
+    for k in range(k_max):
+        rest = np.correlate(rest, band, "full")[1:-1] - (rest @ right) * left
+        scaled[k] = (rest + limit).max()
+    c0 = float(max(scaled.max(), limit.max()))
+    errors = np.minimum(scaled * beta ** np.arange(1, k_max + 1), 1.0)
+    return c0, beta, errors
+
+
 def evolve_distance(chain, xi1, steps: int) -> np.ndarray:
     """Distribution trajectory of a ``DistanceChain``: row m is xi after m
     transitions."""
@@ -787,8 +807,9 @@ def reference_check_conditions(scheduler, A) -> ConditionReport:
     n = A.n
     checks = []
 
-    report = roots(build_graph(A))
-    checks.append(ConditionCheck("rooted", report.rooted, report.to_json()))
+    chi = roots(build_graph(A))
+    checks.append(ConditionCheck("rooted", bool(chi), {
+        "rooted": bool(chi), "roots": sorted(chi), "chi": sorted(chi)}))
 
     alpha = reference_alpha(scheduler)
     if alpha is None:
@@ -840,13 +861,12 @@ def reference_check_conditions(scheduler, A) -> ConditionReport:
     else:
         checks.append(ConditionCheck("joint_coverage", False, coverage_fail, note=approx_note))
 
-    if not report.rooted:
+    if not chi:
         checks.append(ConditionCheck(
             "quasi_singleton", False, {},
             note="graph is not rooted, so there is no root component to check",
         ))
         return ConditionReport(checks)
-    chi = report.chi
     violations = []
     for j in sorted(chi):
         for k in range(1, period + 1):

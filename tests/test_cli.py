@@ -397,6 +397,42 @@ def test_dimension_mismatch_is_input_error(six_node, tmp_path, capsys):
     assert code == 2 and "n=4" in err
 
 
+# {matrix} is six_node_coupled, {clock} a uniform global clock and {input}
+# the row's payload as a JSON file
+INPUT_ERRORS = {
+    "mc-negative-seed": (None, "mc --matrix {matrix} --scheduler {clock} --trials 2 --steps 5 "
+                               "--seed -1"),
+    "simulate-negative-seed": (None, "simulate --matrix {matrix} --scheduler {clock} --steps 5 "
+                                     "--seed -1"),
+    "walk-negative-seed": (None, "walk --auto-from-matrix {matrix} --gamma 0.2 --kmax 5 "
+                                 "--trials 10 --seed -1"),
+    "repro-all-negative-seed": (None, "repro all --seed -1"),
+    "cycle-label-2**63": ({"length": 2, "labels": [1, 2 ** 63]},
+                          "walk --cycle {input} --gamma 0.2 --kmax 5 --trials 10"),
+    "scheduler-n-10**30": ({"kind": "script", "params": {"n": 10 ** 30, "sets": [[1], [2]]}},
+                           "verify-conditions --matrix {matrix} --scheduler {input}"),
+    "p-non-numeric": ({"kind": "global_clock", "params": {"p": ["a"] * 6}},
+                      "mc --matrix {matrix} --scheduler {input}"),
+    "scheduler-size-mismatch": ({"kind": "global_clock", "params": {"p": [0.25] * 4}},
+                                "simulate --matrix {matrix} --scheduler {input} --steps 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2_on_one_line(case, six_node, uniform_clock, tmp_path, capsys):
+    # an input error is one "async-dca: " line and exit code 2, never an
+    # escaped exception, whose exit code 1 would read as a failed replay
+    payload, command = INPUT_ERRORS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [arg.format(matrix=six_node, clock=uniform_clock, input=path)
+            for arg in command.split()]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("async-dca: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("out", [None, "-"])
 def test_csv_to_stdout_leaves_it_open(six_node, uniform_clock, monkeypatch, out):
     # the CSV goes to the sys.stdout of the call, which stays open after

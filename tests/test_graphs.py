@@ -81,24 +81,20 @@ def test_six_node_graph_structure():
     # rooted through {1,3,4,6}; agents 2 and 5 only hear each other, so the
     # graph is not strongly connected even though every agent is reachable
     G = build_graph(bundled_matrix("six_node_coupled"))
-    rep = roots(G)
-    assert rep.rooted
-    assert rep.roots == frozenset({1, 3, 4, 6})
+    assert roots(G) == frozenset({1, 3, 4, 6})
     assert scc_decomposition(G) == [frozenset({1, 3, 4, 6}), frozenset({2, 5})]
 
 
 def test_roots_examples():
-    rep = roots(build_graph(bundled_matrix("four_node_rooted")))
-    assert rep.rooted and rep.roots == frozenset({1, 2, 3})
-    assert rep.chi == rep.roots
+    chi = roots(build_graph(bundled_matrix("four_node_rooted")))
+    assert type(chi) is frozenset and chi == frozenset({1, 2, 3})
 
     ring = graph_of(4, {(1, 2), (2, 3), (3, 4), (4, 1)})
-    rep = roots(ring)
-    assert rep.rooted and rep.roots == frozenset({1, 2, 3, 4})
+    assert roots(ring) == frozenset({1, 2, 3, 4})
 
+    # not rooted: the root set is empty
     isolated = graph_of(2, {(1, 1), (2, 2)})
-    rep = roots(isolated)
-    assert not rep.rooted and rep.roots == frozenset() and rep.chi == frozenset()
+    assert roots(isolated) == frozenset()
 
 
 def test_scc_decomposition_cases():
@@ -160,7 +156,7 @@ def test_is_sia_with_and_without_a_root_self_loop_matches_power_oracle():
         n = int(rng.integers(1, 11))
         A = (random_rooted_stochastic, random_structured)[trial % 2](rng, n)
         for B in (A, _without_diagonal(A)):
-            chi = np.array(sorted(roots(build_graph(B)).chi), dtype=int) - 1
+            chi = np.array(sorted(roots(build_graph(B))), dtype=int) - 1
             looped = bool((np.diag(B)[chi] > 0).any())
             seen[looped] += 1
             assert is_sia(B) == power_sia_oracle(B), f"disagreement on\n{B}"
@@ -187,12 +183,9 @@ def test_roots_match_bfs_oracle():
     for A in instances + _large_matrices():
         n = len(A)
         G = build_graph(A)
-        rep = roots(G)
         edges = matrix_edges(A)
         assert edges_of(G) == edges
-        expected = bfs_roots(n, edges)
-        assert set(rep.roots) == expected
-        assert rep.rooted == bool(expected)
+        assert roots(G) == bfs_roots(n, edges)
 
 
 def test_scc_decomposition_matches_bfs_oracle():

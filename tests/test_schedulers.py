@@ -568,8 +568,8 @@ def test_markov_time_varying_law():
 def test_conditions_example_spec_passes():
     report = check_conditions(example1_scheduler(), bundled_matrix("four_node_rooted"))
     assert report.passed
-    assert report.q == 1
-    assert report.chi == [1, 2, 3]
+    assert report["joint_coverage"].witness["q"] == 1
+    assert report["quasi_singleton"].witness["chi"] == [1, 2, 3]
     assert report["positive_probability"].witness["alpha"] == pytest.approx(1 / 3)
 
 
@@ -579,7 +579,7 @@ def test_conditions_coverage_violation_fails_only_quasi_singleton():
     assert report["positive_probability"].passed
     assert report["history_independent"].passed
     assert report["joint_coverage"].passed
-    assert report.q == 3
+    assert report["joint_coverage"].witness["q"] == 3
     qs = report["quasi_singleton"]
     assert not qs.passed
     assert qs.witness["chi"] == [1, 2, 3, 4]
@@ -596,7 +596,7 @@ def test_conditions_global_clock_passes_on_random_rooted():
         A = StochasticMatrix(random_rooted_stochastic(rng, n))
         report = check_conditions(GlobalClockScheduler(np.full(n, 1.0 / n)), A)
         assert report.passed, report.to_json()
-        assert report.q == 1
+        assert report["joint_coverage"].witness["q"] == 1
 
 
 def test_conditions_search_windows_up_to_the_period():
@@ -846,7 +846,7 @@ def test_conditions_large_independent_clocks_in_closed_form():
         report = check_conditions(scheduler, A)
         assert report.passed, n
         assert report["positive_probability"].witness["alpha"] == reference_alpha(scheduler)
-        assert report.q == 1
+        assert report["joint_coverage"].witness["q"] == 1
         assert check_strongly_aperiodic(scheduler, A).witness == {"gamma": 1.0 / n}
         # a sure agent inside chi joins every set, so the sets that hold
         # agent 1 meet in {1, 4}

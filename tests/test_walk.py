@@ -22,6 +22,7 @@ from async_dca import (
 from async_dca import _kernels, walk
 from async_dca.walk import WALK_BLOCK
 from _oracles import (
+    all_steps_rate_certificate,
     cycle_label,
     dense_rate_certificate,
     distance_chain_matrix,
@@ -57,8 +58,7 @@ def test_lower_bound_matrix_transpose_graph_rooted_at_one():
     for l in range(3, 11):
         W = lower_bound_matrix(l, 0.2)
         G = build_graph(W.T)
-        rep = roots(G)
-        assert rep.rooted and rep.roots == frozenset({1})
+        assert roots(G) == frozenset({1})
         assert G.adj[0, 0]
 
 
@@ -404,9 +404,9 @@ def test_certificate_c0_does_not_grow_with_the_horizon(l):
 def _bundled_cycles():
     for name in BUNDLED_MATRICES:
         G = build_graph(bundled_matrix(name))
-        rep = roots(G)
-        if rep.rooted:
-            cycle = build_labelled_cycle(G, rep.chi)
+        chi = roots(G)
+        if chi:
+            cycle = build_labelled_cycle(G, chi)
             if cycle.length > 1:
                 yield name, cycle
 
@@ -457,6 +457,24 @@ def test_banded_certificate_matches_the_dense_recursion(gamma):
             assert (np.abs(cert.errors - errors) <= 1e-11 * errors).all(), (l, k_max)
 
 
+@pytest.mark.parametrize("gamma", [0.01, 0.2, 1 / 3])
+@pytest.mark.parametrize("l", [2, 3, 4, 6, 12, 50, 300, 1000])
+def test_certificate_stop_matches_the_all_steps_loop(l, gamma):
+    # the certificate stops once the scaled masses settle; the all-steps
+    # loop must give the same c0, beta and errors bit for bit.  The 100 000
+    # step horizons pass the late stops of small gamma (step 7472 at l = 12,
+    # gamma = 0.01) and the l = 6, gamma = 0.2 stop near step 80
+    chain = DistanceChain(l, gamma)
+    horizons = [1, 2, 80, 200, 5000]
+    if (l, gamma) in ((6, 0.2), (12, 0.01)):
+        horizons.append(100_000)
+    for k_max in horizons:
+        cert = chain.rate_certificate(k_max)
+        c0, beta, errors = all_steps_rate_certificate(l, gamma, k_max)
+        assert cert.c0 == c0 and cert.beta == beta, k_max
+        assert np.array_equal(cert.errors.view(np.uint64), errors.view(np.uint64)), k_max
+
+
 def test_distance_chain_holds_only_its_length_and_rate():
     assert [f.name for f in dataclasses.fields(DistanceChain)] == ["l", "gamma"]
     assert type(DistanceChain(5, np.float32(0.25)).gamma) is float
@@ -464,7 +482,7 @@ def test_distance_chain_holds_only_its_length_and_rate():
 
 def test_certificate_memory_is_linear_in_the_cycle_length():
     # the dense transient block at l = 4000 alone is 128 MB; the band step
-    # keeps O(l) vectors and a row buffer of about WALK_SLAB_BYTES
+    # keeps O(l) vectors and the k_max scaled masses
     DistanceChain(40, 0.2).rate_certificate(5)
     tracemalloc.start()
     try:
