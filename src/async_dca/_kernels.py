@@ -18,16 +18,20 @@ what the caller keeps of the blocks.
 
 Inside a block the state and the accumulated product step together as
 one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``).  A batch
-steps in two numpy calls: ``A @ Q`` into the next entry of a series and a
-``putmask`` that restores the rows of the agents that did not update, from
-the not-updating mask materialised at the series' shape once per chunk.  A
-lone trial steps by its tick's own matrix ``A_sigma``: the rows of A for
-the agents that update, of the identity for the rest.  The ``A_sigma`` of
-``G = CHUNK_BYTES // (16 n^2)`` ticks (113 at n = 6) are built at a time
-by two calls, and each tick is then one ``matmul`` into a ring of G + 1
-states, run by ``deque(map(np.matmul, ...))`` over views made once per
-batch, so a step makes no view and runs no Python bytecode; the ring is
-copied into the chunk's series after each group.  An updated row is the
+steps by ``A @ Q`` into the next entry of a series, then restores the rows
+of the agents that did not update by a bit blend of the ``uint64`` views,
+``AZ ^= (AZ ^ Z) & M``, with ``M`` all ones where an agent keeps its row:
+the same bits as ``putmask``, -0.0 and subnormals included, but without
+its branch per entry, which random masks mispredict about half the time.
+``M`` is built at shape (C, n, 1, T) by one call per chunk and broadcast
+over the m columns, and a step takes its operands from views made once
+per batch.  A lone trial steps by its tick's own matrix ``A_sigma``: the
+rows of A for the agents that update, of the identity for the rest.  The
+``A_sigma`` of ``G = CHUNK_BYTES // (16 n^2)`` ticks (113 at n = 6) are
+built at a time by two calls, and each tick is then one ``matmul`` into a
+ring of G + 1 states, run by ``deque(map(np.matmul, ...))`` over views
+made once per batch, so a step makes no view and runs no Python bytecode;
+the ring is copied into the chunk's series after each group.  An updated row is the
 row of the same gemm, and an identity row returns its row bit for bit
 when the entries are finite, except a -0.0, which it reads as +0.0: a lone
 trial that starts with a -0.0 therefore steps as a batch does.
@@ -183,7 +187,8 @@ class Carry:
     ``A_sigma``.  ``buffers`` holds the chunk work arrays, allocated by the
     first block and reused by every later block no longer than it: the
     series of ``Q``, then for a lone trial the ``A_sigma`` group and its
-    ring of states with the views that step them, else the two masks.
+    ring of states with the views that step them, else the restore mask,
+    the blend's work buffer and the views that step them.
     """
 
     def __init__(self, x0, track_lambda):
@@ -274,6 +279,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         cap = max(T, CHUNK_BYTES // max(1, 8 * npairs * n))
     bufs = carry.buffers
     if bufs is None or len(bufs[0]) <= C:
+        Qs = np.empty((C + 1, n, m, T))
         if carry.lone:
             # a group of G ticks' A_sigma takes about CHUNK_BYTES / 2; the
             # group steps in a ring of states, through views made once here
@@ -281,9 +287,12 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
             Ak, ring = np.empty((G, n, n)), np.empty((G + 1, n, m))
             step = [Ak, (ring, list(Ak), list(ring))]
         else:
-            step = [np.empty((C, n, T), dtype=bool), np.empty((C, n, m, T), dtype=bool)]
-        bufs = carry.buffers = [np.empty((C + 1, n, m, T)), *step, np.empty((C, T)),
-                                np.empty(T)]
+            # the blend's work buffer, and the views a step takes of the
+            # series, of its uint64 words and of the mask, made once here
+            M = np.empty((C, n, 1, T), dtype=np.uint64)
+            step = [M, (np.empty((n, m, T), dtype=np.uint64), list(Qs.reshape(C + 1, n, m * T)),
+                        list(Qs.view(np.uint64)), list(M))]
+        bufs = carry.buffers = [Qs, *step, np.empty((C, T)), np.empty(T)]
         if track_lambda:
             bufs += [np.empty((C, n, T)),
                      (np.empty((2, cap * npairs * m)), np.empty(cap * npairs)),
@@ -297,8 +306,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         G, I = len(Ak), np.eye(n)
         ring[0] = Qs2[0]
     else:
-        kt, keep = bufs[1:3]
-        keep2 = keep.reshape(len(keep), n, m * T)
+        M, (Db, Zs, Us, Ms) = bufs[1:3]
     X = Qs[:, :, 0]
     # row 0 holds the values before the block's first step
     deltas = np.empty((K + 1, T))
@@ -321,7 +329,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
             np.put(lams, where[:held], out)
     else:
         lams = np.broadcast_to(1.0, (K + 1, T))
-    matmul, putmask = np.matmul, np.putmask
+    matmul, xor, and_ = np.matmul, np.bitwise_xor, np.bitwise_and
     k1 = 0
     for k0 in range(0, K, C):
         c = min(C, K - k0)
@@ -337,12 +345,14 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
                 Qs2[g + 1:g + h + 1] = ring[1:h + 1]
                 ring[0] = ring[h]
         else:
-            # agent i keeps row i of x and of P where it does not update
-            np.logical_not(masks[:, k0:k0 + c].transpose(1, 2, 0), out=kt[:c])
-            keep[:c] = kt[:c, :, None]
-            for Z, AZ, kp in zip(Qs2[:c], Qs2[1:c + 1], keep2):
-                matmul(A, Z, out=AZ)
-                putmask(AZ, kp, Z)
+            # agent i keeps row i of x and of P where it does not update:
+            # its mask words are True - 1 = 0 where it updates, else all ones
+            np.subtract(masks[:, k0:k0 + c].transpose(1, 2, 0)[:, :, None], np.uint64(1),
+                        out=M[:c], casting="unsafe")
+            for Z, AZ, Zu, AZu, Mk in zip(Zs[:c], Zs[1:c + 1], Us[:c], Us[1:c + 1], Ms):
+                matmul(A, Z, AZ)
+                and_(xor(AZu, Zu, Db), Mk, Db)
+                xor(AZu, Db, AZu)
         k1 = k0 + c
         D, W = deltas[k0 + 1:k1 + 1], w[:c]
         _reduce_left(np.maximum, X[1:c + 1], D)

@@ -421,7 +421,8 @@ def replay(case_id: str, trials: int | None = None, horizon: int | None = None,
     Exact matrix identities are asserted bitwise; statistical conclusions
     use the documented desk-scale thresholds and the given seed.  Trial
     counts and horizons can be overridden by values >= 1, which every case
-    checks, also the ones that run no Monte Carlo and ignore them.
+    checks, also the ones that run no Monte Carlo and ignore them, as it
+    checks the seed through ``stream``.
     """
     if case_id not in _CASES:
         raise ValidationError(
@@ -429,6 +430,7 @@ def replay(case_id: str, trials: int | None = None, horizon: int | None = None,
         )
     if any(v is not None and v < 1 for v in (trials, horizon)):
         raise ValidationError("need trials >= 1 and horizon >= 1")
+    stream(seed)
     checks, details = _CASES[case_id](trials, horizon, seed)
     return ReplayReport(
         case=case_id,

@@ -407,6 +407,9 @@ INPUT_ERRORS = {
     "walk-negative-seed": (None, "walk --auto-from-matrix {matrix} --gamma 0.2 --kmax 5 "
                                  "--trials 10 --seed -1"),
     "repro-all-negative-seed": (None, "repro all --seed -1"),
+    "repro-example2-negative-seed": (None, "repro example2 --seed -1"),
+    "repro-example3-negative-seed": (None, "repro example3 --seed -1"),
+    "repro-strongly-aperiodic-negative-seed": (None, "repro strongly_aperiodic --seed -1"),
     "cycle-label-2**63": ({"length": 2, "labels": [1, 2 ** 63]},
                           "walk --cycle {input} --gamma 0.2 --kmax 5 --trials 10"),
     "scheduler-n-10**30": ({"kind": "script", "params": {"n": 10 ** 30, "sets": [[1], [2]]}},

@@ -216,12 +216,13 @@ def test_lone_trial_equals_trial_zero_of_a_wider_batch(track_lambda, signed_zero
 
 
 class _CountingNumpy:
-    """Stands in for numpy inside ``_kernels``, counting ``matmul`` and
-    ``putmask`` calls."""
+    """Stands in for numpy inside ``_kernels``, counting ``matmul``,
+    ``putmask`` and ``bitwise_xor`` calls."""
 
     def __init__(self):
         self.matmuls = 0
         self.putmasks = 0
+        self.xors = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -233,6 +234,10 @@ class _CountingNumpy:
     def putmask(self, *args, **kwargs):
         self.putmasks += 1
         return np.putmask(*args, **kwargs)
+
+    def bitwise_xor(self, *args, **kwargs):
+        self.xors += 1
+        return np.bitwise_xor(*args, **kwargs)
 
 
 def _count_calls(monkeypatch):
@@ -278,8 +283,9 @@ def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
 @pytest.mark.parametrize("track_lambda", [True, False])
 @pytest.mark.parametrize("T", [1, 3])
 def test_lone_trial_steps_by_its_ticks_own_matrix(monkeypatch, T, track_lambda):
-    # a lone trial steps by A_sigma, one matmul a step and no putmask; a
-    # batch steps by A and restores the kept rows with one putmask a step
+    # a lone trial steps by A_sigma, one matmul a step and no blend; a
+    # batch steps by A and restores the kept rows by a bit blend, two XORs
+    # a step, and neither calls putmask
     A, masks, x0 = _slow_inputs(T=T, K=300)
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
     counting, tests = _count_calls(monkeypatch)
@@ -287,9 +293,39 @@ def test_lone_trial_steps_by_its_ticks_own_matrix(monkeypatch, T, track_lambda):
     K = masks.shape[1]
     assert calls == 5 and len(tests) >= calls
     assert counting.matmuls == K + len(tests)
-    assert counting.putmasks == (0 if T == 1 else K)
+    assert counting.putmasks == 0
+    assert counting.xors == (0 if T == 1 else 2 * K)
     for g, w in zip(got, want):
         assert np.array_equal(_bits(g), _bits(w))
+
+
+def _coin_flip_extreme_inputs(T, K=150, n=6):
+    # coin-flip masks; agent 1 keeps -0.0 throughout, agents 2 and 3 keep
+    # the least subnormal and 1e308 for the first half of the horizon
+    rng = np.random.default_rng(7300 + T)
+    A = random_stochastic(rng, n, density=1.0)
+    masks = rng.random((T, K, n)) < 0.5
+    masks[:, :, 0] = False
+    masks[:, :K // 2, 1:3] = False
+    x0 = rng.uniform(-1.0, 1.0, (T, n))
+    x0[:, :3] = -0.0, 5e-324, 1e308
+    return A, masks, x0
+
+
+@pytest.mark.parametrize("track_lambda", [True, False])
+@pytest.mark.parametrize("T", [1, 2, 3, 64])
+def test_blend_restores_kept_rows_bit_for_bit(T, track_lambda):
+    # the kept rows come back by an XOR/AND/XOR blend of the uint64 views:
+    # -0.0, subnormals and huge values must return bit for bit.  A lone
+    # trial that starts with -0.0 is not stepped by A_sigma, so it is
+    # blended too
+    A, masks, x0 = _coin_flip_extreme_inputs(T)
+    assert not _kernels.Carry(x0, track_lambda).lone
+    got, _ = _run_blocks(A, masks, x0, track_lambda, B=40)
+    want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+    assert np.array_equal(_bits(got[2][:, 0]), _bits(np.full(T, -0.0)))
 
 
 class _NaNFilledNumpy:

@@ -252,6 +252,15 @@ def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda, trials):
     assert all(b is held[0] for b in held[:-1])
     assert all(x is y for p in parts[1:-1] for x, y in zip(p, parts[0], strict=True))
     assert len(held[0]) == (9 if track_lambda else 5)
+    if trials > 1:
+        # the restore mask holds one word per agent, step and trial,
+        # broadcast over the m columns of Q; no other buffer takes the
+        # series' shape
+        series, mask, *rest = parts[0]
+        C, n, m, T = len(series) - 1, *series.shape[1:]
+        assert mask.dtype == np.uint64 and mask.shape == (C, n, 1, T)
+        assert not any(isinstance(b, np.ndarray) and b.shape[-3:] == (n, m, T)
+                       and b.size >= C * n * m * T for b in rest)
 
 
 def _traced_peak(cfg):
