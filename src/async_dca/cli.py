@@ -19,11 +19,10 @@ from .errors import ValidationError
 from .graphs import LabelledCycle, analysis_report, build_graph, build_labelled_cycle, roots
 from .matrices import StochasticMatrix, _reals
 from .montecarlo import (
-    CONSENSUS_EPSILON, REPLAY_CASES, ExperimentConfig, check_product_rows, replay,
-    run_experiment, trajectory_blocks,
+    CONSENSUS_EPSILON, REPLAY_CASES, ExperimentConfig, replay, run_experiment, trajectory_blocks,
 )
 from .rng import DEFAULT_SEED, SEED_CONTRACT
-from .schedulers import ScriptScheduler, _check_sizes, check_conditions, scheduler_from_json
+from .schedulers import ScriptScheduler, check_conditions, scheduler_from_json
 from .walk import match_probability_curve
 
 
@@ -85,20 +84,17 @@ def _cmd_simulate(args) -> int:
         raise ValidationError("give at most one of --schedule and --scheduler")
     if args.steps is not None and args.steps < 0:
         raise ValidationError("--steps must be >= 0")
-    if args.schedule is not None:
-        scheduler = ScriptScheduler(A.n, _load_json(args.schedule))
-        steps = len(scheduler.sets) if args.steps is None else args.steps
-    elif args.scheduler is not None:
+    if args.scheduler is not None:
         scheduler = _load_scheduler(args.scheduler)
-        _check_sizes(scheduler, A)
         if args.steps is None:
             raise ValidationError("--steps is required with --scheduler")
-        steps = args.steps
+    elif args.schedule is None and args.steps:
+        raise ValidationError("--schedule or --scheduler is required for steps > 0")
     else:
-        scheduler = ScriptScheduler(A.n, [])
-        steps = args.steps or 0
-        if steps != 0:
-            raise ValidationError("--schedule or --scheduler is required for steps > 0")
+        # no schedule is the empty script
+        sets = [] if args.schedule is None else _load_json(args.schedule)
+        scheduler = ScriptScheduler(A.n, sets)
+    steps = len(scheduler.sets) if args.steps is None else args.steps
 
     if args.x0 == "random":
         x0 = "uniform"
@@ -109,16 +105,14 @@ def _cmd_simulate(args) -> int:
 
     track = not args.no_product
     # mc --trials 1: the same stream, blocks and kernel
+    cfg = ExperimentConfig(A, scheduler, trials=1, horizon=steps, seed=args.seed,
+                           init=x0, track_lambda=track)
     deltas = np.empty(steps + 1)
     lams = np.empty(steps + 1)
-    if steps:
-        cfg = ExperimentConfig(A, scheduler, trials=1, horizon=steps, seed=args.seed,
-                               init=x0, track_lambda=track)
-        for k, d, lam, carry in trajectory_blocks(cfg):
-            k1 = k + len(d)
-            deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
-        deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
-        check_product_rows(carry)
+    for k, d, lam, _ in trajectory_blocks(cfg):
+        k1 = k + len(d)
+        deltas[k:k1], lams[k:k1] = d[:, 0], lam[:, 0]
+    deltas[k1:], lams[k1:] = deltas[k1 - 1], lams[k1 - 1]
     header, columns = ["k", "delta"], [np.arange(1, steps + 1), deltas[1:]]
     if track:
         header.append("lambda_product")

@@ -6,8 +6,9 @@ iteration matrix ``A_sigma`` whose non-updating rows are elementary.  The
 reference keeps the running left product ``A_{sigma_k} ... A_{sigma_1}``,
 so ``x(k+1) = product . x(1)`` at every step.
 
-The library runs every trajectory on ``_kernels.trajectory_batch``; nothing
-in it steps one tick at a time.  ``step`` is kept as the plain, independent
+The library runs every trajectory through ``montecarlo.trajectory_blocks``,
+the one caller of ``_kernels.trajectory_batch``; nothing in it steps one
+tick at a time.  ``step`` is kept as the plain, independent
 implementation the kernel is tested against, and it stays in the package
 because the span tracer of ``perfbench/tracer.py`` resolves ``engine.step``
 among its ``TARGETS``.

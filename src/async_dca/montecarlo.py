@@ -13,20 +13,21 @@ which threshold they operationalise.
 All trials draw from the one stream ``stream(seed, 0)`` (seed contract 3,
 see ``rng``): first the initial states of every trial (when random), then
 the schedule, tick by tick and, within a tick, trial by trial.
-``trajectory_blocks`` runs the trials as one streamed pipeline.  It draws
-the schedule of every trial in blocks of B ticks, B set by
-``MASK_BLOCK_BYTES``, with one ``sample_masks`` call per block, advances
-the resumable kernel by one block and hands the block to the caller to
-reduce before drawing the next.  The stream is consumed tick by tick, so
-splitting it into blocks of ticks keeps every draw and no output depends
-on B; and a run of one trial draws what trial 0 drew under seed contract
-1, so ``simulate`` equals ``mc --trials 1`` and both equal their contract-1
-outputs.  Once the kernel stops at an exact fixed point nothing more is
-drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not called
-for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the state a
-``weight_fn`` hook keeps: a block holds about ``MASK_BLOCK_BYTES`` (256
-KiB) of masks and, 8 / n times that each, its (B + 1, T) float64 series of
-discrepancies and, with lambda, coefficients.
+``trajectory_blocks``, the one way into the trajectory kernel, runs the
+trials as one streamed pipeline (``simulate`` and a replay's script run one
+trial of it).  It draws the schedule of every trial in blocks of B ticks,
+B set by ``MASK_BLOCK_BYTES``, with one ``sample_masks`` call per block,
+advances the resumable kernel by one block and hands the block to the
+caller to reduce before drawing the next.  The stream is consumed tick by
+tick, so splitting it into blocks of ticks keeps every draw and no output
+depends on B; and a run of one trial draws what trial 0 drew under seed
+contract 1, so ``simulate`` equals ``mc --trials 1`` and both equal their
+contract-1 outputs.  Once the kernel stops at an exact fixed point nothing
+more is drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not
+called for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the
+state a ``weight_fn`` hook keeps: a block holds about ``MASK_BLOCK_BYTES``
+(256 KiB) of masks and, 8 / n times that each, its (B + 1, T) float64
+series of discrepancies and, with lambda, coefficients.
 """
 from __future__ import annotations
 
@@ -64,6 +65,9 @@ _THRESHOLD_NOTE = (
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """T trials of K steps from ``init``, "uniform" on [-1, 1) or one
+    vector; at horizon K = 0 the pipeline yields the initial row alone."""
+
     matrix: StochasticMatrix
     scheduler: Scheduler
     trials: int
@@ -74,8 +78,8 @@ class ExperimentConfig:
     track_lambda: bool = True
 
     def __post_init__(self):
-        if self.trials < 1 or self.horizon < 1:
-            raise ValidationError("need trials >= 1 and horizon >= 1")
+        if self.trials < 1 or self.horizon < 0:
+            raise ValidationError("need trials >= 1 and horizon >= 0")
         if not 0 < self.epsilon < np.inf:
             raise ValidationError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         _check_sizes(self.scheduler, self.matrix)
@@ -132,7 +136,9 @@ def trajectory_blocks(cfg: ExperimentConfig):
     ``lams`` are the kernel's (R, T) rows for steps ``k .. k + R - 1`` (the
     first block starts with step 0, the initial values) and ``carry`` is
     its ``_kernels.Carry``.  When the last block ends before the horizon,
-    ``carry.fixed`` is True and every later row repeats its last one.
+    ``carry.fixed`` is True and every later row repeats its last one.  A
+    block after which a product's row sum is off by more than
+    ``PRODUCT_ROW_SUM_TOL`` raises ValidationError instead.
     """
     n, T, K = cfg.matrix.n, cfg.trials, cfg.horizon
     B = max(1, min(K, MASK_BLOCK_BYTES // (T * n)))
@@ -143,12 +149,16 @@ def trajectory_blocks(cfg: ExperimentConfig):
         carry = np.tile(cfg.init, (T, 1))
     draws = {}  # what the scheduler carries from block to block
     k = 0
-    for k0 in range(0, K, B):
+    for k0 in range(0, max(K, 1), B):
         masks = cfg.scheduler.sample_masks(min(B, K - k0), rng, T, k0, draws)
         # the kernel reads the tick-major block as a (T, b, n) view
         deltas, lams, carry = _kernels.trajectory_batch(
             cfg.matrix.entries, masks.transpose(1, 0, 2), carry, cfg.track_lambda)
         del masks
+        err = float(carry.row_err.max())
+        if err > PRODUCT_ROW_SUM_TOL:
+            raise ValidationError(f"accumulated product has a row sum off by {err!r}, "
+                                  f"more than {PRODUCT_ROW_SUM_TOL}")
         if carry.fixed or k0 + B >= K:
             carry.buffers = None  # the last block: free the kernel's chunk buffers
         yield k, deltas, lams, carry
@@ -157,15 +167,6 @@ def trajectory_blocks(cfg: ExperimentConfig):
             return
         # the caller has reduced this block: free its rows before the next
         del deltas, lams
-
-
-def check_product_rows(carry) -> None:
-    """Raise ValidationError when a trial's accumulated product has drifted
-    from row-stochastic by more than ``PRODUCT_ROW_SUM_TOL``."""
-    err = float(carry.row_err.max())
-    if err > PRODUCT_ROW_SUM_TOL:
-        raise ValidationError(f"accumulated product has a row sum off by {err!r}, "
-                              f"more than {PRODUCT_ROW_SUM_TOL}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -269,15 +270,11 @@ def _median_stays_above(checks: _Checks, A, scheduler, report, trials, horizon, 
 
 def _run_script(A: StochasticMatrix, sets, x1):
     """Final state and accumulated product of one run over the update sets
-    ``sets``, as a one-trial kernel call with the product tracked.
-
-    A script draws no uniforms, so no stream is made.  The row sums of
-    every step's product are checked.
-    """
-    masks = ScriptScheduler(A.n, sets).sample_masks(len(sets), None)
-    x0 = np.asarray(x1, dtype=np.float64)[None]
-    _, _, carry = _kernels.trajectory_batch(A.entries, masks.transpose(1, 0, 2), x0, True)
-    check_product_rows(carry)
+    ``sets`` from ``x1``: one pipeline trial, with its row sums checked."""
+    script = ScriptScheduler(A.n, sets)
+    cfg = ExperimentConfig(A, script, trials=1, horizon=len(script.sets), init=x1)
+    for *_, carry in trajectory_blocks(cfg):
+        pass
     return carry.x[:, 0].copy(), StochasticMatrix(carry.Q[:, 1:, 0], tol=PRODUCT_ROW_SUM_TOL)
 
 

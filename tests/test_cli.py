@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from async_dca import bundled_matrix
+from async_dca import _kernels, bundled_matrix
 from async_dca.cli import _write_csv, dispatch
 from async_dca.rng import SEED_CONTRACT
 from _oracles import write_csv_rows
@@ -397,6 +397,20 @@ def test_dimension_mismatch_is_input_error(six_node, tmp_path, capsys):
     assert code == 2 and "n=4" in err
 
 
+_VERIFY = "verify-conditions --matrix {matrix} --scheduler {input}"
+
+
+def _support_sequence(n, ticks):
+    return {"kind": "support_sequence", "params": {"n": n, "ticks": ticks}}
+
+
+def _markov(**params):
+    # a valid two-state law on six agents, less or more what ``params`` says
+    base = {"n": 6, "states": [[1], [2]], "initial": [1], "matrix": [[0.5, 0.5], [0.5, 0.5]]}
+    return {"kind": "markov",
+            "params": {k: v for k, v in {**base, **params}.items() if v is not None}}
+
+
 # {matrix} is six_node_coupled, {clock} a uniform global clock and {input}
 # the row's payload as a JSON file
 INPUT_ERRORS = {
@@ -418,6 +432,27 @@ INPUT_ERRORS = {
                       "mc --matrix {matrix} --scheduler {input}"),
     "scheduler-size-mismatch": ({"kind": "global_clock", "params": {"p": [0.25] * 4}},
                                 "simulate --matrix {matrix} --scheduler {input} --steps 5"),
+    "simulate-scheduler-without-steps": (None, "simulate --matrix {matrix} --scheduler {clock}"),
+    "simulate-x0-wrong-length": ([0.5, 0.25], "simulate --matrix {matrix} --x0 {input} "
+                                              "--scheduler {clock} --steps 5"),
+    "simulate-zero-steps-negative-seed": (None, "simulate --matrix {matrix} --steps 0 --seed -1"),
+    "scheduler-json-list": ([{"kind": "global_clock"}], _VERIFY),
+    "independent-clocks-p-2d": ({"kind": "independent_clocks", "params": {"p": [[0.5] * 6]}},
+                                _VERIFY),
+    "global-clock-p-2d": ({"kind": "global_clock", "params": {"p": [[1 / 6] * 6]}}, _VERIFY),
+    "support-sequence-n-0": (_support_sequence(0, [[{"set": [1], "prob": 1.0}]]), _VERIFY),
+    "support-sequence-no-ticks": (_support_sequence(6, []), _VERIFY),
+    "support-sequence-repeated-set": (
+        _support_sequence(6, [[{"set": [1], "prob": 0.5}, {"set": [1], "prob": 0.5}]]), _VERIFY),
+    "markov-n-0": (_markov(n=0), _VERIFY),
+    "markov-duplicate-states": (_markov(states=[[1], [1]]), _VERIFY),
+    "markov-initial-not-a-state": (_markov(initial=[3]), _VERIFY),
+    "markov-matrix-and-matrices": (_markov(matrices=[[[0.5, 0.5], [0.5, 0.5]]]), _VERIFY),
+    "markov-matrices-empty": (_markov(matrix=None, matrices=[]), _VERIFY),
+    "markov-1x1-law-for-two-states": (_markov(matrix=[[1.0]]), _VERIFY),
+    "script-n-0": ({"kind": "script", "params": {"n": 0, "sets": []}}, _VERIFY),
+    "cycle-empty-object": ({}, "walk --cycle {input} --gamma 0.2 --kmax 5 --trials 10"),
+    "matrix-ragged-rows": ({"n": 2, "rows": [[1.0], [0.5, 0.5]]}, "analyze --matrix {input}"),
 }
 
 
@@ -508,3 +543,38 @@ def test_simulate_zero_steps_writes_the_header_of_csv_writer(six_node, tmp_path)
     empty = np.empty(0)
     assert out.read_bytes() == _csv_writer_bytes(["k", "delta", "lambda_product"],
                                                  np.arange(0), empty, empty)
+
+
+def test_mc_product_row_error_exits_2(six_node, uniform_clock, tmp_path, capsys, monkeypatch):
+    # the pipeline checks the row sums after each block, for mc as for simulate
+    real = _kernels.trajectory_batch
+
+    def drifting(*args):
+        deltas, lams, carry = real(*args)
+        carry.row_err[:] = 1e-9
+        return deltas, lams, carry
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", drifting)
+    tails, summary = tmp_path / "tails.csv", tmp_path / "summary.json"
+    for lam in ([], ["--no-lambda"]):
+        code, out, err = run_cli(capsys, "mc", "--matrix", six_node, "--scheduler", uniform_clock,
+                                 "--trials", "3", "--steps", "50", "--out", str(tails),
+                                 "--summary", str(summary), *lam)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "row sum" in err
+        assert not tails.exists() and not summary.exists()
+
+
+def test_mc_zero_steps_writes_the_initial_row(six_node, uniform_clock, tmp_path, capsys):
+    # k = 0 holds the tails of the initial states, which a longer run with
+    # the same seed draws first
+    rows = {}
+    for steps in ("0", "30"):
+        out = tmp_path / f"tails{steps}.csv"
+        code, summary, _ = run_cli(capsys, "mc", "--matrix", six_node, "--scheduler",
+                                   uniform_clock, "--trials", "4", "--steps", steps,
+                                   "--seed", "77", "--out", str(out))
+        assert code == 0 and json.loads(summary)["horizon"] == int(steps)
+        rows[steps] = out.read_bytes().split(b"\r\n")
+    assert rows["0"] == [b"k,p_delta_tail,p_lambda_tail", b"0,1.0,1.0", b""]
+    assert rows["0"][:2] == rows["30"][:2]

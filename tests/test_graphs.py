@@ -237,6 +237,15 @@ def test_build_labelled_cycle_rejects_non_integral_members():
     assert build_labelled_cycle(ring, {1.0, np.int64(2), 3}).labels == (1, 2, 3)
 
 
+def test_build_labelled_cycle_rejects_empty_and_out_of_range_components():
+    ring = graph_of(3, {(1, 2), (2, 3), (3, 1)})
+    with pytest.raises(ValidationError, match="empty"):
+        build_labelled_cycle(ring, set())
+    for bad in ({0, 1}, {1, 2, 4}):
+        with pytest.raises(ValidationError, match="out of range"):
+            build_labelled_cycle(ring, bad)
+
+
 def test_build_labelled_cycle_complete_graph():
     edges = {(u, v) for u in range(1, 4) for v in range(1, 4) if u != v}
     cyc = build_labelled_cycle(graph_of(3, edges), {1, 2, 3})

@@ -89,6 +89,12 @@ def test_validation_reports_offending_row():
         StochasticMatrix(np.array([[-0.5, 1.5], [0.5, 0.5]]))
 
 
+def test_stochastic_matrix_rejects_non_square_input():
+    for arr in (np.array([[0.5, 0.5]]), np.ones(2) / 2, np.empty((0, 0))):
+        with pytest.raises(DimensionError, match="nonempty square"):
+            StochasticMatrix(arr)
+
+
 def test_stochastic_matrix_rejects_non_finite_entries():
     # NaN fails every comparison, so no sign or row-sum test catches it
     with pytest.raises(ValidationError, match="row 1, column 1"):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from async_dca import (
+    IndependentClocksScheduler,
+    MarkovScheduler,
     REPLAY_CASES,
     ExperimentConfig,
     GlobalClockScheduler,
@@ -17,7 +19,9 @@ from async_dca import (
     run_experiment,
     wilson_interval,
 )
+from async_dca import _kernels
 from async_dca.matrices import SCRAMBLING_TOL
+from async_dca.rng import stream
 
 # at this epsilon lambda_tail[m] is the share of trials whose accumulated
 # product is not scrambling at step m
@@ -202,3 +206,43 @@ def test_track_lambda_off_skips_product_stats():
     res = run_experiment(small_cfg(track_lambda=False, trials=5, horizon=50))
     assert (res.lambda_tail == 1.0).all()
     assert res.max_product_row_error == 0.0
+
+
+def test_config_rejects_an_unknown_init():
+    with pytest.raises(ValidationError, match="'uniform' or a vector"):
+        small_cfg(init="gaussian")
+
+
+@pytest.mark.parametrize("scheduler", [
+    bundled_scheduler("uniform_clock6"),
+    IndependentClocksScheduler([0.5] * 6),
+    MarkovScheduler(6, states=[{1}, {2}], initial={1}, matrix=[[0.5, 0.5], [0.5, 0.5]]),
+    ScriptScheduler(6, []),
+], ids=["global_clock", "independent_clocks", "markov", "empty_script"])
+@pytest.mark.parametrize("track_lambda", [True, False])
+def test_horizon_zero_returns_the_initial_row(scheduler, track_lambda):
+    # the initial states are the first draws of stream(seed, 0)
+    res = run_experiment(small_cfg(scheduler=scheduler, horizon=0, trials=7,
+                                   track_lambda=track_lambda))
+    x0 = stream(555, 0).uniform(-1.0, 1.0, (7, 6))
+    d0 = x0.max(axis=1) - x0.min(axis=1)
+    assert np.array_equal(res.final_deltas, d0)
+    assert res.delta_tail.tolist() == [float((d0 >= res.epsilon).mean())]
+    assert res.lambda_tail.tolist() == [1.0]
+    assert res.max_product_row_error == res.max_contraction_violation == 0.0
+    longer = run_experiment(small_cfg(horizon=20, trials=7, track_lambda=track_lambda))
+    assert res.delta_tail[0] == longer.delta_tail[0]
+    assert res.lambda_tail[0] == longer.lambda_tail[0]
+
+
+def test_run_experiment_rejects_product_row_error(monkeypatch):
+    real = _kernels.trajectory_batch
+
+    def drifting(*args):
+        deltas, lams, carry = real(*args)
+        carry.row_err[:] = 1e-9
+        return deltas, lams, carry
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", drifting)
+    with pytest.raises(ValidationError, match="row sum"):
+        run_experiment(small_cfg(trials=3, horizon=30))

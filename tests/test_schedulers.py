@@ -298,6 +298,16 @@ def test_markov_json_round_trip():
     assert _sets(again, 40, stream(1, 0)) == _sets(scheduler, 40, stream(1, 0))
 
 
+def test_periodic_markov_json_round_trip():
+    # a law of two matrices serialises as "matrices", not "matrix"
+    scheduler = HISTORY_SCHEDULERS["markov_periodic"]()
+    obj = scheduler.to_json()
+    assert "matrix" not in obj["params"] and len(obj["params"]["matrices"]) == 2
+    again = scheduler_from_json(obj)
+    assert again.period == 2 and again.to_json() == obj
+    assert _sets(again, 40, stream(1, 0)) == _sets(scheduler, 40, stream(1, 0))
+
+
 def test_scheduler_from_json_rejects_unknown_kind():
     with pytest.raises(ValidationError):
         scheduler_from_json({"kind": "poisson", "params": {}})
