@@ -3,9 +3,10 @@
 Both kernels are pure numpy and vectorised across trials.  The trajectory
 kernel stores the trials on the last, contiguous axis, so each per-step
 reduction over the n agents is n-1 element-wise operations on length-T
-vectors.  The walk kernel has no loop over transitions: it takes a block's
-trials in slabs of about ``CHUNK_BYTES``, steps-major, and runs a fixed
-number of numpy passes per slab (see ``walk_match_batch``).
+vectors.  The walk kernel has no loop over transitions or trials: it walks
+the block it is given in a fixed number of numpy passes, steps-major, and
+its caller sizes the block (see ``walk_match_batch``).  ``CHUNK_BYTES``
+sizes the trajectory kernel alone.
 
 The trajectory kernel is resumable.  The caller draws the horizon in blocks
 of steps and passes each block together with the ``Carry`` the previous
@@ -101,7 +102,7 @@ from collections import deque
 
 import numpy as np
 
-CHUNK_BYTES = 64 * 1024  # sizes the chunks (of states), pair-min groups and walk slabs
+CHUNK_BYTES = 64 * 1024  # sizes the chunks (of states), pair-min groups and A_sigma groups
 TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
 
 
@@ -417,12 +418,6 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     return deltas[rows], lams[rows], carry
 
 
-def walk_slab_rows(S):
-    """Trials per slab of a walk block of S transitions: the slab's S + 1
-    positions of one token take about ``CHUNK_BYTES``."""
-    return max(1, CHUNK_BYTES // (8 * (S + 1)))
-
-
 def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     """First label-match times for a batch of backward cycle walks.
 
@@ -437,13 +432,12 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     labels coincide, counted from 1 at ``starts``, so a match after the
     s-th transition of the block reads s + 1; -1 if none within the block.
 
-    There is no loop over transitions.  The trials are taken in slabs of
-    ``W = walk_slab_rows(S)``, steps-major, so a slab's
-    S + 1 positions of one token take CHUNK_BYTES and every temporary is
-    O(CHUNK_BYTES) whatever T is.  A cumulative sum of each token's
-    back-step indicators along the steps gives its positions after 0..S
-    transitions, ``start - back-steps`` in [-S, l).  The sum runs on
-    uint64 words that each pack several trials' counts in lanes of the
+    There is no loop over transitions or trials: the block is walked in one
+    pass, steps-major, with O(T S) temporaries, about 36 B per uniform, so
+    the caller bounds the memory by the rows it passes.  A cumulative sum of
+    each token's back-step indicators along the steps gives its positions
+    after 0..S transitions, ``start - back-steps`` in [-S, l).  The sum runs
+    on uint64 words that each pack several trials' counts in lanes of the
     least unsigned dtype that holds S: no lane exceeds S, so no carry
     crosses lanes and one word addition adds them all.  The positions index
     tables of ``S // l + 1`` copies of the cycle without a modulo, the
@@ -464,52 +458,35 @@ def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):
     residue_of = np.arange(reps * l) % l
     # (k - R) marks a match after k transitions; no match leaves 0
     ks = np.arange(-R, 0, dtype=np.min_scalar_type(-R))[:, None]
-    W = max(1, min(T, walk_slab_rows(S)))
-    U = np.empty(S * W)
-    B = np.empty(3 * S * W, dtype=bool)
+    u = uniforms.T.copy()  # steps-major
+    b = np.empty((3, S, T), dtype=bool)
+    np.less(u, t_move_i, out=b[0])
+    np.less(u, t_move_j, out=b[1])
+    np.greater_equal(u, t_stay, out=b[2])
+    # back-steps: i on [t_move_j, t_move_i), j below t_move_j, both from t_stay
+    np.greater(b[0], b[1], out=b[0])
+    np.logical_or(b[:2], b[2], out=b[:2])
+    # back-step counts; the lanes past T stay zero, so none exceeds S
     lane = np.min_scalar_type(S)
     per_word = 8 // lane.itemsize
-    C = np.empty((2, S, -(-W // per_word) * per_word), dtype=lane)
+    C = np.zeros((2, S, -(-T // per_word) * per_word), dtype=lane)
+    np.copyto(C[:, :, :T], b[:2])
     words = C.view(np.uint64)
-    I = np.empty(2 * R * W, dtype=np.intp)
-    K = np.empty(R * W, dtype=ks.dtype)
-    E = np.empty(2 * W, dtype=np.intp)
-    cols = np.arange(W)
-    hits = np.empty(T, dtype=np.int64)
-    for a in range(0, T, W):
-        w = min(W, T - a)
-        u = U[:S * w].reshape(S, w)
-        np.copyto(u, uniforms[a:a + w].T)
-        b = B[:3 * S * w].reshape(3, S, w)
-        np.less(u, t_move_i, out=b[0])
-        np.less(u, t_move_j, out=b[1])
-        np.greater_equal(u, t_stay, out=b[2])
-        # back-steps: i on [t_move_j, t_move_i), j below t_move_j, both from t_stay
-        np.greater(b[0], b[1], out=b[0])
-        np.logical_or(b[:2], b[2], out=b[:2])
-        # back-step counts; the lanes past w are zeroed to stay within S
-        C[:, :, w:] = 0
-        np.copyto(C[:, :, :w], b[:2])
-        np.cumsum(words, axis=1, out=words)
-        # pos[:, k] holds each token's position after k transitions
-        pos = I[:2 * R * w].reshape(2, R, w)
-        pos[:, 0] = starts[a:a + w].T
-        np.subtract(pos[:, :1], C[:, :, :w], out=pos[:, 1:])
-        lab = label_of[pos]
-        k = K[:R * w].reshape(R, w)
-        np.multiply(np.equal(lab[0], lab[1]), ks, out=k)
-        first = np.add(k.min(axis=0), R, dtype=np.intp)
-        h = hits[a:a + w]
-        np.add(first, 1, out=h)
-        missed = first == R
-        np.putmask(h, missed, -1)
-        # the end is row first of the slab, or row S without a match
-        first -= missed
-        first *= w
-        first += cols[:w]
-        end = E[:2 * w].reshape(2, w)
-        np.take(pos.reshape(2, R * w), first, axis=1, out=end)
-        starts[a:a + w] = residue_of[end].T
+    np.cumsum(words, axis=1, out=words)
+    # pos[:, k] holds each token's position after k transitions
+    pos = np.empty((2, R, T), dtype=np.intp)
+    pos[:, 0] = starts.T
+    np.subtract(pos[:, :1], C[:, :, :T], out=pos[:, 1:])
+    lab = label_of[pos]
+    first = np.add(np.multiply(np.equal(lab[0], lab[1]), ks).min(axis=0), R, dtype=np.intp)
+    hits = np.add(first, 1, dtype=np.int64)
+    missed = first == R
+    np.putmask(hits, missed, -1)
+    # the end is row first of the block, or row S without a match
+    first -= missed
+    first *= T
+    first += np.arange(T)
+    starts[...] = residue_of[np.take(pos.reshape(2, R * T), first, axis=1)].T
     return hits
 
 

@@ -147,23 +147,26 @@ def is_sia(A) -> bool:
     communicating class and that class is aperiodic.  The chain's support
     edges (``i -> j`` iff ``a_ij > 0``) are the influence graph's edges
     reversed, so its closed classes are the graph's source components: a
-    single one means the graph is rooted, with ``chi`` that class.  A
-    strongly connected class of m nodes is aperiodic exactly when some power
-    of its support is all positive, and then the powers from (m - 1)^2 + 1
-    on all are (Wielandt's bound), so squaring the support past (m - 1)^2
-    decides it.  A self-loop in the class already makes it aperiodic, so
-    a positive diagonal entry there decides it with no squaring.
+    single one means the graph is rooted, with ``chi`` that class.  The
+    period of a strongly connected class is the gcd of
+    ``level[i] + 1 - level[j]`` over its edges ``i -> j``, with ``level``
+    the breadth-first distance from any one member (each closed walk's
+    length is a sum of these terms, and each term is the difference of two
+    closed walks' lengths), so the class is aperiodic exactly when that gcd
+    is 1; a self-loop contributes a 1.
     """
     support = _entries(A) > 0
     chi = np.flatnonzero(_reach(support.T).all(axis=1))
-    if support[chi, chi].any():
-        return True
     S = support[np.ix_(chi, chi)]
-    span = 1
-    while span <= (len(chi) - 1) ** 2 and not S.all():
-        S = S @ S
-        span *= 2
-    return chi.size > 0 and bool(S.all())
+    # breadth-first levels from the class's first member
+    level, frontier, d = np.full(len(chi), -1), np.arange(len(chi)) == 0, 0
+    while frontier.any():
+        level[frontier] = d
+        frontier = S[frontier].any(axis=0) & (level < 0)
+        d += 1
+    i, j = np.nonzero(S)
+    # no class, or a lone member without a self-loop, has no edge: gcd 0
+    return bool(np.gcd.reduce(level[i] + 1 - level[j]) == 1)
 
 
 def build_labelled_cycle(G: DirectedGraph, component) -> LabelledCycle:

@@ -44,12 +44,24 @@ def _integer(value, what: str) -> int:
 
 def _reals(values, what: str) -> np.ndarray:
     """``values``, a number or nested lists of numbers as JSON holds them, as
-    a float64 array; ValidationError for a ragged nesting or any entry that
-    is not a number, such as the strings and booleans float64 would convert."""
+    a float64 array; ValidationError for a ragged nesting, naming the first
+    entry whose length differs from the first entries' at its depth, or for
+    any entry that is not a number, such as the strings and booleans float64
+    would convert."""
+    shape, v = [], values
+    while isinstance(v, list):
+        shape.append(len(v))
+        v = v[0] if v else None
+
     def check(v, at):
-        if isinstance(v, list):
+        depth = len(at)
+        if depth < len(shape) and isinstance(v, list) and len(v) == shape[depth]:
             for k, item in enumerate(v, 1):
                 check(item, at + [k])
+        elif depth < len(shape) or isinstance(v, list):
+            want = f"a list of length {shape[depth]}" if depth < len(shape) else "a number"
+            got = f"a list of length {len(v)}" if isinstance(v, list) else repr(v)
+            raise ValidationError(f"{what} is ragged: the entry at index {at} is {got}, not {want}")
         elif isinstance(v, bool) or not isinstance(v, Real):
             raise ValidationError(f"{what} holds a non-numeric entry {v!r} at index {at}")
 

@@ -35,11 +35,12 @@ GAMMA_MAX = 1.0 / 3.0
 # Transition uniforms are drawn in blocks of this many columns, for the
 # unmatched trials only.  Part of the seed contract: changing it changes
 # every walk output for a given seed.  Each block is drawn and walked in
-# row slabs of about WALK_SLAB_BYTES of uniforms, whole kernel slabs each;
-# the stream is read row-major, so the slabs change no draw and no output
-# and their size is outside the seed contract.
+# row slabs of about WALK_SLAB_BYTES of uniforms, one kernel call each,
+# whose temporaries take about 36 B per uniform: this is the walk's only
+# size setting.  The stream is read row-major, so the slabs change no draw
+# and no output and their size is outside the seed contract.
 WALK_BLOCK = 16
-WALK_SLAB_BYTES = 1 << 18
+WALK_SLAB_BYTES = 1 << 17
 
 
 def _check_gamma(gamma: float) -> float:
@@ -161,7 +162,8 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     (fewer for the last block of the horizon), one row per still-unmatched
     trial in increasing trial order, until every trial has matched or
     ``k_max - 1`` transitions have been drawn.  Each block is drawn and
-    walked in slabs of rows (see ``WALK_SLAB_BYTES``); the stream is read
+    walked in slabs of ``max(1, WALK_SLAB_BYTES // (8 * width))`` rows of
+    its ``width`` columns, one kernel call per slab; the stream is read
     row-major, so this changes no draw.  The walk moves by
     ``default_move_probabilities(gamma)``.  The empirical curve is
     cumulative, hence non-decreasing; the exact curve it estimates
@@ -183,8 +185,7 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     done = 0
     while unmatched.size and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
-        slab = _kernels.walk_slab_rows(width)
-        rows = slab * max(1, WALK_SLAB_BYTES // (8 * width * slab))
+        rows = max(1, WALK_SLAB_BYTES // (8 * width))
         block_hits = np.empty(unmatched.size, dtype=np.int64)
         for r0 in range(0, unmatched.size, rows):
             r1 = min(r0 + rows, unmatched.size)

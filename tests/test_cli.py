@@ -471,6 +471,33 @@ def test_input_errors_exit_2_on_one_line(case, six_node, uniform_clock, tmp_path
     assert "Traceback" not in err
 
 
+RAGGED = {
+    "matrix-rows": ({"n": 2, "rows": [[1.0], [0.5, 0.5]]}, "analyze --matrix {input}",
+                    "'rows' is ragged: the entry at index [2] is a list of length 2, "
+                    "not a list of length 1"),
+    "markov-matrix": (_markov(matrix=[[0.5, 0.5], [1.0]]), _VERIFY,
+                      "'matrix' is ragged: the entry at index [2] is a list of length 1, "
+                      "not a list of length 2"),
+    "clock-p": ({"kind": "global_clock", "params": {"p": [0.2] * 5 + [[0.0]]}}, _VERIFY,
+                "'p' is ragged: the entry at index [6] is a list of length 1, not a number"),
+    "x0": ([[0.5], 0, 0, 0, 0, 0], "simulate --matrix {matrix} --x0 {input} --scheduler {clock} "
+           "--steps 5", "--x0 file is ragged: the entry at index [2] is 0, not a list of length 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED))
+def test_ragged_input_names_the_entry_of_the_wrong_length(case, six_node, uniform_clock,
+                                                         tmp_path, capsys):
+    payload, command, message = RAGGED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [arg.format(matrix=six_node, clock=uniform_clock, input=path)
+            for arg in command.split()]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"async-dca: invalid input: {message}\n"
+
+
 @pytest.mark.parametrize("out", [None, "-"])
 def test_csv_to_stdout_leaves_it_open(six_node, uniform_clock, monkeypatch, out):
     # the CSV goes to the sys.stdout of the call, which stays open after

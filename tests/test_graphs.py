@@ -126,6 +126,25 @@ def test_is_sia_on_asynchronous_products():
     assert is_sia(_run_script(swap, [2, 1], np.zeros(2))[1])
 
 
+def _cycle_with_chord(m, skip):
+    """The m-cycle i -> i + 1 as a row-stochastic matrix; with skip > 1 node
+    1 also steps to node 1 + skip, which closes a second cycle of m + 1 -
+    skip nodes."""
+    A = np.roll(np.eye(m), 1, axis=1)
+    if skip > 1:
+        A[0, 1] = A[0, skip] = 0.5
+    return A
+
+
+@pytest.mark.parametrize("m, skip, sia", [
+    (300, 1, False), (301, 1, False),  # period m
+    (300, 2, True), (301, 2, True),    # cycles of m and m - 1 nodes: coprime
+    (300, 3, False), (301, 3, True),   # cycles of m and m - 2 nodes: gcd 2 when m is even
+])
+def test_is_sia_on_long_cycles_with_and_without_a_chord(m, skip, sia):
+    assert is_sia(_cycle_with_chord(m, skip)) is sia
+
+
 def _large_matrices():
     """Three 300-node matrices: a lazy cycle, of diameter 299, a random
     sparse matrix, rooted with 258 roots among 43 components, and a dense

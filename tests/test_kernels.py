@@ -19,6 +19,7 @@ from async_dca import (
     stream,
 )
 from async_dca.engine import initial_state, step
+from async_dca.walk import WALK_SLAB_BYTES
 from _oracles import (
     _WalkReplay,
     ergodic_batch_trials_first,
@@ -645,6 +646,23 @@ def test_walk_kernel_matches_the_per_trial_walk(monkeypatch, l, S, move_probs):
         assert hits[1] == -1 and (ends[1] == (np.array([0, 1]) - S) % l).all()
 
 
+@pytest.mark.parametrize("move_probs", _MOVE_LAWS[:2])
+@pytest.mark.parametrize("S", [0, 255, 256])
+@pytest.mark.parametrize("T", [1, 7, 9])
+def test_walk_kernel_matches_the_per_trial_walk_at_the_lane_edges(T, S, move_probs):
+    # T = 1, 7 and 9 fill no whole number of uint64 words with lanes of
+    # uint8 (S <= 255) or uint16 (S = 256); the first trial never matches
+    # and steps back S times, the most a lane holds
+    cycle, starts, uniforms, (t1, t2, t3) = _walk_inputs(7, S, T + 1, move_probs, T + S)
+    starts, uniforms = starts[1:], uniforms[1:]
+    ends = starts.copy()
+    hits = _kernels.walk_match_batch(np.array(cycle.labels), ends, uniforms, t1, t2, t3)
+    want_hits, want_ends = _walk_oracle(cycle, move_probs, starts, uniforms)
+    assert np.array_equal(hits, want_hits)
+    assert np.array_equal(ends, want_ends)
+    assert hits[0] == -1 and (ends[0] == (np.array([0, 1]) - S) % 7).all()
+
+
 @pytest.mark.parametrize("relabel", [lambda v: v + 250, lambda v: 10 ** 12 * v - 7,
                                      lambda v: -v])
 def test_walk_kernel_reads_only_label_equality(relabel):
@@ -674,9 +692,12 @@ def test_walk_kernel_matches_the_per_trial_walk_across_full_slabs():
 
 
 def test_walk_kernel_memory_is_bounded_by_the_slab():
-    # the inputs exist before tracing starts; the (T,) int64 hits take 1.6 MB
+    # walk passes the kernel slabs of WALK_SLAB_BYTES of uniforms, 1024 rows
+    # of 16, and the one-pass kernel's temporaries take about 36 B per
+    # uniform; the inputs exist before tracing starts
     rng = np.random.default_rng(7)
-    T, S = 200_000, 16
+    S = 16
+    T = WALK_SLAB_BYTES // (8 * S)
     labels = np.array([1, 4, 3, 4, 3, 6])
     starts = rng.integers(0, 6, size=(T, 2))
     uniforms = rng.random((T, S))
@@ -686,7 +707,7 @@ def test_walk_kernel_memory_is_bounded_by_the_slab():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_env_flag_selects_backend():

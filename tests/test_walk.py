@@ -306,8 +306,8 @@ def test_walks_matched_at_the_start_take_no_kernel_call(monkeypatch):
 
 
 def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
-    # every block is cut into slabs of R rows, the last one ragged, with R
-    # a whole number of kernel slabs whose uniforms fit in WALK_SLAB_BYTES
+    # every block is cut into kernel calls of WALK_SLAB_BYTES // (8 width)
+    # rows each, the last one ragged
     calls = _record_kernel_calls(monkeypatch)
     trials, k_max = 20_000, 60
     curve = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=12)
@@ -315,34 +315,32 @@ def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
     unmatched, done, slabs = int((curve.hits != 1).sum()), 0, []
     while unmatched and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
+        rows = walk.WALK_SLAB_BYTES // (8 * width)
         sizes, left = [], 0
         while sum(sizes) < unmatched:
             r, w, h = calls.pop(0)
-            assert w == width and 8 * r * w <= walk.WALK_SLAB_BYTES
+            assert w == width
             sizes.append(r)
             left += int((h < 0).sum())
-        assert sum(sizes) == unmatched and set(sizes[:-1]) <= {sizes[0]}
-        assert len(sizes) == 1 or sizes[0] % _kernels.walk_slab_rows(width) == 0
+        assert sum(sizes) == unmatched and set(sizes[:-1]) <= {rows} and sizes[-1] <= rows
         slabs.append(len(sizes))
         unmatched, done = left, done + width
     assert calls == [] and done == k_max - 1 and (curve.hits < 0).any()
     assert len(slabs) == 4 and slabs[0] > 2
 
 
-@pytest.mark.parametrize("chunk_bytes, slab_bytes, rows", [
-    (8, 1, 1),                                            # one row per call
-    (8, 8 * WALK_BLOCK * 7, 7),                           # seven rows
-    (_kernels.CHUNK_BYTES, 1, _kernels.CHUNK_BYTES // (8 * (WALK_BLOCK + 1))),  # 481
-    (_kernels.CHUNK_BYTES, 1 << 40, None),                # each block whole
+@pytest.mark.parametrize("slab_bytes, rows", [
+    (1, 1),                                                    # one row per call
+    (8 * WALK_BLOCK * 7, 7),                                   # seven rows
+    (walk.WALK_SLAB_BYTES, walk.WALK_SLAB_BYTES // (8 * WALK_BLOCK)),  # 1024
+    (1 << 40, None),                                           # each block whole
 ])
-def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, chunk_bytes,
-                                                     slab_bytes, rows):
-    trials, k_max = 1200, 40
+def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, slab_bytes, rows):
+    trials, k_max = 3000, 40
     calls = _record_kernel_calls(monkeypatch)
     want = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
     want_uniforms = sum(r * w for r, w, _ in calls)
     calls.clear()
-    monkeypatch.setattr(_kernels, "CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(walk, "WALK_SLAB_BYTES", slab_bytes)
     got = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
     assert np.array_equal(got.hits, want.hits)
@@ -354,6 +352,21 @@ def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, chunk_bytes,
         assert len(calls) == -(-(k_max - 1) // WALK_BLOCK)
     else:
         assert max(sizes) == rows
+
+
+def test_walk_does_not_read_the_trajectory_chunk_size(monkeypatch):
+    # CHUNK_BYTES sizes the trajectory kernel alone: at 8 bytes the walk
+    # makes the same kernel calls, of the same shapes, with the same outputs
+    trials, k_max = 3000, 40
+    calls = _record_kernel_calls(monkeypatch)
+    want = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
+    want_shapes = [(r, w) for r, w, _ in calls]
+    calls.clear()
+    monkeypatch.setattr(_kernels, "CHUNK_BYTES", 8)
+    got = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
+    assert np.array_equal(got.hits, want.hits)
+    assert np.array_equal(got.empirical, want.empirical)
+    assert [(r, w) for r, w, _ in calls] == want_shapes and max(want_shapes)[0] > 1000
 
 
 @pytest.mark.parametrize("move_probs", ORACLE_LAWS)
