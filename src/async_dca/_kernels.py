@@ -46,7 +46,7 @@ rows of coefficients.  After the last chunk one pass over the rows that ran
 finishes them: ``lambda = clip(1 - s, 0, 1)``, then the maxima of the
 contraction and monotonicity checks, against row 0 as the previous
 coefficient, in groups of rows that fit the chunk series, which is free by
-then.  Every sum over columns runs left to right (``_sum_left``) for every
+then.  Every sum over columns runs left to right (``_reduce_left``) for every
 T and n; numpy's own sum of a lone trial's contiguous columns would go
 pairwise from n = 8 on.
 
@@ -126,12 +126,6 @@ def _reduce_left(op, X, out):
     return out
 
 
-def _sum_left(X, out):
-    """Sum ``X`` (..., k, T) over its axis -2 left to right into ``out``
-    (..., T): ``((X_0 + X_1) + X_2) + ...`` (see ``_reduce_left``)."""
-    return _reduce_left(np.add, X, out)
-
-
 def _shared_mass(Q, pairs, work, out):
     """``min over a < b of sum_c min(P[a, c], P[b, c])`` for the products
     ``P = Q[:, :, 1:]`` of a (G, n, n + 1, T) stack of ``Q`` (see
@@ -156,7 +150,7 @@ def _shared_mass(Q, pairs, work, out):
     np.take(Q, b, axis=1, out=Qb, mode="clip")
     np.minimum(Qa, Qb, out=Qa)
     S = S[:size // m].reshape(G, len(a), T)
-    _sum_left(Qa[:, :, 1:], S).min(axis=1, out=out)
+    _reduce_left(np.add, Qa[:, :, 1:], S).min(axis=1, out=out)
 
 
 def _min_column_mass(P, mins, out):
@@ -164,7 +158,7 @@ def _min_column_mass(P, mins, out):
     summed left to right into ``out`` (G, T); ``mins`` (G, n, T) receives
     the column minima.  It is below no pair's mass of ``_shared_mass``
     (see the module docstring)."""
-    return _sum_left(np.min(P, axis=1, out=mins), out)
+    return _reduce_left(np.add, np.min(P, axis=1, out=mins), out)
 
 
 def _fixed(A, Z, AZ):
@@ -360,7 +354,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         np.subtract(D, _reduce_left(np.minimum, X[1:c + 1], W), out=D)
         if track_lambda:
             L, R, P = lams[k0 + 1:k1 + 1], rs[:c], Qs[1:c + 1, :, 1:]
-            np.abs(np.subtract(_sum_left(P, R), 1.0, out=R), out=R)
+            np.abs(np.subtract(_reduce_left(np.add, P, R), 1.0, out=R), out=R)
             np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
             # the bound goes into the chunk's rows of lams; the live trials
             # have a step where it is not >= 1 (NaN included), and pair

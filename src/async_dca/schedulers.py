@@ -19,13 +19,14 @@ carry)`` is the only way a scheduler draws.  It returns the tick-major
 the one stream ``rng``: at each tick every trial in trial order takes a
 fixed number of uniforms (global/support/markov: one, except that the
 first markov tick is ``initial`` and takes none; independent_clocks: n;
-script: none), in groups of ticks drawn into one reused buffer.  One call
-for m doubles gives the same doubles as m scalar calls, so a horizon drawn
-in blocks, with ``start`` and ``carry`` passed on, is the horizon drawn at
-once and equals the scalar reference draws in ``tests/_oracles.py``; one
-trial draws what seed contract 1 drew.  ``carry`` is a dict, empty at tick
-0: a Markov chain keeps its (trials,) last states there, a ``weight_fn``
-hook its state and the (trials,) picks of the last tick.  Every pick is
+script: none), in groups of ticks that ``rng._uniform_groups`` draws into
+one buffer of about ``rng.UNIFORM_BUFFER_BYTES``, the doubles that scalar
+calls would give.  So a horizon drawn in blocks, with ``start`` and
+``carry`` passed on, is the horizon drawn at once and equals the scalar
+reference draws in ``tests/_oracles.py``; one trial draws what seed
+contract 1 drew.  ``carry`` is a dict, empty at tick 0: a Markov chain
+keeps its (trials,) last states there, a ``weight_fn`` hook its state and
+the (trials,) picks of the last tick.  Every pick is
 ``_pick``: the count of the finite entries of a cumulative row
 (``_cumulative``, last entry inf) at or below the uniform, one ``add`` per
 candidate into the least unsigned dtype that holds the outcomes.  A fixed
@@ -65,11 +66,10 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .graphs import build_graph, roots
-from .matrices import ColumnStochasticMatrix, StochasticMatrix, _integer, _reals
+from .matrices import ROW_SUM_TOL, ColumnStochasticMatrix, StochasticMatrix, _integer, _reals
+from .rng import _uniform_groups
 
-PROB_TOL = 1e-12
 MAX_SUPPORT_PERIOD = 64
-UNIFORM_BUFFER_BYTES = 1 << 17  # the buffer a block's uniforms are drawn into
 
 
 def normalize_update_set(sigma, n: int) -> frozenset:
@@ -129,21 +129,6 @@ def _meet(masks: np.ndarray) -> np.ndarray:
     both = M.T @ M
     d = both.diagonal()
     return (both == d[:, None]) & (d > 0)[:, None]
-
-
-def _uniform_groups(rng, steps: int, shape: tuple):
-    """Draw the uniforms of ``steps`` ticks, ``shape`` of them per tick,
-    tick-major, in groups of ticks: yields ``(i, u)`` with ``u`` the
-    (g, *shape) uniforms of ticks i .. i + g - 1.  Every group is drawn
-    into one buffer of about ``UNIFORM_BUFFER_BYTES`` (one tick when a tick
-    needs more), so ``u`` holds only until the next group is drawn."""
-    tick_bytes = 8 * int(np.prod(shape))
-    g = max(1, min(steps, UNIFORM_BUFFER_BYTES // max(1, tick_bytes)))
-    buf = np.empty((g, *shape))
-    for i in range(0, steps, g):
-        u = buf[:min(g, steps - i)]
-        rng.random(out=u)
-        yield i, u
 
 
 class Scheduler:
@@ -230,9 +215,10 @@ class SupportSequenceScheduler(Scheduler):
     per tick k for all T trials: ``picked`` is the (T,) intp indices of
     the candidates tick k - 1 drew (-1 at tick 1), ``state`` what the hook
     returned at tick k - 1 (None at tick 1), and ``weights`` the (T,
-    candidates) weights of tick k.  They must keep every candidate's
-    probability positive, which preserves history independence of the
-    support sets themselves.
+    candidates) weights of tick k, each row summing to 1 within 1e-9 (the
+    declared probabilities: within ``ROW_SUM_TOL``).  They must keep every
+    candidate's probability positive, which preserves history independence
+    of the support sets themselves.
     """
 
     kind = "support_sequence"
@@ -255,7 +241,7 @@ class SupportSequenceScheduler(Scheduler):
             probs = np.array([float(p) for _, p in options])
             if not (np.isfinite(probs) & (probs > 0)).all():
                 raise ValidationError(f"tick {t + 1} has a non-positive or non-finite probability")
-            if abs(probs.sum() - 1.0) > PROB_TOL:
+            if abs(probs.sum() - 1.0) > ROW_SUM_TOL:
                 raise ValidationError(
                     f"tick {t + 1} probabilities sum to {float(probs.sum())!r}"
                 )
@@ -338,7 +324,7 @@ class GlobalClockScheduler(SupportSequenceScheduler):
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValidationError("global_clock needs a 1-d probability vector")
-        if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > PROB_TOL:
+        if not np.isfinite(p).all() or (p < 0).any() or abs(p.sum() - 1.0) > ROW_SUM_TOL:
             raise ValidationError("global_clock probabilities must be >= 0 and sum to 1")
         self.p = p
         super().__init__(p.size, [[({j + 1}, p[j]) for j in np.flatnonzero(p > 0)]])

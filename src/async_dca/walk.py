@@ -29,18 +29,17 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .graphs import LabelledCycle
-from .rng import stream
+from .rng import _uniform_groups, stream
 
 GAMMA_MAX = 1.0 / 3.0
 # Transition uniforms are drawn in blocks of this many columns, for the
 # unmatched trials only.  Part of the seed contract: changing it changes
 # every walk output for a given seed.  Each block is drawn and walked in
-# row slabs of about WALK_SLAB_BYTES of uniforms, one kernel call each,
-# whose temporaries take about 36 B per uniform: this is the walk's only
-# size setting.  The stream is read row-major, so the slabs change no draw
-# and no output and their size is outside the seed contract.
+# row slabs of about rng.UNIFORM_BUFFER_BYTES of uniforms, one kernel call
+# each, whose temporaries take about 36 B per uniform.  The stream is read
+# row-major, so the slabs change no draw and no output and their size is
+# outside the seed contract.
 WALK_BLOCK = 16
-WALK_SLAB_BYTES = 1 << 17
 
 
 def _check_gamma(gamma: float) -> float:
@@ -161,11 +160,11 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     ``(trials, 2)`` array, then blocks of ``WALK_BLOCK`` transition uniforms
     (fewer for the last block of the horizon), one row per still-unmatched
     trial in increasing trial order, until every trial has matched or
-    ``k_max - 1`` transitions have been drawn.  Each block is drawn and
-    walked in slabs of ``max(1, WALK_SLAB_BYTES // (8 * width))`` rows of
-    its ``width`` columns, one kernel call per slab; the stream is read
-    row-major, so this changes no draw.  The walk moves by
-    ``default_move_probabilities(gamma)``.  The empirical curve is
+    ``k_max - 1`` transitions have been drawn.  Each block is drawn by
+    ``rng._uniform_groups`` and walked in slabs of ``max(1,
+    rng.UNIFORM_BUFFER_BYTES // (8 * width))`` rows of its ``width``
+    columns, one kernel call per slab; this changes no draw.  The walk
+    moves by ``default_move_probabilities(gamma)``.  The empirical curve is
     cumulative, hence non-decreasing; the exact curve it estimates
     dominates the bound.  On a one-position cycle every walk matches at
     k = 1: the curve and the bound are all ones, with ``c0 = beta = 0``.
@@ -185,13 +184,12 @@ def match_probability_curve(cycle: LabelledCycle, gamma: float, k_max: int,
     done = 0
     while unmatched.size and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
-        rows = max(1, WALK_SLAB_BYTES // (8 * width))
         block_hits = np.empty(unmatched.size, dtype=np.int64)
-        for r0 in range(0, unmatched.size, rows):
-            r1 = min(r0 + rows, unmatched.size)
-            u = rng.random((r1 - r0, width))
+        for r0, u in _uniform_groups(rng, unmatched.size, (width,)):
+            r1 = r0 + len(u)
             # the kernel advances pos[r0:r1] to the end of the block
             block_hits[r0:r1] = _kernels.walk_match_batch(labels, pos[r0:r1], u, t1, t2, t3)
+        del u  # frees the buffer before the O(trials) bookkeeping below
         matched = block_hits > 0
         hits[unmatched[matched]] = block_hits[matched] + done
         done += width

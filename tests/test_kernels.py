@@ -19,7 +19,7 @@ from async_dca import (
     stream,
 )
 from async_dca.engine import initial_state, step
-from async_dca.walk import WALK_SLAB_BYTES
+from async_dca.rng import UNIFORM_BUFFER_BYTES
 from _oracles import (
     _WalkReplay,
     ergodic_batch_trials_first,
@@ -483,7 +483,7 @@ def test_column_sums_add_left_to_right(T):
             for j in range(1, k):
                 s += float(P[idx[0], idx[1], j, idx[2]])
             want[idx] = s
-        got = _kernels._sum_left(P, np.empty((2, 3, T)))
+        got = _kernels._reduce_left(np.add, P, np.empty((2, 3, T)))
         assert np.array_equal(_bits(got), _bits(want))
         assert np.array_equal(_bits(sum_in_order(P.swapaxes(2, 3))), _bits(want))
 
@@ -631,9 +631,7 @@ _MOVE_LAWS = [(0.25, 0.25, 0.25, 0.25), (0.2, 0.5, 0.0, 0.3), (0.6, 0.1, 0.0, 0.
 @pytest.mark.parametrize("l, S", sorted({(l, S) for l in (1, 2, 7)
                                          for S in (0, 1, l - 1, l, l + 1, 16, 35)}
                                         | {(300, 200), (7, 256)}))
-def test_walk_kernel_matches_the_per_trial_walk(monkeypatch, l, S, move_probs):
-    # slabs of 5 trials, so 17 trials make four slabs and a ragged last one
-    monkeypatch.setattr(_kernels, "CHUNK_BYTES", 8 * (S + 1) * 5)
+def test_walk_kernel_matches_the_per_trial_walk(l, S, move_probs):
     cycle, starts, uniforms, (t1, t2, t3) = _walk_inputs(l, S, 17, move_probs, 13 * l + S)
     ends = starts.copy()
     hits = _kernels.walk_match_batch(np.array(cycle.labels), ends, uniforms, t1, t2, t3)
@@ -679,8 +677,9 @@ def test_walk_kernel_reads_only_label_equality(relabel):
 
 
 def test_walk_kernel_matches_the_per_trial_walk_across_full_slabs():
+    # two of the slabs walk passes, 1024 rows of 16, and a ragged 37
     S = 16
-    slab = _kernels.CHUNK_BYTES // (8 * (S + 1))
+    slab = UNIFORM_BUFFER_BYTES // (8 * S)
     move_probs = (0.2, 0.2, 0.3, 0.3)
     cycle, starts, uniforms, (t1, t2, t3) = _walk_inputs(7, S, 2 * slab + 37, move_probs, 41)
     ends = starts.copy()
@@ -692,12 +691,12 @@ def test_walk_kernel_matches_the_per_trial_walk_across_full_slabs():
 
 
 def test_walk_kernel_memory_is_bounded_by_the_slab():
-    # walk passes the kernel slabs of WALK_SLAB_BYTES of uniforms, 1024 rows
+    # walk passes the kernel slabs of UNIFORM_BUFFER_BYTES of uniforms, 1024 rows
     # of 16, and the one-pass kernel's temporaries take about 36 B per
     # uniform; the inputs exist before tracing starts
     rng = np.random.default_rng(7)
     S = 16
-    T = WALK_SLAB_BYTES // (8 * S)
+    T = UNIFORM_BUFFER_BYTES // (8 * S)
     labels = np.array([1, 4, 3, 4, 3, 6])
     starts = rng.integers(0, 6, size=(T, 2))
     uniforms = rng.random((T, S))

@@ -16,10 +16,10 @@ from async_dca import (
     check_strongly_aperiodic,
     run_experiment,
     scheduler_from_json,
-    schedulers,
     stream,
     wilson_interval,
 )
+from async_dca.matrices import ROW_SUM_TOL
 from async_dca.schedulers import _cumulative, _pick
 from _oracles import (
     _clock_sets,
@@ -164,7 +164,7 @@ def test_uniforms_are_drawn_in_groups_of_ticks(monkeypatch):
     # a buffer of two ticks of 17 x 4 uniforms: 75 groups, the same masks
     make = ALL_SCHEDULERS["independent_clocks"]
     whole = make().sample_masks(150, stream(7, 3), 17)
-    monkeypatch.setattr(schedulers, "UNIFORM_BUFFER_BYTES", 2 * 17 * 4 * 8)
+    monkeypatch.setattr("async_dca.rng.UNIFORM_BUFFER_BYTES", 2 * 17 * 4 * 8)
     calls = []
 
     class Counting:
@@ -419,7 +419,7 @@ def test_law_rows_are_the_drawn_frequencies(kind):
         if hooked:
             continue
         probs = [prob for _, prob in law]
-        assert abs(sum(probs) - 1.0) <= schedulers.PROB_TOL
+        assert abs(sum(probs) - 1.0) <= ROW_SUM_TOL
         for count, prob in zip(hits.sum(axis=0), probs):
             lo, hi = wilson_interval(int(count), len(drawn), z=4.0)
             assert lo <= prob <= hi, (t, count, prob)
@@ -548,6 +548,34 @@ def test_support_sequence_history_hook():
         bad = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]], weight_fn=hook)
         with pytest.raises(ValidationError):
             bad.sample_masks(1, stream(5, 0), 3)
+
+
+def test_weight_hook_rows_must_sum_to_one():
+    # positive, finite, well-shaped weights whose rows sum to 1.2 from tick
+    # 3 on: the first two ticks draw, and the third raises
+    def heavy_from_tick_3(k, state, picked):
+        return np.tile([0.6, 0.6] if k >= 3 else [0.5, 0.5], (len(picked), 1)), state
+
+    scheduler = SupportSequenceScheduler(2, [[({1}, 0.5), ({2}, 0.5)]],
+                                         weight_fn=heavy_from_tick_3)
+    assert scheduler.sample_masks(2, stream(5, 0), 3).shape == (2, 3, 2)
+    with pytest.raises(ValidationError, match="each row summing to 1"):
+        scheduler.sample_masks(3, stream(5, 0), 3)
+
+
+@pytest.mark.parametrize("miss", [-1e-12, 1e-12])
+def test_weight_hook_rows_within_the_tolerance_draw(miss):
+    # rows that miss 1 by 1e-12, inside the hook's 1e-9, draw the masks of
+    # exact rows: the picks read only the first cumulative entry, 0.5
+    def hook_of(last):
+        return lambda k, state, picked: (np.tile([0.5, last], (len(picked), 1)), state)
+
+    ticks = [[({1}, 0.5), ({2}, 0.5)]]
+    want = SupportSequenceScheduler(2, ticks, weight_fn=hook_of(0.5)).sample_masks(
+        50, stream(5, 0), 3)
+    got = SupportSequenceScheduler(2, ticks, weight_fn=hook_of(0.5 + miss)).sample_masks(
+        50, stream(5, 0), 3)
+    assert np.array_equal(got, want)
 
 
 def test_markov_trajectory_structure_and_errors():

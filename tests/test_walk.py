@@ -19,7 +19,8 @@ from async_dca import (
     stream,
     wilson_interval,
 )
-from async_dca import _kernels, walk
+from async_dca import _kernels
+from async_dca.rng import UNIFORM_BUFFER_BYTES
 from async_dca.walk import WALK_BLOCK
 from _oracles import (
     all_steps_rate_certificate,
@@ -270,7 +271,7 @@ def test_match_curve_inside_wilson_bands_of_exact_curve(seed, trials):
 def test_match_curve_memory_is_bounded_by_block():
     # drawing all k_max - 1 uniforms up front would take 50k x 199 x 8 B = 80 MB,
     # and one whole 16-column block of the 50k trials 6.4 MB; slabs of about
-    # WALK_SLAB_BYTES leave the O(trials) positions and hits
+    # UNIFORM_BUFFER_BYTES leave the O(trials) positions and hits
     tracemalloc.start()
     try:
         match_probability_curve(SIX_CYCLE, 0.2, 200, 50_000, seed=5)
@@ -306,7 +307,7 @@ def test_walks_matched_at_the_start_take_no_kernel_call(monkeypatch):
 
 
 def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
-    # every block is cut into kernel calls of WALK_SLAB_BYTES // (8 width)
+    # every block is cut into kernel calls of UNIFORM_BUFFER_BYTES // (8 width)
     # rows each, the last one ragged
     calls = _record_kernel_calls(monkeypatch)
     trials, k_max = 20_000, 60
@@ -315,7 +316,7 @@ def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
     unmatched, done, slabs = int((curve.hits != 1).sum()), 0, []
     while unmatched and done < k_max - 1:
         width = min(WALK_BLOCK, k_max - 1 - done)
-        rows = walk.WALK_SLAB_BYTES // (8 * width)
+        rows = UNIFORM_BUFFER_BYTES // (8 * width)
         sizes, left = [], 0
         while sum(sizes) < unmatched:
             r, w, h = calls.pop(0)
@@ -332,7 +333,7 @@ def test_walk_blocks_are_drawn_in_whole_kernel_slabs(monkeypatch):
 @pytest.mark.parametrize("slab_bytes, rows", [
     (1, 1),                                                    # one row per call
     (8 * WALK_BLOCK * 7, 7),                                   # seven rows
-    (walk.WALK_SLAB_BYTES, walk.WALK_SLAB_BYTES // (8 * WALK_BLOCK)),  # 1024
+    (UNIFORM_BUFFER_BYTES, UNIFORM_BUFFER_BYTES // (8 * WALK_BLOCK)),  # 1024
     (1 << 40, None),                                           # each block whole
 ])
 def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, slab_bytes, rows):
@@ -341,7 +342,7 @@ def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, slab_bytes, ro
     want = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
     want_uniforms = sum(r * w for r, w, _ in calls)
     calls.clear()
-    monkeypatch.setattr(walk, "WALK_SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr("async_dca.rng.UNIFORM_BUFFER_BYTES", slab_bytes)
     got = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
     assert np.array_equal(got.hits, want.hits)
     assert np.array_equal(got.empirical, want.empirical)
