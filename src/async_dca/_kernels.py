@@ -8,14 +8,14 @@ the block it is given in a fixed number of numpy passes, steps-major, and
 its caller sizes the block (see ``walk_match_batch``).  ``CHUNK_BYTES``
 sizes the trajectory kernel alone.
 
-The trajectory kernel is resumable.  The caller draws the horizon in blocks
-of steps and passes each block together with the ``Carry`` the previous
-block left: the states, the accumulated products, the last coefficients,
-the initial discrepancies, the maxima of the three checks and the exit-test
-schedule.  Each call returns that block's discrepancies and coefficients,
-steps first, and the carry.  Only the carry, chunk buffers included, lives
-from block to block, so a batch needs O(T n^3 + n CHUNK_BYTES) memory plus
-what the caller keeps of the blocks.
+The trajectory kernel is resumable.  The caller builds the run's ``Carry``
+and passes it with each block of steps: the states, the accumulated
+products, the last coefficients, the initial discrepancies, the maxima of
+the three checks and the exit-test schedule.  Each call returns one row of
+discrepancies and coefficients per step it ran, steps first, and the
+carry.  Only the carry, chunk buffers included, lives from block to block,
+so a batch needs O(T n^3 + n CHUNK_BYTES) memory plus what the caller
+keeps of the blocks.
 
 Inside a block the state and the accumulated product step together as
 one array ``Q = [x | P]`` of shape (n, m, T) (see ``Carry``).  A batch
@@ -44,11 +44,11 @@ from the state column, the product's row sums and their maximum error, and
 each step's shared mass ``s`` (below), written straight into the block's
 rows of coefficients.  After the last chunk one pass over the rows that ran
 finishes them: ``lambda = clip(1 - s, 0, 1)``, then the maxima of the
-contraction and monotonicity checks, against row 0 as the previous
-coefficient, in groups of rows that fit the chunk series, which is free by
-then.  Every sum over columns runs left to right (``_reduce_left``) for every
-T and n; numpy's own sum of a lone trial's contiguous columns would go
-pairwise from n = 8 on.
+contraction and monotonicity checks, the first row against the carry's
+last coefficient, in groups of rows that fit the chunk series, which is
+free by then.  Every sum over columns runs left to right (``_reduce_left``)
+for every T and n; numpy's own sum of a lone trial's contiguous columns
+would go pairwise from n = 8 on.
 
 The coefficient is ``lambda = clip(1 - s, 0, 1)`` with ``s`` the least
 pair mass ``sum_c min(P[a, c], P[b, c])`` over the row pairs a < b, which
@@ -174,7 +174,8 @@ class Carry:
     accumulated products as columns 1..n (m = n + 1); without lambda m is
     1, or 2 for a lone trial, whose second column stays zero.  ``x`` (n, T)
     is the view of the states; ``lam`` (T,) coefficients after the last
-    step run; ``d0`` (T,) initial discrepancies; ``viol_contract``,
+    step run, at first the identity's (1; 0 for one agent with lambda);
+    ``d0`` (T,) initial discrepancies; ``viol_contract``,
     ``viol_mono`` and ``row_err`` (T,) maxima of the checks so far (see
     ``trajectory_batch``); ``fixed`` is True once the batch is an exact
     fixed point.  ``chunks`` and ``next_test`` schedule the exit test.
@@ -187,7 +188,6 @@ class Carry:
     """
 
     def __init__(self, x0, track_lambda):
-        x0 = np.asarray(x0, dtype=np.float64)
         T, n = x0.shape
         # a single column would make every step's matmul a gemv, which
         # rounds differently from the gemm of a wider batch
@@ -200,7 +200,7 @@ class Carry:
         # A_sigma's identity rows return a kept -0.0 as +0.0, so a lone
         # trial that starts with one steps as a batch does
         self.lone = T == 1 and not np.signbit(x0[x0 == 0]).any()
-        self.lam = None
+        self.lam = np.full(T, 0.0 if track_lambda and n == 1 else 1.0)
         self.viol_contract = np.zeros(T)
         self.viol_mono = np.zeros(T)
         self.row_err = np.zeros(T)
@@ -231,8 +231,8 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     A : (n, n) row-stochastic coupling matrix.
     masks : (T, B, n) bool; ``masks[t, k, i]`` is True when agent ``i+1``
         updates at the block's step ``k+1`` of trial ``t``.
-    carry : (T, n) initial states for the first block, or the ``Carry``
-        returned with the previous block, which is updated in place.
+    carry : the run's ``Carry``, built from the initial states and
+        updated in place by every block.
     track_lambda : also accumulate the left product, its ergodic
         coefficient and the three checks.  Without it a batch stops as soon
         as every state is a fixed point; with it the product must be one
@@ -252,17 +252,14 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         ``lam_k - lam_{k-1}``, and ``row_err`` the max row-sum error of the
         accumulated product (all zeros without lambda).
 
-    R is the number of steps run, B unless the block stopped early, plus
-    one for the first block, whose row 0 holds the initial values.  The
+    R is the number of steps run, B unless the block stopped early.  The
+    initial row (``carry.d0`` and ``carry.lam`` of a new ``Carry``) and the
     rows of consecutive blocks, concatenated and padded by the last row up
     to the horizon, are the whole-horizon series.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
     T, K, n = masks.shape
-    first = not isinstance(carry, Carry)
-    if first:
-        carry = Carry(carry, track_lambda)
     C = max(1, min(K, CHUNK_BYTES // max(1, 8 * n * T)))
     Q, d0 = carry.Q, carry.d0
     m = Q.shape[1]
@@ -303,15 +300,13 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     else:
         M, (Db, Zs, Us, Ms) = bufs[1:3]
     X = Qs[:, :, 0]
-    # row 0 holds the values before the block's first step
-    deltas = np.empty((K + 1, T))
-    deltas[0] = d0
+    deltas = np.empty((K, T))
     viol_contract, viol_mono, row_err = carry.viol_contract, carry.viol_mono, carry.row_err
     if track_lambda:
         lams = np.empty((K + 1, T))
         rs, work, gathered, where = bufs[5:]
-        # the first block starts from the identity, whose rows share no mass
-        lams[0] = (0.0 if n == 1 else 1.0) if first else carry.lam
+        # row 0 holds the coefficient before the block's first step
+        lams[0] = carry.lam
         # the held live trial-steps of chunks with fewer than half their
         # trials live: their Q columns, trials last, their pair masses in
         # the last row of ``gathered``, their flat indices into lams in
@@ -349,7 +344,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
                 and_(xor(AZu, Zu, Db), Mk, Db)
                 xor(AZu, Db, AZu)
         k1 = k0 + c
-        D, W = deltas[k0 + 1:k1 + 1], w[:c]
+        D, W = deltas[k0:k1], w[:c]
         _reduce_left(np.maximum, X[1:c + 1], D)
         np.subtract(D, _reduce_left(np.minimum, X[1:c + 1], W), out=D)
         if track_lambda:
@@ -403,13 +398,12 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         for a in range(1, k1 + 1, span):
             b = min(k1 + 1, a + span)
             W = Qs.reshape(-1)[:(b - a) * T].reshape(b - a, T)
-            np.subtract(deltas[a:b], np.multiply(lams[a:b], d0, out=W), out=W)
+            np.subtract(deltas[a - 1:b - 1], np.multiply(lams[a:b], d0, out=W), out=W)
             np.maximum(viol_contract, W.max(axis=0, out=wT), out=viol_contract)
             np.subtract(lams[a:b], lams[a - 1:b - 1], out=W)
             np.maximum(viol_mono, W.max(axis=0, out=wT), out=viol_mono)
         carry.lam = lams[k1].copy()
-    rows = slice(0 if first else 1, k1 + 1)
-    return deltas[rows], lams[rows], carry
+    return deltas[:k1], lams[1:k1 + 1], carry
 
 
 def walk_match_batch(labels, starts, uniforms, t_move_j, t_move_i, t_stay):

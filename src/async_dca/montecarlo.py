@@ -15,8 +15,9 @@ see ``rng``): first the initial states of every trial (when random), then
 the schedule, tick by tick and, within a tick, trial by trial.
 ``trajectory_blocks``, the one way into the trajectory kernel, runs the
 trials as one streamed pipeline (``simulate`` and a replay's script run one
-trial of it).  It draws the schedule of every trial in blocks of B ticks,
-B set by ``MASK_BLOCK_BYTES``, with one ``sample_masks`` call per block,
+trial of it).  It yields step 0, the initial values, as a block of its
+own, then draws the schedule of every trial in blocks of B ticks, B set
+by ``MASK_BLOCK_BYTES``, with one ``sample_masks`` call per block,
 advances the resumable kernel by one block and hands the block to the
 caller to reduce before drawing the next.  The stream is consumed tick by
 tick, so splitting it into blocks of ticks keeps every draw and no output
@@ -26,13 +27,13 @@ contract-1 outputs.  Once the kernel stops at an exact fixed point nothing
 more is drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not
 called for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the
 state a ``weight_fn`` hook keeps: a block holds about ``MASK_BLOCK_BYTES``
-(256 KiB) of masks and, 8 / n times that each, its (B + 1, T) float64
+(256 KiB) of masks and, 8 / n times that each, its (B, T) float64
 series of discrepancies and, with lambda, coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import expm1, log1p, sqrt
 
 import numpy as np
 
@@ -132,37 +133,41 @@ class ExperimentResult:
 def trajectory_blocks(cfg: ExperimentConfig):
     """Run the trials of ``cfg`` as a streamed pipeline, one block at a time.
 
-    Yields ``(k, deltas, lams, carry)`` per block, where ``deltas`` and
-    ``lams`` are the kernel's (R, T) rows for steps ``k .. k + R - 1`` (the
-    first block starts with step 0, the initial values) and ``carry`` is
-    its ``_kernels.Carry``.  When the last block ends before the horizon,
-    ``carry.fixed`` is True and every later row repeats its last one.  A
-    block after which a product's row sum is off by more than
-    ``PRODUCT_ROW_SUM_TOL`` raises ValidationError instead.
+    Yields ``(k, deltas, lams, carry)`` per block: (R, T) rows for steps
+    ``k .. k + R - 1`` and the run's ``_kernels.Carry``.  Step 0, the
+    initial values, comes first as a block of its own, before any mask is
+    drawn.  When the last block ends before the horizon, ``carry.fixed`` is
+    True and every later row repeats its last one.  A block after which a
+    product's row sum is off by more than ``PRODUCT_ROW_SUM_TOL`` plus
+    ``(1 + d)^k - 1``, the drift of k steps whose rows miss 1 by up to d,
+    raises ValidationError instead.
     """
-    n, T, K = cfg.matrix.n, cfg.trials, cfg.horizon
+    A, n, T, K = cfg.matrix.entries, cfg.matrix.n, cfg.trials, cfg.horizon
     B = max(1, min(K, MASK_BLOCK_BYTES // (T * n)))
     rng = stream(cfg.seed, 0)
     if isinstance(cfg.init, str):
-        carry = rng.uniform(-1.0, 1.0, (T, n))
+        x0 = rng.uniform(-1.0, 1.0, (T, n))
     else:
-        carry = np.tile(cfg.init, (T, 1))
+        x0 = np.tile(cfg.init, (T, 1))
+    carry = _kernels.Carry(x0, cfg.track_lambda)
+    yield 0, carry.d0[None], carry.lam[None], carry
+    # A_sigma's rows are rows of A or of I: k steps drift by (1 + d)^k - 1
+    drift = log1p(float(np.abs(A.sum(axis=1) - 1.0).max()))
     draws = {}  # what the scheduler carries from block to block
-    k = 0
-    for k0 in range(0, max(K, 1), B):
+    for k0 in range(0, K, B):
         masks = cfg.scheduler.sample_masks(min(B, K - k0), rng, T, k0, draws)
         # the kernel reads the tick-major block as a (T, b, n) view
         deltas, lams, carry = _kernels.trajectory_batch(
-            cfg.matrix.entries, masks.transpose(1, 0, 2), carry, cfg.track_lambda)
+            A, masks.transpose(1, 0, 2), carry, cfg.track_lambda)
         del masks
         err = float(carry.row_err.max())
-        if err > PRODUCT_ROW_SUM_TOL:
+        tol = PRODUCT_ROW_SUM_TOL + expm1((k0 + len(deltas)) * drift)
+        if err > tol:
             raise ValidationError(f"accumulated product has a row sum off by {err!r}, "
-                                  f"more than {PRODUCT_ROW_SUM_TOL}")
+                                  f"more than {tol}")
         if carry.fixed or k0 + B >= K:
             carry.buffers = None  # the last block: free the kernel's chunk buffers
-        yield k, deltas, lams, carry
-        k += len(deltas)
+        yield k0 + 1, deltas, lams, carry
         if carry.fixed:
             return
         # the caller has reduced this block: free its rows before the next

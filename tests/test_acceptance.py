@@ -70,7 +70,7 @@ def warm_kernels():
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
     masks = np.ones((1, 2, 2), dtype=bool)
     x0 = np.array([[1.0, -1.0]])
-    _kernels.trajectory_batch(A, masks, x0, True)
+    _kernels.trajectory_batch(A, masks, _kernels.Carry(x0, True), True)
     _kernels.walk_match_batch(
         np.array([1, 2]), np.array([[0, 1]]), np.full((1, 4), 0.99), 0.2, 0.4, 0.7
     )

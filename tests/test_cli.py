@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from async_dca import _kernels, bundled_matrix
+from async_dca import StochasticMatrix, _kernels, bundled_matrix, montecarlo
 from async_dca.cli import _write_csv, dispatch
 from async_dca.rng import SEED_CONTRACT
 from _oracles import write_csv_rows
@@ -605,3 +605,43 @@ def test_mc_zero_steps_writes_the_initial_row(six_node, uniform_clock, tmp_path,
         rows[steps] = out.read_bytes().split(b"\r\n")
     assert rows["0"] == [b"k,p_delta_tail,p_lambda_tail", b"0,1.0,1.0", b""]
     assert rows["0"][:2] == rows["30"][:2]
+
+
+def test_zero_step_runs_make_no_kernel_call(six_node, uniform_clock, tmp_path, capsys,
+                                            monkeypatch):
+    # step 0 is the pipeline's own first block, yielded before any draw
+    def unreachable(*args):
+        raise AssertionError("a zero-step run called the trajectory kernel")
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", unreachable)
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for argv in (["mc", "--matrix", six_node, "--scheduler", uniform_clock, "--steps", "0"],
+                 ["simulate", "--matrix", six_node, "--steps", "0"],
+                 ["simulate", "--matrix", six_node, "--schedule", str(empty)]):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("rows, p", [([[0.5, 0.5 - 9e-13], [0.5, 0.5]], [0.5, 0.5]),
+                                     ([[1 - 5e-13]], [1.0])], ids=["two-agents", "one-agent"])
+def test_mc_accepts_the_product_drift_of_rows_that_miss_one(rows, p, tmp_path, capsys):
+    # input rows may miss 1 by up to ROW_SUM_TOL, and after k steps the
+    # product's row sums by up to (1 + d)^k - 1; the gate allows that drift
+    # on top of PRODUCT_ROW_SUM_TOL, which alone it outgrows within 1000 steps
+    matrix, scheduler = tmp_path / "m.json", tmp_path / "s.json"
+    StochasticMatrix(rows).save(matrix)
+    scheduler.write_text(json.dumps({"kind": "global_clock", "params": {"p": p}}))
+    code, out, err = run_cli(capsys, "mc", "--matrix", str(matrix), "--scheduler", str(scheduler),
+                             "--trials", "10", "--steps", "5000", "--out", str(tmp_path / "t.csv"))
+    assert code == 0, err
+    assert 1e-10 < json.loads(out)["max_product_row_error"] < 3e-9
+
+
+def test_repro_exits_1_when_the_replays_own_check_fails(capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "NONCONSENSUS_DELTA", 10.0)
+    code, out, _ = run_cli(capsys, "repro", "period3_markov")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["failures"] == ["median final discrepancy stays above 10.0"]

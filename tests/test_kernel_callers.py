@@ -2,11 +2,12 @@
 
 Every trajectory the library runs, ``simulate``, ``mc``, the replays'
 scripts and zero-step runs alike, goes through
-``montecarlo.trajectory_blocks``, which alone checks the accumulated
+``montecarlo.trajectory_blocks``, which alone starts a run, by building its
+``_kernels.Carry`` and yielding step 0, and alone checks the accumulated
 products' row sums after each block.  A second caller of
-``_kernels.trajectory_batch`` would run without that check, so the
-package's sources are parsed and every reference to the kernel is traced
-to the function that holds it.
+``_kernels.trajectory_batch``, or a second place that builds a ``Carry``,
+would run without that check, so the package's sources are parsed and
+every reference to either is traced to the function that holds it.
 """
 import ast
 from collections import Counter
@@ -16,19 +17,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "async_dca"
 KERNEL = "trajectory_batch"
 
 
-def _kernel_references(source):
+def _kernel_references(source, name=KERNEL):
     """The enclosing function (dotted, None at module level) of every
-    reference to the kernel in ``source``: a name, an attribute, an import
+    reference to ``name`` in ``source``: a name, an attribute, an import
     or a string naming it exactly; its own definition is not one."""
     found = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = node.name if where is None else f"{where}.{node.name}"
-        elif (isinstance(node, ast.Name) and node.id == KERNEL
-              or isinstance(node, ast.Attribute) and node.attr == KERNEL
-              or isinstance(node, ast.alias) and KERNEL in (node.name, node.asname)
-              or isinstance(node, ast.Constant) and node.value == KERNEL):
+        elif (isinstance(node, ast.Name) and node.id == name
+              or isinstance(node, ast.Attribute) and node.attr == name
+              or isinstance(node, ast.alias) and name in (node.name, node.asname)
+              or isinstance(node, ast.Constant) and node.value == name):
             found.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -37,10 +38,19 @@ def _kernel_references(source):
     return found
 
 
+def _references(name):
+    return Counter(f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+                   for where in _kernel_references(path.read_text(), name))
+
+
 def test_only_trajectory_blocks_reaches_the_kernel():
-    found = Counter(f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
-                    for where in _kernel_references(path.read_text()))
-    assert found == {"montecarlo.trajectory_blocks": 1}
+    assert _references(KERNEL) == {"montecarlo.trajectory_blocks": 1}
+
+
+def test_only_trajectory_blocks_builds_a_carry():
+    # a run starts where its Carry is built, with step 0 yielded before
+    # any draw; the kernel itself only steps the carry it is given
+    assert _references("Carry") == {"montecarlo.trajectory_blocks": 1}
 
 
 def test_the_scan_sees_every_way_to_reach_the_kernel():

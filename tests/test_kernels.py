@@ -156,21 +156,21 @@ def _bits(a):
 
 def _run_blocks(A, masks, x0, track_lambda, B=None):
     """The kernel run over blocks of B steps (default: the whole horizon as
-    one block), in the trials-first oracle's layout: the block rows
-    concatenated and padded by the last row up to the horizon, the final
-    states and the three check maxima.  Also returns the kernel calls made.
+    one block), in the trials-first oracle's layout: the initial row and the
+    block rows concatenated and padded by the last row up to the horizon,
+    the final states and the three check maxima.  Also returns the kernel
+    calls made.
     """
     T, K, _ = masks.shape
     B = B or max(K, 1)
-    carry, rows, k0, calls = x0, [], 0, 0
-    while True:
-        b = min(B, K - k0)
-        deltas, lams, carry = _kernels.trajectory_batch(A, masks[:, k0:k0 + b], carry,
+    carry, calls = _kernels.Carry(x0, track_lambda), 0
+    rows = [(carry.d0[None], carry.lam[None])]
+    for k0 in range(0, K, B):
+        deltas, lams, carry = _kernels.trajectory_batch(A, masks[:, k0:k0 + B], carry,
                                                         track_lambda)
         rows.append((deltas, lams))
         calls += 1
-        k0 += b
-        if carry.fixed or k0 >= K:
+        if carry.fixed:
             break
     series = []
     for s in map(np.concatenate, zip(*rows)):
@@ -350,13 +350,13 @@ def test_block_stopped_at_a_fixed_point_finishes_only_the_rows_that_ran(monkeypa
     # (NaN here) reaches lams or the maxima
     A, masks, x0 = _averaging_inputs()
     monkeypatch.setattr(_kernels, "np", _NaNFilledNumpy())
-    deltas, lams, carry = _kernels.trajectory_batch(A, masks, x0, True)
+    deltas, lams, carry = _kernels.trajectory_batch(A, masks, _kernels.Carry(x0, True), True)
     K = masks.shape[1]
-    assert carry.fixed and len(lams) < K + 1
+    assert carry.fixed and len(lams) < K
     want = trajectory_batch_trials_first(A, masks, x0, True)
     R = len(lams)
-    assert np.array_equal(_bits(deltas.T), _bits(want[0][:, :R]))
-    assert np.array_equal(_bits(lams.T), _bits(want[1][:, :R]))
+    assert np.array_equal(_bits(deltas.T), _bits(want[0][:, 1:R + 1]))
+    assert np.array_equal(_bits(lams.T), _bits(want[1][:, 1:R + 1]))
     for got, w in zip((carry.viol_contract, carry.viol_mono, carry.row_err), want[3:]):
         assert np.array_equal(_bits(got), _bits(w))
 

@@ -58,9 +58,9 @@ def test_ergodic_coefficient_is_the_kernels_to_the_bit(n):
     rng = np.random.default_rng(5)
     for _ in range(200):
         A = random_stochastic(rng, n)
-        _, lams, _ = _kernels.trajectory_batch(A, np.ones((1, 1, n), dtype=bool),
-                                               rng.random((1, n)))
-        assert ergodic_coefficient(A) == lams[1, 0]
+        carry = _kernels.Carry(rng.random((1, n)), True)
+        _, lams, _ = _kernels.trajectory_batch(A, np.ones((1, 1, n), dtype=bool), carry)
+        assert ergodic_coefficient(A) == lams[0, 0]
 
 
 def test_ergodic_coefficient_single_agent_convention():

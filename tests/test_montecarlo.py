@@ -15,11 +15,12 @@ from async_dca import (
     ValidationError,
     bundled_matrix,
     bundled_scheduler,
+    ergodic_coefficient,
     replay,
     run_experiment,
     wilson_interval,
 )
-from async_dca import _kernels
+from async_dca import _kernels, montecarlo
 from async_dca.matrices import SCRAMBLING_TOL
 from async_dca.rng import stream
 
@@ -246,3 +247,29 @@ def test_run_experiment_rejects_product_row_error(monkeypatch):
     monkeypatch.setattr(_kernels, "trajectory_batch", drifting)
     with pytest.raises(ValidationError, match="row sum"):
         run_experiment(small_cfg(trials=3, horizon=30))
+
+
+def test_one_agent_lambda_is_zero_at_every_step(monkeypatch):
+    # a 1x1 product below 1 is never certified by its column-minimum mass,
+    # so every step reaches the pair masses, whose one-agent answer is a
+    # shared mass of 1: lambda 0, as at step 0 and as ergodic_coefficient says
+    A = StochasticMatrix([[1 - 5e-13]])
+    real, agents = _kernels._shared_mass, []
+
+    def shared_mass(Q, *args):
+        agents.append(Q.shape[1])
+        return real(Q, *args)
+
+    monkeypatch.setattr(_kernels, "_shared_mass", shared_mass)
+    res = run_experiment(ExperimentConfig(A, GlobalClockScheduler([1.0]), trials=3,
+                                          horizon=5000, seed=3))
+    assert agents and set(agents) == {1}
+    assert res.lambda_tail.tolist() == [0.0] * 5001
+    assert ergodic_coefficient(A.entries) == 0.0
+
+
+def test_replay_reports_its_own_failed_check(monkeypatch):
+    monkeypatch.setattr(montecarlo, "NONCONSENSUS_DELTA", 10.0)
+    report = replay("period3_markov")
+    assert not report.ok
+    assert report.failures == ("median final discrepancy stays above 10.0",)

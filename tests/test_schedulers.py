@@ -903,3 +903,15 @@ def test_analysis_of_single_agent():
     assert report["sia"] is True
     assert report["lambda"] == 0.0
     assert report["cycle_length"] == 1
+
+
+@pytest.mark.parametrize("kind", ["support_weight_fn", "markov_matrix_fn"])
+def test_to_json_refuses_a_hook(kind):
+    with pytest.raises(ValidationError, match="cannot be serialised to JSON"):
+        HISTORY_SCHEDULERS[kind]().to_json()
+
+
+def test_condition_report_rejects_an_unknown_name():
+    report = check_conditions(example1_scheduler(), bundled_matrix("four_node_rooted"))
+    with pytest.raises(KeyError, match="unknown"):
+        report["unknown"]

@@ -245,7 +245,9 @@ def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda, trials):
     cfg = _cfg("uniform_clock6", trials=trials, horizon=120, track_lambda=track_lambda)
     _with_block(monkeypatch, cfg, 7)
     held, parts = [], []
-    for _, _, _, carry in montecarlo.trajectory_blocks(cfg):
+    blocks = montecarlo.trajectory_blocks(cfg)
+    next(blocks)  # step 0, before the kernel has run
+    for _, _, _, carry in blocks:
         held.append(carry.buffers)
         parts.append(list(carry.buffers or ()))
     assert len(held) == -(-120 // 7) and held[-1] is None

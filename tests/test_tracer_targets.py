@@ -5,8 +5,9 @@ when a traced benchmark run starts, so a library change that removes one
 makes every ``--trace 1`` run fail.  The table is read from the file's
 source, without importing the tracer or installing it.  The tracer's work
 counts are computed from a kernel's arguments and return value, so they
-are checked against the per-trial walk; for that the module is loaded from
-its path, and nothing is wrapped.
+are checked against the per-trial walk and against the trajectory kernel's
+calls in a real pipeline run; for that the module is loaded from its path,
+and only that kernel and the mask sampler are wrapped.
 """
 import ast
 import importlib
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from async_dca import LabelledCycle, _kernels
+from async_dca import (ExperimentConfig, LabelledCycle, _kernels, bundled_matrix,
+                       bundled_scheduler, montecarlo, run_experiment)
 from _oracles import _WalkReplay, simulate_backward_walk
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -45,11 +47,15 @@ def test_tracer_target_resolves(module, attr, name):
         assert callable(getattr(owner, attr, None)), f"{name}: no function {attr}"
 
 
-def test_walk_hook_counts_the_transitions_the_walks_ran():
+def _hook(name):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    hook = tracer.HOOKS["kernels.walk_match_batch"]
+    return tracer.HOOKS[name]
+
+
+def test_walk_hook_counts_the_transitions_the_walks_ran():
+    hook = _hook("kernels.walk_match_batch")
     rng = np.random.default_rng(2027)
     cycle = LabelledCycle(6, (1, 4, 3, 4, 3, 6))
     move_probs = (0.2, 0.2, 0.3, 0.3)
@@ -69,3 +75,40 @@ def test_walk_hook_counts_the_transitions_the_walks_ran():
     assert counts["kernels.walk_match_batch.uniforms"] == T * S
     assert counts["kernels.walk_match_batch.trial_steps"] == ran
     assert (hits == 1).any() and (hits > 1).any() and (hits < 0).any()
+
+
+@pytest.mark.parametrize("track_lambda", [True, False])
+def test_trajectory_hook_counts_the_steps_the_pipeline_drew(monkeypatch, track_lambda):
+    # the hook reads masks as args[1] in (T, K, n) layout and track_lambda
+    # as args[3]; fed the pipeline's own calls over several blocks, it must
+    # count every trial-step drawn, and no coefficient without lambda
+    hook = _hook("kernels.trajectory_batch")
+    T, n, B = 5, 6, 7
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler("uniform_clock6"),
+                           trials=T, horizon=60, seed=41, track_lambda=track_lambda)
+    real_kernel, real_sample = _kernels.trajectory_batch, type(cfg.scheduler).sample_masks
+    counts, drawn, calls = defaultdict(int), [], []
+
+    def kernel(*args):
+        out = real_kernel(*args)
+        hook(counts, args, {}, out)
+        calls.append(args[1].shape)
+        return out
+
+    def sample(self, steps, *args):
+        drawn.append(steps)
+        return real_sample(self, steps, *args)
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", kernel)
+    monkeypatch.setattr(type(cfg.scheduler), "sample_masks", sample)
+    monkeypatch.setattr(montecarlo, "MASK_BLOCK_BYTES", T * n * B)
+    run_experiment(cfg)
+    assert len(calls) == len(drawn) > 1
+    assert calls == [(T, b, n) for b in drawn]
+    steps = sum(drawn)
+    assert counts["kernels.trajectory_batch.trial_steps"] == T * steps
+    # the hook counts a (K + 1)-row series per call, carried row included
+    assert counts["kernels.trajectory_batch.lambda_evals"] == (
+        T * (steps + len(drawn)) if track_lambda else 0)
+    assert counts["kernels.trajectory_batch.mask_bytes"] == T * B * n
+    assert counts["kernels.trajectory_batch.series_bytes"] == 2 * T * (B + 1) * 8
