@@ -185,6 +185,8 @@ class Carry:
     series of ``Q``, then for a lone trial the ``A_sigma`` group and its
     ring of states with the views that step them, else the restore mask,
     the blend's work buffer and the views that step them.
+    ``track_lambda`` tells whether ``Q`` holds the products; the caller
+    passes it to every block, and ``drop_product`` turns it off for good.
     """
 
     def __init__(self, x0, track_lambda):
@@ -207,6 +209,20 @@ class Carry:
         self.chunks = 0
         self.next_test = 1
         self.fixed = False
+        self.buffers = None
+        self.track_lambda = track_lambda
+
+    def drop_product(self):
+        """Stop tracking the product: narrow ``Q`` to the state column (and
+        a lone trial's zero column) and free the buffers sized for the wider
+        ``Q``.  Each state is still a column of a gemm, so its bits do not
+        change; ``lam``, ``d0``, the three maxima, ``lone`` and the exit
+        test schedule stay as the last tracked step left them."""
+        n, _, T = self.Q.shape
+        Q = np.zeros((n, 1 + (T == 1), T))
+        Q[:, 0] = self.x
+        self.Q, self.x = Q, Q[:, 0]
+        self.track_lambda = False
         self.buffers = None
 
 
@@ -237,8 +253,10 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         coefficient and the three checks.  Without it a batch stops as soon
         as every state is a fixed point; with it the product must be one
         too, which for ``six_node_coupled`` happens only after its vanishing
-        entries underflow, past 13000 steps.  Use the same value for every
-        block of a batch.
+        entries underflow, past 13000 steps.  Pass ``carry.track_lambda``:
+        ``run_experiment`` calls ``carry.drop_product()`` once every lambda
+        tail is decided, and the later blocks then step the states alone
+        (``simulate`` keeps the product to the end).
 
     Returns
     -------

@@ -23,12 +23,17 @@ caller to reduce before drawing the next.  The stream is consumed tick by
 tick, so splitting it into blocks of ticks keeps every draw and no output
 depends on B; and a run of one trial draws what trial 0 drew under seed
 contract 1, so ``simulate`` equals ``mc --trials 1`` and both equal their
-contract-1 outputs.  Once the kernel stops at an exact fixed point nothing
-more is drawn, and hooks such as ``matrix_fn`` and ``weight_fn`` are not
-called for the later ticks.  Memory is O(T (n^2 + B n) + K), plus the
-state a ``weight_fn`` hook keeps: a block holds about ``MASK_BLOCK_BYTES``
-(256 KiB) of masks and, 8 / n times that each, its (B, T) float64
-series of discrepancies and, with lambda, coefficients.
+contract-1 outputs.  ``run_experiment`` reports the product only through
+its lambda tail and the maxima of three checks, so it drops the product
+once every trial's lambda is provably below ``eps`` for the rest of the
+horizon (``_lambda_rise``): the tails are bitwise those of tracking every
+step, and the maxima cover the steps up to ``product_steps``.  Once the
+kernel stops at an exact fixed point, of the states and of any tracked
+product, nothing more is drawn, and hooks such as ``matrix_fn`` and
+``weight_fn`` are not called for the later ticks.  Memory is O(T (n^2 +
+B n) + K), plus the state a ``weight_fn`` hook keeps: a block holds about
+``MASK_BLOCK_BYTES`` (256 KiB) of masks and, 8 / n times that each, its
+(B, T) float64 series of discrepancies and, with lambda, coefficients.
 """
 from __future__ import annotations
 
@@ -99,6 +104,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
+    """Tails, final discrepancies and the maxima of the kernel's checks:
+    ``delta_k - lambda_k delta_0``, ``lambda_k - lambda_{k-1}`` and the
+    product's row-sum error over steps 1..``product_steps``, the last step
+    the product was tracked (the horizon unless it was dropped early; None
+    and all zeros without lambda)."""
+
     trials: int
     horizon: int
     epsilon: float
@@ -112,6 +123,7 @@ class ExperimentResult:
     max_contraction_violation: float
     max_lambda_increase: float
     max_product_row_error: float
+    product_steps: int | None = None
 
     def to_json(self) -> dict:
         """Summary dict; the per-k tail series go to the CSV output."""
@@ -127,6 +139,7 @@ class ExperimentResult:
             "max_contraction_violation": self.max_contraction_violation,
             "max_lambda_increase": self.max_lambda_increase,
             "max_product_row_error": self.max_product_row_error,
+            **({} if self.product_steps is None else {"product_steps": self.product_steps}),
         }
 
 
@@ -158,7 +171,7 @@ def trajectory_blocks(cfg: ExperimentConfig):
         masks = cfg.scheduler.sample_masks(min(B, K - k0), rng, T, k0, draws)
         # the kernel reads the tick-major block as a (T, b, n) view
         deltas, lams, carry = _kernels.trajectory_batch(
-            A, masks.transpose(1, 0, 2), carry, cfg.track_lambda)
+            A, masks.transpose(1, 0, 2), carry, carry.track_lambda)
         del masks
         err = float(carry.row_err.max())
         tol = PRODUCT_ROW_SUM_TOL + expm1((k0 + len(deltas)) * drift)
@@ -174,19 +187,79 @@ def trajectory_blocks(cfg: ExperimentConfig):
         del deltas, lams
 
 
+def _lambda_rise(A: StochasticMatrix) -> float:
+    """``rho = 6 (2 gamma_n + d)``, a bound on how far one step can raise
+    the kernel's computed lambda once its gap to the row-sum error is paid,
+    with ``gamma_n = n u / (1 - n u)``, u = 2^-53, and d the largest
+    computed row-sum error of ``A``.
+
+    ``run_experiment`` drops the product after step k < K once every
+    trial's computed lambda is ``< eps - 2 e - (N + 1) rho``, with N = K -
+    k steps left and e the largest computed row-sum error so far.  Then no
+    computed lambda of a later step reaches eps.  Let P be a step's
+    computed product, e* the largest error of its exact row sums, ``tau =
+    max_{a,b} ||P_a - P_b||_1 / 2`` (Dobrushin's ``tau_1``) and ``g =
+    gamma_n + d*``, d* the exact row-sum error of ``A``: ``d <= d* +
+    1.01 gamma_n``, so ``g <= 2 gamma_n + d``.
+
+    1. For real rows ``sum_c min(u_c, v_c) = (sum u + sum v - ||u - v||_1)
+       / 2``, so 1 minus the least exact pair mass is within e* of tau.
+       The entries are >= 0, and the kernel's left-to-right sums of n
+       terms, the pair masses and the row sums alike, are off by at most
+       ``gamma_n (1 + e*)``.  So ``e* <= e + 1.52 gamma_n``, ``tau <=
+       lambda + e* + 3 gamma_n`` at step k and, later, ``lambda <= (1 + u)
+       (tau + e* + gamma_n (1 + e*))`` (n >= 2; one agent's lambda is 0).
+    2. ``tau(A_sigma P) <= tau(P)`` for a stochastic ``A_sigma`` and any
+       real P: each row difference of ``A_sigma P`` is a convex
+       combination of P's.  Rows that miss 1 by d* give ``(1 + d*) tau
+       + d* (1 + e*)``.
+    3. A step's gemm rounds each updated row by at most ``gamma_n (1 +
+       d*)(1 + e*)`` in 1-norm, and the kept rows are copied.  So a step
+       takes ``1 + e*`` to at most ``(1 + g)(1 + e*)`` and tau to ``(1 +
+       d*) tau + g (1 + d*)(1 + e*)``.
+
+    A switch with eps > 1 is safe, since lambda <= 1; with eps <= 1 it
+    needs the margin below 1, so ``e < 1 / 2`` and ``N g < 1 / 6``, where
+    ``exp(N g) - 1 <= 1.09 N g``.  Then over N steps e* rises by at most
+    ``1.65 N g`` and tau by ``3.75 N g``, and every later computed lambda
+    is at most ``lambda + 2 e + 5.4 N g + 9.4 gamma_n``, below ``lambda
+    + 2 e + (N + 1) rho``.  At n = 6 and K = 5000 the margin is below
+    4e-11.
+    """
+    n, unit = A.n, 2.0 ** -53
+    d = float(np.abs(A.entries.sum(axis=1) - 1.0).max())
+    return 6 * (2 * n * unit / (1 - n * unit) + d)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """T seeded trials of K updates; all statistics deterministic in the seed.
 
     Each block is reduced to per-step counts of trials at or above
     epsilon; ``count / T`` equals the mean of the 0/1 indicators bit for
-    bit, since a float sum of 0/1 values is exact.
+    bit, since a float sum of 0/1 values is exact.  With lambda tracked,
+    the product is dropped after the first block at whose end every
+    trial's lambda is provably below epsilon for the rest of the horizon
+    (see ``_lambda_rise``; a NaN never is): later blocks step the states
+    alone, their lambda counts are 0, as they would be with the product,
+    and the three maxima cover steps up to ``product_steps``.
     """
-    delta_count = np.zeros(cfg.horizon + 1, dtype=np.int64)
-    lambda_count = np.zeros(cfg.horizon + 1, dtype=np.int64)
+    K, eps = cfg.horizon, cfg.epsilon
+    delta_count = np.zeros(K + 1, dtype=np.int64)
+    lambda_count = np.zeros(K + 1, dtype=np.int64)
+    rho = _lambda_rise(cfg.matrix)
+    product_steps = K if cfg.track_lambda else None
     for k, deltas, lams, carry in trajectory_blocks(cfg):
         k1 = k + len(deltas)
-        (deltas >= cfg.epsilon).sum(axis=1, out=delta_count[k:k1])
-        (lams >= cfg.epsilon).sum(axis=1, out=lambda_count[k:k1])
+        (deltas >= eps).sum(axis=1, out=delta_count[k:k1])
+        last = k1 - 1  # the step of carry.lam
+        if carry.track_lambda:
+            (lams >= eps).sum(axis=1, out=lambda_count[k:k1])
+            margin = 2 * carry.row_err.max() + (K - last + 1) * rho
+            if 0 < last < K and not carry.fixed and (carry.lam < eps - margin).all():
+                carry.drop_product()
+                product_steps = last
+        elif not cfg.track_lambda:  # all-ones rows; a dropped product's counts stay 0
+            (lams >= eps).sum(axis=1, out=lambda_count[k:k1])
         final = deltas[-1].copy()
         del deltas, lams  # before the next block's rows are allocated
     delta_count[k1:] = delta_count[k1 - 1]
@@ -209,6 +282,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         max_contraction_violation=float(carry.viol_contract.max()),
         max_lambda_increase=float(carry.viol_mono.max()),
         max_product_row_error=float(carry.row_err.max()),
+        product_steps=product_steps,
     )
 
 

@@ -15,7 +15,13 @@ for all trials of a run, and the walk digests after its certificate took
 ``c0`` from the distance chain's unabsorbed mass at the exact rate (the
 walk summary records the seed contract's number); the ``repro`` digests
 were re-recorded when the ``strongly_aperiodic`` replay's check became the
-all-pairs verdict with its failing pairs as the witness.  A change that alters an
+all-pairs verdict with its failing pairs as the witness.  The ``summary.json``
+digests of the three ``mc`` cases that track lambda were re-recorded when
+``mc`` began to drop the product once every lambda tail is decided: each
+summary gained ``product_steps``, the last step its three maxima cover
+(436, and 218 for ``mc-period3``), and in ``mc-lambda``
+``max_contraction_violation`` and ``max_product_row_error`` fell to the
+maxima of those steps; every ``tails.csv`` held.  A change that alters an
 output must update its digest here and name the change in CHANGES.md.
 
 The digests hold for the numpy version recorded below: a different numpy
@@ -90,21 +96,21 @@ SEEDLESS_CASES = {
 
 DIGESTS = {
     ("mc-lambda", 1729): {"tails.csv": "4d38af20cb18bae4963bfb0e67b38be06ee8a18dd430fcb6df2402adb7cfa6e8",
-                          "summary.json": "55d7ea7c0be07b46ec748ae4e8415c5bdf7c97da349522928da9cd15bb122681"},
+                          "summary.json": "42b981901dc7f96a8c49e2869db68ddec1f9172fc52d652b435099e015535bbd"},
     ("mc-lambda", 5): {"tails.csv": "055f96363a9dbdcb79a054342b9313272e6538f31ba217ec256160c7bdbb4a94",
-                       "summary.json": "eac50e43783978a1a1156a02b2120edb86bc4037aa423c811c21b133b13e34cd"},
+                       "summary.json": "69b6041b85dcc277e6a5231aee17da331642f74aeb57572a7748850c40ea7fe1"},
     ("mc-clocks", 1729): {"tails.csv": "ef08e5765f631a22016491daec540d9b751a97ebdd50a2aa1ebbf80e8717e0ee",
                           "summary.json": "ae00f2908debf6028a373ffe691927f3faa0eed1ba4bcfd62a840e0a4cbac637"},
     ("mc-clocks", 5): {"tails.csv": "1abc3cf680eef94729a7b96f62b5e3aa98561e9e0ece41a6dfc769955779aea1",
                        "summary.json": "cf82546e409c7ca240b0ec413db169ce8425adf5d184bf2547bff96e299e6342"},
     ("mc-markov", 1729): {"tails.csv": "96cdcceb600231d4a91ab4b6d3f6c25eb516a3b61fece78949319f14ff7093b3",
-                          "summary.json": "23c332c627798dfdff5ca49e008560b34f84af342fa50baaf1e299b71729e37c"},
+                          "summary.json": "79e3e934203baaa5e5c792ecb9d21c4685368faa5e91e7dd355be0aa0b8fc17a"},
     ("mc-markov", 5): {"tails.csv": "9c20969f1d84c3bfa30924b23148e270652963949ccff057d092e6e5d203d7f8",
-                       "summary.json": "8ba27c8b9a2e938a29f1e870089a543658d46601bde199649125bd5bbb1db260"},
+                       "summary.json": "bad208f2b9fa2941011b3c87ca9497b84f576e382b2d80b4f985794e181f45e1"},
     ("mc-period3", 1729): {"tails.csv": "35a49c4b1d20ef2a1cb1159181e94551cfcb6487a28962f073b24d5cf26e28ac",
-                           "summary.json": "c51f64f37000c1ac7292fb717f7cf3450e11d7f6983a8d2c16eafb4929d18f62"},
+                           "summary.json": "ed7cf48c8e98de77df1dacc52170684fa58cd06b93215696d55ded7ab294b71c"},
     ("mc-period3", 5): {"tails.csv": "539c01cc58b99062566a37840cedfb21b5a2b6e76d50cf009e8a62ca0a22b46f",
-                        "summary.json": "7365578e95b955db194780fab9534a8cc13ab4d7b6337d6c8dcc426d4f2a3e70"},
+                        "summary.json": "ffb693faf2967b8b359e3e29176e87cfd0f400f21f9a22a2004bc08fab8fc3e5"},
     ("simulate", 1729): {"trajectory.csv": "186fdc9423e3d0cdaf213f975f1a33f5c675b70eb44a12a19d870af5ce78e484"},
     ("simulate", 5): {"trajectory.csv": "c6c28dd521e453b55732e88b330d82cf84e2e4d6c0a938c153ba82045e876444"},
     ("simulate-no-product", 1729): {

@@ -207,6 +207,7 @@ def test_track_lambda_off_skips_product_stats():
     res = run_experiment(small_cfg(track_lambda=False, trials=5, horizon=50))
     assert (res.lambda_tail == 1.0).all()
     assert res.max_product_row_error == 0.0
+    assert res.product_steps is None and "product_steps" not in res.to_json()
 
 
 def test_config_rejects_an_unknown_init():
@@ -273,3 +274,142 @@ def test_replay_reports_its_own_failed_check(monkeypatch):
     report = replay("period3_markov")
     assert not report.ok
     assert report.failures == ("median final discrepancy stays above 10.0",)
+
+
+# --- dropping the product once every lambda tail is decided ---------------
+
+SWITCH_LAWS = {
+    **{name: lambda name=name: (bundled_matrix("six_node_coupled"), bundled_scheduler(name))
+       for name in ("uniform_clock6", "half_clocks6", "synchronous6")},
+    # the mc-markov and mc-period3 laws of tests/test_golden_outputs.py
+    "markov": lambda: (bundled_matrix("six_node_coupled"), MarkovScheduler(
+        6, states=[{1, 2}, {3, 4}, {5, 6}], initial={3, 4},
+        matrix=[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])),
+    "period3": lambda: (bundled_matrix("six_node_coupled"), SupportSequenceScheduler(6, [
+        [({1, 2, 3}, 0.5), ({4, 5, 6}, 0.5)],
+        [({1, 4}, 0.25), ({2, 5}, 0.25), ({3, 6}, 0.5)],
+        [({1, 2, 3, 4, 5, 6}, 1.0)]])),
+    "one_agent": lambda: (StochasticMatrix([[1 - 5e-13]]), GlobalClockScheduler([1.0])),
+    # the coverage_violation replay's law: its products never scramble
+    "no_consensus": lambda: (bundled_matrix("four_node_ring"),
+                             montecarlo._coverage_violation_scheduler()),
+}
+SWITCH_BLOCK = 40  # ticks per block, so that every trial count has many block ends
+
+
+def _switch_cfg(monkeypatch, law, seed, T, horizon=600):
+    A, scheduler = SWITCH_LAWS[law]()
+    monkeypatch.setattr(montecarlo, "MASK_BLOCK_BYTES", SWITCH_BLOCK * T * A.n)
+    return ExperimentConfig(A, scheduler, trials=T, horizon=horizon, seed=seed)
+
+
+def _fully_tracked(cfg):
+    """Tails, final discrepancies and carry of ``cfg`` with the product
+    tracked at every step, counted from ``trajectory_blocks``; also the
+    lambda rows and the largest row-sum error at each block's end."""
+    K, eps = cfg.horizon, cfg.epsilon
+    counts = np.zeros((2, K + 1), dtype=np.int64)
+    lams_all, ends = [], []
+    for k, deltas, lams, carry in montecarlo.trajectory_blocks(cfg):
+        k1 = k + len(deltas)
+        (deltas >= eps).sum(axis=1, out=counts[0, k:k1])
+        (lams >= eps).sum(axis=1, out=counts[1, k:k1])
+        lams_all.append(np.array(lams))
+        ends.append((k1 - 1, float(carry.row_err.max())))
+        final = deltas[-1].copy()
+    counts[:, k1:] = counts[:, k1 - 1:k1]
+    lams_all = np.concatenate(lams_all)
+    lams_all = np.concatenate([lams_all, np.repeat(lams_all[-1:], K + 1 - len(lams_all), 0)])
+    return counts / cfg.trials, final, carry, lams_all, ends
+
+
+@pytest.mark.parametrize("T", [1, 2, 37, 200])
+@pytest.mark.parametrize("seed", [1729, 5])
+@pytest.mark.parametrize("law", sorted(SWITCH_LAWS))
+def test_dropping_the_product_keeps_every_tail_bit_for_bit(monkeypatch, law, seed, T):
+    cfg = _switch_cfg(monkeypatch, law, seed, T)
+    (delta_tail, lambda_tail), final, carry, lams, ends = _fully_tracked(cfg)
+    res = run_experiment(cfg)
+    assert np.array_equal(res.delta_tail, delta_tail)
+    assert np.array_equal(res.lambda_tail, lambda_tail)
+    assert np.array_equal(res.final_deltas, final)
+    assert res.to_json()["product_steps"] == res.product_steps
+    # the synchronous schedule of six_node_coupled never scrambles either
+    undecided = law in ("no_consensus", "synchronous6")
+    assert (lambda_tail[-1] > 0) == undecided
+    if undecided:
+        # no switch: the maxima are those of every step
+        assert res.product_steps == cfg.horizon
+        assert (res.max_contraction_violation, res.max_lambda_increase,
+                res.max_product_row_error) == tuple(
+            float(a.max()) for a in (carry.viol_contract, carry.viol_mono, carry.row_err))
+    else:
+        assert res.product_steps < cfg.horizon
+        assert lambda_tail[res.product_steps:].max() == 0.0
+
+
+@pytest.mark.parametrize("T", [1, 2, 37, 200])
+@pytest.mark.parametrize("seed", [1729, 5])
+@pytest.mark.parametrize("law", sorted(SWITCH_LAWS))
+def test_the_switch_margin_bounds_every_later_lambda(monkeypatch, law, seed, T):
+    cfg = _switch_cfg(monkeypatch, law, seed, T)
+    rho, K, eps = montecarlo._lambda_rise(cfg.matrix), cfg.horizon, cfg.epsilon
+    _, _, carry, lams, ends = _fully_tracked(cfg)
+    # every step's rise of the computed lambda is within rho
+    assert float(carry.viol_mono.max()) <= rho
+    # at no block end where the switch would fire does a later lambda reach eps
+    for last, row_err in ends:
+        if 0 < last < K and (lams[last] < eps - 2 * row_err - (K - last + 1) * rho).all():
+            assert (lams[last:] < eps).all()
+    assert run_experiment(cfg).product_steps in [K] + [last for last, _ in ends]
+
+
+def test_canonical_run_drops_the_product_and_stops_at_the_states_fixed_point(monkeypatch):
+    real, calls = _kernels.trajectory_batch, []
+
+    def kernel(*args, **kwargs):
+        deltas, lams, carry = real(*args, **kwargs)
+        # the benchmark tracer reads track_lambda as the 4th positional argument
+        calls.append((len(args), kwargs, args[3], len(deltas), carry.fixed))
+        return deltas, lams, carry
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", kernel)
+    res = run_experiment(ExperimentConfig(
+        bundled_matrix("six_node_coupled"), bundled_scheduler("uniform_clock6"),
+        trials=200, horizon=5000, seed=1729))
+    assert res.product_steps == 436
+    assert res.lambda_tail[436:].max() == 0.0
+    first = 1
+    for nargs, kwargs, track, ran, fixed in calls:
+        assert (nargs, kwargs) == (4, {})
+        assert track is (first <= 436)
+        first += ran
+    assert calls[-1][-1] and first - 1 < 1000
+
+
+def test_drop_product_narrows_the_carry_to_its_states():
+    rng = np.random.default_rng(4)
+    for T in (1, 3):
+        carry = _kernels.Carry(rng.random((T, 4)), True)
+        carry.lam[:], carry.row_err[:] = 0.25, 1e-16
+        x, kept = carry.x.copy(), (carry.lam.copy(), carry.d0.copy(), carry.lone)
+        carry.buffers = []
+        carry.drop_product()
+        assert carry.Q.shape == (4, 1 + (T == 1), T) and not carry.Q[:, 1:].any()
+        assert np.array_equal(carry.x, x) and np.shares_memory(carry.x, carry.Q)
+        assert carry.buffers is None and carry.track_lambda is False
+        assert np.array_equal(carry.lam, kept[0]) and np.array_equal(carry.d0, kept[1])
+        assert carry.lone == kept[2] and (carry.row_err == 1e-16).all()
+
+
+def test_a_nan_lambda_never_drops_the_product(monkeypatch):
+    real = _kernels.trajectory_batch
+
+    def nan_lambda(*args):
+        deltas, lams, carry = real(*args)
+        carry.lam[0] = np.nan
+        return deltas, lams, carry
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", nan_lambda)
+    cfg = _switch_cfg(monkeypatch, "uniform_clock6", 5, 37)
+    assert run_experiment(cfg).product_steps == cfg.horizon
