@@ -40,7 +40,6 @@ from .montecarlo import (
     REPLAY_CASES,
     replay,
     run_experiment,
-    wilson_interval,
 )
 from .rng import DEFAULT_SEED, stream
 from .schedulers import (
@@ -113,5 +112,4 @@ __all__ = [
     "scc_decomposition",
     "scheduler_from_json",
     "stream",
-    "wilson_interval",
 ]

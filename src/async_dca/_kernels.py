@@ -52,29 +52,13 @@ would go pairwise from n = 8 on.
 
 The coefficient is ``lambda = clip(1 - s, 0, 1)`` with ``s`` the least
 pair mass ``sum_c min(P[a, c], P[b, c])`` over the row pairs a < b, which
-costs (n - 1) n^2 T / 2 minima a step.  First comes a cheap lower bound,
-the column-minimum mass ``sum_c min_i P[i, c]``, summed in the same order
-(``_min_column_mass``).  ``min`` is exact, so each of its terms is at most
-the pair's, and a fixed-order round-to-nearest sum does not decrease when
-a term increases, so the bound is at most every pair's computed mass.
-Where it is >= 1, lambda is +0.0, the bits the pairs would give, and the
-bound stands in for ``s``.  The products lose rank early in float64: on
-200 x 5000 steps of ``uniform_clock6`` 86-87% of the trial-steps are
-certified.  The pair masses then run only for the t live trials, those
-with an uncertified step in the chunk, at most ``cap = max(T, CHUNK_BYTES
-// (8 pairs n))`` trial-steps at a time; at T = 200 that is one step of
-every trial, whose pair rows take 336 KB.  A chunk in which at least half
-the trials are live reduces every trial in place, in groups of ``cap //
-T`` steps: where the bound is >= 1 so is each pair's mass, which then
-gives the same lambda, +0.0.  In other chunks the live trial-steps are
-only needed by the block's end: they are gathered as trials-last columns,
-with their flat indices into the coefficients, across chunks, reduced
-together once ``cap`` are held or the block ends, and scattered back.  At
-seed 11 of that run one or two trials stay live for about 700 of its 848
-chunks, which then cost one gather each instead of a reduction each.  Each
-column's mass is summed in the same order wherever it sits, and the bound
-is per trial, so the outputs still do not depend on which trials share a
-batch or a reduction.
+costs (n - 1) n^2 T / 2 minima a step.  Every step's masses are taken in
+place, ``Gp = max(1, CHUNK_BYTES // (8 pairs n T))`` steps at a time (91
+at n = 6 and T = 1, one step of every trial at T = 200), with the steps
+folded into the trials (``_shared_mass``): each column sum then adds rows
+of Gp T values, so a lone trial's groups cost a few calls, not a few calls
+a step.  Each column's mass is summed in the same order wherever it sits,
+so the outputs do not depend on which trials or steps share a reduction.
 
 These are the element-wise operations of a per-step loop and a maximum
 does not depend on order, so the outputs are bitwise those of stepping one
@@ -133,32 +117,28 @@ def _shared_mass(Q, pairs, work, out):
 
     ``pairs`` holds the row indices ``(a, b)`` of every pair with ``a < b``;
     ``work`` is a (2, L) buffer for the two rows of every pair and an
-    (L // (n + 1),) one for the pairs' sums, L >= G pairs (n + 1) T.  The
-    rows are taken whole, state column included, since ``take`` copies a
-    strided input first.
+    (L // (n + 1),) one for the pairs' sums, L >= G pairs (n + 1) T.  The G
+    steps are folded into the trials: the rows are taken from ``Q`` as
+    (n, n + 1, G T), so each column sum adds rows of G T values left to
+    right, one element-wise ``add`` per column for the whole stack, and the
+    bits of a step do not depend on the steps that share its stack.
     """
     G, n, m, T = Q.shape
     if n == 1:
         out[...] = 1.0
         return
     (a, b), (Qab, S) = pairs, work
-    size = G * len(a) * m * T
-    Qa = Qab[0, :size].reshape(G, len(a), m, T)
-    Qb = Qab[1, :size].reshape(G, len(a), m, T)
+    size = len(a) * m * G * T
+    Qa = Qab[0, :size].reshape(len(a), m, G, T)
+    Qb = Qab[1, :size].reshape(len(a), m, G, T)
+    # take copies a strided input first: copy the stack once, not per take;
     # mode="clip" lets take write straight into out (the indices are valid)
-    np.take(Q, a, axis=1, out=Qa, mode="clip")
-    np.take(Q, b, axis=1, out=Qb, mode="clip")
+    Qt = np.ascontiguousarray(Q.transpose(1, 2, 0, 3))
+    np.take(Qt, a, axis=0, out=Qa, mode="clip")
+    np.take(Qt, b, axis=0, out=Qb, mode="clip")
     np.minimum(Qa, Qb, out=Qa)
-    S = S[:size // m].reshape(G, len(a), T)
-    _reduce_left(np.add, Qa[:, :, 1:], S).min(axis=1, out=out)
-
-
-def _min_column_mass(P, mins, out):
-    """``sum_c min_i P[i, c]`` of a (G, n, n, T) stack of products ``P``,
-    summed left to right into ``out`` (G, T); ``mins`` (G, n, T) receives
-    the column minima.  It is below no pair's mass of ``_shared_mass``
-    (see the module docstring)."""
-    return _reduce_left(np.add, np.min(P, axis=1, out=mins), out)
+    S = S[:size // m].reshape(len(a), G * T)
+    _reduce_left(np.add, Qa.reshape(len(a), m, G * T)[:, 1:], S).min(axis=0, out=out.reshape(-1))
 
 
 def _fixed(A, Z, AZ):
@@ -184,7 +164,8 @@ class Carry:
     first block and reused by every later block no longer than it: the
     series of ``Q``, then for a lone trial the ``A_sigma`` group and its
     ring of states with the views that step them, else the restore mask,
-    the blend's work buffer and the views that step them.
+    the blend's work buffer and the views that step them, then the
+    reduction rows, and with lambda the row sums and the pair-mass work.
     ``track_lambda`` tells whether ``Q`` holds the products; the caller
     passes it to every block, and ``drop_product`` turns it off for good.
     """
@@ -233,14 +214,10 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     the product (n, n, T), stepped together as ``Q = [x | P]``.  Sums over
     columns run left to right for every T and n, as in
     ``tests/_oracles.py::trajectory_batch_trials_first``.  The block is
-    walked in chunks and stops early at an exact fixed point.  A trial's
-    pair minima are skipped on the chunks where its column-minimum mass,
-    a lower bound of every pair's mass summed in the same order, is >= 1
-    at every step: lambda is then +0.0 bit for bit (see the module
-    docstring).  The chunk buffers are allocated once per batch
-    and kept in the carry, only the returned series once per block: fresh
-    temporaries make the allocator return and refault their pages, which
-    costs more than the arithmetic.
+    walked in chunks and stops early at an exact fixed point.  The chunk
+    buffers are allocated once per batch and kept in the carry, only the
+    returned series once per block: fresh temporaries make the allocator
+    return and refault their pages, which costs more than the arithmetic.
 
     Parameters
     ----------
@@ -284,9 +261,9 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     if track_lambda:
         pairs = np.triu_indices(n, 1)
         npairs = len(pairs[0])
-        # the pair minima of ``cap`` trial-steps at a time take about
-        # CHUNK_BYTES, or one step of every trial when that is more
-        cap = max(T, CHUNK_BYTES // max(1, 8 * npairs * n))
+        # the pair minima of Gp steps at a time take about CHUNK_BYTES, or
+        # one step when that is more
+        Gp = max(1, CHUNK_BYTES // max(1, 8 * npairs * n * T))
     bufs = carry.buffers
     if bufs is None or len(bufs[0]) <= C:
         Qs = np.empty((C + 1, n, m, T))
@@ -305,8 +282,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         bufs = carry.buffers = [Qs, *step, np.empty((C, T)), np.empty(T)]
         if track_lambda:
             bufs += [np.empty((C, n, T)),
-                     (np.empty((2, cap * npairs * m)), np.empty(cap * npairs)),
-                     np.empty((n * m + 1, cap)), np.empty(cap, dtype=np.intp)]
+                     (np.empty((2, Gp * T * npairs * m)), np.empty(Gp * T * npairs))]
     Qs, w, wT = bufs[0], bufs[3], bufs[4]
     # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
     Qs[0] = Q
@@ -322,19 +298,9 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     viol_contract, viol_mono, row_err = carry.viol_contract, carry.viol_mono, carry.row_err
     if track_lambda:
         lams = np.empty((K + 1, T))
-        rs, work, gathered, where = bufs[5:]
+        rs, work = bufs[5:]
         # row 0 holds the coefficient before the block's first step
         lams[0] = carry.lam
-        # the held live trial-steps of chunks with fewer than half their
-        # trials live: their Q columns, trials last, their pair masses in
-        # the last row of ``gathered``, their flat indices into lams in
-        # ``where``
-        Gq, held = gathered[:-1].reshape(n, m, cap), 0
-
-        def scatter():
-            out = gathered[-1:, :held]
-            _shared_mass(Gq[None, :, :, :held], pairs, work, out)
-            np.put(lams, where[:held], out)
     else:
         lams = np.broadcast_to(1.0, (K + 1, T))
     matmul, xor, and_ = np.matmul, np.bitwise_xor, np.bitwise_and
@@ -369,33 +335,9 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
             L, R, P = lams[k0 + 1:k1 + 1], rs[:c], Qs[1:c + 1, :, 1:]
             np.abs(np.subtract(_reduce_left(np.add, P, R), 1.0, out=R), out=R)
             np.maximum(row_err, R.max(axis=(0, 1), out=wT), out=row_err)
-            # the bound goes into the chunk's rows of lams; the live trials
-            # have a step where it is not >= 1 (NaN included), and pair
-            # masses replace it.  With at least half the trials live, every
-            # trial's are taken in place: where the bound is >= 1 the pair
-            # masses are too, and give the same lambda, +0.0.  Fewer live
-            # trials are gathered with those of later chunks
-            _min_column_mass(P, R, L)
-            live = np.flatnonzero(~(L.min(axis=0, out=wT) >= 1.0))
-            t = len(live)
-            direct = 2 * t >= T
-            Gt = cap // (T if direct else max(1, t))
-            for g in range(0, c if t else 0, Gt):
-                Qg = Qs[1 + g:1 + min(c, g + Gt)]
-                if direct:
-                    _shared_mass(Qg, pairs, work, L[g:g + len(Qg)])
-                    continue
-                cols = len(Qg) * t
-                if held + cols > cap:
-                    scatter()
-                    held = 0
-                np.take(Qg, live, axis=3, mode="clip",
-                        out=Gq[:, :, held:held + cols].reshape(n, m, len(Qg), t)
-                        .transpose(2, 0, 1, 3))
-                r0 = k0 + 1 + g
-                np.add.outer(np.arange(r0 * T, (r0 + len(Qg)) * T, T), live,
-                             out=where[held:held + cols].reshape(len(Qg), t))
-                held += cols
+            # the shared masses go into the chunk's rows of lams
+            for g in range(0, c, Gp):
+                _shared_mass(Qs[1 + g:1 + min(c, g + Gp)], pairs, work, L[g:g + Gp])
         Qs[0] = Qs[c]
         carry.chunks += 1
         if k1 == K or carry.chunks >= carry.next_test:
@@ -405,8 +347,6 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
             carry.next_test = carry.chunks + max(1, carry.chunks // TEST_BACKOFF)
     Q[...] = Qs[0]
     if track_lambda:
-        if held:
-            scatter()
         # the rows that ran hold shared masses: finish them into lambda,
         # then take the checks' maxima against the previous coefficients,
         # in groups of rows that fit the chunk series Qs, free by now

@@ -38,7 +38,7 @@ B n) + K), plus the state a ``weight_fn`` hook keeps: a block holds about
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, log1p, sqrt
+from math import expm1, log1p
 
 import numpy as np
 
@@ -284,23 +284,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         max_product_row_error=float(carry.row_err.max()),
         product_steps=product_steps,
     )
-
-
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple:
-    """Wilson score interval for a binomial proportion.
-
-    At the boundaries the interval endpoints are exactly 0 and 1; they are
-    pinned to avoid returning 1 - ulp.
-    """
-    if n < 1:
-        raise ValidationError("need at least one observation")
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    centre = (phat + z * z / (2 * n)) / denom
-    half = z * sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    lo = 0.0 if successes == 0 else max(0.0, centre - half)
-    hi = 1.0 if successes == n else min(1.0, centre + half)
-    return (lo, hi)
 
 
 # ---------------------------------------------------------------------------

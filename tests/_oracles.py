@@ -8,6 +8,7 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import sqrt
 
 import numpy as np
 
@@ -926,3 +927,23 @@ def reference_strongly_aperiodic(scheduler, A) -> ConditionCheck:
         pairs = [list(pair) for pair in sorted(failing)[:20]]
         return ConditionCheck("strongly_aperiodic", False, {"pairs": pairs}, note=note)
     return ConditionCheck("strongly_aperiodic", True, {"gamma": gamma}, note=note)
+
+
+# The Wilson score interval that the statistical tests hold empirical
+# proportions to.
+
+def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple:
+    """Wilson score interval for a binomial proportion.
+
+    At the boundaries the interval endpoints are exactly 0 and 1; they are
+    pinned to avoid returning 1 - ulp.
+    """
+    if n < 1:
+        raise ValidationError("need at least one observation")
+    phat = successes / n
+    denom = 1.0 + z * z / n
+    centre = (phat + z * z / (2 * n)) / denom
+    half = z * sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    lo = 0.0 if successes == 0 else max(0.0, centre - half)
+    hi = 1.0 if successes == n else min(1.0, centre + half)
+    return (lo, hi)

@@ -118,10 +118,10 @@ def _kept_negative_zero_inputs(T):
     return A, masks, x0
 
 
-def _certified_inputs(seed=1729, horizon=1500):
-    # 200 trials of uniform_clock6: from about step 800 the column-minimum
-    # bound certifies lambda = 0 for all but a few trials
-    return _coupled_inputs("uniform_clock6", trials=200, horizon=horizon, seed=seed)
+def _certified_inputs():
+    # 200 trials of uniform_clock6: from about step 800 lambda reads +0.0
+    # for all but a few trials
+    return _coupled_inputs("uniform_clock6", trials=200, horizon=1500)
 
 
 ORACLE_CASES = [
@@ -515,47 +515,35 @@ def _near_rank_one_products(rng, n, T, steps=8):
     return Ps
 
 
-def test_column_minimum_bound_certifies_only_zero_lambdas():
-    # the kernel skips the pair minima where the column-minimum mass is
-    # >= 1; on near-rank-one products, moved by an ulp either way around
-    # the step where lambda first reads 0, the oracle's lambda must then
-    # be +0.0 bit for bit
+def test_shared_mass_gives_the_oracle_lambda_bit_for_bit():
+    # on near-rank-one products, moved by an ulp either way around the step
+    # where lambda first reads 0, clip(1 - s, 0, 1) of the shared mass must
+    # be the oracle's lambda bit for bit on every entry, whether a stack of
+    # steps is folded into the trials (G T values a row; T = 1 with G > 1
+    # reaches n >= 8, where a contiguous numpy sum would go pairwise) or
+    # reduced one step at a time (G T = 1 at T = 1)
     rng = np.random.default_rng(404)
-    certified = checked = 0
+    zeros = checked = 0
     for n in range(1, 13):
+        pairs = np.triu_indices(n, 1)
         for T in (1, 3, 200):
             Ps = _near_rank_one_products(rng, n, T)
             steps = len(Ps)
-            bound = np.empty((steps, T))
-            _kernels._min_column_mass(Ps, np.empty((steps, n, T)), bound)
-            lam = ergodic_batch_trials_first(
+            Q = np.concatenate([rng.uniform(-1.0, 1.0, (steps, n, 1, T)), Ps], axis=2)
+            work = (np.empty((2, steps * len(pairs[0]) * (n + 1) * T)),
+                    np.empty(steps * len(pairs[0]) * T))
+            want = ergodic_batch_trials_first(
                 Ps.transpose(0, 3, 1, 2).reshape(-1, n, n)).reshape(steps, T)
-            sure = bound >= 1.0
-            assert np.array_equal(_bits(lam[sure]), _bits(np.zeros(sure.sum())))
-            certified += sure.sum()
-            checked += sure.size
-    # the bound straddles 1 on these inputs, so both sides are exercised
-    assert 0 < certified < checked
-
-
-@pytest.mark.parametrize("seed", [1729, 11])
-def test_bound_skips_most_pair_minima_on_the_mc_lambda_shape(monkeypatch, seed):
-    # mc-lambda (200 x 5000 of uniform_clock6): from about step 800 the
-    # column-minimum bound certifies lambda = 0 for all but a few trials,
-    # so the pair minima see well under a quarter of the trial-steps; the
-    # few live trials are gathered, and at seed 11 one stays live to the end
-    A, masks, x0 = _certified_inputs(seed, horizon=5000)
-    real, shapes = _kernels._shared_mass, []
-
-    def counted(Q2, pairs, work, out):
-        shapes.append(out.shape)
-        return real(Q2, pairs, work, out)
-
-    monkeypatch.setattr(_kernels, "_shared_mass", counted)
-    _run_blocks(A, masks, x0, True, B=218)
-    T, K, _ = masks.shape
-    assert sum(g * t for g, t in shapes) < T * K / 4
-    assert any(t < T for _, t in shapes)
+            for G in (steps, 1):
+                s = np.empty((steps, T))
+                for g in range(0, steps, G):
+                    _kernels._shared_mass(Q[g:g + G], pairs, work, s[g:g + G])
+                lam = np.clip(1.0 - s, 0.0, 1.0)
+                assert np.array_equal(_bits(lam), _bits(want)), (n, T, G)
+            zeros += (want == 0.0).sum()
+            checked += want.size
+    # lambda straddles 0 on these inputs, so both sides are exercised
+    assert 0 < zeros < checked
 
 
 def test_walk_kernel_respects_initial_matches():

@@ -18,11 +18,11 @@ from async_dca import (
     ergodic_coefficient,
     replay,
     run_experiment,
-    wilson_interval,
 )
 from async_dca import _kernels, montecarlo
 from async_dca.matrices import SCRAMBLING_TOL
 from async_dca.rng import stream
+from _oracles import wilson_interval
 
 # at this epsilon lambda_tail[m] is the share of trials whose accumulated
 # product is not scrambling at step m
@@ -251,9 +251,9 @@ def test_run_experiment_rejects_product_row_error(monkeypatch):
 
 
 def test_one_agent_lambda_is_zero_at_every_step(monkeypatch):
-    # a 1x1 product below 1 is never certified by its column-minimum mass,
-    # so every step reaches the pair masses, whose one-agent answer is a
-    # shared mass of 1: lambda 0, as at step 0 and as ergodic_coefficient says
+    # every step of a 1x1 product below 1 reaches the pair masses, whose
+    # one-agent answer is a shared mass of 1: lambda 0, as at step 0 and as
+    # ergodic_coefficient says
     A = StochasticMatrix([[1 - 5e-13]])
     real, agents = _kernels._shared_mass, []
 

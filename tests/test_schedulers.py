@@ -17,7 +17,6 @@ from async_dca import (
     run_experiment,
     scheduler_from_json,
     stream,
-    wilson_interval,
 )
 from async_dca.matrices import ROW_SUM_TOL
 from async_dca.schedulers import _cumulative, _pick
@@ -31,6 +30,7 @@ from _oracles import (
     reference_strongly_aperiodic,
     reference_support_sets,
     searchsorted_pick,
+    wilson_interval,
 )
 from _samplers import random_rooted_stochastic, random_stochastic
 

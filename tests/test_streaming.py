@@ -253,7 +253,7 @@ def test_chunk_buffers_live_for_the_batch(monkeypatch, track_lambda, trials):
     assert len(held) == -(-120 // 7) and held[-1] is None
     assert all(b is held[0] for b in held[:-1])
     assert all(x is y for p in parts[1:-1] for x, y in zip(p, parts[0], strict=True))
-    assert len(held[0]) == (9 if track_lambda else 5)
+    assert len(held[0]) == (7 if track_lambda else 5)
     if trials > 1:
         # the restore mask holds one word per agent, step and trial,
         # broadcast over the m columns of Q; no other buffer takes the

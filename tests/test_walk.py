@@ -17,7 +17,6 @@ from async_dca import (
     match_probability_curve,
     roots,
     stream,
-    wilson_interval,
 )
 from async_dca import _kernels
 from async_dca.rng import UNIFORM_BUFFER_BYTES
@@ -32,6 +31,7 @@ from _oracles import (
     simulate_backward_walk,
     walk_hits_v2,
     walk_match_exact,
+    wilson_interval,
 )
 
 SIX_CYCLE = LabelledCycle(6, (1, 2, 4, 3, 2, 4))
