@@ -117,28 +117,28 @@ def _shared_mass(Q, pairs, work, out):
 
     ``pairs`` holds the row indices ``(a, b)`` of every pair with ``a < b``;
     ``work`` is a (2, L) buffer for the two rows of every pair and an
-    (L // (n + 1),) one for the pairs' sums, L >= G pairs (n + 1) T.  The G
-    steps are folded into the trials: the rows are taken from ``Q`` as
-    (n, n + 1, G T), so each column sum adds rows of G T values left to
-    right, one element-wise ``add`` per column for the whole stack, and the
-    bits of a step do not depend on the steps that share its stack.
+    (L // n,) one for the pairs' sums, L >= G pairs n T.  The G steps are
+    folded into the trials: the product rows are taken from ``Q`` as
+    (n, n, G T), so each column sum adds rows of G T values left to right,
+    one element-wise ``add`` per column for the whole stack, and the bits
+    of a step do not depend on the steps that share its stack.
     """
     G, n, m, T = Q.shape
     if n == 1:
         out[...] = 1.0
         return
-    (a, b), (Qab, S) = pairs, work
-    size = len(a) * m * G * T
-    Qa = Qab[0, :size].reshape(len(a), m, G, T)
-    Qb = Qab[1, :size].reshape(len(a), m, G, T)
-    # take copies a strided input first: copy the stack once, not per take;
-    # mode="clip" lets take write straight into out (the indices are valid)
-    Qt = np.ascontiguousarray(Q.transpose(1, 2, 0, 3))
-    np.take(Qt, a, axis=0, out=Qa, mode="clip")
-    np.take(Qt, b, axis=0, out=Qb, mode="clip")
-    np.minimum(Qa, Qb, out=Qa)
-    S = S[:size // m].reshape(len(a), G * T)
-    _reduce_left(np.add, Qa.reshape(len(a), m, G * T)[:, 1:], S).min(axis=0, out=out.reshape(-1))
+    (a, b), (Pab, S) = pairs, work
+    size = len(a) * n * G * T
+    Pa = Pab[0, :size].reshape(len(a), n, G, T)
+    Pb = Pab[1, :size].reshape(len(a), n, G, T)
+    # take copies a strided input first: copy the products once, not per
+    # take; mode="clip" lets take write straight into out (the indices are valid)
+    Pt = np.ascontiguousarray(Q[:, :, 1:].transpose(1, 2, 0, 3))
+    np.take(Pt, a, axis=0, out=Pa, mode="clip")
+    np.take(Pt, b, axis=0, out=Pb, mode="clip")
+    np.minimum(Pa, Pb, out=Pa)
+    S = S[:size // n].reshape(len(a), G * T)
+    _reduce_left(np.add, Pa.reshape(len(a), n, G * T), S).min(axis=0, out=out.reshape(-1))
 
 
 def _fixed(A, Z, AZ):
@@ -282,7 +282,7 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
         bufs = carry.buffers = [Qs, *step, np.empty((C, T)), np.empty(T)]
         if track_lambda:
             bufs += [np.empty((C, n, T)),
-                     (np.empty((2, Gp * T * npairs * m)), np.empty(Gp * T * npairs))]
+                     (np.empty((2, Gp * T * npairs * n)), np.empty(Gp * T * npairs))]
     Qs, w, wT = bufs[0], bufs[3], bufs[4]
     # Qs[0] is Q before a chunk and Qs[i + 1] Q after its step i
     Qs[0] = Q

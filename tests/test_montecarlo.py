@@ -61,6 +61,37 @@ def test_result_statistics_are_probabilities():
     assert res.delta_quantiles["median"] <= res.delta_quantiles["max"]
 
 
+def _quantile_inputs(seed):
+    """Arrays of every size 1-399 in each class of input: normal draws, ties,
+    all equal, subnormals with signed zeros, -0.0 and 0.0 alone, infinities
+    with ``inf - inf`` neighbours, and NaNs among normal draws."""
+    rng = np.random.default_rng(seed)
+    tiny = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+    for n in range(1, 400):
+        yield rng.standard_normal(n)
+        yield rng.integers(0, 3, n).astype(float)
+        yield np.full(n, rng.standard_normal())
+        yield rng.choice(tiny, n)
+        yield rng.choice([-0.0, 0.0], n)
+        yield rng.choice([-np.inf, np.inf, -1.0, 0.0, 1.0], n)
+        x = rng.standard_normal(n)
+        x[rng.integers(0, n, 1 + n // 50)] = np.nan
+        yield x
+
+
+@pytest.mark.parametrize("seed", [1729, 5])
+def test_quantiles_equal_numpys_bit_for_bit(seed):
+    mismatched = []
+    with np.errstate(all="ignore"):  # inf - inf neighbours interpolate to NaN
+        for x in _quantile_inputs(seed):
+            kept = x.copy()
+            want = np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0])
+            if montecarlo._quantiles(x).tobytes() != want.tobytes():
+                mismatched.append(x)
+            assert x.tobytes() == kept.tobytes()
+    assert mismatched == []
+
+
 def test_lambda_tail_is_non_increasing():
     res = run_experiment(small_cfg(epsilon=0.5))
     assert (np.diff(res.lambda_tail) <= 1e-12).all()
