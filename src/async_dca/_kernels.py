@@ -5,8 +5,8 @@ kernel stores the trials on the last, contiguous axis, so each per-step
 reduction over the n agents is n-1 element-wise operations on length-T
 vectors.  The walk kernel has no loop over transitions or trials: it walks
 the block it is given in a fixed number of numpy passes, steps-major, and
-its caller sizes the block (see ``walk_match_batch``).  ``CHUNK_BYTES``
-sizes the trajectory kernel alone.
+its caller sizes the block (see ``walk_match_batch``).  ``SERIES_BYTES``
+and ``CHUNK_BYTES`` size the trajectory kernel alone.
 
 The trajectory kernel is resumable.  The caller builds the run's ``Carry``
 and passes it with each block of steps: the states, the accumulated
@@ -14,7 +14,7 @@ products, the last coefficients, the initial discrepancies, the maxima of
 the three checks and the exit-test schedule.  Each call returns one row of
 discrepancies and coefficients per step it ran, steps first, and the
 carry.  Only the carry, chunk buffers included, lives from block to block,
-so a batch needs O(T n^3 + n CHUNK_BYTES) memory plus what the caller
+so a batch needs O(T n^3 + SERIES_BYTES) memory plus what the caller
 keeps of the blocks.
 
 Inside a block the state and the accumulated product step together as
@@ -36,10 +36,12 @@ the ring is copied into the chunk's series after each group.  An updated row is 
 row of the same gemm, and an identity row returns its row bit for bit
 when the entries are finite, except a -0.0, which it reads as +0.0: a lone
 trial that starts with a -0.0 therefore steps as a batch does.
-The kernel walks chunks of ``C = max(1, min(B, CHUNK_BYTES // (8 n T)))``
-steps, so that a chunk's states take about ``CHUNK_BYTES``, keeps the
-chunk's series of ``Q`` (m times that: 470 KB with lambda at n = 6 and
-T = 200), and then reduces the series once per chunk: the discrepancies
+The kernel walks chunks of
+``C = max(1, min(B, SERIES_BYTES // (8 n (m + 1) T)))`` steps, so that a
+chunk's series of ``Q`` and its restore words take about ``SERIES_BYTES``
+(the series 470 KB with lambda at n = 6 and T = 200, where C is 6; a
+state-only batch of 1000 trials has C = 5, of 200 trials C = 27), and
+then reduces the series once per chunk: the discrepancies
 from the state column, the product's row sums and their maximum error, and
 each step's shared mass ``s`` (below), written straight into the block's
 rows of coefficients.  After the last chunk one pass over the rows that ran
@@ -77,8 +79,8 @@ further masks.  No trial is dropped on its own, since a narrower ``matmul``
 may round differently.  The test runs after the last chunk of every block, so
 no block is drawn past a fixed point that the previous one reached, and
 within a block after chunk c once ``max(1, c // 16)`` chunks have passed
-since the last failed test, which bounds the delay of an exit to about
-1/16 of the steps run.
+since the last failed test: an exit is found at most one full chunk after
+the fixed point is reached, then within about 1/16 of the steps run.
 """
 from __future__ import annotations
 
@@ -86,8 +88,9 @@ from collections import deque
 
 import numpy as np
 
-CHUNK_BYTES = 64 * 1024  # sizes the chunks (of states), pair-min groups and A_sigma groups
-TEST_BACKOFF = 16        # a failed exit test after chunk c waits c // 16 chunks
+SERIES_BYTES = 512 * 1024  # sizes the chunks: a chunk's series of Q and its restore words
+CHUNK_BYTES = 64 * 1024    # sizes the pair-min groups and the A_sigma groups
+TEST_BACKOFF = 16          # a failed exit test after chunk c waits c // 16 chunks
 
 
 def _reduce_left(op, X, out):
@@ -255,9 +258,10 @@ def trajectory_batch(A, masks, carry, track_lambda=True):
     A = np.ascontiguousarray(A, dtype=np.float64)
     masks = np.asarray(masks, dtype=bool)
     T, K, n = masks.shape
-    C = max(1, min(K, CHUNK_BYTES // max(1, 8 * n * T)))
     Q, d0 = carry.Q, carry.d0
     m = Q.shape[1]
+    # a step of the series of Q and its restore words take 8 n (m + 1) T bytes
+    C = max(1, min(K, SERIES_BYTES // max(1, 8 * n * (m + 1) * T)))
     if track_lambda:
         pairs = np.triu_indices(n, 1)
         npairs = len(pairs[0])

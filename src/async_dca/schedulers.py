@@ -186,10 +186,17 @@ class IndependentClocksScheduler(Scheduler):
 
     def sample_masks(self, steps: int, rng, trials: int = 1, start: int = 0,
                      carry=None) -> np.ndarray:
-        masks = np.empty((steps, trials, self.n), dtype=bool)
+        """The (steps, trials, n) coins of ``Scheduler.sample_masks``: agent
+        i of a trial updates where its uniform is below ``p[i]``.  The
+        uniforms are drawn a (g, trials, n) group of ticks at a time
+        (``_uniform_groups``) and compared through flat (g, trials n) views
+        against one row of ``p`` tiled ``trials`` times, so numpy's inner
+        loop runs over a whole tick, not over the n agents of one trial."""
+        masks = np.empty((steps, trials * self.n), dtype=bool)
+        p = np.tile(self.p, trials)
         for i, u in _uniform_groups(rng, steps, (trials, self.n)):
-            np.less(u, self.p, out=masks[i:i + len(u)])
-        return masks
+            np.less(u.reshape(len(u), -1), p, out=masks[i:i + len(u)])
+        return masks.reshape(steps, trials, self.n)
 
     def supports(self, k: int) -> tuple:
         """In closed form at any n: the sets holding an agent with ``p[j] >

@@ -74,15 +74,19 @@ def _slow_inputs(T=7, K=590, n=6):
     return A, masks, rng.uniform(-1.0, 1.0, (T, n))
 
 
-def _consensus_start_inputs():
+def _consensus_start_inputs(K=590):
     # x0 = 0 is fixed from the start, but the product keeps moving: only
     # the product's own fixed-point test may stop a run that tracks lambda
-    A, masks, x0 = _slow_inputs()
+    A, masks, x0 = _slow_inputs(K=K)
     return A, masks, np.zeros_like(x0)
 
 
-def _chunk(T, n=6):
-    return _kernels.CHUNK_BYTES // (8 * n * T)
+def _chunk(T, n=6, track_lambda=True):
+    """The kernel's chunk length for T trials of n agents: SERIES_BYTES
+    over a step of the series of Q (m columns, see ``Carry``) and of its
+    restore words."""
+    m = n + 1 if track_lambda else 1 + (T == 1)
+    return max(1, _kernels.SERIES_BYTES // (8 * n * (m + 1) * T))
 
 
 def _averaging_inputs(T=50, K=300, n=4):
@@ -93,11 +97,11 @@ def _averaging_inputs(T=50, K=300, n=4):
     return np.full((n, n), 1.0 / n), masks, rng.uniform(-1.0, 1.0, (T, n))
 
 
-def _signed_zero_inputs(T=3, n=4):
+def _signed_zero_inputs(track_lambda, T=3, n=4):
     # agent 1 holds -0.0 and first updates after the first chunk; A @ x reads
     # +0.0 there, so an exit test that took -0.0 == 0.0 would stop too early
     # and leave the sign of the final state wrong
-    C = _chunk(T, n)
+    C = _chunk(T, n, track_lambda)
     K = 2 * C + 3
     masks = np.zeros((T, K, n), dtype=bool)
     masks[:, :, 1:] = True
@@ -124,25 +128,29 @@ def _certified_inputs():
     return _coupled_inputs("uniform_clock6", trials=200, horizon=1500)
 
 
+# Each case takes track_lambda: the kernel's chunk length depends on it
+# (see _chunk), and the cases at chunk boundaries are sized by it.
 ORACLE_CASES = [
-    pytest.param(lambda: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
-    pytest.param(lambda: _coupled_inputs("half_clocks6"), id="half_clocks6"),
-    pytest.param(lambda: _coupled_inputs("half_clocks6", trials=1000, horizon=600),
+    pytest.param(lambda _: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
+    pytest.param(lambda _: _coupled_inputs("half_clocks6"), id="half_clocks6"),
+    pytest.param(lambda _: _coupled_inputs("half_clocks6", trials=1000, horizon=600),
                  id="mc-clocks-exits"),
-    pytest.param(_averaging_inputs, id="averaging-exits"),
+    pytest.param(lambda _: _averaging_inputs(), id="averaging-exits"),
     pytest.param(_signed_zero_inputs, id="signed-zeros"),
-    pytest.param(lambda: _signed_zero_inputs(T=1), id="signed-zeros-T1"),
-    pytest.param(lambda: _kept_negative_zero_inputs(1), id="kept-negative-zero-T1"),
-    pytest.param(lambda: _kept_negative_zero_inputs(3), id="kept-negative-zero-T3"),
-    pytest.param(_slow_inputs, id="slow-never-exits"),
-    pytest.param(_consensus_start_inputs, id="consensus-start"),
-    pytest.param(lambda: _chunk_inputs(200, 3 * _chunk(200, 1) + 5, n=1), id="n1-multichunk"),
-    pytest.param(_certified_inputs, id="mostly-certified"),
+    pytest.param(lambda tl: _signed_zero_inputs(tl, T=1), id="signed-zeros-T1"),
+    pytest.param(lambda _: _kept_negative_zero_inputs(1), id="kept-negative-zero-T1"),
+    pytest.param(lambda _: _kept_negative_zero_inputs(3), id="kept-negative-zero-T3"),
+    pytest.param(lambda _: _slow_inputs(), id="slow-never-exits"),
+    pytest.param(lambda _: _consensus_start_inputs(), id="consensus-start"),
+    pytest.param(lambda tl: _chunk_inputs(200, 3 * _chunk(200, 1, tl) + 5, n=1),
+                 id="n1-multichunk"),
+    pytest.param(lambda _: _certified_inputs(), id="mostly-certified"),
 ] + [
-    pytest.param(lambda n=n: _random_inputs_with_extremes(n), id=f"random-n{n}")
+    pytest.param(lambda _, n=n: _random_inputs_with_extremes(n), id=f"random-n{n}")
     for n in (*range(1, 8), 8, 10, 12)
 ] + [
-    pytest.param(lambda T=T, dk=dk, mul=mul: _chunk_inputs(T, max(0, mul * _chunk(T) + dk)),
+    pytest.param(lambda tl, T=T, dk=dk, mul=mul:
+                 _chunk_inputs(T, max(0, mul * _chunk(T, 6, tl) + dk)),
                  id=f"chunk-T{T}-K{label}")
     for T in (1, 7, 200)
     for label, mul, dk in (("0", 0, 0), ("1", 0, 1), ("C-1", 1, -1), ("C", 1, 0),
@@ -183,13 +191,26 @@ def _run_blocks(A, masks, x0, track_lambda, B=None):
 @pytest.mark.parametrize("track_lambda", [True, False])
 @pytest.mark.parametrize("make_inputs", ORACLE_CASES)
 def test_numpy_kernel_matches_trials_first_oracle(make_inputs, track_lambda):
-    A, masks, x0 = make_inputs()
+    A, masks, x0 = make_inputs(track_lambda)
     got, _ = _run_blocks(A, masks, x0, track_lambda)
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
     assert len(got) == len(want) == 6
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.array_equal(_bits(g), _bits(w))  # -0.0 and 0.0 differ
+
+
+@pytest.mark.parametrize("track_lambda", [True, False])
+@pytest.mark.parametrize("T, n", [(1, 1), (1, 6), (3, 4), (7, 6), (200, 1), (200, 6),
+                                  (1000, 6)])
+def test_chunk_helper_is_the_kernels_chunk_length(T, n, track_lambda):
+    # the cases at chunk boundaries are sized by _chunk: it must give the
+    # length of the chunk series the kernel allocates, or they miss them
+    C = _chunk(T, n, track_lambda)
+    A, masks, x0 = _chunk_inputs(T, C + 1, n)
+    carry = _kernels.Carry(x0, track_lambda)
+    _kernels.trajectory_batch(A, masks, carry, track_lambda)
+    assert len(carry.buffers[0]) == C + 1
 
 
 @pytest.mark.parametrize("track_lambda, signed_zeros",
@@ -263,7 +284,9 @@ def _count_calls(monkeypatch):
     pytest.param(_slow_inputs, True, False, id="slow-lambda"),
     pytest.param(_slow_inputs, False, False, id="slow"),
     pytest.param(_consensus_start_inputs, True, False, id="consensus-start-lambda"),
-    pytest.param(_consensus_start_inputs, False, True, id="consensus-start"),
+    # the first exit test comes one full chunk in, so the horizon spans three
+    pytest.param(lambda: _consensus_start_inputs(3 * _chunk(7, track_lambda=False) + 5),
+                 False, True, id="consensus-start"),
 ])
 def test_numpy_kernel_stops_at_an_exact_fixed_point(monkeypatch, make_inputs,
                                                     track_lambda, exits):
@@ -392,17 +415,18 @@ def test_trajectory_kernel_lambda_off():
     assert not lean[3].any() and not lean[4].any() and not lean[5].any()
 
 
+# each case takes track_lambda, as in ORACLE_CASES
 BLOCK_CASES = [
-    pytest.param(lambda: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
-    pytest.param(_averaging_inputs, id="averaging-exits"),
+    pytest.param(lambda _: _coupled_inputs("uniform_clock6"), id="uniform_clock6"),
+    pytest.param(lambda _: _averaging_inputs(), id="averaging-exits"),
     pytest.param(_signed_zero_inputs, id="signed-zeros"),
-    pytest.param(_slow_inputs, id="slow-never-exits"),
-    pytest.param(_consensus_start_inputs, id="consensus-start"),
-    pytest.param(_certified_inputs, id="mostly-certified"),
-    pytest.param(lambda: _random_inputs_with_extremes(1), id="random-n1"),
+    pytest.param(lambda _: _slow_inputs(), id="slow-never-exits"),
+    pytest.param(lambda _: _consensus_start_inputs(), id="consensus-start"),
+    pytest.param(lambda _: _certified_inputs(), id="mostly-certified"),
+    pytest.param(lambda _: _random_inputs_with_extremes(1), id="random-n1"),
     # rounding lets lambda rise by an ulp here, so viol_mono must see the
     # coefficient carried across each block boundary
-    pytest.param(lambda: _random_inputs_with_extremes(5), id="random-n5"),
+    pytest.param(lambda _: _random_inputs_with_extremes(5), id="random-n5"),
 ]
 
 
@@ -417,9 +441,9 @@ def _block_size(label, K, C):
 def test_blocked_kernel_matches_trials_first_oracle(make_inputs, track_lambda, block):
     # the horizon K is one step short of, equal to and one step past a
     # block (B = K+1, K, K-1), and blocks cut across the kernel's chunks
-    A, masks, x0 = make_inputs()
+    A, masks, x0 = make_inputs(track_lambda)
     T, K, n = masks.shape
-    B = _block_size(block, K, _chunk(T, n))
+    B = _block_size(block, K, _chunk(T, n, track_lambda))
     got, calls = _run_blocks(A, masks, x0, track_lambda, B)
     want = trajectory_batch_trials_first(A, masks, x0, track_lambda)
     for g, w in zip(got, want):
@@ -429,10 +453,10 @@ def test_blocked_kernel_matches_trials_first_oracle(make_inputs, track_lambda, b
 
 
 def test_exit_inside_the_first_block_draws_no_second_block():
-    # 1000 x 600 of half_clocks6 (chunks of one step) is a fixed point from
-    # step 290.  The backed-off test fails after step 276 and is next due
-    # after step 293, past a first block of 290 steps: the test at the end
-    # of the block finds the fixed point, so no second block is run
+    # 1000 x 600 of half_clocks6 (chunks of five steps) is a fixed point
+    # from step 290.  The backed-off test fails after step 285 and is next
+    # due after step 300, past a first block of 290 steps: the test at the
+    # end of the block finds the fixed point, so no second block is run
     A, masks, x0 = _coupled_inputs("half_clocks6", trials=1000, horizon=600)
     got, calls = _run_blocks(A, masks, x0, False, B=290)
     want = trajectory_batch_trials_first(A, masks, x0, False)

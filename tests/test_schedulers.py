@@ -179,6 +179,23 @@ def test_uniforms_are_drawn_in_groups_of_ticks(monkeypatch):
     assert calls == [(2, 17, 4)] * 75
 
 
+@pytest.mark.parametrize("trials", [1, 7, 1000])
+def test_clock_coins_compare_each_agent_with_its_own_probability(trials):
+    # distinct probabilities, a sure agent and an idle one: a threshold row
+    # repeated agent by agent instead of tiled trial by trial would pair
+    # uniforms with the wrong agents' p.  Whole and in blocks of 7 ticks,
+    # the masks are the scalar reference's sets
+    scheduler = IndependentClocksScheduler([0.1, 1.0, 0.35, 0.0, 0.8])
+    steps = 30
+    expected = _tick_major(draw_sets_per_tick(scheduler, steps, stream(12, 4), trials), 5)
+    assert expected[..., 1].all() and not expected[..., 3].any()
+    for block in (steps, 7):
+        rng = stream(12, 4)
+        masks = np.concatenate([scheduler.sample_masks(min(block, steps - k), rng, trials, k)
+                                for k in range(0, steps, block)])
+        assert np.array_equal(masks, expected), block
+
+
 def _cumulative_laws(rng, K, rows):
     """``_cumulative`` of ``rows`` random laws over K outcomes."""
     w = rng.uniform(0.01, 1.0, (rows, K))

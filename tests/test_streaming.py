@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import async_dca
+from async_dca import _kernels
 from async_dca import (
     ExperimentConfig,
     IndependentClocksScheduler,
@@ -233,6 +234,44 @@ def test_one_stream_serves_every_trial(monkeypatch, B):
     monkeypatch.setattr(IndependentClocksScheduler, "sample_masks", sample)
     run_experiment(cfg)
     assert calls == {"stream": 1, "sample_masks": 1 if B is None else -(-40 // 7)}
+
+
+@pytest.mark.parametrize("scheduler, trials, track_lambda", [
+    ("half_clocks6", 1000, False),
+    # the product is dropped after step 436, so the last block steps the
+    # states alone, at a longer chunk
+    ("uniform_clock6", 200, True),
+])
+def test_outputs_do_not_depend_on_the_chunk_budget(monkeypatch, scheduler, trials,
+                                                   track_lambda):
+    # chunks of one step, the default, and a budget at which a chunk is the
+    # whole block (of 43 and 218 steps) give the same tails and summaries
+    cfg = ExperimentConfig(bundled_matrix("six_node_coupled"), bundled_scheduler(scheduler),
+                           trials=trials, horizon=600, seed=1729, track_lambda=track_lambda)
+    n = cfg.matrix.n
+    B = montecarlo.MASK_BLOCK_BYTES // (trials * n)
+    chunks, real = [], _kernels.trajectory_batch
+
+    def kernel(A, masks, carry, track_lambda):
+        out = real(A, masks, carry, track_lambda)
+        chunks.append(len(carry.buffers[0]) - 1)
+        return out
+
+    monkeypatch.setattr(_kernels, "trajectory_batch", kernel)
+    results = []
+    # a step of the series and its restore words take at most 8 n (n + 2) T bytes
+    for budget, want in ((1, {1}), (_kernels.SERIES_BYTES, None),
+                         (8 * n * (n + 2) * trials * B, {B})):
+        monkeypatch.setattr(_kernels, "SERIES_BYTES", budget)
+        chunks.clear()
+        results.append(run_experiment(cfg))
+        assert want is None or set(chunks[:-1]) == want, budget
+    want = results[0]
+    assert want.product_steps == (436 if track_lambda else None)
+    for got in results[1:]:
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+        for key in ("delta_tail", "lambda_tail", "final_deltas"):
+            assert np.array_equal(_bits(getattr(got, key)), _bits(getattr(want, key))), key
 
 
 @pytest.mark.parametrize("track_lambda, trials",

@@ -356,13 +356,15 @@ def test_walk_outputs_do_not_depend_on_the_slab_size(monkeypatch, slab_bytes, ro
 
 
 def test_walk_does_not_read_the_trajectory_chunk_size(monkeypatch):
-    # CHUNK_BYTES sizes the trajectory kernel alone: at 8 bytes the walk
-    # makes the same kernel calls, of the same shapes, with the same outputs
+    # SERIES_BYTES and CHUNK_BYTES size the trajectory kernel alone: at 8
+    # bytes each the walk makes the same kernel calls, of the same shapes,
+    # with the same outputs
     trials, k_max = 3000, 40
     calls = _record_kernel_calls(monkeypatch)
     want = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
     want_shapes = [(r, w) for r, w, _ in calls]
     calls.clear()
+    monkeypatch.setattr(_kernels, "SERIES_BYTES", 8)
     monkeypatch.setattr(_kernels, "CHUNK_BYTES", 8)
     got = match_probability_curve(SIX_CYCLE, 0.2, k_max, trials, seed=19)
     assert np.array_equal(got.hits, want.hits)
